@@ -52,7 +52,7 @@ _SCHEMA = {
         "regime",
     },
     "mobility": {"mode", "rho", "burn_in"},
-    "instrumentation": {"cell_side", "gamma", "eta1", "eta2", "c0", "alpha"},
+    "instrumentation": {"cell_side", "gamma", "eta1", "eta2", "c0"},
     "experiment": {"sweep_axis", "sweep_values", "replicas", "seed"},
 }
 
@@ -262,6 +262,7 @@ _TRACE_FIELDS = [
 def _trace_rows(record: RunRecord, dump_cells: str = "never", grid=None) -> list[dict]:
     rows = []
     nsteps = len(record.series.white)
+    white = instrument.CELL_CODE[instrument.CellState.WHITE]
     for t in range(nsteps):
         row: dict = {
             "schema": SCHEMA_VERSION,
@@ -278,16 +279,13 @@ def _trace_rows(record: RunRecord, dump_cells: str = "never", grid=None) -> list
             snap = record.snapshots[t]
             states = instrument.classify_cells(snap, grid)
             row["regular"] = instrument.is_regular(states, grid).regular
-            dists = [
-                d
-                for c, d in instrument.wavefront_distances(states, grid).items()
-                if states[c] is instrument.CellState.WHITE and math.isfinite(d)
-            ]
-            if dists:
-                row["max_wavefront"] = max(dists)
+            dist = instrument.wavefront_distances(states, grid).array
+            dists = dist[(states.array == white) & np.isfinite(dist)]
+            if dists.size:
+                row["max_wavefront"] = float(dists.max())
                 row["mean_wavefront"] = float(np.mean(dists))
             if dump_cells == "each" or (dump_cells == "final" and t == nsteps - 1):
-                row["cells"] = {f"{c[0]},{c[1]}": s.value for c, s in sorted(states.items())}
+                row["cells"] = {f"{c},{r}": s.value for (c, r), s in states.items()}
         rows.append(row)
     return rows
 

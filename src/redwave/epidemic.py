@@ -57,7 +57,6 @@ class SimParams:
     seed: int = 0
     max_steps: int = 10_000
     burn_in: int | None = None
-    supercell_gamma: float = 0.5
 
     def __post_init__(self) -> None:
         if self.R <= 0:
@@ -267,9 +266,7 @@ class Engine:
         self.gen = RngStream(params.seed).generator()
         self.sgrid = None
         if params.mobility.kind == "cellular":
-            self.sgrid = build_supercell_grid(
-                self.region, params.mobility.rho, gamma=params.supercell_gamma
-            )
+            self.sgrid = build_supercell_grid(self.region, params.mobility.rho)
         if initial_positions is not None:
             pos = np.array(initial_positions, dtype=float)
             if pos.shape != (params.n, 2):
@@ -397,9 +394,7 @@ def move_phase(snapshot: Snapshot, params: SimParams, rng) -> Snapshot:
     out = snapshot.copy()
     gen = as_generator(rng)
     if params.mobility.kind == "cellular":
-        sgrid = build_supercell_grid(
-            params.region, params.mobility.rho, gamma=params.supercell_gamma
-        )
+        sgrid = build_supercell_grid(params.region, params.mobility.rho)
         out.positions = cellular_walk_all(out.positions, sgrid, params.region, gen)
     elif params.mobility.rho > 0:
         out.positions = walk_all(out.positions, params.mobility.rho, params.region, gen)

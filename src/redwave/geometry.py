@@ -2,16 +2,15 @@
 
 The spatial substrate for everything else: convex bounded regions (squares
 and disks), grid partitions into square cells of side ``l`` kept when they
-overlap the region by at least ``gamma * l**2``, BFS distances over the
-cover under 8-adjacency, and a lattice-sampled eccentricity.
+overlap the region by at least ``gamma * l**2``, dense grid distances over
+the cover under 8-adjacency, and a lattice-sampled eccentricity.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -89,6 +88,8 @@ class CellGrid:
 
     Cells are half-open: ``[i*side, (i+1)*side) x [j*side, (j+1)*side)``
     relative to ``origin``, so every boundary point has a unique owner cell.
+    The index box spans the region's bounding box, so array index ``[c, r]``
+    is cell ``(c, r)`` in every dense array over the grid.
     """
 
     region: Region
@@ -99,28 +100,59 @@ class CellGrid:
     knife_edge: frozenset[CellIndex] = field(default_factory=frozenset)
 
     @cached_property
-    def _cover_sorted(self) -> list[CellIndex]:
-        return sorted(self.cover)
+    def mask(self) -> np.ndarray:
+        """Read-only boolean cover mask over the index box."""
+        xmin, ymin, xmax, ymax = self.region.bounds
+        mask = np.zeros(
+            (_cells_across(xmax - xmin, self.side), _cells_across(ymax - ymin, self.side)),
+            dtype=bool,
+        )
+        cells = np.array(list(self.cover), dtype=np.int64).reshape(-1, 2)
+        if cells.size and (cells.min() < 0 or np.any(cells.max(axis=0) >= mask.shape)):
+            raise GeometryError("cover reaches outside the region's index box")
+        mask[cells[:, 0], cells[:, 1]] = True
+        mask.flags.writeable = False
+        return mask
 
     @cached_property
-    def _mask(self) -> tuple[np.ndarray, int, int]:
-        """Boolean occupancy mask over the cover's index bounding box."""
-        cols = [c for c, _ in self.cover]
-        rows = [r for _, r in self.cover]
-        c0, r0 = min(cols), min(rows)
-        mask = np.zeros((max(cols) - c0 + 1, max(rows) - r0 + 1), dtype=bool)
-        for c, r in self.cover:
-            mask[c - c0, r - r0] = True
-        return mask, c0, r0
+    def cells(self) -> list[CellIndex]:
+        """The covered cells in index order (the order of ``array[mask]``)."""
+        return cell_list(self.mask)
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """Flat index of the covered cell owning each box cell.
+
+        Covered cells own themselves; an uncovered boundary cell belongs to
+        its nearest covered cell by chessboard distance, ties going to the
+        lowest index.  The transform carries ``distance * size + index``, so
+        its minimum orders candidates by distance first, then by index.
+        """
+        size = self.mask.size
+        start = np.where(self.mask, np.arange(size).reshape(self.mask.shape), np.inf)
+        best = distance_transform(start, np.ones_like(self.mask), step=size)
+        owner = (best % size).astype(np.intp)
+        owner.flags.writeable = False
+        return owner
+
+    def mask_of(self, cells) -> np.ndarray:
+        """Boolean array over the index box, True at the given cells."""
+        out = np.zeros(self.mask.shape, dtype=bool)
+        for c in cells:
+            out[c] = True
+        return out
+
+    def distances(self, targets: np.ndarray) -> np.ndarray:
+        """Cell-distance through the cover to the True cells of ``targets``
+        (+inf where unreachable, and outside the cover)."""
+        return distance_transform(np.where(targets, 0.0, np.inf), self.mask)
 
     def in_cover(self, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Vectorized cover membership for parallel column/row index arrays."""
-        mask, c0, r0 = self._mask
-        c = np.asarray(cols) - c0
-        r = np.asarray(rows) - r0
-        inside = (c >= 0) & (c < mask.shape[0]) & (r >= 0) & (r < mask.shape[1])
+        c, r = np.asarray(cols), np.asarray(rows)
+        inside = (c >= 0) & (c < self.mask.shape[0]) & (r >= 0) & (r < self.mask.shape[1])
         out = np.zeros(inside.shape, dtype=bool)
-        out[inside] = mask[c[inside], r[inside]]
+        out[inside] = self.mask[c[inside], r[inside]]
         return out
 
     def cells_of(self, points: np.ndarray) -> np.ndarray:
@@ -132,13 +164,68 @@ class CellGrid:
         rel = (pts - np.asarray(self.origin)) / self.side
         return np.floor(rel).astype(np.int64)
 
-    def is_full_rectangle(self) -> bool:
-        mask, _, _ = self._mask
-        return bool(mask.all())
+    def owners_of(self, points: np.ndarray) -> np.ndarray:
+        """Flat index of the covered cell owning each point of an (n, 2) array.
+
+        Points on the far edge of the bounding box fall in the last box cell.
+        """
+        cells = np.clip(self.cells_of(points), 0, np.array(self.mask.shape) - 1)
+        return self.owner[cells[:, 0], cells[:, 1]]
+
+    def bin(self, positions: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """(3, W, H) agent counts per state and owning cell over the index box."""
+        size = self.mask.size
+        flat = np.asarray(states, dtype=np.intp) * size + self.owners_of(positions)
+        counts = np.bincount(flat, minlength=3 * size)
+        return counts.reshape((3,) + self.mask.shape)
 
     def cell_center(self, c: CellIndex) -> tuple[float, float]:
         ox, oy = self.origin
         return (ox + (c[0] + 0.5) * self.side, oy + (c[1] + 0.5) * self.side)
+
+
+def cell_list(cells: np.ndarray) -> list[CellIndex]:
+    """The True cells of a boolean array over an index box, in index order."""
+    return [(c, r) for c, r in np.argwhere(cells).tolist()]
+
+
+def _cells_across(extent: float, side: float) -> int:
+    return int(math.ceil(extent / side - 1e-12))
+
+
+def _window_min(a: np.ndarray) -> np.ndarray:
+    """Minimum over each cell's 3x3 neighbourhood in the last two axes.
+
+    Beyond the box counts as +inf (True for boolean arrays, where the
+    minimum is a logical and).
+    """
+    pad = [(0, 0)] * (a.ndim - 2) + [(1, 1), (1, 1)]
+    p = np.pad(a, pad, constant_values=np.inf)
+    m = np.minimum(np.minimum(p[..., :-2, :], p[..., 1:-1, :]), p[..., 2:, :])
+    return np.minimum(np.minimum(m[..., :-2], m[..., 1:-1]), m[..., 2:])
+
+
+def touching(cells: np.ndarray) -> np.ndarray:
+    """Cells in, or 8-adjacent to, a cell of the boolean array ``cells``."""
+    return ~_window_min(~cells)
+
+
+def distance_transform(start: np.ndarray, through: np.ndarray, step: float = 1) -> np.ndarray:
+    """Masked 8-neighbour min-plus dilation, iterated to its fixed point.
+
+    Every cell of ``through`` takes the minimum of its own value and its
+    neighbours' values plus ``step``; cells outside ``through`` stay +inf
+    and block paths.  With 0 at the sources, +inf elsewhere and unit step
+    this is the multi-source BFS distance under 8-adjacency; with step 0 it
+    spreads the minimum over each 8-connected component.  Leading axes of
+    ``start`` are independent problems.
+    """
+    cur = np.where(through, start, np.inf)
+    while True:
+        nxt = np.where(through, np.minimum(cur, _window_min(cur) + step), np.inf)
+        if np.array_equal(nxt, cur):
+            return cur
+        cur = nxt
 
 
 def build_cell_grid(region: Region, side: float, gamma: float) -> CellGrid:
@@ -160,8 +247,8 @@ def build_cell_grid(region: Region, side: float, gamma: float) -> CellGrid:
 
     xmin, ymin, xmax, ymax = region.bounds
     origin = (xmin, ymin)
-    ncols = int(math.ceil((xmax - xmin) / side - 1e-12))
-    nrows = int(math.ceil((ymax - ymin) / side - 1e-12))
+    ncols = _cells_across(xmax - xmin, side)
+    nrows = _cells_across(ymax - ymin, side)
     threshold = gamma * side**2
 
     cover: set[CellIndex] = set()
@@ -200,35 +287,22 @@ def build_cell_grid(region: Region, side: float, gamma: float) -> CellGrid:
     if not cover:
         raise GeometryError("empty cell cover: gamma too large for this side length")
     grid = CellGrid(region, side, gamma, origin, frozenset(cover), frozenset(knife))
-    if not _is_connected(grid):
+    if np.isinf(grid.distances(grid.mask_of(grid.cells[:1]))[grid.mask]).any():
         raise GeometryError("cell cover is not connected under 8-adjacency")
     return grid
 
 
-def _is_connected(grid: CellGrid) -> bool:
-    start = next(iter(grid.cover))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        c, r = queue.popleft()
-        for dc, dr in _ADJ8:
-            nb = (c + dc, r + dr)
-            if nb in grid.cover and nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    return len(seen) == len(grid.cover)
-
-
 def cell_of(point, grid: CellGrid) -> CellIndex:
-    """The (half-open) cell owning ``point``; errors if the point is outside S."""
+    """The covered cell owning ``point``; errors if the point is outside S.
+
+    A point in an uncovered boundary cell belongs to the nearest covered cell
+    (see ``CellGrid.owner``).
+    """
     pt = np.asarray(point, dtype=float)
     if not grid.region.contains(pt):
         raise GeometryError(f"point {tuple(pt)} outside region")
-    c = grid.cells_of(pt)[0]
-    idx = (int(c[0]), int(c[1]))
-    if idx not in grid.cover:
-        raise GeometryError(f"cell {idx} of point {tuple(pt)} not in cover")
-    return idx
+    c, r = np.unravel_index(grid.owners_of(pt)[0], grid.mask.shape)
+    return (int(c), int(r))
 
 
 def neighborhood(c: CellIndex, grid: CellGrid) -> set[CellIndex]:
@@ -243,52 +317,41 @@ def neighborhood(c: CellIndex, grid: CellGrid) -> set[CellIndex]:
     return out
 
 
-def bfs_distances(sources, grid: CellGrid) -> dict[CellIndex, int]:
-    """Multi-source BFS over the cover under 8-adjacency."""
-    dist: dict[CellIndex, int] = {}
-    queue: deque[CellIndex] = deque()
-    for s in sources:
-        if s not in grid.cover:
-            raise GeometryError(f"source cell {s} not in cover")
-        if s not in dist:
-            dist[s] = 0
-            queue.append(s)
-    while queue:
-        cur = queue.popleft()
-        d = dist[cur]
-        for dc, dr in _ADJ8:
-            nb = (cur[0] + dc, cur[1] + dr)
-            if nb in grid.cover and nb not in dist:
-                dist[nb] = d + 1
-                queue.append(nb)
+@lru_cache(maxsize=1)
+def _distances_from(a: CellIndex, grid: CellGrid) -> np.ndarray:
+    if a not in grid.cover:
+        raise GeometryError(f"source cell {a} not in cover")
+    dist = grid.distances(grid.mask_of([a]))
+    dist.flags.writeable = False
     return dist
 
 
 def cell_distance(a: CellIndex, b: CellIndex, grid: CellGrid) -> int:
-    """Shortest cell-path length between two covered cells."""
+    """Shortest cell-path length between two covered cells.
+
+    The distance row of the last source is memoised, so all-pairs loops
+    cost one transform per source.
+    """
     if b not in grid.cover:
         raise GeometryError(f"cell {b} not in cover")
-    dist = bfs_distances([a], grid)
-    if b not in dist:
+    d = _distances_from(a, grid)[b]
+    if math.isinf(d):
         raise GeometryError(f"cells {a} and {b} are disconnected in the cover")
-    return dist[b]
+    return int(d)
 
 
 def cell_diameter(grid: CellGrid) -> int:
-    """Max pairwise cell-distance over the cover.
-
-    Full rectangular covers reduce to the Chebyshev span; anything else
-    falls back to exhaustive per-cell BFS.
-    """
-    if grid.is_full_rectangle():
-        mask, _, _ = grid._mask
-        return max(mask.shape[0], mask.shape[1]) - 1
+    """Max pairwise cell-distance over the cover: one transform per cell,
+    64 sources at a time."""
     best = 0
-    for c in grid._cover_sorted:
-        dist = bfs_distances([c], grid)
-        if len(dist) != len(grid.cover):
+    for first in range(0, len(grid.cells), 64):
+        c, r = np.array(grid.cells[first : first + 64]).T
+        targets = np.zeros((len(c),) + grid.mask.shape, dtype=bool)
+        targets[np.arange(len(c)), c, r] = True
+        dist = grid.distances(targets)[:, grid.mask]
+        if np.isinf(dist).any():
             raise GeometryError("disconnected cover")
-        best = max(best, max(dist.values()))
+        best = max(best, int(dist.max()))
     return best
 
 

@@ -9,15 +9,15 @@ run inline during a simulation or post-hoc on recorded snapshot series.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .epidemic import BLACK, RED, WHITE, Snapshot
+from .epidemic import RED, WHITE, Snapshot
 from .errors import ConfigurationError
-from .geometry import _ADJ8, CellGrid, CellIndex
+from .geometry import CellGrid, CellIndex, cell_list, distance_transform, neighborhood, touching
 
 
 class CellState(Enum):
@@ -34,7 +34,6 @@ class CellState(Enum):
 DEFAULT_ETA1 = 0.5
 DEFAULT_ETA2 = 2.0
 DEFAULT_C0 = 1.0
-DEFAULT_ALPHA = 1.0
 
 
 @dataclass(frozen=True)
@@ -48,10 +47,9 @@ class StateConstants:
     eta1: float = DEFAULT_ETA1
     eta2: float = DEFAULT_ETA2
     c0: float = DEFAULT_C0
-    alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self) -> None:
-        if self.eta1 <= 0 or self.eta2 <= 0 or self.c0 <= 0 or self.alpha <= 0:
+        if self.eta1 <= 0 or self.eta2 <= 0 or self.c0 <= 0:
             raise ConfigurationError("state constants must be positive")
 
 
@@ -89,49 +87,57 @@ def h_hat(R: float, rho: float, n, c0: float = DEFAULT_C0) -> int:
 # cell-level classification and regularity
 # ---------------------------------------------------------------------------
 
-
-def _presence_arrays(snapshot: Snapshot, grid: CellGrid):
-    """(has_white, has_red, has_black) boolean arrays over the cover's index
-    bounding box, plus the (col, row) offsets of index (0, 0)."""
-    mask, c0, r0 = grid._mask
-    cells = grid.cells_of(snapshot.positions)
-    ci = cells[:, 0] - c0
-    ri = cells[:, 1] - r0
-    inside = (ci >= 0) & (ci < mask.shape[0]) & (ri >= 0) & (ri < mask.shape[1])
-    if not inside.all():
-        bad = cells[~inside][0]
-        raise ConfigurationError(f"agent found in uncovered cell {(int(bad[0]), int(bad[1]))}")
-    covered = mask[ci, ri]
-    if not covered.all():
-        bad = cells[~covered][0]
-        raise ConfigurationError(f"agent found in uncovered cell {(int(bad[0]), int(bad[1]))}")
-    out = []
-    for state in (WHITE, RED, BLACK):
-        has = np.zeros(mask.shape, dtype=bool)
-        sel = snapshot.states == state
-        has[ci[sel], ri[sel]] = True
-        out.append(has)
-    return out[0], out[1], out[2], c0, r0
+# int8 codes of a state grid: a CellState's position in the enum, so white,
+# red and black share the agent state codes; -1 marks uncovered box cells
+_STATES = tuple(CellState)
+CELL_CODE = {s: np.int8(i) for i, s in enumerate(_STATES)}
+_WHITE, _RED, _BLACK, _GREY, _EMPTY = CELL_CODE.values()
+_OUT = np.int8(-1)
 
 
-def classify_cells(snapshot: Snapshot, grid: CellGrid) -> dict[CellIndex, CellState]:
+class CellMap(Mapping):
+    """Read-only ``(col, row) -> value`` view of a dense array over a grid's
+    cover.  ``array`` is indexed by cell; iteration follows ``grid.cells``."""
+
+    def __init__(self, array: np.ndarray, grid: CellGrid, convert=float) -> None:
+        array.flags.writeable = False
+        self.array = array
+        self.grid = grid
+        self._convert = convert
+
+    def __getitem__(self, c: CellIndex):
+        if c not in self.grid.cover:
+            raise KeyError(c)
+        return self._convert(self.array[c])
+
+    def __iter__(self):
+        return iter(self.grid.cells)
+
+    def __len__(self) -> int:
+        return len(self.grid.cover)
+
+
+def _state_grid(cellstates: Mapping[CellIndex, CellState], grid: CellGrid) -> np.ndarray:
+    """The int8 state grid behind a cell-state map."""
+    if isinstance(cellstates, CellMap):
+        return cellstates.array
+    codes = np.full(grid.mask.shape, _OUT)
+    for c, s in cellstates.items():
+        codes[c] = CELL_CODE[s]
+    return codes
+
+
+def classify_cells(snapshot: Snapshot, grid: CellGrid) -> CellMap:
     """Per covered cell: red if it holds a red agent, white if only whites,
     black if only blacks, grey for any other mixture, empty if agent-free."""
-    has_w, has_r, has_b, c0, r0 = _presence_arrays(snapshot, grid)
-    out: dict[CellIndex, CellState] = {}
-    for c, r in grid.cover:
-        ci, ri = c - c0, r - r0
-        if has_r[ci, ri]:
-            out[(c, r)] = CellState.RED
-        elif has_w[ci, ri] and not has_b[ci, ri]:
-            out[(c, r)] = CellState.WHITE
-        elif has_b[ci, ri] and not has_w[ci, ri]:
-            out[(c, r)] = CellState.BLACK
-        elif has_b[ci, ri] or has_w[ci, ri]:
-            out[(c, r)] = CellState.GREY
-        else:
-            out[(c, r)] = CellState.EMPTY
-    return out
+    w, r, b = grid.bin(snapshot.positions, snapshot.states) > 0
+    codes = np.full(grid.mask.shape, _GREY)
+    codes[w & ~b] = _WHITE
+    codes[b & ~w] = _BLACK
+    codes[~w & ~b] = _EMPTY
+    codes[r] = _RED
+    codes[~grid.mask] = _OUT
+    return CellMap(codes, grid, _STATES.__getitem__)
 
 
 @dataclass
@@ -141,77 +147,47 @@ class RegularityReport:
     empty_cells: list[CellIndex] = field(default_factory=list)
 
 
-def is_regular(cellstates: dict[CellIndex, CellState], grid: CellGrid) -> RegularityReport:
+def is_regular(cellstates: Mapping[CellIndex, CellState], grid: CellGrid) -> RegularityReport:
     """Check the three regularity properties of a configuration.
 
-    (a) no grey cell; (b) every white component is adjacent to a red cell;
-    (c) no white cell is adjacent to a black cell.
+    (a) no grey cell; (b) every white component is adjacent to a red cell,
+    i.e. every white cell is reached from the red cells through white and
+    red cells; (c) no white cell is adjacent to a black cell.  A (b)
+    violation names the lowest cell of its white component.
 
     Empty cells are reported separately as density violations and are
     transparent to the adjacency checks: at desk scale a handful of cells
     are empty in nearly every step, so making them fatal would void the
     verdict everywhere.
     """
-    violations: list[tuple[str, CellIndex]] = []
-    empties = [c for c, s in cellstates.items() if s is CellState.EMPTY]
+    codes = _state_grid(cellstates, grid)
+    white, red = codes == _WHITE, codes == _RED
+    violations = [("a", c) for c in cell_list(codes == _GREY)]
+    violations += [("c", c) for c in cell_list(white & touching(codes == _BLACK))]
+    unreached = white & np.isinf(
+        distance_transform(np.where(red, 0.0, np.inf), white | red)
+    )
+    if unreached.any():
+        index = np.arange(codes.size, dtype=float).reshape(codes.shape)
+        lowest = distance_transform(index, unreached, step=0)
+        roots = unreached & (lowest == index)
+        violations += [("b", c) for c in cell_list(roots)]
+    return RegularityReport(
+        regular=not violations,
+        violations=violations,
+        empty_cells=cell_list(codes == _EMPTY),
+    )
 
-    for c, s in cellstates.items():
-        if s is CellState.GREY:
-            violations.append(("a", c))
 
-    whites = {c for c, s in cellstates.items() if s is CellState.WHITE}
-    blacks = {c for c, s in cellstates.items() if s is CellState.BLACK}
-    reds = {c for c, s in cellstates.items() if s is CellState.RED}
-
-    # (c): white 8-adjacent to black
-    for c in sorted(whites):
-        for dc, dr in _ADJ8:
-            if (c[0] + dc, c[1] + dr) in blacks:
-                violations.append(("c", c))
-                break
-
-    # (b): flood-fill white components, check adjacency to a red cell
-    seen: set[CellIndex] = set()
-    for start in sorted(whites):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        touches_red = False
-        while queue:
-            cur = queue.popleft()
-            for dc, dr in _ADJ8:
-                nb = (cur[0] + dc, cur[1] + dr)
-                if nb in reds:
-                    touches_red = True
-                if nb in whites and nb not in seen:
-                    seen.add(nb)
-                    comp.append(nb)
-                    queue.append(nb)
-        if not touches_red and reds:
-            violations.append(("b", comp[0]))
-        elif not reds and not touches_red:
-            # no red cell anywhere: property (b) is unsatisfiable
-            violations.append(("b", comp[0]))
-
-    return RegularityReport(regular=not violations, violations=violations, empty_cells=empties)
+def _red_close(codes: np.ndarray) -> np.ndarray:
+    return (codes == _WHITE) & touching(codes == _RED)
 
 
 def red_close_cells(
-    cellstates: dict[CellIndex, CellState], grid: CellGrid
+    cellstates: Mapping[CellIndex, CellState], grid: CellGrid
 ) -> set[CellIndex]:
     """White cells 8-adjacent to at least one red cell."""
-    reds = {c for c, s in cellstates.items() if s is CellState.RED}
-    out: set[CellIndex] = set()
-    for c, s in cellstates.items():
-        if s is not CellState.WHITE:
-            continue
-        for dc, dr in _ADJ8:
-            if (c[0] + dc, c[1] + dr) in reds:
-                out.add(c)
-                break
-    return out
+    return set(cell_list(_red_close(_state_grid(cellstates, grid))))
 
 
 def rho_close(a: CellIndex, b: CellIndex, grid: CellGrid, rho: float) -> bool:
@@ -221,85 +197,34 @@ def rho_close(a: CellIndex, b: CellIndex, grid: CellGrid, rho: float) -> bool:
     return math.hypot(ax - bx, ay - by) <= rho * (1 + 1e-12)
 
 
-def _chessboard_distances(sources: np.ndarray, cover: np.ndarray) -> np.ndarray:
-    """Multi-source BFS distances under 8-adjacency, on a masked index grid.
-
-    Implemented as an iterative min-plus dilation (each sweep relaxes all 8
-    neighbor shifts at once), which converges in at most the cover diameter
-    sweeps and is equivalent to BFS because all edge weights are 1.
-    """
-    dist = np.full(cover.shape, np.inf)
-    dist[sources & cover] = 0.0
-    if not (sources & cover).any():
-        return dist
-    padded = np.full((cover.shape[0] + 2, cover.shape[1] + 2), np.inf)
-    while True:
-        padded[1:-1, 1:-1] = dist
-        best = dist
-        for dc in (-1, 0, 1):
-            for dr in (-1, 0, 1):
-                if dc == 0 and dr == 0:
-                    continue
-                shifted = padded[1 + dc : padded.shape[0] - 1 + dc, 1 + dr : padded.shape[1] - 1 + dr]
-                best = np.minimum(best, shifted + 1.0)
-        best = np.where(cover, best, np.inf)
-        if np.array_equal(best, dist):
-            return dist
-        dist = best
-
-
-def _mask_of(cells, grid: CellGrid) -> np.ndarray:
-    mask, c0, r0 = grid._mask
-    out = np.zeros(mask.shape, dtype=bool)
-    for c, r in cells:
-        out[c - c0, r - r0] = True
-    return out
-
-
-def _dist_dict(dist: np.ndarray, grid: CellGrid) -> dict[CellIndex, float]:
-    _, c0, r0 = grid._mask
-    return {(c, r): float(dist[c - c0, r - r0]) for c, r in grid.cover}
-
-
 def wavefront_distances(
-    cellstates: dict[CellIndex, CellState], grid: CellGrid
-) -> dict[CellIndex, float]:
+    cellstates: Mapping[CellIndex, CellState], grid: CellGrid
+) -> CellMap:
     """Cell-distance from every covered cell to the red cell set.
 
     Red cells map to 0; with no red cell everything maps to infinity.
     """
-    mask, _, _ = grid._mask
-    reds = _mask_of((c for c, s in cellstates.items() if s is CellState.RED), grid)
-    return _dist_dict(_chessboard_distances(reds, mask), grid)
+    return CellMap(grid.distances(_state_grid(cellstates, grid) == _RED), grid)
 
 
-def distances_to_set(
-    targets: set[CellIndex], grid: CellGrid
-) -> dict[CellIndex, float]:
+def distances_to_set(targets: set[CellIndex], grid: CellGrid) -> CellMap:
     """Cell-distance from every covered cell to an arbitrary target set."""
-    mask, _, _ = grid._mask
-    return _dist_dict(_chessboard_distances(_mask_of(targets, grid), mask), grid)
+    return CellMap(grid.distances(grid.mask_of(targets)), grid)
 
 
 def density_check(
     snapshot: Snapshot, grid: CellGrid, eta1: float = DEFAULT_ETA1, eta2: float = DEFAULT_ETA2
 ) -> list[tuple[CellIndex, int]]:
-    """Cells whose agent count falls outside [eta1*l^2, eta2*l^2]."""
-    mask, c0, r0 = grid._mask
+    """Cells whose agent count falls outside [eta1*l^2, eta2*l^2].
+
+    A cell's count is the number of agents in c & S: agents in uncovered
+    boundary slivers are left out rather than folded into a covered cell.
+    """
     cells = grid.cells_of(snapshot.positions)
-    ci = cells[:, 0] - c0
-    ri = cells[:, 1] - r0
-    inside = (ci >= 0) & (ci < mask.shape[0]) & (ri >= 0) & (ri < mask.shape[1])
-    tot = np.zeros(mask.shape, dtype=np.int64)
-    np.add.at(tot, (ci[inside], ri[inside]), 1)
-    lo = eta1 * grid.side**2
-    hi = eta2 * grid.side**2
-    out = []
-    for c, r in sorted(grid.cover):
-        k = int(tot[c - c0, r - r0])
-        if k < lo or k > hi:
-            out.append(((c, r), k))
-    return out
+    own = grid.in_cover(cells[:, 0], cells[:, 1])
+    tot = grid.bin(snapshot.positions[own], snapshot.states[own]).sum(axis=0)
+    bad = grid.mask & ((tot < eta1 * grid.side**2) | (tot > eta2 * grid.side**2))
+    return [(c, int(tot[c])) for c in cell_list(bad)]
 
 
 # ---------------------------------------------------------------------------
@@ -349,22 +274,8 @@ def supercell_counts(
     snapshot: Snapshot, sgrid: CellGrid
 ) -> dict[CellIndex, tuple[int, int, int]]:
     """(white, red, black) agent counts per covered supercell."""
-    mask, c0, r0 = sgrid._mask
-    cells = sgrid.cells_of(snapshot.positions)
-    ci = cells[:, 0] - c0
-    ri = cells[:, 1] - r0
-    if not ((ci >= 0) & (ci < mask.shape[0]) & (ri >= 0) & (ri < mask.shape[1])).all():
-        raise ConfigurationError("agent found outside the supercell cover")
-    tot = np.zeros((3,) + mask.shape, dtype=np.int64)
-    np.add.at(tot, (snapshot.states, ci, ri), 1)
-    return {
-        (c, r): (
-            int(tot[WHITE, c - c0, r - r0]),
-            int(tot[RED, c - c0, r - r0]),
-            int(tot[BLACK, c - c0, r - r0]),
-        )
-        for c, r in sgrid.cover
-    }
+    counts = sgrid.bin(snapshot.positions, snapshot.states)
+    return {(c, r): tuple(counts[:, c, r].tolist()) for c, r in sgrid.cells}
 
 
 def classify_supercells(
@@ -387,24 +298,28 @@ class SupercellRegularityReport:
 def supercell_regularity(
     snapshot: Snapshot, sgrid: CellGrid, classifier: SupercellClassifier
 ) -> SupercellRegularityReport:
+    """Regularity of a snapshot's classified supercell map."""
+    return supercell_map_regularity(
+        classify_supercells(snapshot, sgrid, classifier), sgrid, classifier.h_hat
+    )
+
+
+def supercell_map_regularity(
+    states: dict[CellIndex, set[int]], sgrid: CellGrid, hh: int
+) -> SupercellRegularityReport:
     """Condition 1: every supercell classifiable.  Condition 2: neighbors of
     a Black-State supercell are in the Red or Black State."""
-    states = classify_supercells(snapshot, sgrid, classifier)
-    hh = classifier.h_hat
     report = SupercellRegularityReport(regular=True)
     for c, st in sorted(states.items()):
         if not st:
             report.unclassifiable.append(c)
     for c, st in sorted(states.items()):
-        if (hh + 1) not in st:
-            continue
-        for dc, dr in _ADJ8:
-            nb = (c[0] + dc, c[1] + dr)
-            nb_states = states.get(nb)
-            if nb_states is None:
-                continue
-            if not (hh in nb_states or (hh + 1) in nb_states):
-                report.black_neighbor_violations.append((c, nb))
+        if (hh + 1) in st:
+            report.black_neighbor_violations += [
+                (c, nb)
+                for nb in sorted(neighborhood(c, sgrid) - {c})
+                if nb in states and hh not in states[nb] and (hh + 1) not in states[nb]
+            ]
     report.regular = not report.unclassifiable and not report.black_neighbor_violations
     return report
 
@@ -436,21 +351,6 @@ class TransitionAudit:
     skipped_irregular: int = 0
 
 
-def _map_regular(states: dict[CellIndex, set[int]], sgrid: CellGrid, hh: int) -> bool:
-    """Regularity of a classified map: every supercell classifiable, and the
-    neighbors of a Black-State supercell all in the Red or Black State."""
-    if any(not st for st in states.values()):
-        return False
-    for (c, r), st in states.items():
-        if (hh + 1) not in st:
-            continue
-        for dc, dr in _ADJ8:
-            nb = states.get((c + dc, r + dr))
-            if nb is not None and hh not in nb and (hh + 1) not in nb:
-                return False
-    return True
-
-
 def transition_audit(
     state_maps: list[dict[CellIndex, set[int]]],
     sgrid: CellGrid,
@@ -472,16 +372,9 @@ def transition_audit(
     makes C Black; (e) m = Black keeps/makes C Black.
     """
     audit = TransitionAudit(tallies={k: TransitionTally() for k in _IMPLICATIONS})
-    neighborhoods = {
-        c: [
-            (c[0] + dc, c[1] + dr)
-            for dc, dr in [(0, 0)] + _ADJ8
-            if (c[0] + dc, c[1] + dr) in sgrid.cover
-        ]
-        for c in sgrid.cover
-    }
+    neighborhoods = {c: neighborhood(c, sgrid) for c in sgrid.cells}
     for cur, nxt in zip(state_maps[:-1], state_maps[1:]):
-        if require_regular and not _map_regular(cur, sgrid, hh):
+        if require_regular and not supercell_map_regularity(cur, sgrid, hh).regular:
             audit.skipped_irregular += len(neighborhoods)
             continue
         for c, nbs in neighborhoods.items():
@@ -529,8 +422,13 @@ class SpeedAudit:
         return SpeedAudit(self.ok_pairs + other.ok_pairs, self.violations + other.violations)
 
 
+def _tally(audit: SpeedAudit, ok: np.ndarray) -> None:
+    audit.ok_pairs += int(np.count_nonzero(ok))
+    audit.violations += int(np.count_nonzero(~ok))
+
+
 def wavefront_speed_audit(
-    cellstate_maps: list[dict[CellIndex, CellState]],
+    cellstate_maps: list[Mapping[CellIndex, CellState]],
     grid: CellGrid,
     min_decrease: int = 1,
     target: str = "red",
@@ -541,29 +439,16 @@ def wavefront_speed_audit(
     (red cells, or red-close cells for the high-mobility audit), require
     d_{t+1} <= max(d_t - min_decrease, 0).
     """
-    audit = SpeedAudit()
-    mask, _, _ = grid._mask
-
-    def target_mask(states: dict[CellIndex, CellState]) -> np.ndarray:
-        if target == "red":
-            return _mask_of((c for c, s in states.items() if s is CellState.RED), grid)
-        if target == "red_close":
-            return _mask_of(red_close_cells(states, grid), grid)
+    if target not in ("red", "red_close"):
         raise ConfigurationError(f"unknown audit target {target!r}")
-
-    dists = [_chessboard_distances(target_mask(m), mask) for m in cellstate_maps]
-    whites = [
-        _mask_of((c for c, s in m.items() if s is CellState.WHITE), grid)
-        for m in cellstate_maps
+    audit = SpeedAudit()
+    codes = [_state_grid(m, grid) for m in cellstate_maps]
+    dists = [
+        grid.distances(c == _RED if target == "red" else _red_close(c)) for c in codes
     ]
-    for cur_d, nxt_d, nxt_white in zip(dists[:-1], dists[1:], whites[1:]):
-        sel = nxt_white & np.isfinite(cur_d)
-        if not sel.any():
-            continue
-        bound = np.maximum(cur_d[sel] - min_decrease, 0)
-        ok = nxt_d[sel] <= bound
-        audit.ok_pairs += int(np.count_nonzero(ok))
-        audit.violations += int(np.count_nonzero(~ok))
+    for cur_d, nxt_d, nxt in zip(dists[:-1], dists[1:], codes[1:]):
+        sel = (nxt == _WHITE) & np.isfinite(cur_d)
+        _tally(audit, nxt_d[sel] <= np.maximum(cur_d[sel] - min_decrease, 0))
     return audit
 
 
@@ -574,23 +459,14 @@ def supercell_speed_audit(
     """Supercell wave advance: distance from White-State supercells to the
     informed set (state >= 1) drops by at least 1 per step."""
     audit = SpeedAudit()
-
-    def informed(states: dict[CellIndex, set[int]]) -> set[CellIndex]:
-        return {c for c, st in states.items() if st and max(st) >= 1}
-
-    for cur, nxt in zip(state_maps[:-1], state_maps[1:]):
-        cur_d = distances_to_set(informed(cur), sgrid)
-        nxt_d = distances_to_set(informed(nxt), sgrid)
-        for c, st in nxt.items():
-            if st != {0}:
-                continue
-            d_t = cur_d[c]
-            if not math.isfinite(d_t) or d_t == 0:
-                continue
-            if nxt_d[c] <= d_t - 1:
-                audit.ok_pairs += 1
-            else:
-                audit.violations += 1
+    dists = [
+        sgrid.distances(sgrid.mask_of(c for c, st in m.items() if st and max(st) >= 1))
+        for m in state_maps
+    ]
+    for cur_d, nxt_d, nxt in zip(dists[:-1], dists[1:], state_maps[1:]):
+        sel = sgrid.mask_of(c for c, st in nxt.items() if st == {0})
+        sel &= np.isfinite(cur_d) & (cur_d != 0)
+        _tally(audit, nxt_d[sel] <= cur_d[sel] - 1)
     return audit
 
 
@@ -617,10 +493,6 @@ class SpreadAudit:
     red_spread: LemmaTally = field(default_factory=LemmaTally)
     red_saturation: LemmaTally = field(default_factory=LemmaTally)
     red_upper: LemmaTally = field(default_factory=LemmaTally)
-
-
-def _supercell_of_cell(c: CellIndex, ratio: int) -> CellIndex:
-    return (c[0] // ratio, c[1] // ratio)
 
 
 def spread_audit(
@@ -661,59 +533,45 @@ def spread_audit(
     lam_w_min = 720.0 / constants.c0**2
     lam_r_min = 1800.0 / constants.c0**2
 
-    cover = sorted(sgrid.cover)
-    nbhd = {
-        C: [
-            (C[0] + dc, C[1] + dr)
-            for dc, dr in [(0, 0)] + _ADJ8
-            if (C[0] + dc, C[1] + dr) in sgrid.cover
-        ]
-        for C in cover
-    }
-    cells_by_super: dict[CellIndex, list[CellIndex]] = {C: [] for C in cover}
-    for c in grid.cover:
-        sc = _supercell_of_cell(c, ratio)
-        if sc in cells_by_super:
-            cells_by_super[sc].append(c)
+    nbhd = {C: neighborhood(C, sgrid) for C in sgrid.cells}
+    # each covered cell's supercell, for the covered cells whose supercell
+    # is covered
+    cells = np.argwhere(grid.mask)
+    sup = cells // ratio
+    keep = sgrid.in_cover(sup[:, 0], sup[:, 1])
+    cells, sup = cells[keep], sup[keep]
+    cells_per_super = np.zeros(sgrid.mask.shape, dtype=np.int64)
+    np.add.at(cells_per_super, (sup[:, 0], sup[:, 1]), 1)
 
     audit = SpreadAudit()
     counts = [supercell_counts(s, sgrid) for s in snapshots]
     for t in range(len(snapshots) - 1):
         cur, nxt = snapshots[t], snapshots[t + 1]
         # mid-step configuration of step t+1: moved positions, pre-transmission states
-        mid_cells = grid.cells_of(nxt.positions)
-        white_per_cell: dict[CellIndex, int] = {}
-        red_hit: set[CellIndex] = set()
-        for (cc, rr), st in zip(mid_cells, cur.states):
-            key = (int(cc), int(rr))
-            if st == WHITE:
-                white_per_cell[key] = white_per_cell.get(key, 0) + 1
-            elif st == RED:
-                red_hit.add(key)
-        for C in cover:
+        mid = grid.bin(nxt.positions, cur.states)[:, cells[:, 0], cells[:, 1]]
+        fewest_whites = np.full(sgrid.mask.shape, np.inf)
+        np.minimum.at(fewest_whites, (sup[:, 0], sup[:, 1]), mid[WHITE])
+        red_hit = np.zeros(sgrid.mask.shape, dtype=np.int64)
+        np.add.at(red_hit, (sup[:, 0], sup[:, 1]), mid[RED] > 0)
+        saturated = red_hit == cells_per_super
+        for C in sgrid.cells:
             audit.pairs += 1
             w_n = sum(counts[t][Cp][0] for Cp in nbhd[C])
             lam_w = w_n / rho**2
             if lam_w >= lam_w_min:
                 audit.white_spread.hypothesis_met += 1
-                need = (lam_w / 36.0) * R**2
-                if all(white_per_cell.get(c, 0) >= need for c in cells_by_super[C]):
+                if fewest_whites[C] >= (lam_w / 36.0) * R**2:
                     audit.white_spread.holds += 1
             lam_r = counts[t][C][1] / R**2
             if lam_r >= lam_r_min:
                 audit.red_spread.hypothesis_met += 1
                 need = min((lam_r / 30.0) * R**2, rho**2 / (2.0 * R**2))
-                if all(
-                    sum(1 for c in cells_by_super[Cp] if c in red_hit) >= need
-                    for Cp in nbhd[C]
-                ):
+                if all(red_hit[Cp] >= need for Cp in nbhd[C]):
                     audit.red_spread.holds += 1
             w, r, b = counts[t][C]
             if hh in classifier.classify(w, r, b):
                 audit.red_saturation.hypothesis_met += 1
-                if all(
-                    all(c in red_hit for c in cells_by_super[Cp]) for Cp in nbhd[C]
-                ):
+                if all(saturated[Cp] for Cp in nbhd[C]):
                     audit.red_saturation.holds += 1
             m_red = max(counts[t][Cp][1] for Cp in nbhd[C])
             audit.red_upper.hypothesis_met += 1

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,8 @@ from redwave.errors import ConfigurationError
 from redwave.experiments import ExperimentPlan, replicate
 from redwave.geometry import Region
 from redwave.mobility import MobilityMode
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL = """\
 [region]
@@ -91,6 +94,8 @@ def test_parse_experiment_seed_only_stays_single_run(tmp_path):
 def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigurationError):
         parse_config(write(tmp_path, MINIMAL + "speed = 9\n"))
+    with pytest.raises(ConfigurationError):
+        parse_config(write(tmp_path, MINIMAL + "\n[instrumentation]\nalpha = 1.0\n"))
     with pytest.raises(ConfigurationError):
         parse_config(write(tmp_path, MINIMAL + "\n[physics]\ngravity = 10\n"))
 
@@ -251,6 +256,22 @@ def test_main_run_ok(tmp_path, capsys):
     assert code == EXIT_OK
     assert (tmp_path / "out" / "trace.ndjson").exists()
     assert "completion_time=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "kind, size",
+    [
+        ("square", "96"),  # the last column is a 0.25-cell sliver below gamma
+        ("disk", "27"),  # the rim cells below gamma hold agents
+    ],
+)
+def test_main_run_counts_agents_in_uncovered_slivers(tmp_path, kind, size):
+    text = (CONFIGS / "regularity.ini").read_text()
+    text = text.replace("kind = square", f"kind = {kind}").replace("size = 48", f"size = {size}")
+    cfg = write(tmp_path, text)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    rows = [json.loads(line) for line in (tmp_path / "out" / "trace.ndjson").open()]
+    assert rows and all(isinstance(row["regular"], bool) for row in rows)
 
 
 def test_main_config_error(tmp_path, capsys):

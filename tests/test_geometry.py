@@ -150,6 +150,27 @@ def test_cell_of_basic(grid_4x4):
     assert cell_of((2.999, 0.0), grid_4x4) == (0, 0)
 
 
+@pytest.mark.parametrize(
+    "region, side, gamma",
+    [(Region.square(13.0), 2.0, 0.6), (Region.disk(10.0), 3.0, 1.0), (Region.square(12.0), 5.0, 1.0)],
+)
+def test_owner_is_nearest_covered_cell_lowest_index_first(region, side, gamma):
+    grid = build_cell_grid(region, side, gamma)
+    W, H = grid.mask.shape
+    for c in range(W):
+        for r in range(H):
+            # sorted cover: the first minimum is the lowest index
+            best = min(sorted(grid.cover), key=lambda k: max(abs(k[0] - c), abs(k[1] - r)))
+            assert np.unravel_index(grid.owner[c, r], (W, H)) == best
+
+
+def test_cell_of_uncovered_sliver_goes_to_nearest_covered_cell():
+    grid = build_cell_grid(Region.square(12.0), 5.0, gamma=1.0)  # 2x2 core in a 3x3 box
+    assert cell_of((11.0, 11.0), grid) == (1, 1)
+    assert cell_of((12.0, 0.0), grid) == (1, 0)  # far edge of the box
+    assert cell_of((11.0, 7.0), grid) == (1, 0)  # tie between (1, 0) and (1, 1)
+
+
 def test_cell_of_outside_region(grid_4x4):
     with pytest.raises(GeometryError):
         cell_of((13.0, 1.0), grid_4x4)

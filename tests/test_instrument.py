@@ -1,13 +1,16 @@
 """Cell/supercell classification, regularity, distances, and audits."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redwave.epidemic import BLACK, RED, WHITE, SimParams, run
 from redwave.errors import ConfigurationError
-from redwave.geometry import Region, build_cell_grid
+from redwave.geometry import _ADJ8, Region, build_cell_grid
 from redwave.instrument import (
     CellState,
     StateConstants,
@@ -31,6 +34,56 @@ from redwave.instrument import (
 )
 from redwave.mobility import MobilityMode, RngStream, build_supercell_grid, walk_all
 from tests.conftest import make_snapshot
+
+
+# ---------------------------------------------------------------------------
+# set/deque oracles, deliberately different from the dense implementation
+# ---------------------------------------------------------------------------
+
+
+def oracle_distances(sources, cover):
+    """Multi-source dict/deque BFS over an explicit cover set."""
+    dist = {s: 0 for s in sources}
+    queue = deque(dist)
+    while queue:
+        c, r = queue.popleft()
+        for dc, dr in _ADJ8:
+            nb = (c + dc, r + dr)
+            if nb in cover and nb not in dist:
+                dist[nb] = dist[(c, r)] + 1
+                queue.append(nb)
+    return dist
+
+
+def oracle_is_regular(cellstates):
+    """(regular, violations, empty cells) by set lookups and a flood-fill of
+    each white component."""
+    violations = [("a", c) for c, s in cellstates.items() if s is CellState.GREY]
+    whites = {c for c, s in cellstates.items() if s is CellState.WHITE}
+    blacks = {c for c, s in cellstates.items() if s is CellState.BLACK}
+    reds = {c for c, s in cellstates.items() if s is CellState.RED}
+    for c in sorted(whites):
+        if any((c[0] + dc, c[1] + dr) in blacks for dc, dr in _ADJ8):
+            violations.append(("c", c))
+    seen = set()
+    for start in sorted(whites):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = deque([start])
+        touches_red = False
+        while queue:
+            cur = queue.popleft()
+            for dc, dr in _ADJ8:
+                nb = (cur[0] + dc, cur[1] + dr)
+                touches_red |= nb in reds
+                if nb in whites and nb not in seen:
+                    seen.add(nb)
+                    queue.append(nb)
+        if not touches_red:
+            violations.append(("b", start))
+    empties = [c for c, s in cellstates.items() if s is CellState.EMPTY]
+    return not violations, violations, empties
 
 
 def fill_cells(grid, contents):
@@ -81,11 +134,12 @@ def test_classify_cells_total_over_cover(grid_4x4):
     assert set(states) == set(grid_4x4.cover)
 
 
-def test_classify_cells_rejects_uncovered_agents():
+def test_classify_cells_folds_uncovered_agents():
     grid = build_cell_grid(Region.square(12.0), 5.0, gamma=1.0)  # 2x2 core
     snap = make_snapshot([(11.0, 11.0)], [WHITE])  # in S but outside cover
-    with pytest.raises(ConfigurationError):
-        classify_cells(snap, grid)
+    states = classify_cells(snap, grid)
+    assert states[(1, 1)] is CellState.WHITE  # nearest covered cell
+    assert [c for c, s in states.items() if s is not CellState.EMPTY] == [(1, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +207,35 @@ def test_initial_configurations_mostly_regular():
         if is_regular(classify_cells(rec.snapshots[0], grid), grid).regular:
             ok += 1
     assert ok / trials >= 0.99
+
+
+# a square whose last row and column are uncovered slivers, and a disk
+_ORACLE_GRIDS = [
+    build_cell_grid(Region.square(13.0), 2.0, gamma=0.6),
+    build_cell_grid(Region.disk(7.0), 2.0, gamma=0.5),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_dense_regularity_and_wavefront_match_oracles(data):
+    grid = data.draw(st.sampled_from(_ORACLE_GRIDS))
+    palette = sorted(data.draw(st.sets(st.sampled_from(CellState), min_size=1)), key=str)
+    cells = sorted(grid.cover)
+    drawn = data.draw(st.lists(st.sampled_from(palette), min_size=len(cells), max_size=len(cells)))
+    cellstates = dict(zip(cells, drawn))
+
+    report = is_regular(cellstates, grid)
+    regular, violations, empties = oracle_is_regular(cellstates)
+    assert report.regular == regular
+    assert sorted(report.violations) == sorted(violations)
+    assert sorted(report.empty_cells) == sorted(empties)
+
+    reds = [c for c, s in cellstates.items() if s is CellState.RED]
+    expected = oracle_distances(reds, grid.cover)
+    got = wavefront_distances(cellstates, grid)
+    assert set(got) == set(cells)
+    assert all(got[c] == expected.get(c, math.inf) for c in cells)
 
 
 # ---------------------------------------------------------------------------
