@@ -1,12 +1,11 @@
 """redwave: simulator and audit harness for parsimonious k-flooding (SIR)
 over geometric random-walk mobile networks."""
 
-from .epidemic import Agent, RunRecord, SimParams, Snapshot, run
+from .epidemic import RunRecord, SimParams, Snapshot, run
 from .geometry import CellGrid, Region, build_cell_grid
 from .mobility import MobilityMode, RngStream
 
 __all__ = [
-    "Agent",
     "CellGrid",
     "MobilityMode",
     "Region",

@@ -52,7 +52,7 @@ _SCHEMA = {
         "regime",
     },
     "mobility": {"mode", "rho", "burn_in"},
-    "instrumentation": {"cell_side", "gamma", "eta1", "eta2", "c0"},
+    "instrumentation": {"cell_side", "gamma"},
     "experiment": {"sweep_axis", "sweep_values", "replicas", "seed"},
 }
 

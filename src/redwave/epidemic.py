@@ -6,14 +6,14 @@ runs a transmission phase and a move phase in configurable order; agents
 informed during step t enter the end-of-step snapshot as red(k) and start
 transmitting at step t+1.
 
-The engine stores the population in flat numpy arrays for speed; the
-:class:`Agent` dataclass is a per-index view for inspection and tests.
+The engine stores the population in flat numpy arrays for speed and runs
+the two phases, :func:`transmit` and :func:`move`, in place on them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .geometry import Region
 from .mobility import (
     MobilityMode,
     RngStream,
+    as_generator,
     build_supercell_grid,
     cellular_walk_all,
     init_positions,
@@ -29,17 +30,6 @@ from .mobility import (
 )
 
 WHITE, RED, BLACK = 0, 1, 2
-_STATE_NAMES = {WHITE: "white", RED: "red", BLACK: "black"}
-
-
-@dataclass(frozen=True)
-class Agent:
-    """Read-only view of one agent in a snapshot."""
-
-    position: tuple[float, float]
-    state: str  # "white" | "red" | "black"
-    remaining: int  # red countdown; 0 unless red
-    informed_at: int | None
 
 
 @dataclass(frozen=True)
@@ -100,19 +90,6 @@ class Snapshot:
             int(np.count_nonzero(self.states == RED)),
             int(np.count_nonzero(self.states == BLACK)),
         )
-
-    def agent(self, i: int) -> Agent:
-        informed = int(self.informed_at[i])
-        return Agent(
-            position=(float(self.positions[i, 0]), float(self.positions[i, 1])),
-            state=_STATE_NAMES[int(self.states[i])],
-            remaining=int(self.countdown[i]),
-            informed_at=None if informed < 0 else informed,
-        )
-
-    @property
-    def agents(self) -> list[Agent]:
-        return [self.agent(i) for i in range(self.n)]
 
     def copy(self) -> "Snapshot":
         return Snapshot(
@@ -227,34 +204,92 @@ def _inform_euclidean(
 def _inform_same_supercell(
     positions: np.ndarray, states: np.ndarray, sgrid
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Whites sharing a supercell with a red, with the nearest such red."""
+    """Whites sharing a supercell with a red, with the nearest such red.
+
+    Agents are grouped by supercell key, and each occupied supercell gets one
+    whites x reds squared-distance matrix.  The reds of a supercell stay in
+    ascending index order, so distance ties go to the lowest index.
+    """
     red_idx = np.flatnonzero(states == RED)
     white_idx = np.flatnonzero(states == WHITE)
     if red_idx.size == 0 or white_idx.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     cells = sgrid.cells_of(positions)
     keys = cells[:, 0] * (1 << 32) + cells[:, 1]
-    red_cells: dict[int, list[int]] = {}
-    for i in red_idx:
-        red_cells.setdefault(int(keys[i]), []).append(int(i))
+    red_keys = keys[red_idx]
+    order = np.argsort(red_keys, kind="stable")
+    reds_by_key = red_idx[order]
+    red_cells, starts = np.unique(red_keys[order], return_index=True)
+    ends = np.r_[starts[1:], len(order)]
 
-    informed: list[int] = []
-    informers: list[int] = []
-    for w in white_idx:
-        reds = red_cells.get(int(keys[w]))
-        if reds is None:
-            continue
-        r = np.asarray(reds)
-        diff = positions[r] - positions[w]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        informed.append(int(w))
-        informers.append(int(r[np.argmin(d2)]))
-    return np.asarray(informed, dtype=np.int64), np.asarray(informers, dtype=np.int64)
+    white_keys = keys[white_idx]
+    slot = np.minimum(np.searchsorted(red_cells, white_keys), len(red_cells) - 1)
+    hit = red_cells[slot] == white_keys
+    informed, slot = white_idx[hit], slot[hit]
+    informers = np.empty_like(informed)
+    by_slot = np.argsort(slot, kind="stable")
+    groups, firsts = np.unique(slot[by_slot], return_index=True)
+    for g, a, b in zip(groups, firsts, np.r_[firsts[1:], len(slot)]):
+        rows = by_slot[a:b]
+        reds = reds_by_key[starts[g] : ends[g]]
+        w = informed[rows]
+        # in place, so only two W x R temporaries are alive at once
+        d2 = np.subtract.outer(positions[w, 0], positions[reds, 0])
+        d2 *= d2
+        dy = np.subtract.outer(positions[w, 1], positions[reds, 1])
+        dy *= dy
+        d2 += dy
+        informers[rows] = reds[np.argmin(d2, axis=1)]
+    return informed, informers
 
 
 # ---------------------------------------------------------------------------
 # phases and stepping
 # ---------------------------------------------------------------------------
+
+
+def transmit(s: Snapshot, params: SimParams, sgrid, t: int) -> int:
+    """Transmission phase of step t, in place on ``s``.
+
+    Returns the number of newly informed agents farther from their chain's
+    source than the maximum information speed allows.
+    """
+    if params.transmission_scope == "same_supercell":
+        newly, informers = _inform_same_supercell(s.positions, s.states, sgrid)
+    else:
+        newly, informers = _inform_euclidean(s.positions, s.states, params.R)
+    # countdown of agents red at phase start; expired reds turn black
+    was_red = s.states == RED
+    s.countdown[was_red] -= 1
+    s.states[was_red & (s.countdown == 0)] = BLACK
+    if newly.size == 0:
+        return 0
+    s.states[newly] = RED
+    s.countdown[newly] = params.k
+    s.informed_at[newly] = t
+    s.informer[newly] = informers
+    s.chain_origin[newly] = s.chain_origin[informers]
+    # maximum information speed: per step, one move plus one
+    # transmission hop.  Euclidean scope: R + rho.  Supercell scope:
+    # a move spans at most the 3x3 supercell block (2 sqrt(2) rho)
+    # and a hop at most the supercell diagonal (sqrt(2) rho).
+    d = np.hypot(
+        s.positions[newly, 0] - s.chain_origin[newly, 0],
+        s.positions[newly, 1] - s.chain_origin[newly, 1],
+    )
+    if params.transmission_scope == "same_supercell":
+        speed = 3 * math.sqrt(2) * params.mobility.rho
+    else:
+        speed = params.R + params.mobility.rho
+    return int(np.count_nonzero(d > t * speed * (1 + 1e-9)))
+
+
+def move(s: Snapshot, params: SimParams, sgrid, gen: np.random.Generator) -> None:
+    """Move phase, in place on ``s``: every agent steps independently."""
+    if params.mobility.kind == "cellular":
+        s.positions = cellular_walk_all(s.positions, sgrid, params.region, gen)
+    elif params.mobility.rho > 0:
+        s.positions = walk_all(s.positions, params.mobility.rho, params.region, gen)
 
 
 class Engine:
@@ -320,84 +355,37 @@ class Engine:
             chosen.append(pick)
         return tuple(chosen)
 
-    def _transmission(self, t: int) -> None:
-        s = self.snapshot
-        params = self.params
-        if params.transmission_scope == "same_supercell":
-            newly, informers = _inform_same_supercell(s.positions, s.states, self.sgrid)
-        else:
-            newly, informers = _inform_euclidean(s.positions, s.states, params.R)
-        # countdown of agents red at phase start; expired reds turn black
-        was_red = s.states == RED
-        s.countdown[was_red] -= 1
-        s.states[was_red & (s.countdown == 0)] = BLACK
-        if newly.size:
-            s.states[newly] = RED
-            s.countdown[newly] = params.k
-            s.informed_at[newly] = t
-            s.informer[newly] = informers
-            s.chain_origin[newly] = s.chain_origin[informers]
-            # maximum information speed: per step, one move plus one
-            # transmission hop.  Euclidean scope: R + rho.  Supercell scope:
-            # a move spans at most the 3x3 supercell block (2 sqrt(2) rho)
-            # and a hop at most the supercell diagonal (sqrt(2) rho).
-            d = np.hypot(
-                s.positions[newly, 0] - s.chain_origin[newly, 0],
-                s.positions[newly, 1] - s.chain_origin[newly, 1],
-            )
-            if params.transmission_scope == "same_supercell":
-                speed = 3 * math.sqrt(2) * params.mobility.rho
-            else:
-                speed = params.R + params.mobility.rho
-            limit = t * speed
-            self.chain_violations += int(np.count_nonzero(d > limit * (1 + 1e-9)))
-
     def _move(self) -> None:
-        s = self.snapshot
-        if self.params.mobility.kind == "cellular":
-            s.positions = cellular_walk_all(s.positions, self.sgrid, self.region, self.gen)
-        elif self.params.mobility.rho > 0:
-            s.positions = walk_all(
-                s.positions, self.params.mobility.rho, self.region, self.gen
-            )
+        move(self.snapshot, self.params, self.sgrid, self.gen)
 
     def step(self) -> Snapshot:
         """Advance one time step and return the end-of-step snapshot."""
         t = self.snapshot.step + 1
         if self.params.phase_order == "transmit_then_move":
-            self._transmission(t)
+            self.chain_violations += transmit(self.snapshot, self.params, self.sgrid, t)
             self._move()
         else:
             self._move()
-            self._transmission(t)
+            self.chain_violations += transmit(self.snapshot, self.params, self.sgrid, t)
         self.snapshot.step = t
         return self.snapshot
 
 
 def transmission_phase(snapshot: Snapshot, params: SimParams, grid=None) -> Snapshot:
     """Standalone transmission phase on a snapshot copy (for tests/audits)."""
-    eng = Engine.__new__(Engine)
-    eng.params = params
-    eng.region = params.region
-    eng.sgrid = grid
-    eng.chain_violations = 0
-    eng.snapshot = snapshot.copy()
-    eng._transmission(snapshot.step + 1)
-    eng.snapshot.step = snapshot.step + 1
-    return eng.snapshot
+    out = snapshot.copy()
+    out.step = snapshot.step + 1
+    transmit(out, params, grid, out.step)
+    return out
 
 
 def move_phase(snapshot: Snapshot, params: SimParams, rng) -> Snapshot:
     """Standalone move phase: every agent steps independently, states unchanged."""
-    from .mobility import as_generator
-
     out = snapshot.copy()
-    gen = as_generator(rng)
+    sgrid = None
     if params.mobility.kind == "cellular":
         sgrid = build_supercell_grid(params.region, params.mobility.rho)
-        out.positions = cellular_walk_all(out.positions, sgrid, params.region, gen)
-    elif params.mobility.rho > 0:
-        out.positions = walk_all(out.positions, params.mobility.rho, params.region, gen)
+    move(out, params, sgrid, as_generator(rng))
     return out
 
 

@@ -86,12 +86,6 @@ class PointSummary:
             return math.nan
         return float(np.median(times))
 
-    def mean_completion(self) -> float:
-        times = self.completed_times
-        if not times:
-            return math.nan
-        return float(np.mean(times))
-
     def quantile_completion(self, q: float) -> float:
         times = self.completed_times
         if not times:

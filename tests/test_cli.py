@@ -97,6 +97,8 @@ def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigurationError):
         parse_config(write(tmp_path, MINIMAL + "\n[instrumentation]\nalpha = 1.0\n"))
     with pytest.raises(ConfigurationError):
+        parse_config(write(tmp_path, MINIMAL + "\n[instrumentation]\neta1 = 0.5\n"))
+    with pytest.raises(ConfigurationError):
         parse_config(write(tmp_path, MINIMAL + "\n[physics]\ngravity = 10\n"))
 
 

@@ -1,18 +1,23 @@
 """The k-flooding state machine: phases, hand traces, and invariants."""
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from redwave import epidemic
+from redwave.cli import parse_config
 from redwave.epidemic import (
     BLACK,
     RED,
     WHITE,
     SimParams,
     _inform_euclidean,
+    _inform_same_supercell,
     move_phase,
     run,
     transmission_phase,
@@ -209,16 +214,40 @@ def test_run_record_series_conservation():
 # ---------------------------------------------------------------------------
 
 
-def brute_force_inform(positions, states, R):
-    informed, informers = [], []
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def oracle_inform(positions, states, reach, chunk=256):
+    """All pairs: each white that ``reach(whites, reds, d2)`` connects to some
+    red, informed by the nearest such red, ties to the lowest red index."""
     reds = np.flatnonzero(states == RED)
-    for w in np.flatnonzero(states == WHITE):
-        d = np.hypot(*(positions[reds] - positions[w]).T)
-        hit = d <= R * (1 + 1e-12)
-        if hit.any():
-            informed.append(w)
-            informers.append(reds[np.argmin(np.where(hit, d, np.inf))])
-    return np.asarray(informed), np.asarray(informers)
+    whites = np.flatnonzero(states == WHITE) if reds.size else reds  # argmin needs a red
+    informed, informers = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for a in range(0, len(whites), chunk):
+        w = whites[a : a + chunk]
+        dx = positions[w, None, 0] - positions[None, reds, 0]
+        dy = positions[w, None, 1] - positions[None, reds, 1]
+        d2 = dx * dx + dy * dy
+        ok = reach(w, reds, d2)
+        hit = ok.any(axis=1)
+        informed.append(w[hit])
+        informers.append(reds[np.argmin(np.where(ok, d2, np.inf)[hit], axis=1)])
+    return np.concatenate(informed), np.concatenate(informers)
+
+
+def euclidean_oracle(positions, states, R):
+    return oracle_inform(positions, states, lambda w, r, d2: d2 <= R * R * (1 + 1e-12))
+
+
+def same_supercell_oracle(positions, states, sgrid):
+    key = sgrid.cells_of(positions) @ np.array([1 << 32, 1])
+    return oracle_inform(positions, states, lambda w, r, d2: key[w, None] == key[None, r])
+
+
+def assert_same_inform(got, expected):
+    order = np.argsort(got[0], kind="stable")
+    assert np.array_equal(got[0][order], expected[0])
+    assert np.array_equal(got[1][order], expected[1])
 
 
 @settings(max_examples=30, deadline=None)
@@ -228,11 +257,51 @@ def test_spatial_hash_matches_brute_force(seed):
     n = 120
     positions = gen.random((n, 2)) * 20.0
     states = gen.choice([WHITE, RED, BLACK], size=n, p=[0.5, 0.3, 0.2]).astype(np.int8)
-    got_i, got_r = _inform_euclidean(positions, states, 2.5)
-    exp_i, exp_r = brute_force_inform(positions, states, 2.5)
-    order = np.argsort(got_i)
-    assert np.array_equal(got_i[order], exp_i)
-    assert np.array_equal(got_r[order], exp_r)
+    assert_same_inform(
+        _inform_euclidean(positions, states, 2.5), euclidean_oracle(positions, states, 2.5)
+    )
+
+
+# a coarse lattice with the supercell borders and the far edge x = L, y = L,
+# so that duplicate positions, exact distance ties and distance exactly R occur
+_L, _RHO, _R = 48.0, 12.0, 6.0
+_coord = st.sampled_from([0.0, 5.5, 6.0, 11.5, 12.0, 18.0, 24.0, 30.0, 47.5, _L]) | st.floats(
+    0.0, _L
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    agents=st.lists(
+        st.tuples(_coord, _coord, st.sampled_from([WHITE, RED, BLACK])), min_size=1, max_size=40
+    )
+)
+def test_transmit_kernels_match_all_pairs_oracle(agents):
+    positions = np.array([(x, y) for x, y, _ in agents], dtype=float)
+    states = np.array([s for _, _, s in agents], dtype=np.int8)
+    sgrid = build_supercell_grid(Region.square(_L), _RHO)
+    assert_same_inform(
+        _inform_same_supercell(positions, states, sgrid),
+        same_supercell_oracle(positions, states, sgrid),
+    )
+    assert_same_inform(
+        _inform_euclidean(positions, states, _R), euclidean_oracle(positions, states, _R)
+    )
+
+
+def test_cellular_run_matches_all_pairs_oracle(monkeypatch):
+    base = parse_config(str(CONFIGS / "speedup_rho24_cellular.ini")).base
+    for seed in (base.seed, base.seed + 1):
+        p = replace(base, seed=seed)
+        fast = run(p)
+        with monkeypatch.context() as m:
+            m.setattr(epidemic, "_inform_same_supercell", same_supercell_oracle)
+            slow = run(p)
+        assert fast.completion_time is not None
+        assert fast.series == slow.series
+        assert fast.chain_violations == slow.chain_violations == 0
+        for name in ("positions", "states", "countdown", "informed_at", "informer", "chain_origin"):
+            assert np.array_equal(getattr(fast.final, name), getattr(slow.final, name)), name
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +353,3 @@ def test_completion_time_respects_speed_lower_bound():
         lower = math.ceil(rec.ecc_sources / (p.R + p.mobility.rho)) - 1
         assert rec.completion_time >= lower
     assert rec.chain_violations == 0
-
-
-def test_snapshot_agent_view():
-    snap = make_snapshot([(1.0, 2.0), (3.0, 4.0)], [WHITE, RED])
-    a = snap.agent(1)
-    assert a.state == "red"
-    assert a.position == (3.0, 4.0)
-    assert a.remaining == 1
-    assert snap.agent(0).informed_at is None
