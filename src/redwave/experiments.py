@@ -71,7 +71,6 @@ class PointSummary:
     completion_times: list[int | None] = field(default_factory=list)
     failures: list[int | None] = field(default_factory=list)
     errors: list[str | None] = field(default_factory=list)
-    records: list[RunRecord] | None = None
 
     @property
     def completed_times(self) -> list[int]:
@@ -99,7 +98,7 @@ class SweepResult:
     points: list[PointSummary]
 
 
-def replicate(plan: ExperimentPlan, keep_records: bool = False) -> SweepResult:
+def replicate(plan: ExperimentPlan) -> SweepResult:
     """Execute every (sweep point, replica) run.
 
     Per-run errors are captured into the summary instead of aborting the
@@ -109,8 +108,6 @@ def replicate(plan: ExperimentPlan, keep_records: bool = False) -> SweepResult:
     summaries: list[PointSummary] = []
     for params in plan.points():
         summary = PointSummary(params=params)
-        if keep_records:
-            summary.records = []
         for r in range(plan.replicas):
             p = replace(params, seed=params.seed + r)
             try:
@@ -123,8 +120,6 @@ def replicate(plan: ExperimentPlan, keep_records: bool = False) -> SweepResult:
             summary.completion_times.append(rec.completion_time)
             summary.failures.append(rec.failed_at)
             summary.errors.append(None)
-            if keep_records:
-                summary.records.append(rec)
         summaries.append(summary)
     return SweepResult(plan=plan, points=summaries)
 
@@ -230,14 +225,14 @@ def isolated_count(n: int, R: float, region: Region, rng) -> IsolatedResult:
     return IsolatedResult(count=len(idx), bound=isolated_bound(n, R), positions=pos)
 
 
-def multi_source_run(params: SimParams, record_snapshots: bool = False) -> RunRecord:
+def multi_source_run(params: SimParams) -> RunRecord:
     """Run with explicit source positions; the record carries ecc(A, S)."""
     if isinstance(params.sources, str):
         raise ConfigurationError("multi_source_run requires an explicit source set")
     pts = np.atleast_2d(np.asarray(params.sources, dtype=float))
     if not np.all(params.region.contains(pts, tol=1e-9)):
         raise GeometryError("source set not contained in region")
-    rec = run(params, record_snapshots=record_snapshots)
+    rec = run(params)
     rec.ecc_sources = eccentricity(pts, params.region)
     return rec
 

@@ -2,8 +2,8 @@
 classification, regularity predicates, density audits, wave-front distances,
 and the supercell state-ladder constants.
 
-Everything here is a pure function of a snapshot plus a grid, so audits can
-run inline during a simulation or post-hoc on recorded snapshot series.
+Everything here is a pure function of a snapshot plus a grid, so audits run
+inline during a simulation, from the per-step hook of ``epidemic.run``.
 """
 
 from __future__ import annotations

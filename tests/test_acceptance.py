@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from redwave.cli import emit_trace, instrumentation_options, parse_config
+from redwave.cli import emit_trace, instrumentation_options, parse_config, trace_run
 from redwave.epidemic import run
 from redwave.experiments import (
     isolated_bound,
@@ -67,10 +67,12 @@ def regularity_batch():
         "completions": [],
     }
     for seed in range(20):
-        rec = run(replace(params, seed=seed), record_snapshots=True)
+        maps = []  # one classified cell map per step, built as the run goes
+        rec = run(
+            replace(params, seed=seed), on_step=lambda s: maps.append(classify_cells(s, grid))
+        )
         out["chain_violations"] += rec.chain_violations
         out["completions"].append(rec.completion_time)
-        maps = [classify_cells(s, grid) for s in rec.snapshots]
         for m in maps:
             out["configs"] += 1
             if is_regular(m, grid).regular:
@@ -103,15 +105,23 @@ def speedup_batch():
             sgrid = build_supercell_grid(params.region, rho)
             classifier = SupercellClassifier(R=params.R, rho=rho, n=params.n)
             hh = classifier.h_hat
+
+            def classify(s):
+                return classify_supercells(s, sgrid, classifier)
         else:
             grid = build_cell_grid(params.region, opts["cell_side"], opts["gamma"])
+
+            def classify(s):
+                return classify_cells(s, grid)
         times = []
         for r in range(plan.replicas):
-            rec = run(replace(params, seed=params.seed + r), record_snapshots=True)
+            maps = []
+            rec = run(
+                replace(params, seed=params.seed + r), on_step=lambda s: maps.append(classify(s))
+            )
             out["chain_violations"] += rec.chain_violations
             times.append(rec.completion_time)
             if cellular:
-                maps = [classify_supercells(s, sgrid, classifier) for s in rec.snapshots]
                 out["supercell_speed"] = out["supercell_speed"].merge(
                     supercell_speed_audit(maps, sgrid)
                 )
@@ -122,7 +132,6 @@ def speedup_batch():
                     out["transitions"][key][0] += tally.agreements
                     out["transitions"][key][1] += tally.violations
             else:
-                maps = [classify_cells(s, grid) for s in rec.snapshots]
                 out["speed"] = out["speed"].merge(
                     wavefront_speed_audit(maps, grid, 1, "red")
                 )
@@ -309,9 +318,9 @@ def test_ac10_byte_identical_traces(tmp_path):
     for fmt in ("ndjson", "csv"):
         paths = []
         for tag in ("a", "b"):
-            rec = run(replace(params, seed=3), record_snapshots=True)
+            _, rows = trace_run(replace(params, seed=3), grid, dump_cells="final")
             path = tmp_path / f"{tag}.{fmt}"
-            emit_trace(rec, fmt, str(path), dump_cells="final", grid=grid)
+            emit_trace(rows, fmt, str(path))
             paths.append(path)
         if paths[0].read_bytes() != paths[1].read_bytes():
             identical = False

@@ -17,11 +17,13 @@ from redwave.cli import (
     emit_trace,
     main,
     parse_config,
+    trace_run,
 )
 from redwave.epidemic import SimParams, run
 from redwave.errors import ConfigurationError
 from redwave.experiments import ExperimentPlan, replicate
-from redwave.geometry import Region
+from redwave.geometry import Region, build_cell_grid
+from redwave.instrument import classify_cells
 from redwave.mobility import MobilityMode
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -154,8 +156,8 @@ def test_config_round_trip(tmp_path):
 
 
 @pytest.fixture()
-def tiny_record():
-    return run(
+def tiny_rows():
+    return trace_run(
         SimParams(
             region=Region.square(6.0),
             n=1,
@@ -163,12 +165,12 @@ def tiny_record():
             mobility=MobilityMode.standard(0.0),
             sources=[(3.0, 3.0)],
         )
-    )
+    )[1]
 
 
-def test_trace_single_agent_two_rows(tiny_record, tmp_path):
+def test_trace_single_agent_two_rows(tiny_rows, tmp_path):
     path = str(tmp_path / "trace.ndjson")
-    emit_trace(tiny_record, "ndjson", path)
+    emit_trace(tiny_rows, "ndjson", path)
     rows = [json.loads(line) for line in open(path)]
     assert len(rows) == 2  # the initial configuration plus one step
     assert rows[0]["white"] == 0 and rows[0]["red"] == 1
@@ -182,21 +184,21 @@ def test_trace_rerun_byte_identical(tmp_path):
         mobility=MobilityMode.standard(1.0), seed=4,
     )
     a, b = str(tmp_path / "a.ndjson"), str(tmp_path / "b.ndjson")
-    emit_trace(run(p), "ndjson", a)
-    emit_trace(run(p), "ndjson", b)
+    emit_trace(trace_run(p)[1], "ndjson", a)
+    emit_trace(trace_run(p)[1], "ndjson", b)
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
 def test_trace_csv_and_ndjson_agree(tmp_path):
-    rec = run(
+    _, rows = trace_run(
         SimParams(
             region=Region.square(10.0), n=30, R=3.0,
             mobility=MobilityMode.standard(1.0), seed=8,
         )
     )
     pj, pc = str(tmp_path / "t.ndjson"), str(tmp_path / "t.csv")
-    emit_trace(rec, "ndjson", pj)
-    emit_trace(rec, "csv", pc)
+    emit_trace(rows, "ndjson", pj)
+    emit_trace(rows, "csv", pc)
     jrows = [json.loads(line) for line in open(pj)]
     crows = list(csv.DictReader(open(pc)))
     assert len(jrows) == len(crows)
@@ -205,9 +207,26 @@ def test_trace_csv_and_ndjson_agree(tmp_path):
             assert j[key] == int(c[key])
 
 
-def test_trace_unknown_format(tiny_record, tmp_path):
+def test_trace_cells_dump_matches_cell_maps():
+    # a square whose last row and column are uncovered slivers
+    region = Region.square(13.0)
+    grid = build_cell_grid(region, 2.0, gamma=0.6)
+    p = SimParams(region=region, n=150, R=2.0, mobility=MobilityMode.standard(1.0), seed=5)
+    maps = []
+    run(
+        p,
+        on_step=lambda s: maps.append(
+            {f"{c},{r}": v.value for (c, r), v in classify_cells(s, grid).items()}
+        ),
+    )
+    assert [row["cells"] for row in trace_run(p, grid, "each")[1]] == maps
+    final = [row["cells"] for row in trace_run(p, grid, "final")[1]]
+    assert final == [None] * (len(maps) - 1) + maps[-1:]
+
+
+def test_trace_unknown_format(tiny_rows, tmp_path):
     with pytest.raises(ConfigurationError):
-        emit_trace(tiny_record, "yaml", str(tmp_path / "t.yaml"))
+        emit_trace(tiny_rows, "yaml", str(tmp_path / "t.yaml"))
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +299,17 @@ def test_main_config_error(tmp_path, capsys):
     cfg = write(tmp_path, MINIMAL + "voltage = 9\n")
     assert main(["run", "--config", cfg]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["cell_side", "gamma"])
+def test_main_non_numeric_instrumentation_value(tmp_path, capsys, key):
+    text = (CONFIGS / "regularity.ini").read_text()
+    text = "\n".join(
+        f"{key} = abc" if line.startswith(f"{key} =") else line for line in text.splitlines()
+    )
+    cfg = write(tmp_path, text)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "config error: invalid config value" in capsys.readouterr().err
 
 
 def test_main_expect_completion_failure(tmp_path):

@@ -319,28 +319,54 @@ def test_state_monotonicity_and_conservation(seed, k, order):
     p = params(
         n=60, region_side=14.0, R=4.0, rho=1.5, k=k, seed=seed, phase_order=order
     )
-    rec = run(p, record_snapshots=True)
-    n = p.n
-    prev = rec.snapshots[0]
-    for snap in rec.snapshots[1:]:
+    prev = []  # the states of the previous step
+
+    def check(snap):
         w, r, b = snap.counts()
-        assert w + r + b == n
-        # white -> red -> black, never backwards
-        assert not np.any((prev.states == RED) & (snap.states == WHITE))
-        assert not np.any((prev.states == BLACK) & (snap.states != BLACK))
-        prev = snap
+        assert w + r + b == p.n
+        if prev:
+            # white -> red -> black, never backwards
+            assert not np.any((prev[0] == RED) & (snap.states == WHITE))
+            assert not np.any((prev[0] == BLACK) & (snap.states != BLACK))
+        prev[:] = [snap.states.copy()]
+
+    rec = run(p, on_step=check)
     assert rec.chain_violations == 0
 
 
 def test_determinism_same_seed_same_record():
     p = params(n=80, region_side=16.0, R=4.0, rho=2.0, seed=17)
-    a = run(p, record_snapshots=True)
-    b = run(p, record_snapshots=True)
+    seen = [], []
+    a = run(p, on_step=lambda s: seen[0].append((s.positions.copy(), s.states.copy())))
+    b = run(p, on_step=lambda s: seen[1].append((s.positions.copy(), s.states.copy())))
     assert a.completion_time == b.completion_time
     assert a.series.white == b.series.white
-    for sa, sb in zip(a.snapshots, b.snapshots):
-        assert np.array_equal(sa.positions, sb.positions)
-        assert np.array_equal(sa.states, sb.states)
+    assert len(seen[0]) == len(seen[1])
+    for (pa, sa), (pb, sb) in zip(*seen):
+        assert np.array_equal(pa, pb)
+        assert np.array_equal(sa, sb)
+
+
+def test_on_step_sees_every_step_once():
+    # called once after placement and once after each step, with the live
+    # snapshot whose counts the record keeps
+    p = params(n=80, region_side=16.0, R=4.0, rho=2.0, seed=17)
+    steps, counts, states = [], [], []
+
+    def observe(snap):
+        steps.append(snap.step)
+        counts.append(snap.counts())
+        states[:] = [snap.states.copy()]
+
+    rec = run(p, on_step=observe)
+    assert rec.completion_time is not None
+    assert steps == list(range(rec.steps_run() + 1))
+    assert counts == list(zip(rec.series.white, rec.series.red, rec.series.black))
+    assert np.array_equal(states[0], rec.final.states)
+    # an exhausted run stops calling after max_steps steps
+    steps.clear()
+    assert run(replace(p, max_steps=2), on_step=observe).exhausted
+    assert steps == [0, 1, 2]
 
 
 def test_completion_time_respects_speed_lower_bound():

@@ -200,11 +200,12 @@ def test_initial_configurations_mostly_regular():
     ok = 0
     trials = 1000
     for seed in range(trials):
-        rec = run(
+        maps = []
+        run(
             SimParams(**{**p.__dict__, "seed": seed, "max_steps": 1}),
-            record_snapshots=True,
+            on_step=lambda s: maps.append(classify_cells(s, grid)),
         )
-        if is_regular(classify_cells(rec.snapshots[0], grid), grid).regular:
+        if is_regular(maps[0], grid).regular:
             ok += 1
     assert ok / trials >= 0.99
 
@@ -567,8 +568,8 @@ def test_high_mobility_red_close_decrease():
             region=region, n=9216, R=R, k=1,
             mobility=MobilityMode.standard(rho), seed=seed,
         )
-        rec = run(p, record_snapshots=True)
-        maps = [classify_cells(s, grid) for s in rec.snapshots]
+        maps = []
+        run(p, on_step=lambda s: maps.append(classify_cells(s, grid)))
         audit = wavefront_speed_audit(maps, grid, min_decrease=dec, target="red_close")
         viol += audit.violations
         ok += audit.ok_pairs
@@ -591,9 +592,10 @@ def test_spread_audit_on_cellular_run():
         phase_order="move_then_transmit",
         seed=2,
     )
-    rec = run(p, record_snapshots=True)
-    audit = spread_audit(rec.snapshots, sgrid, grid, R=6.0)
-    assert audit.pairs == len(sgrid.cover) * (len(rec.snapshots) - 1)
+    snapshots = []
+    run(p, on_step=lambda s: snapshots.append(s.copy()))
+    audit = spread_audit(snapshots, sgrid, grid, R=6.0)
+    assert audit.pairs == len(sgrid.cover) * (len(snapshots) - 1)
     # the red upper bound is always applicable and holds throughout
     assert audit.red_upper.hypothesis_met == audit.pairs
     assert audit.red_upper.holds == audit.pairs
