@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import io
 import json
 import math
 import os
@@ -314,27 +313,26 @@ def trace_run(
 
 def emit_trace(rows: list[dict], fmt: str, path: str) -> None:
     """Write the per-step trace rows, byte-identical for identical runs."""
-    buf = io.StringIO()
-    if fmt == "ndjson":
-        for row in rows:
-            buf.write(json.dumps(row, sort_keys=True, separators=(",", ":")))
-            buf.write("\n")
-    elif fmt == "csv":
-        writer = csv.DictWriter(buf, fieldnames=_TRACE_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            out = dict(row)
-            if out["cells"] is not None:
-                out["cells"] = json.dumps(out["cells"], sort_keys=True, separators=(",", ":"))
-            for key in ("max_wavefront", "mean_wavefront"):
-                if out[key] is not None:
-                    out[key] = _fmt(float(out[key]))
-            writer.writerow(out)
-    else:
+    if fmt not in ("ndjson", "csv"):
         raise ConfigurationError(f"unknown trace format {fmt!r}")
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(buf.getvalue())
+            if fmt == "ndjson":
+                for row in rows:
+                    fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+            else:
+                writer = csv.DictWriter(fh, fieldnames=_TRACE_FIELDS, lineterminator="\n")
+                writer.writeheader()
+                for row in rows:
+                    out = dict(row)
+                    if out["cells"] is not None:
+                        out["cells"] = json.dumps(
+                            out["cells"], sort_keys=True, separators=(",", ":")
+                        )
+                    for key in ("max_wavefront", "mean_wavefront"):
+                        if out[key] is not None:
+                            out[key] = _fmt(float(out[key]))
+                    writer.writerow(out)
     except OSError as exc:
         raise OSError(f"cannot write trace {path}: {exc}") from exc
 
@@ -363,59 +361,57 @@ def emit_summary(sweep: SweepResult, path: str) -> None:
     """One CSV row per (sweep point, replica), plus one aggregate row per
     point.  Failed runs carry the failure step and a flag, never a fake
     completion time."""
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_SUMMARY_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for p_idx, point in enumerate(sweep.points):
-        params = point.params
-        D = params.region.diameter
-        rho = params.mobility.rho
-        for r_idx, (t, f) in enumerate(zip(point.completion_times, point.failures)):
-            row = {
-                "row_kind": "replica",
-                "point": p_idx,
-                "replica": r_idx,
-                "seed": params.seed + r_idx,
-                "L": _fmt(params.region.size),
-                "n": params.n,
-                "R": _fmt(params.R),
-                "rho": _fmt(rho),
-                "k": params.k,
-                "completion_time": "" if t is None else t,
-                "failed": t is None,
-                "failed_at": "" if f is None else f,
-                "t_r_over_d": "" if t is None else _fmt(t * params.R / D),
-                "t_rho_over_d": "" if t is None or rho == 0 else _fmt(t * rho / D),
-                "median_t": "",
-                "completion_fraction": "",
-            }
-            writer.writerow(row)
-        med = point.median_completion()
-        writer.writerow(
-            {
-                "row_kind": "aggregate",
-                "point": p_idx,
-                "replica": "",
-                "seed": "",
-                "L": _fmt(params.region.size),
-                "n": params.n,
-                "R": _fmt(params.R),
-                "rho": _fmt(rho),
-                "k": params.k,
-                "completion_time": "",
-                "failed": "",
-                "failed_at": "",
-                "t_r_over_d": "" if math.isnan(med) else _fmt(med * params.R / D),
-                "t_rho_over_d": ""
-                if math.isnan(med) or rho == 0
-                else _fmt(med * rho / D),
-                "median_t": "" if math.isnan(med) else _fmt(med),
-                "completion_fraction": _fmt(point.completion_fraction()),
-            }
-        )
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(buf.getvalue())
+            writer = csv.DictWriter(fh, fieldnames=_SUMMARY_FIELDS, lineterminator="\n")
+            writer.writeheader()
+            for p_idx, point in enumerate(sweep.points):
+                params = point.params
+                D = params.region.diameter
+                rho = params.mobility.rho
+                for r_idx, (t, f) in enumerate(zip(point.completion_times, point.failures)):
+                    row = {
+                        "row_kind": "replica",
+                        "point": p_idx,
+                        "replica": r_idx,
+                        "seed": params.seed + r_idx,
+                        "L": _fmt(params.region.size),
+                        "n": params.n,
+                        "R": _fmt(params.R),
+                        "rho": _fmt(rho),
+                        "k": params.k,
+                        "completion_time": "" if t is None else t,
+                        "failed": t is None,
+                        "failed_at": "" if f is None else f,
+                        "t_r_over_d": "" if t is None else _fmt(t * params.R / D),
+                        "t_rho_over_d": "" if t is None or rho == 0 else _fmt(t * rho / D),
+                        "median_t": "",
+                        "completion_fraction": "",
+                    }
+                    writer.writerow(row)
+                med = point.median_completion()
+                writer.writerow(
+                    {
+                        "row_kind": "aggregate",
+                        "point": p_idx,
+                        "replica": "",
+                        "seed": "",
+                        "L": _fmt(params.region.size),
+                        "n": params.n,
+                        "R": _fmt(params.R),
+                        "rho": _fmt(rho),
+                        "k": params.k,
+                        "completion_time": "",
+                        "failed": "",
+                        "failed_at": "",
+                        "t_r_over_d": "" if math.isnan(med) else _fmt(med * params.R / D),
+                        "t_rho_over_d": ""
+                        if math.isnan(med) or rho == 0
+                        else _fmt(med * rho / D),
+                        "median_t": "" if math.isnan(med) else _fmt(med),
+                        "completion_fraction": _fmt(point.completion_fraction()),
+                    }
+                )
     except OSError as exc:
         raise OSError(f"cannot write summary {path}: {exc}") from exc
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import Region
+from .geometry import Region, bucket_side, in_reach, neighbour_blocks
 from .mobility import (
     MobilityMode,
     RngStream,
@@ -31,6 +31,7 @@ from .mobility import (
 )
 
 WHITE, RED, BLACK = 0, 1, 2
+_NONE = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -146,55 +147,21 @@ def _inform_euclidean(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whites within closed distance R of a red, plus their nearest informer.
 
-    Uniform spatial hash with bucket side R: only the 3x3 bucket block around
-    a white agent can hold reds within range, so the per-phase cost is
-    O(n + pairs examined).
+    Buckets of side at least R (see ``bucket_side``), so only the 3x3 bucket
+    block around a white can hold reds within range; distance ties go to
+    the lowest red index.
     """
     red_idx = np.flatnonzero(states == RED)
     white_idx = np.flatnonzero(states == WHITE)
-    if red_idx.size == 0 or white_idx.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-
-    buckets = np.floor(positions / R).astype(np.int64)
-    red_buckets: dict[tuple[int, int], list[int]] = {}
-    for i in red_idx:
-        red_buckets.setdefault((buckets[i, 0], buckets[i, 1]), []).append(int(i))
-    red_arrays = {k: np.asarray(v, dtype=np.int64) for k, v in red_buckets.items()}
-
-    wb = buckets[white_idx]
-    keys = wb[:, 0] * (1 << 32) + wb[:, 1]
-    order = np.argsort(keys, kind="stable")
-    sk = keys[order]
-    starts = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
-    bounds = np.r_[starts, len(sk)]
-
-    informed: list[np.ndarray] = []
-    informers: list[np.ndarray] = []
-    r2 = R * R
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        grp = white_idx[order[a:b]]
-        bc, br = int(wb[order[a], 0]), int(wb[order[a], 1])
-        cand_parts = [
-            red_arrays[(bc + dc, br + dr)]
-            for dc in (-1, 0, 1)
-            for dr in (-1, 0, 1)
-            if (bc + dc, br + dr) in red_arrays
-        ]
-        if not cand_parts:
-            continue
-        cand = np.concatenate(cand_parts)
-        diff = positions[grp, None, :] - positions[None, cand, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        within = d2 <= r2 * (1 + 1e-12)
+    informed, informers = [_NONE], [_NONE]
+    blocks = neighbour_blocks(positions, white_idx, red_idx, bucket_side(positions, R))
+    for w, reds, d2 in blocks:
+        within = in_reach(d2, R)
         hit = within.any(axis=1)
-        if not hit.any():
-            continue
-        # nearest red as the recorded informer (deterministic)
-        d2 = np.where(within, d2, np.inf)
-        informed.append(grp[hit])
-        informers.append(cand[np.argmin(d2[hit], axis=1)])
-    if not informed:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        if hit.any():
+            d2[~within] = np.inf
+            informed.append(w[hit])
+            informers.append(reds[np.argmin(d2[hit], axis=1)])
     return np.concatenate(informed), np.concatenate(informers)
 
 
@@ -203,41 +170,17 @@ def _inform_same_supercell(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whites sharing a supercell with a red, with the nearest such red.
 
-    Agents are grouped by supercell key, and each occupied supercell gets one
-    whites x reds squared-distance matrix.  The reds of a supercell stay in
-    ascending index order, so distance ties go to the lowest index.
+    The supercells are the buckets, and each bucket's block is itself;
+    distance ties go to the lowest red index.
     """
     red_idx = np.flatnonzero(states == RED)
     white_idx = np.flatnonzero(states == WHITE)
-    if red_idx.size == 0 or white_idx.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    cells = sgrid.cells_of(positions)
-    keys = cells[:, 0] * (1 << 32) + cells[:, 1]
-    red_keys = keys[red_idx]
-    order = np.argsort(red_keys, kind="stable")
-    reds_by_key = red_idx[order]
-    red_cells, starts = np.unique(red_keys[order], return_index=True)
-    ends = np.r_[starts[1:], len(order)]
-
-    white_keys = keys[white_idx]
-    slot = np.minimum(np.searchsorted(red_cells, white_keys), len(red_cells) - 1)
-    hit = red_cells[slot] == white_keys
-    informed, slot = white_idx[hit], slot[hit]
-    informers = np.empty_like(informed)
-    by_slot = np.argsort(slot, kind="stable")
-    groups, firsts = np.unique(slot[by_slot], return_index=True)
-    for g, a, b in zip(groups, firsts, np.r_[firsts[1:], len(slot)]):
-        rows = by_slot[a:b]
-        reds = reds_by_key[starts[g] : ends[g]]
-        w = informed[rows]
-        # in place, so only two W x R temporaries are alive at once
-        d2 = np.subtract.outer(positions[w, 0], positions[reds, 0])
-        d2 *= d2
-        dy = np.subtract.outer(positions[w, 1], positions[reds, 1])
-        dy *= dy
-        d2 += dy
-        informers[rows] = reds[np.argmin(d2, axis=1)]
-    return informed, informers
+    informed, informers = [_NONE], [_NONE]
+    blocks = neighbour_blocks(positions, white_idx, red_idx, sgrid.side, sgrid.origin, 0)
+    for w, reds, d2 in blocks:
+        informed.append(w)
+        informers.append(reds[np.argmin(d2, axis=1)])
+    return np.concatenate(informed), np.concatenate(informers)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 
 from .epidemic import RunRecord, SimParams, run
 from .errors import ConfigurationError, GeometryError
-from .geometry import Region, eccentricity
+from .geometry import Region, bucket_side, eccentricity, in_reach, neighbour_blocks
 from .mobility import RngStream, _uniform_in_region
 
 
@@ -177,34 +177,17 @@ def isolated_indices_bruteforce(positions: np.ndarray, R: float) -> np.ndarray:
 
 
 def isolated_indices(positions: np.ndarray, R: float) -> np.ndarray:
-    """Agents with no other agent within (closed) distance R, via a spatial
-    hash with bucket side R."""
+    """Agents with no other agent within (closed) distance R: fewer than two
+    agents in reach, counting themselves, under the transmission kernel's
+    closed-ball rule."""
     n = len(positions)
-    if R == 0:
+    if R == 0 or n == 0:
         return np.arange(n)
-    buckets = np.floor(positions / R).astype(np.int64)
-    table: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        table.setdefault((int(buckets[i, 0]), int(buckets[i, 1])), []).append(i)
-    iso = np.ones(n, dtype=bool)
-    r2 = R * R
-    for i in range(n):
-        bc, br = int(buckets[i, 0]), int(buckets[i, 1])
-        for dc in (-1, 0, 1):
-            for dr in (-1, 0, 1):
-                for j in table.get((bc + dc, br + dr), ()):
-                    if j == i:
-                        continue
-                    dx = positions[j, 0] - positions[i, 0]
-                    dy = positions[j, 1] - positions[i, 1]
-                    if dx * dx + dy * dy <= r2:
-                        iso[i] = False
-                        break
-                if not iso[i]:
-                    break
-            if not iso[i]:
-                break
-    return np.flatnonzero(iso)
+    agents = np.arange(n)
+    reached = np.zeros(n, dtype=np.int64)
+    for q, _, d2 in neighbour_blocks(positions, agents, agents, bucket_side(positions, R)):
+        reached[q] = np.count_nonzero(in_reach(d2, R), axis=1)
+    return np.flatnonzero(reached < 2)
 
 
 @dataclass

@@ -160,9 +160,7 @@ class CellGrid:
 
         Pure floor-division: no cover membership check.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        rel = (pts - np.asarray(self.origin)) / self.side
-        return np.floor(rel).astype(np.int64)
+        return bucket_cells(points, self.side, self.origin)
 
     def owners_of(self, points: np.ndarray) -> np.ndarray:
         """Flat index of the covered cell owning each point of an (n, 2) array.
@@ -187,6 +185,96 @@ class CellGrid:
 def cell_list(cells: np.ndarray) -> list[CellIndex]:
     """The True cells of a boolean array over an index box, in index order."""
     return [(c, r) for c, r in np.argwhere(cells).tolist()]
+
+
+# ---------------------------------------------------------------------------
+# the neighbour query
+# ---------------------------------------------------------------------------
+
+# Mean agents per bucket that reach queries widen their buckets to; the
+# query's per-bucket loop is slow on near-empty buckets.
+_BUCKET_OCCUPANCY = 32
+_BLOCK_ENTRIES = 1 << 20  # largest distance matrix yielded at once
+_KEY_SHIFT = 1 << 32  # bucket key c * 2**32 + r: linear, ordered as (c, r)
+
+
+def bucket_cells(points: np.ndarray, side: float, origin=(0.0, 0.0)) -> np.ndarray:
+    """(n, 2) int indices of the side-``side`` square buckets anchored at
+    ``origin`` holding an (n, 2) position array: pure floor division."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return np.floor((pts - np.asarray(origin)) / side).astype(np.int64)
+
+
+def bucket_keys(cells: np.ndarray) -> np.ndarray:
+    return cells[:, 0] * _KEY_SHIFT + cells[:, 1]
+
+
+def group_by_bucket(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(occupied, order, bounds)``: the distinct bucket keys ascending, and
+    the rows holding ``occupied[i]``, ascending, as ``order[bounds[i]:bounds[i+1]]``."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
+    return keys[first], order, np.r_[first, len(keys)]
+
+
+def _find(occupied: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slots of ``keys`` in the ascending ``occupied``, and which are there."""
+    slot = np.minimum(np.searchsorted(occupied, keys), len(occupied) - 1)
+    return slot, occupied[slot] == keys
+
+
+def bucket_side(positions: np.ndarray, reach: float) -> float:
+    """Bucket side for a reach query: ``reach``, widened until a bucket of the
+    agents' bounding box holds _BUCKET_OCCUPANCY agents on average."""
+    span = np.ptp(positions, axis=0)
+    return max(reach, math.sqrt(_BUCKET_OCCUPANCY * span[0] * span[1] / len(positions)))
+
+
+def in_reach(d2: np.ndarray, reach: float) -> np.ndarray:
+    """The closed ball, with a 1e-12 relative slack so that a pair exactly
+    ``reach`` apart is in reach whatever the rounding of ``d2``."""
+    return d2 <= reach * reach * (1 + 1e-12)
+
+
+def neighbour_blocks(positions, queries, targets, side, origin=(0.0, 0.0), block=1):
+    """The neighbour query: each query agent against the targets near it.
+
+    For each bucket (see :func:`bucket_cells`) holding a query, in ascending
+    (column, row) order, yields ``(q, t, d2)``: the queries in the bucket,
+    the targets in the ``(2 * block + 1)**2`` buckets around it and their
+    ``q x t`` squared distances.  ``queries`` and ``targets`` are ascending
+    index arrays into ``positions`` and ``q``, ``t`` stay ascending, so an
+    ``argmin`` along ``d2`` breaks ties towards the lowest target index.
+    Buckets without a target in their block are skipped; a bucket whose
+    matrix would exceed _BLOCK_ENTRIES is yielded in slices of its queries.
+    """
+    if len(queries) == 0 or len(targets) == 0:
+        return
+    keys = bucket_keys(bucket_cells(positions, side, origin))
+    tkeys, torder, tbounds = group_by_bucket(keys[targets])
+    span = np.arange(-block, block + 1)
+    offsets = (span[:, None] * _KEY_SHIFT + span).ravel()
+    # drop the queries with no target in their block before grouping them
+    queries = queries[_find(np.sort(tkeys[:, None] + offsets, axis=None), keys[queries])[1]]
+    qkeys, qorder, qbounds = group_by_bucket(keys[queries])
+    slot, found = _find(tkeys, qkeys[:, None] + offsets)
+    lo = np.where(found, tbounds[slot], 0).tolist()
+    hi = np.where(found, tbounds[slot + 1], 0).tolist()
+    px, py = positions[:, 0], positions[:, 1]
+    for i in range(len(qkeys)):
+        runs = [torder[a:b] for a, b in zip(lo[i], hi[i]) if b > a]
+        t = targets[np.sort(np.concatenate(runs)) if len(runs) > 1 else runs[0]]
+        q = queries[qorder[qbounds[i] : qbounds[i + 1]]]
+        rows = max(1, _BLOCK_ENTRIES // len(t))
+        for a in range(0, len(q), rows):
+            # in place, so only two q x t temporaries are alive at once
+            d2 = np.subtract.outer(px[q[a : a + rows]], px[t])
+            d2 *= d2
+            dy = np.subtract.outer(py[q[a : a + rows]], py[t])
+            dy *= dy
+            d2 += dy
+            yield q[a : a + rows], t, d2
 
 
 def _cells_across(extent: float, side: float) -> int:

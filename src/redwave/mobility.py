@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, MobilityError
-from .geometry import CellGrid, Region, build_cell_grid
+from .geometry import CellGrid, Region, bucket_keys, build_cell_grid, group_by_bucket
 
 _MAX_REJECTIONS = 10**6
 
@@ -155,24 +155,13 @@ def cellular_walk_all(
     rho = sgrid.side
     cells = sgrid.cells_of(positions)
     out = np.empty_like(positions)
-    # group agents by supercell; supercell counts are small so a dict is fine
-    keys = cells[:, 0] * (1 << 32) + cells[:, 1]
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-    bounds = np.r_[starts, len(sorted_keys)]
-    ox, oy = sgrid.origin
+    _, order, bounds = group_by_bucket(bucket_keys(cells))
     for a, b in zip(bounds[:-1], bounds[1:]):
-        idx = order[a:b]
-        col, row = int(cells[idx[0], 0]), int(cells[idx[0], 1])
-        x0 = ox + (col - 1) * rho
-        y0 = oy + (row - 1) * rho
-        pending = idx
+        pending = order[a:b]
+        corner = np.asarray(sgrid.origin) + (cells[pending[0]] - 1) * rho
         attempts = 0
         while pending.size:
-            cand = gen.random((pending.size, 2)) * (3 * rho)
-            cand[:, 0] += x0
-            cand[:, 1] += y0
+            cand = gen.random((pending.size, 2)) * (3 * rho) + corner
             ccell = sgrid.cells_of(cand)
             ok = region.contains(cand) & sgrid.in_cover(ccell[:, 0], ccell[:, 1])
             out[pending[ok]] = cand[ok]

@@ -227,6 +227,7 @@ def test_trace_cells_dump_matches_cell_maps():
 def test_trace_unknown_format(tiny_rows, tmp_path):
     with pytest.raises(ConfigurationError):
         emit_trace(tiny_rows, "yaml", str(tmp_path / "t.yaml"))
+    assert not (tmp_path / "t.yaml").exists()
 
 
 # ---------------------------------------------------------------------------

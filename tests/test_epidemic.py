@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from redwave import epidemic
@@ -276,6 +276,9 @@ _coord = st.sampled_from([0.0, 5.5, 6.0, 11.5, 12.0, 18.0, 24.0, 30.0, 47.5, _L]
         st.tuples(_coord, _coord, st.sampled_from([WHITE, RED, BLACK])), min_size=1, max_size=40
     )
 )
+# a white exactly R from two reds in the buckets on either side of its own:
+# the tie goes to the lower index, 1, not to the bucket visited first
+@example(agents=[(6.0, 6.0, WHITE), (12.0, 6.0, RED), (0.0, 6.0, RED)])
 def test_transmit_kernels_match_all_pairs_oracle(agents):
     positions = np.array([(x, y) for x, y, _ in agents], dtype=float)
     states = np.array([s for _, _, s in agents], dtype=np.int8)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from redwave.epidemic import SimParams, run
+from redwave.epidemic import RED, WHITE, SimParams, _inform_euclidean, run
 from redwave.errors import ConfigurationError, GeometryError
 from redwave.experiments import (
     ExperimentPlan,
@@ -18,8 +18,8 @@ from redwave.experiments import (
     scaling_fit,
     threshold_experiment,
 )
-from redwave.geometry import Region
-from redwave.mobility import MobilityMode, RngStream
+from redwave.geometry import Region, bucket_side
+from redwave.mobility import MobilityMode, RngStream, _uniform_in_region
 
 
 def base_params(**kw):
@@ -183,14 +183,45 @@ def test_isolated_bound_formula_and_clamp():
 
 def test_isolated_hash_matches_bruteforce():
     gen = RngStream(31).generator()
+    cases = []
     for trial in range(50):
         n = int(gen.integers(2, 2000))
         side = float(gen.uniform(5.0, 60.0))
         R = float(gen.uniform(0.2, 4.0))
-        pos = gen.random((n, 2)) * side
+        cases.append((gen.random((n, 2)) * side, R))
+    # agents spread sparsely around a dense core: the bucket side stays R
+    core = gen.random((4000, 2)) * 10.0
+    sparse = [(np.r_[core, gen.random((n, 2)) * 20.0], R) for n, R in ((20, 2.5), (60, 2.0))]
+    # a dense cluster with a few agents around it: the side widens
+    cluster = np.r_[gen.normal(40.0, 0.3, (3000, 2)), gen.random((30, 2)) * 80.0]
+    dense = [(cluster, 0.02), (cluster, 0.3)]
+    # negative coordinates, as in a disk region
+    disk = [(_uniform_in_region(n, Region.disk(30.0), gen), 1.5) for n in (200, 2000)]
+    # duplicate positions on a lattice whose differences are exact, with
+    # pairs exactly R apart (np.hypot rounds them as the oracle does)
+    lattices = [gen.integers(0, hi, (600, 2)) / 4 for hi in (40, 160)]
+    radii = (0.25, np.hypot(0.5, 0.75), np.hypot(0.75, 0.75))
+    dups = [(lattice, R) for lattice in lattices for R in radii]
+    single = [(np.array([[3.0, 4.0]]), 1.0)]
+    assert all(bucket_side(pos, R) == R for pos, R in sparse)
+    assert all(bucket_side(pos, R) > R for pos, R in dense)
+    for pos, R in cases + sparse + dense + disk + dups + single:
         got = isolated_indices(pos, R)
         exp = isolated_indices_bruteforce(pos, R)
         assert np.array_equal(got, exp)
+
+
+def test_isolation_uses_the_kernels_closed_ball():
+    # (0, 0)-(a, b) with R = hypot(a, b) as the oracle computes it: the
+    # kernel informs across every pair, so neither agent is isolated
+    states = np.array([RED, WHITE], dtype=np.int8)
+    for a in np.arange(1, 30) / 10:
+        for b in np.arange(1, 30) / 10:
+            pos = np.array([[0.0, 0.0], [a, b]])
+            R = float(np.hypot(a, b))
+            assert list(_inform_euclidean(pos, states, R)[0]) == [1]
+            assert len(isolated_indices_bruteforce(pos, R)) == 0
+            assert len(isolated_indices(pos, R)) == 0, (a, b)
 
 
 def test_isolated_count_reports_bound():
