@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import Region, bucket_side, in_reach, neighbour_blocks
+from .geometry import Region, in_reach, neighbour_blocks
 from .mobility import (
     MobilityMode,
     RngStream,
@@ -147,14 +147,13 @@ def _inform_euclidean(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whites within closed distance R of a red, plus their nearest informer.
 
-    Buckets of side at least R (see ``bucket_side``), so only the 3x3 bucket
-    block around a white can hold reds within range; distance ties go to
-    the lowest red index.
+    Buckets of side R, so only the 3x3 bucket block around a white can hold
+    reds within range; distance ties go to the lowest red index.
     """
     red_idx = np.flatnonzero(states == RED)
     white_idx = np.flatnonzero(states == WHITE)
     informed, informers = [_NONE], [_NONE]
-    blocks = neighbour_blocks(positions, white_idx, red_idx, bucket_side(positions, R))
+    blocks = neighbour_blocks(positions, white_idx, red_idx, R)
     for w, reds, d2 in blocks:
         within = in_reach(d2, R)
         hit = within.any(axis=1)

@@ -164,15 +164,16 @@ def isolated_bound(n: int, R: float) -> float:
 
 
 def isolated_indices_bruteforce(positions: np.ndarray, R: float) -> np.ndarray:
-    """O(n^2) all-pairs isolation check (the audit oracle)."""
+    """O(n^2) all-pairs isolation check (the audit oracle): no other agent
+    in reach under the transmission kernel's closed-ball rule."""
     n = len(positions)
     if R == 0:
         return np.arange(n)
     iso = np.empty(n, dtype=bool)
     for i in range(n):
-        d = np.hypot(positions[:, 0] - positions[i, 0], positions[:, 1] - positions[i, 1])
-        d[i] = np.inf
-        iso[i] = bool(d.min() > R)
+        d2 = (positions[:, 0] - positions[i, 0]) ** 2 + (positions[:, 1] - positions[i, 1]) ** 2
+        d2[i] = np.inf
+        iso[i] = not in_reach(d2, R).any()
     return np.flatnonzero(iso)
 
 

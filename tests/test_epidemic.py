@@ -257,9 +257,13 @@ def test_spatial_hash_matches_brute_force(seed):
     n = 120
     positions = gen.random((n, 2)) * 20.0
     states = gen.choice([WHITE, RED, BLACK], size=n, p=[0.5, 0.3, 0.2]).astype(np.int8)
-    assert_same_inform(
-        _inform_euclidean(positions, states, 2.5), euclidean_oracle(positions, states, 2.5)
-    )
+    # dense agents behind a thin red front, as in a flood: 8 x 8 buckets,
+    # most whites with no red in their bucket block
+    dense = gen.random((3000, 2)) * 20.0
+    front = np.where(np.abs(dense[:, 0] - 10.0) < 0.5, RED, WHITE).astype(np.int8)
+    front[gen.random(3000) < 0.1] = BLACK
+    for pos, s in ((positions, states), (dense, front)):
+        assert_same_inform(_inform_euclidean(pos, s, 2.5), euclidean_oracle(pos, s, 2.5))
 
 
 # a coarse lattice with the supercell borders and the far edge x = L, y = L,

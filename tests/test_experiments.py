@@ -197,10 +197,10 @@ def test_isolated_hash_matches_bruteforce():
     dense = [(cluster, 0.02), (cluster, 0.3)]
     # negative coordinates, as in a disk region
     disk = [(_uniform_in_region(n, Region.disk(30.0), gen), 1.5) for n in (200, 2000)]
-    # duplicate positions on a lattice whose differences are exact, with
-    # pairs exactly R apart (np.hypot rounds them as the oracle does)
-    lattices = [gen.integers(0, hi, (600, 2)) / 4 for hi in (40, 160)]
-    radii = (0.25, np.hypot(0.5, 0.75), np.hypot(0.75, 0.75))
+    # duplicate positions on a /10 lattice, with pairs exactly R apart whose
+    # coordinate differences carry rounding noise (1.1 - 1.0 > 0.1)
+    lattices = [gen.integers(0, hi, (600, 2)) / 10 for hi in (40, 160)]
+    radii = (0.1, 0.2, np.hypot(0.1, 0.2))
     dups = [(lattice, R) for lattice in lattices for R in radii]
     single = [(np.array([[3.0, 4.0]]), 1.0)]
     assert all(bucket_side(pos, R) == R for pos, R in sparse)
