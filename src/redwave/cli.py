@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -150,9 +151,7 @@ def parse_config(path: str):
         mode = cp.get("mobility", "mode", fallback="standard")
         rho = cp.getfloat("mobility", "rho", fallback=0.0)
         mobility = MobilityMode(mode, rho)
-        burn_in = (
-            cp.getint("mobility", "burn_in") if cp.has_option("mobility", "burn_in") else None
-        )
+        burn_in = cp.getint("mobility", "burn_in", fallback=0)
 
         if cp.getboolean("agents", "density_one", fallback=False):
             n = max(1, int(math.floor(region.area)))
@@ -234,7 +233,7 @@ def emit_config(params: SimParams, path: str) -> None:
         "max_steps": str(params.max_steps),
     }
     cp["mobility"] = {"mode": params.mobility.kind, "rho": _fmt(params.mobility.rho)}
-    if params.burn_in is not None:
+    if params.burn_in:
         cp["mobility"]["burn_in"] = str(params.burn_in)
     cp["experiment"] = {"seed": str(params.seed)}
     with open(path, "w") as fh:
@@ -257,6 +256,8 @@ _TRACE_FIELDS = [
     "cells",
 ]
 
+
+_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 # the state name of each int8 cell code (a code is its CellState's position)
 _CELL_NAMES = [s.value for s in instrument.CellState]
@@ -293,48 +294,64 @@ def _trace_row(snap: Snapshot, grid=None, cell_keys: list[str] | None = None) ->
 
 
 def trace_run(
-    params: SimParams, grid=None, dump_cells: str = "never"
+    params: SimParams, grid=None, dump_cells: str = "never", write=None
 ) -> tuple[RunRecord, list[dict]]:
-    """Run once and build the trace rows, one per step as the step ends.
-
-    With a grid the rows carry the instrument columns, and per-cell states
-    on every step (``dump_cells="each"``) or on the last (``"final"``).
-    """
+    """Run once; each step's trace row goes to ``write`` when the next step
+    ends, the last when the run ends so that it can take the final dump.
+    Without ``write`` the rows are collected and returned.  With a grid the
+    rows carry the instrument columns, and per-cell states on every step
+    (``dump_cells="each"``) or on the last (``"final"``)."""
     keys = None
     if grid is not None and dump_cells != "never":
         keys = [f"{c},{r}" for c, r in grid.cells]
     each = keys if dump_cells == "each" else None
     rows: list[dict] = []
-    rec = run(params, on_step=lambda snap: rows.append(_trace_row(snap, grid, each)))
+    write = rows.append if write is None else write
+    held: list[dict] = []
+
+    def on_step(snap: Snapshot) -> None:
+        if held:
+            write(held.pop())
+        held.append(_trace_row(snap, grid, each))
+
+    rec = run(params, on_step=on_step)
     if dump_cells == "final" and keys is not None:
-        rows[-1] = _trace_row(rec.final, grid, keys)
+        held[0] = _trace_row(rec.final, grid, keys)
+    write(held[0])
     return rec, rows
 
 
-def emit_trace(rows: list[dict], fmt: str, path: str) -> None:
-    """Write the per-step trace rows, byte-identical for identical runs."""
+@contextmanager
+def trace_writer(fmt: str, path: str):
+    """Open the trace file ``path`` and yield a function writing one row to
+    it; identical rows give byte-identical files."""
     if fmt not in ("ndjson", "csv"):
         raise ConfigurationError(f"unknown trace format {fmt!r}")
     try:
         with open(path, "w", newline="") as fh:
             if fmt == "ndjson":
-                for row in rows:
-                    fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+                yield lambda row: fh.write(_json(row) + "\n")
             else:
                 writer = csv.DictWriter(fh, fieldnames=_TRACE_FIELDS, lineterminator="\n")
                 writer.writeheader()
-                for row in rows:
-                    out = dict(row)
-                    if out["cells"] is not None:
-                        out["cells"] = json.dumps(
-                            out["cells"], sort_keys=True, separators=(",", ":")
-                        )
-                    for key in ("max_wavefront", "mean_wavefront"):
-                        if out[key] is not None:
-                            out[key] = _fmt(float(out[key]))
-                    writer.writerow(out)
+                yield lambda row: writer.writerow(_csv_row(row))
     except OSError as exc:
         raise OSError(f"cannot write trace {path}: {exc}") from exc
+
+
+def _csv_row(row: dict) -> dict:
+    out = dict(row, cells=None if row["cells"] is None else _json(row["cells"]))
+    for key in ("max_wavefront", "mean_wavefront"):
+        if out[key] is not None:
+            out[key] = _fmt(float(out[key]))
+    return out
+
+
+def emit_trace(rows, fmt: str, path: str) -> None:
+    """Write the per-step trace rows, byte-identical for identical runs."""
+    with trace_writer(fmt, path) as write:
+        for row in rows:
+            write(row)
 
 
 _SUMMARY_FIELDS = [
@@ -474,9 +491,9 @@ def main(argv: list[str] | None = None) -> int:
                 print("config error: audit needs [instrumentation] cell_side", file=sys.stderr)
                 return EXIT_CONFIG
             dump = "each" if audit and args.dump_cells == "never" else args.dump_cells
-            rec, rows = trace_run(parsed, grid, dump)
             out = os.path.join(args.out, f"{'audit' if audit else 'trace'}.{args.format}")
-            emit_trace(rows, args.format, out)
+            with trace_writer(args.format, out) as write:
+                rec, _ = trace_run(parsed, grid, dump, write)
             if audit:
                 print(f"audit={out}")
             else:

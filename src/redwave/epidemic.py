@@ -32,6 +32,8 @@ from .mobility import (
 
 WHITE, RED, BLACK = 0, 1, 2
 _NONE = np.empty(0, dtype=np.int64)
+# independent RngStream streams of a run's seed, one per layer
+PLACEMENT, SOURCES, MOVES = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ class SimParams:
     sources: object = "random"  # "random" or explicit sequence of points
     seed: int = 0
     max_steps: int = 10_000
-    burn_in: int | None = None
+    burn_in: int = 0  # extra mobility steps after the stationary start
 
     def __post_init__(self) -> None:
         if self.R <= 0:
@@ -232,12 +234,13 @@ def move(s: Snapshot, params: SimParams, sgrid, gen: np.random.Generator) -> Non
 
 
 class Engine:
-    """Sequential, deterministic single-run engine."""
+    """Sequential, deterministic single-run engine.  Placement, random
+    source choice and moves draw from their own streams of the seed."""
 
     def __init__(self, params: SimParams, initial_positions: np.ndarray | None = None):
         self.params = params
         self.region = params.region
-        self.gen = RngStream(params.seed).generator()
+        self.gen = RngStream(params.seed, MOVES).generator()
         self.sgrid = None
         if params.mobility.kind == "cellular":
             self.sgrid = build_supercell_grid(self.region, params.mobility.rho)
@@ -248,13 +251,9 @@ class Engine:
             if not np.all(self.region.contains(pos)):
                 raise ConfigurationError("initial positions must lie inside the region")
         else:
+            placement = RngStream(params.seed, PLACEMENT)
             pos = init_positions(
-                params.n,
-                self.region,
-                params.mobility,
-                self.gen,
-                burn_in=params.burn_in,
-                sgrid=self.sgrid,
+                params.n, self.region, params.mobility, placement, params.burn_in, self.sgrid
             )
         n = params.n
         self.snapshot = Snapshot(
@@ -267,10 +266,8 @@ class Engine:
             chain_origin=pos.copy(),
         )
         self.source_indices = self._pick_sources()
-        s = self.snapshot
-        s.states[list(self.source_indices)] = RED
-        s.countdown[list(self.source_indices)] = params.k
-        s.informed_at[list(self.source_indices)] = 0
+        src, s = list(self.source_indices), self.snapshot
+        s.states[src], s.countdown[src], s.informed_at[src] = RED, params.k, 0
         self.chain_violations = 0
 
     def _pick_sources(self) -> tuple[int, ...]:
@@ -278,7 +275,7 @@ class Engine:
         if isinstance(params.sources, str):
             if params.sources != "random":
                 raise ConfigurationError(f"unknown source spec {params.sources!r}")
-            return (int(self.gen.integers(params.n)),)
+            return (int(RngStream(params.seed, SOURCES).generator().integers(params.n)),)
         pts = np.atleast_2d(np.asarray(params.sources, dtype=float))
         if pts.size == 0:
             raise ConfigurationError("explicit source set is empty")

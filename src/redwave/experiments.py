@@ -12,7 +12,7 @@ import numpy as np
 from .epidemic import RunRecord, SimParams, run
 from .errors import ConfigurationError, GeometryError
 from .geometry import Region, bucket_side, eccentricity, in_reach, neighbour_blocks
-from .mobility import RngStream, _uniform_in_region
+from .mobility import RngStream, _uniform_in_region, as_generator
 
 
 @dataclass(frozen=True)
@@ -201,10 +201,7 @@ class IsolatedResult:
 def isolated_count(n: int, R: float, region: Region, rng) -> IsolatedResult:
     """Count isolated agents among n uniform placements, plus the analytic
     expected-count lower bound for the sqrt(n)-square setting."""
-    from .mobility import as_generator
-
-    gen = as_generator(rng)
-    pos = _uniform_in_region(n, region, gen)
+    pos = _uniform_in_region(n, region, as_generator(rng))
     idx = isolated_indices(pos, R)
     return IsolatedResult(count=len(idx), bound=isolated_bound(n, R), positions=pos)
 
@@ -247,12 +244,7 @@ def threshold_experiment(params: SimParams, trials: int = 1) -> ThresholdResult:
             continue
         out.isolated_sources_found += 1
         src = int(iso[0])
-        p = replace(
-            params,
-            seed=params.seed + trial,
-            sources=[tuple(pos[src])],
-            burn_in=0,
-        )
+        p = replace(params, seed=params.seed + trial, sources=[tuple(pos[src])])
         rec = run(p, initial_positions=pos)
         if rec.failed_at is not None:
             out.failures += 1

@@ -1,5 +1,6 @@
 """Agent movement: standard random-walk steps uniform in B(x, rho) & S, the
-cellular (supercell) random walk, and stationary-ish initialization.
+cellular (supercell) random walk, and exact stationary starting positions,
+each one :func:`rejection_sample` call with a proposal and a predicate.
 
 All randomness flows through :class:`RngStream`, a thin wrapper over numpy's
 PCG64 so that identical (seed, stream) pairs give identical sample sequences
@@ -14,15 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, MobilityError
-from .geometry import CellGrid, Region, bucket_keys, build_cell_grid, group_by_bucket
+from .geometry import CellGrid, Region, build_cell_grid
 
 _MAX_REJECTIONS = 10**6
-
-# Burn-in defaults: 50 standard steps mixes each coordinate well past the
-# region scale at desk-scale parameters; one cellular step already gives
-# per-supercell uniformity on full interior neighborhoods.
-DEFAULT_BURN_IN_STANDARD = 50
-DEFAULT_BURN_IN_CELLULAR = 1
 
 
 @dataclass(frozen=True)
@@ -84,51 +79,61 @@ def build_supercell_grid(
     return build_cell_grid(region, rho, gamma)
 
 
-def _uniform_in_region(n: int, region: Region, gen: np.random.Generator) -> np.ndarray:
-    """n points uniform over S, by rejection from the bounding box."""
-    xmin, ymin, xmax, ymax = region.bounds
+def rejection_sample(n: int, propose, accept, gen: np.random.Generator) -> np.ndarray:
+    """n points by rejection: ``propose(rows, gen)`` draws one (m, 2)
+    candidate per pending row and ``accept(candidates)`` masks those kept;
+    the other rows draw again, in ascending order, until all are kept."""
     out = np.empty((n, 2))
     pending = np.arange(n)
-    attempts = 0
-    while pending.size:
-        cand = gen.random((pending.size, 2))
-        cand[:, 0] = xmin + cand[:, 0] * (xmax - xmin)
-        cand[:, 1] = ymin + cand[:, 1] * (ymax - ymin)
-        ok = region.contains(cand)
+    for _ in range(_MAX_REJECTIONS):
+        cand = propose(pending, gen)
+        ok = accept(cand)
         out[pending[ok]] = cand[ok]
         pending = pending[~ok]
-        attempts += 1
-        if attempts > _MAX_REJECTIONS:
-            raise MobilityError("rejection sampling failed to place agents")
-    return out
+        if not pending.size:
+            return out
+    raise MobilityError(f"rejection sampling left {pending.size} of {n} rows unplaced")
+
+
+def _in_disk(centres: np.ndarray, rho: float, gen: np.random.Generator) -> np.ndarray:
+    """One point uniform on B(c, rho) per centre, by the sqrt-radius trick."""
+    r = rho * np.sqrt(gen.random(len(centres)))
+    theta = gen.random(len(centres)) * 2 * math.pi
+    return centres + np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+
+
+def _in_block(points: np.ndarray, sgrid: CellGrid, gen: np.random.Generator) -> np.ndarray:
+    """One point uniform on the 3x3 supercell block around each point's supercell."""
+    corners = np.asarray(sgrid.origin) + (sgrid.cells_of(points) - 1) * sgrid.side
+    return gen.random((len(points), 2)) * (3 * sgrid.side) + corners
+
+
+def _covered(points: np.ndarray, sgrid: CellGrid, region: Region) -> np.ndarray:
+    """Which points lie in S and in a covered supercell."""
+    cells = sgrid.cells_of(points)
+    return region.contains(points) & sgrid.in_cover(cells[:, 0], cells[:, 1])
+
+
+def _uniform_in_region(n: int, region: Region, gen: np.random.Generator) -> np.ndarray:
+    """n points uniform over S, by rejection from the bounding box."""
+    lo = np.array(region.bounds[:2])
+    span = np.array(region.bounds[2:]) - lo
+    return rejection_sample(
+        n, lambda rows, gen: lo + gen.random((len(rows), 2)) * span, region.contains, gen
+    )
 
 
 def walk_all(
     positions: np.ndarray, rho: float, region: Region, gen: np.random.Generator
 ) -> np.ndarray:
-    """One standard random-walk step for every row of ``positions``.
-
-    Each destination is uniform on B(x, rho) & S: uniform in the disk via the
-    sqrt-radius trick, rejecting points that leave S.  Convexity of S with
-    x in S keeps the acceptance rate above 1/4, so the loop terminates fast.
-    """
+    """One standard random-walk step for every row of ``positions``: uniform
+    on B(x, rho) & S.  Convexity of S with x in S keeps the acceptance rate
+    above 1/4, so the loop terminates fast."""
     if rho == 0:
         return positions.copy()
-    out = positions.copy()
-    pending = np.arange(len(positions))
-    attempts = 0
-    while pending.size:
-        u = gen.random(pending.size)
-        theta = gen.random(pending.size) * 2 * math.pi
-        r = rho * np.sqrt(u)
-        cand = positions[pending] + np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-        ok = region.contains(cand)
-        out[pending[ok]] = cand[ok]
-        pending = pending[~ok]
-        attempts += 1
-        if attempts > _MAX_REJECTIONS:
-            raise MobilityError("rejection sampling failed in walk step")
-    return out
+    return rejection_sample(
+        len(positions), lambda rows, gen: _in_disk(positions[rows], rho, gen), region.contains, gen
+    )
 
 
 def walk_step(x, rho: float, region: Region, rng) -> np.ndarray:
@@ -141,35 +146,16 @@ def walk_step(x, rho: float, region: Region, rng) -> np.ndarray:
 
 
 def cellular_walk_all(
-    positions: np.ndarray,
-    sgrid: CellGrid,
-    region: Region,
-    gen: np.random.Generator,
+    positions: np.ndarray, sgrid: CellGrid, region: Region, gen: np.random.Generator
 ) -> np.ndarray:
-    """One cellular step for every agent: uniform over union(N(C)) & S.
-
-    Agents are grouped by supercell; each group rejection-samples from the
-    3-rho-square block around its supercell, accepting points that land in S
-    and in a covered supercell.
-    """
-    rho = sgrid.side
-    cells = sgrid.cells_of(positions)
-    out = np.empty_like(positions)
-    _, order, bounds = group_by_bucket(bucket_keys(cells))
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        pending = order[a:b]
-        corner = np.asarray(sgrid.origin) + (cells[pending[0]] - 1) * rho
-        attempts = 0
-        while pending.size:
-            cand = gen.random((pending.size, 2)) * (3 * rho) + corner
-            ccell = sgrid.cells_of(cand)
-            ok = region.contains(cand) & sgrid.in_cover(ccell[:, 0], ccell[:, 1])
-            out[pending[ok]] = cand[ok]
-            pending = pending[~ok]
-            attempts += 1
-            if attempts > _MAX_REJECTIONS:
-                raise MobilityError("rejection sampling failed in cellular step")
-    return out
+    """One cellular step for every agent: uniform over union(N(C)) & S,
+    drawn from the 3-rho-square block around the agent's supercell."""
+    return rejection_sample(
+        len(positions),
+        lambda rows, gen: _in_block(positions[rows], sgrid, gen),
+        lambda c: _covered(c, sgrid, region),
+        gen,
+    )
 
 
 def cellular_walk_step(x, sgrid: CellGrid, region: Region, rng) -> np.ndarray:
@@ -187,27 +173,33 @@ def init_positions(
     region: Region,
     mobility: MobilityMode,
     rng,
-    burn_in: int | None = None,
+    burn_in: int = 0,
     sgrid: CellGrid | None = None,
 ) -> np.ndarray:
-    """n independent starting positions: uniform over S plus a burn-in of
-    mobility steps approximating the stationary distribution."""
+    """n independent draws from the walk's stationary distribution, then
+    ``burn_in`` extra steps.  Both walks have a symmetric kernel, so the
+    stationary density at x is proportional to the area one step from x
+    reaches: |B(x, rho) & S|, or |union(N(C(x))) & S| for the cellular walk.
+    x uniform on S is kept iff it is in the walk's support and one step
+    proposed from x is accepted."""
     if n < 1:
         raise ConfigurationError("need at least one agent")
     gen = as_generator(rng)
-    pos = _uniform_in_region(n, region, gen)
-    if burn_in is None:
-        burn_in = (
-            DEFAULT_BURN_IN_CELLULAR
-            if mobility.kind == "cellular"
-            else DEFAULT_BURN_IN_STANDARD
-        )
-    if mobility.kind == "cellular":
-        if sgrid is None:
-            sgrid = build_supercell_grid(region, mobility.rho)
-        for _ in range(burn_in):
+    cellular = mobility.kind == "cellular"
+    if cellular and sgrid is None:
+        sgrid = build_supercell_grid(region, mobility.rho)
+
+    def accept(x):
+        if cellular:
+            return _covered(x, sgrid, region) & _covered(_in_block(x, sgrid, gen), sgrid, region)
+        return region.contains(_in_disk(x, mobility.rho, gen))
+
+    pos = rejection_sample(
+        n, lambda rows, gen: _uniform_in_region(len(rows), region, gen), accept, gen
+    )
+    for _ in range(burn_in):
+        if cellular:
             pos = cellular_walk_all(pos, sgrid, region, gen)
-    else:
-        for _ in range(burn_in):
+        else:
             pos = walk_all(pos, mobility.rho, region, gen)
     return pos

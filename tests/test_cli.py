@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from redwave import cli
 from redwave.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -63,6 +64,7 @@ def test_parse_minimal_config_defaults(tmp_path):
     assert params.phase_order == "transmit_then_move"
     assert params.sources == "random"
     assert params.seed == 0
+    assert params.burn_in == 0
 
 
 def test_parse_density_one(tmp_path):
@@ -228,6 +230,46 @@ def test_trace_unknown_format(tiny_rows, tmp_path):
     with pytest.raises(ConfigurationError):
         emit_trace(tiny_rows, "yaml", str(tmp_path / "t.yaml"))
     assert not (tmp_path / "t.yaml").exists()
+
+
+def test_trace_rows_stream_to_the_writer(monkeypatch):
+    # row t reaches the writer once step t + 1 has ended (the last row once
+    # the run has), and trace_run keeps none of them
+    ended = []
+    real_run = cli.run
+
+    def counting_run(params, on_step):
+        return real_run(params, on_step=lambda s: (ended.append(s.step), on_step(s)))
+
+    monkeypatch.setattr(cli, "run", counting_run)
+    p = SimParams(
+        region=Region.square(10.0), n=30, R=3.0,
+        mobility=MobilityMode.standard(1.0), seed=8,
+    )
+    written = []
+    rec, kept = trace_run(p, write=lambda row: written.append((row["step"], len(ended))))
+    last = rec.steps_run()
+    assert kept == []
+    assert written == [(t, t + 2) for t in range(last)] + [(last, last + 1)]
+
+
+@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+def test_main_streams_the_bytes_of_emit_trace(tmp_path, fmt):
+    # a covered grid with an uncovered sliver, so that every column fills
+    cfg = write(
+        tmp_path,
+        MINIMAL.replace("size = 12", "size = 13")
+        + "\n[mobility]\nrho = 1.0\n\n[instrumentation]\ncell_side = 2.0\ngamma = 0.6\n",
+    )
+    params = parse_config(cfg)
+    grid = build_cell_grid(params.region, 2.0, 0.6)
+    for dump in ("never", "each", "final"):
+        out = tmp_path / dump
+        args = ["run", "--config", cfg, "--out", str(out), "--format", fmt, "--dump-cells", dump]
+        assert main(args) == EXIT_OK
+        ref = tmp_path / f"{dump}.{fmt}"
+        emit_trace(trace_run(params, grid, dump)[1], fmt, str(ref))
+        assert (out / f"trace.{fmt}").read_bytes() == ref.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from redwave.epidemic import (
     BLACK,
     RED,
     WHITE,
+    Engine,
     SimParams,
     _inform_euclidean,
     _inform_same_supercell,
@@ -352,6 +353,26 @@ def test_determinism_same_seed_same_record():
     for (pa, sa), (pb, sb) in zip(*seen):
         assert np.array_equal(pa, pb)
         assert np.array_equal(sa, sb)
+
+
+def test_layers_draw_from_independent_streams():
+    # placement, random source choice and moves each draw from their own
+    # stream of the seed: the source spec, R and k shift no position at any
+    # step, and rho, which sets the stationary law and the moves, leaves the
+    # random source choice alone
+    base = params(n=60, region_side=16.0, R=4.0, rho=2.0, seed=23)
+
+    def trajectory(p):
+        eng = Engine(p)
+        start = eng.snapshot.positions.copy()
+        return eng, [start] + [eng.step().positions.copy() for _ in range(3)]
+
+    eng, expected = trajectory(base)
+    for other in (replace(base, sources=[(8.0, 8.0)]), replace(base, R=1.0), replace(base, k=3)):
+        for a, b in zip(expected, trajectory(other)[1]):
+            assert np.array_equal(a, b)
+    for mobility in (MobilityMode.standard(5.0), MobilityMode.cellular(4.0)):
+        assert Engine(replace(base, mobility=mobility)).source_indices == eng.source_indices
 
 
 def test_on_step_sees_every_step_once():

@@ -1,5 +1,6 @@
 """Random-walk steps, the cellular walk, and position initialization."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,15 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from redwave import mobility
 from redwave.errors import ConfigurationError, MobilityError
 from redwave.geometry import Region
 from redwave.mobility import (
     MobilityMode,
     RngStream,
+    _uniform_in_region,
     build_supercell_grid,
     cellular_walk_all,
     cellular_walk_step,
     init_positions,
+    rejection_sample,
     walk_all,
     walk_step,
 )
@@ -197,3 +201,100 @@ def test_walk_displacement_bound_property(seed, rho):
     disp = np.hypot(out[:, 0] - pos[:, 0], out[:, 1] - pos[:, 1])
     assert disp.max() <= rho + 1e-12
     assert np.all(region.contains(out))
+
+
+# ---------------------------------------------------------------------------
+# the rejection sampler and the stationary start
+# ---------------------------------------------------------------------------
+
+
+def test_rejection_sample_gives_up_after_max_rounds(monkeypatch):
+    monkeypatch.setattr(mobility, "_MAX_REJECTIONS", 5)
+    rounds = []
+
+    def propose(rows, gen):
+        rounds.append(len(rows))
+        return gen.random((len(rows), 2))
+
+    with pytest.raises(MobilityError):
+        rejection_sample(
+            4, propose, lambda c: np.zeros(len(c), dtype=bool), np.random.default_rng(0)
+        )
+    assert rounds == [4] * 5
+    # rows kept in an earlier round are not drawn again
+    rounds.clear()
+    out = rejection_sample(4, propose, lambda c: c[:, 0] < 0.5, np.random.default_rng(1))
+    assert np.all(out[:, 0] < 0.5) and rounds[0] == 4 and rounds == sorted(rounds, reverse=True)
+
+
+def test_uniform_placement_draws_are_pinned():
+    # the isolated-agent experiments place agents uniformly; their draws
+    # (sha256 of the position bytes) must not change
+    for region, seed, digest in (
+        (Region.square(256.0), 5, "234c1f35bf2ce03f1c923925af4077f4"
+         "1b7191c45695090e42d2e3499422c068"),
+        (Region.disk(30.0), 7, "4a60632ed0d5759bafe9c0f72d863f53"
+         "9dc40c2aa20e12d0e20bf74a49c940e0"),
+    ):
+        pos = _uniform_in_region(1000, region, RngStream(seed).generator())
+        assert hashlib.sha256(pos.tobytes()).hexdigest() == digest
+
+
+def _supercell_counts(pos, sgrid):
+    cells = sgrid.cells_of(pos)
+    assert np.all(sgrid.in_cover(cells[:, 0], cells[:, 1]))
+    keys = cells[:, 0] * sgrid.mask.shape[1] + cells[:, 1]
+    return np.bincount(keys, minlength=sgrid.mask.size)[sgrid.mask.ravel()]
+
+
+def test_cellular_start_is_stationary_on_full_tiling():
+    # the flood_cellular geometry: an 8 x 8 tiling, where the stationary
+    # share of a supercell is proportional to its covered 3 x 3 neighbours
+    # (4/484 for a corner); chi-square at significance 0.01
+    region, rho, n = Region.square(192.0), 24.0, 36864
+    sgrid = build_supercell_grid(region, rho)
+    mask = np.pad(sgrid.mask, 1)
+    neighbours = sum(mask[1 + i : 9 + i, 1 + j : 9 + j] for i in (-1, 0, 1) for j in (-1, 0, 1))
+    weights = neighbours[sgrid.mask] / neighbours[sgrid.mask].sum()
+    pos = init_positions(n, region, MobilityMode.cellular(rho), RngStream(1))
+    _, p = stats.chisquare(_supercell_counts(pos, sgrid), weights * n)
+    assert p > 0.01
+
+
+def test_cellular_start_on_a_disk_matches_a_long_walk():
+    # disk supercells with slivers of S outside the cover: the exact start
+    # never uses them and its occupancy matches 50 cellular steps from a
+    # uniform start (chi-square contingency at significance 0.01)
+    region, rho, n = Region.disk(30.0), 7.5, 20000
+    sgrid = build_supercell_grid(region, rho)
+    assert not sgrid.mask.all()
+    exact = init_positions(n, region, MobilityMode.cellular(rho), RngStream(1))
+    gen = RngStream(2).generator()
+    walked = _uniform_in_region(n, region, gen)
+    for _ in range(50):
+        walked = cellular_walk_all(walked, sgrid, region, gen)
+    table = np.array([_supercell_counts(exact, sgrid), _supercell_counts(walked, sgrid)])
+    assert stats.chi2_contingency(table).pvalue > 0.01
+
+
+@pytest.mark.parametrize("region", [Region.square(48.0), Region.disk(24.0)])
+def test_standard_start_matches_a_long_walk(region):
+    # boundary-distance histogram over 8 bins (7 within rho of the boundary,
+    # where the stationary density dips, and the rest): the exact start
+    # agrees with 400 steps from a uniform start to 0.015 per bin, a uniform
+    # start misses by about 0.05
+    rho, n = 4.0, 20000
+
+    def histogram(pos):
+        if region.kind == "square":
+            d = np.minimum(pos, region.size - pos).min(axis=1)
+        else:
+            d = region.size - np.hypot(pos[:, 0], pos[:, 1])
+        return np.histogram(d, np.r_[np.linspace(0.0, rho, 8), np.inf])[0] / n
+
+    exact = init_positions(n, region, MobilityMode.standard(rho), RngStream(1))
+    gen = RngStream(2).generator()
+    walked = _uniform_in_region(n, region, gen)
+    for _ in range(400):
+        walked = walk_all(walked, rho, region, gen)
+    assert np.abs(histogram(exact) - histogram(walked)).max() < 0.015
