@@ -293,20 +293,15 @@ def _trace_row(snap: Snapshot, grid=None, cell_keys: list[str] | None = None) ->
     return row
 
 
-def trace_run(
-    params: SimParams, grid=None, dump_cells: str = "never", write=None
-) -> tuple[RunRecord, list[dict]]:
+def trace_run(params: SimParams, grid, dump_cells: str, write) -> RunRecord:
     """Run once; each step's trace row goes to ``write`` when the next step
     ends, the last when the run ends so that it can take the final dump.
-    Without ``write`` the rows are collected and returned.  With a grid the
-    rows carry the instrument columns, and per-cell states on every step
-    (``dump_cells="each"``) or on the last (``"final"``)."""
+    With a grid the rows carry the instrument columns, and per-cell states
+    on every step (``dump_cells="each"``) or on the last (``"final"``)."""
     keys = None
     if grid is not None and dump_cells != "never":
         keys = [f"{c},{r}" for c, r in grid.cells]
     each = keys if dump_cells == "each" else None
-    rows: list[dict] = []
-    write = rows.append if write is None else write
     held: list[dict] = []
 
     def on_step(snap: Snapshot) -> None:
@@ -318,25 +313,31 @@ def trace_run(
     if dump_cells == "final" and keys is not None:
         held[0] = _trace_row(rec.final, grid, keys)
     write(held[0])
-    return rec, rows
+    return rec
 
 
 @contextmanager
 def trace_writer(fmt: str, path: str):
-    """Open the trace file ``path`` and yield a function writing one row to
-    it; identical rows give byte-identical files."""
+    """Yield a function writing one trace row; identical rows give
+    byte-identical files.  The rows replace ``path`` only if the block ends
+    without an error, so a failed run leaves an earlier trace untouched."""
     if fmt not in ("ndjson", "csv"):
         raise ConfigurationError(f"unknown trace format {fmt!r}")
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", newline="") as fh:
+        with open(tmp, "w", newline="") as fh:
             if fmt == "ndjson":
                 yield lambda row: fh.write(_json(row) + "\n")
             else:
                 writer = csv.DictWriter(fh, fieldnames=_TRACE_FIELDS, lineterminator="\n")
                 writer.writeheader()
                 yield lambda row: writer.writerow(_csv_row(row))
+        os.replace(tmp, path)
     except OSError as exc:
         raise OSError(f"cannot write trace {path}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _csv_row(row: dict) -> dict:
@@ -493,7 +494,7 @@ def main(argv: list[str] | None = None) -> int:
             dump = "each" if audit and args.dump_cells == "never" else args.dump_cells
             out = os.path.join(args.out, f"{'audit' if audit else 'trace'}.{args.format}")
             with trace_writer(args.format, out) as write:
-                rec, _ = trace_run(parsed, grid, dump, write)
+                rec = trace_run(parsed, grid, dump, write)
             if audit:
                 print(f"audit={out}")
             else:

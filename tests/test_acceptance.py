@@ -318,7 +318,8 @@ def test_ac10_byte_identical_traces(tmp_path):
     for fmt in ("ndjson", "csv"):
         paths = []
         for tag in ("a", "b"):
-            _, rows = trace_run(replace(params, seed=3), grid, dump_cells="final")
+            rows = []
+            trace_run(replace(params, seed=3), grid, "final", rows.append)
             path = tmp_path / f"{tag}.{fmt}"
             emit_trace(rows, fmt, str(path))
             paths.append(path)

@@ -157,9 +157,15 @@ def test_config_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def _trace_rows(params, grid=None, dump_cells="never"):
+    rows = []
+    trace_run(params, grid, dump_cells, rows.append)
+    return rows
+
+
 @pytest.fixture()
 def tiny_rows():
-    return trace_run(
+    return _trace_rows(
         SimParams(
             region=Region.square(6.0),
             n=1,
@@ -167,7 +173,7 @@ def tiny_rows():
             mobility=MobilityMode.standard(0.0),
             sources=[(3.0, 3.0)],
         )
-    )[1]
+    )
 
 
 def test_trace_single_agent_two_rows(tiny_rows, tmp_path):
@@ -186,13 +192,13 @@ def test_trace_rerun_byte_identical(tmp_path):
         mobility=MobilityMode.standard(1.0), seed=4,
     )
     a, b = str(tmp_path / "a.ndjson"), str(tmp_path / "b.ndjson")
-    emit_trace(trace_run(p)[1], "ndjson", a)
-    emit_trace(trace_run(p)[1], "ndjson", b)
+    emit_trace(_trace_rows(p), "ndjson", a)
+    emit_trace(_trace_rows(p), "ndjson", b)
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
 def test_trace_csv_and_ndjson_agree(tmp_path):
-    _, rows = trace_run(
+    rows = _trace_rows(
         SimParams(
             region=Region.square(10.0), n=30, R=3.0,
             mobility=MobilityMode.standard(1.0), seed=8,
@@ -221,8 +227,8 @@ def test_trace_cells_dump_matches_cell_maps():
             {f"{c},{r}": v.value for (c, r), v in classify_cells(s, grid).items()}
         ),
     )
-    assert [row["cells"] for row in trace_run(p, grid, "each")[1]] == maps
-    final = [row["cells"] for row in trace_run(p, grid, "final")[1]]
+    assert [row["cells"] for row in _trace_rows(p, grid, "each")] == maps
+    final = [row["cells"] for row in _trace_rows(p, grid, "final")]
     assert final == [None] * (len(maps) - 1) + maps[-1:]
 
 
@@ -234,7 +240,7 @@ def test_trace_unknown_format(tiny_rows, tmp_path):
 
 def test_trace_rows_stream_to_the_writer(monkeypatch):
     # row t reaches the writer once step t + 1 has ended (the last row once
-    # the run has), and trace_run keeps none of them
+    # the run has)
     ended = []
     real_run = cli.run
 
@@ -247,9 +253,8 @@ def test_trace_rows_stream_to_the_writer(monkeypatch):
         mobility=MobilityMode.standard(1.0), seed=8,
     )
     written = []
-    rec, kept = trace_run(p, write=lambda row: written.append((row["step"], len(ended))))
+    rec = trace_run(p, None, "never", lambda row: written.append((row["step"], len(ended))))
     last = rec.steps_run()
-    assert kept == []
     assert written == [(t, t + 2) for t in range(last)] + [(last, last + 1)]
 
 
@@ -268,8 +273,27 @@ def test_main_streams_the_bytes_of_emit_trace(tmp_path, fmt):
         args = ["run", "--config", cfg, "--out", str(out), "--format", fmt, "--dump-cells", dump]
         assert main(args) == EXIT_OK
         ref = tmp_path / f"{dump}.{fmt}"
-        emit_trace(trace_run(params, grid, dump)[1], fmt, str(ref))
+        emit_trace(_trace_rows(params, grid, dump), fmt, str(ref))
         assert (out / f"trace.{fmt}").read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("verb", ["run", "audit"])
+def test_failed_run_keeps_the_earlier_trace(tmp_path, verb):
+    # the source lies outside the region, which only the engine detects,
+    # after the trace has been opened
+    out = tmp_path / "out"
+    good = write(tmp_path, MINIMAL + "\n[instrumentation]\ncell_side = 3.0\n")
+    assert main([verb, "--config", good, "--out", str(out)]) == EXIT_OK
+    trace = out / f"{'audit' if verb == 'audit' else 'trace'}.ndjson"
+    before = trace.read_bytes()
+    bad = write(
+        tmp_path,
+        MINIMAL + "sources = 20.0,20.0\n\n[instrumentation]\ncell_side = 3.0\n",
+        "bad.ini",
+    )
+    assert main([verb, "--config", bad, "--out", str(out)]) == EXIT_CONFIG
+    assert trace.read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == [trace.name]
 
 
 # ---------------------------------------------------------------------------
