@@ -240,6 +240,58 @@ def test_uniform_placement_draws_are_pinned():
         assert hashlib.sha256(pos.tobytes()).hexdigest() == digest
 
 
+def _sha256(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "region, rho, digest",
+    [
+        (Region.square(48.0), 4.0, "f350723c9d9321e3a5aa4f7641c1ba8bc614f8288c7568f4345e752458350e34"),
+        (Region.disk(24.0), 3.0, "244d86dc85b22f7fc9990a5f95a38ac0a10e02ca836dcbaffe7eb479b6961f82"),
+    ],
+)
+def test_walk_draws_are_pinned(region, rho, digest):
+    # three standard steps from a uniform start: a faster sampler must
+    # keep every draw, bit for bit
+    gen = RngStream(3).generator()
+    pos = _uniform_in_region(2000, region, gen)
+    for _ in range(3):
+        pos = walk_all(pos, rho, region, gen)
+    assert _sha256(pos) == digest
+
+
+@pytest.mark.parametrize(
+    "region, rho, digest",
+    [
+        (Region.square(48.0), 8.0, "e5176acb49507883d7479f3e65a17ada43bfda07e4afea6038e0f3c0781f5638"),
+        (Region.disk(24.0), 7.5, "c18762cafca89b94900a0872308a8000649b4fd94dc11f40d95ad1ebe64af394"),
+    ],
+)
+def test_cellular_walk_draws_are_pinned(region, rho, digest):
+    sgrid = build_supercell_grid(region, rho)
+    gen = RngStream(4).generator()
+    pos = _uniform_in_region(2000, region, gen)
+    for _ in range(3):
+        pos = cellular_walk_all(pos, sgrid, region, gen)
+    assert _sha256(pos) == digest
+
+
+def test_stationary_start_draws_are_pinned():
+    digests = iter(
+        (
+            "82b5f599cfee318f9a0f169e9d96d0c7aa80c5a2616408bc4c4f8916ac6b7b94",
+            "17c9b554480066c32c32cc5edff2300ede2932c64a01edc5e48292c3b8d8f144",
+            "4b12ca896519b7b2b82bb554d3d30530b32571d53469f57d01a9fa1ac5b164ad",
+            "a5da63a3b659381937112a452e5a22d4c947c2e780717b8db9bd73541bdc3e12",
+        )
+    )
+    for region, rho in ((Region.square(48.0), 8.0), (Region.disk(24.0), 7.5)):
+        for mode in (MobilityMode.standard(4.0), MobilityMode.cellular(rho)):
+            pos = init_positions(2000, region, mode, RngStream(6))
+            assert _sha256(pos) == next(digests), (region, mode)
+
+
 def _supercell_counts(pos, sgrid):
     cells = sgrid.cells_of(pos)
     assert np.all(sgrid.in_cover(cells[:, 0], cells[:, 1]))
