@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import Region, in_reach, neighbour_blocks
+from .geometry import Region, bucket_side, in_reach, neighbour_blocks
 from .mobility import (
     MobilityMode,
     RngStream,
@@ -144,25 +144,32 @@ class RunRecord:
 # ---------------------------------------------------------------------------
 
 
+def _nearest(counts: np.ndarray, reds: np.ndarray, d2: np.ndarray):
+    """Per query of a neighbour-query chunk: the least squared distance and
+    the lowest red index at that distance."""
+    starts = np.cumsum(counts) - counts
+    best = np.minimum.reduceat(d2, starts)
+    tied = np.flatnonzero(d2 == np.repeat(best, counts))  # at least one per query
+    return best, np.minimum.reduceat(reds[tied], np.searchsorted(tied, starts))
+
+
 def _inform_euclidean(
     positions: np.ndarray, states: np.ndarray, R: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whites within closed distance R of a red, plus their nearest informer.
 
-    Buckets of side R, so only the 3x3 bucket block around a white can hold
-    reds within range; distance ties go to the lowest red index.
+    Buckets of side at least R, so only the 3x3 bucket block around a white
+    can hold reds within range; distance ties go to the lowest red index.
     """
     red_idx = np.flatnonzero(states == RED)
     white_idx = np.flatnonzero(states == WHITE)
     informed, informers = [_NONE], [_NONE]
-    blocks = neighbour_blocks(positions, white_idx, red_idx, R)
-    for w, reds, d2 in blocks:
-        within = in_reach(d2, R)
-        hit = within.any(axis=1)
-        if hit.any():
-            d2[~within] = np.inf
-            informed.append(w[hit])
-            informers.append(reds[np.argmin(d2[hit], axis=1)])
+    side = bucket_side(positions, R)
+    for w, counts, reds, d2 in neighbour_blocks(positions, white_idx, red_idx, side):
+        best, nearest = _nearest(counts, reds, d2)
+        hit = in_reach(best, R)
+        informed.append(w[hit])
+        informers.append(nearest[hit])
     return np.concatenate(informed), np.concatenate(informers)
 
 
@@ -178,9 +185,9 @@ def _inform_same_supercell(
     white_idx = np.flatnonzero(states == WHITE)
     informed, informers = [_NONE], [_NONE]
     blocks = neighbour_blocks(positions, white_idx, red_idx, sgrid.side, sgrid.origin, 0)
-    for w, reds, d2 in blocks:
+    for w, counts, reds, d2 in blocks:
         informed.append(w)
-        informers.append(reds[np.argmin(d2, axis=1)])
+        informers.append(_nearest(counts, reds, d2)[1])
     return np.concatenate(informed), np.concatenate(informers)
 
 
@@ -279,6 +286,10 @@ class Engine:
         pts = np.atleast_2d(np.asarray(params.sources, dtype=float))
         if pts.size == 0:
             raise ConfigurationError("explicit source set is empty")
+        if len(pts) > params.n:
+            raise ConfigurationError(
+                f"{len(pts)} explicit sources but only {params.n} agents to hold them"
+            )
         if not np.all(self.region.contains(pts, tol=1e-9)):
             raise ConfigurationError("source points must lie inside the region")
         # sources materialize as the nearest agents to the requested points

@@ -186,8 +186,9 @@ def isolated_indices(positions: np.ndarray, R: float) -> np.ndarray:
         return np.arange(n)
     agents = np.arange(n)
     reached = np.zeros(n, dtype=np.int64)
-    for q, _, d2 in neighbour_blocks(positions, agents, agents, bucket_side(positions, R)):
-        reached[q] = np.count_nonzero(in_reach(d2, R), axis=1)
+    for q, counts, _, d2 in neighbour_blocks(positions, agents, agents, bucket_side(positions, R)):
+        starts = np.cumsum(counts) - counts
+        reached[q] = np.add.reduceat(in_reach(d2, R), starts, dtype=np.int64)
     return np.flatnonzero(reached < 2)
 
 

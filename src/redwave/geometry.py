@@ -74,7 +74,11 @@ class Region:
         """Vectorized membership test for an (n, 2) array (or a single point)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "square":
-            ok = np.all((pts >= -tol) & (pts <= self.size + tol), axis=1)
+            x, y = pts[:, 0], pts[:, 1]
+            ok = x >= -tol
+            ok &= x <= self.size + tol
+            ok &= y >= -tol
+            ok &= y <= self.size + tol
         else:
             ok = np.einsum("ij,ij->i", pts, pts) <= (self.size + tol) ** 2
         if np.ndim(points) == 1:
@@ -191,44 +195,33 @@ def cell_list(cells: np.ndarray) -> list[CellIndex]:
 # the neighbour query
 # ---------------------------------------------------------------------------
 
-# Mean agents per bucket that reach queries widen their buckets to; the
-# query's per-bucket loop is slow on near-empty buckets.
-_BUCKET_OCCUPANCY = 32
-_BLOCK_ENTRIES = 1 << 20  # largest distance matrix yielded at once
-_KEY_SHIFT = 1 << 32  # bucket key c * 2**32 + r: linear, ordered as (c, r)
+_CHUNK_PAIRS = 1 << 14  # most (query, target) pairs yielded at once
 
 
 def bucket_cells(points: np.ndarray, side: float, origin=(0.0, 0.0)) -> np.ndarray:
     """(n, 2) int indices of the side-``side`` square buckets anchored at
     ``origin`` holding an (n, 2) position array: pure floor division."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.floor((pts - np.asarray(origin)) / side).astype(np.int64)
+    return _floor_div(pts - np.asarray(origin), side)
 
 
-def bucket_keys(cells: np.ndarray) -> np.ndarray:
-    return cells[:, 0] * _KEY_SHIFT + cells[:, 1]
-
-
-def group_by_bucket(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(occupied, order, bounds)``: the distinct bucket keys ascending, and
-    the rows holding ``occupied[i]``, ascending, as ``order[bounds[i]:bounds[i+1]]``."""
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
-    return keys[first], order, np.r_[first, len(keys)]
-
-
-def _find(occupied: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slots of ``keys`` in the ascending ``occupied``, and which are there."""
-    slot = np.minimum(np.searchsorted(occupied, keys), len(occupied) - 1)
-    return slot, occupied[slot] == keys
+def _floor_div(x: np.ndarray, side: float) -> np.ndarray:
+    """floor(x / side) as int64, in place on the float array ``x``."""
+    x /= side
+    return np.floor(x, out=x).astype(np.int64)
 
 
 def bucket_side(positions: np.ndarray, reach: float) -> float:
-    """Bucket side for a reach query: ``reach``, widened until a bucket of the
-    agents' bounding box holds _BUCKET_OCCUPANCY agents on average."""
-    span = np.ptp(positions, axis=0)
-    return max(reach, math.sqrt(_BUCKET_OCCUPANCY * span[0] * span[1] / len(positions)))
+    """Bucket side for a reach query with the 3x3 block: ``reach``, widened to
+    the widest extent of the agents' bounding box over sqrt(n), so that the
+    bucket grid over that box has at most about n cells whatever the reach.
+
+    The 1e-9 relative margin keeps a pair in reach (see :func:`in_reach`)
+    within adjacent buckets although floor division rounds: at side exactly
+    0.2, x = 1.4 and x = 1.6 fall in buckets 6 and 8.
+    """
+    extent = max(np.ptp(positions[:, 0]), np.ptp(positions[:, 1]))
+    return max(reach * (1 + 1e-9), extent / math.sqrt(len(positions)))
 
 
 def in_reach(d2: np.ndarray, reach: float) -> np.ndarray:
@@ -237,44 +230,105 @@ def in_reach(d2: np.ndarray, reach: float) -> np.ndarray:
     return d2 <= reach * reach * (1 + 1e-12)
 
 
+def _by_bucket(keys: np.ndarray, agents: np.ndarray, n: int) -> np.ndarray:
+    """``agents`` (indices below n) ordered by their bucket ``keys``, ascending
+    within a bucket: one sort of the unique values ``key * n + agent``, several
+    times faster than a stable argsort.  Overwrites ``keys``."""
+    keys *= n
+    keys += agents
+    keys.sort()
+    keys %= n
+    return keys
+
+
+def _bucket_grid(pos, targets, side, origin, block):
+    """The query's grid over the agents' buckets, with a margin of ``block``
+    empty buckets on every side: the agents' bucket keys (column * height +
+    row), the height, the targets ordered by bucket, where bucket k holds
+    ``order[start[k] : start[k + 1]]``, and the box sum of the targets'
+    count grid over the ``(2 * block + 1)**2`` buckets around each bucket."""
+    keys, row = (_floor_div(pos[:, axis] - origin[axis], side) for axis in (0, 1))
+    keys -= keys.min() - block
+    row -= row.min() - block
+    width, height = keys.max() + block + 1, row.max() + block + 1
+    keys *= height
+    keys += row
+    grid = np.bincount(keys[targets], minlength=width * height)
+    start = np.zeros(len(grid) + 1, dtype=np.int64)
+    np.cumsum(grid, out=start[1:])
+    w = 2 * block + 1
+    total = np.zeros((width + 1, height + 1), dtype=np.int64)
+    np.cumsum(np.cumsum(grid.reshape(width, height), axis=0), axis=1, out=total[1:, 1:])
+    box = np.zeros((width, height), dtype=np.int64)
+    box[block : width - block, block : height - block] = (
+        total[w:, w:] - total[:-w, w:] - total[w:, :-w] + total[:-w, :-w]
+    )
+    order = _by_bucket(keys[targets], targets, len(pos))
+    return keys, height, order, start, box.ravel()
+
+
 def neighbour_blocks(positions, queries, targets, side, origin=(0.0, 0.0), block=1):
     """The neighbour query: each query agent against the targets near it.
 
-    For each bucket (see :func:`bucket_cells`) holding a query, in ascending
-    (column, row) order, yields ``(q, t, d2)``: the queries in the bucket,
-    the targets in the ``(2 * block + 1)**2`` buckets around it and their
-    ``q x t`` squared distances.  ``queries`` and ``targets`` are ascending
-    index arrays into ``positions`` and ``q``, ``t`` stay ascending, so an
-    ``argmin`` along ``d2`` breaks ties towards the lowest target index.
-    Buckets without a target in their block are skipped; a bucket whose
-    matrix would exceed _BLOCK_ENTRIES is yielded in slices of its queries.
+    Agents are binned into square buckets (see :func:`bucket_cells`); a
+    query's candidates are the targets in the ``(2 * block + 1)**2`` buckets
+    around its own.  Yields flat chunks ``(q, counts, t, d2)``: queries ``q``,
+    grouped by bucket, each with ``counts[i] > 0`` candidates, and the
+    candidate targets ``t`` with their squared distances ``d2``, grouped by
+    query, so that ``np.cumsum(counts) - counts`` are the segment starts for
+    ``reduceat``.  Queries without a candidate are skipped.  A chunk holds
+    at most _CHUNK_PAIRS pairs, unless it is one query with more candidates
+    than that: a query is never split across chunks.
     """
     if len(queries) == 0 or len(targets) == 0:
         return
-    keys = bucket_keys(bucket_cells(positions, side, origin))
-    tkeys, torder, tbounds = group_by_bucket(keys[targets])
-    span = np.arange(-block, block + 1)
-    offsets = (span[:, None] * _KEY_SHIFT + span).ravel()
-    # drop the queries with no target in their block before grouping them
-    queries = queries[_find(np.sort(tkeys[:, None] + offsets, axis=None), keys[queries])[1]]
-    qkeys, qorder, qbounds = group_by_bucket(keys[queries])
-    slot, found = _find(tkeys, qkeys[:, None] + offsets)
-    lo = np.where(found, tbounds[slot], 0).tolist()
-    hi = np.where(found, tbounds[slot + 1], 0).tolist()
-    px, py = positions[:, 0], positions[:, 1]
-    for i in range(len(qkeys)):
-        runs = [torder[a:b] for a, b in zip(lo[i], hi[i]) if b > a]
-        t = targets[np.sort(np.concatenate(runs)) if len(runs) > 1 else runs[0]]
-        q = queries[qorder[qbounds[i] : qbounds[i + 1]]]
-        rows = max(1, _BLOCK_ENTRIES // len(t))
-        for a in range(0, len(q), rows):
-            # in place, so only two q x t temporaries are alive at once
-            d2 = np.subtract.outer(px[q[a : a + rows]], px[t])
-            d2 *= d2
-            dy = np.subtract.outer(py[q[a : a + rows]], py[t])
-            dy *= dy
-            d2 += dy
-            yield q[a : a + rows], t, d2
+    pos = np.asarray(positions, dtype=float)
+    keys, height, order, start, box = _bucket_grid(pos, targets, side, origin, block)
+    queries = queries[box[keys[queries]] > 0]
+    # a bucket's queries share their candidates
+    queries = _by_bucket(keys[queries], queries, len(pos))
+    qkeys = keys[queries]
+    reach = box[qkeys]
+    del keys, box
+    ends = np.cumsum(reach)
+    # in bucket column c + dx, rows r - block .. r + block are one key run
+    w = 2 * block + 1
+    runs = np.arange(-block, block + 1) * height - block
+    xs, ys = pos[:, 0], pos[:, 1]
+    xt, yt = xs[order], ys[order]
+    a = 0
+    while a < len(queries):
+        base = ends[a] - reach[a]
+        b = max(a + 1, int(np.searchsorted(ends, base + _CHUNK_PAIRS, side="right")))
+        if b < len(queries) and qkeys[a] != qkeys[b - 1] == qkeys[b]:
+            # end before a bucket that would be split, so that its chunks
+            # each hold one bucket
+            b = int(np.searchsorted(qkeys, qkeys[b - 1]))
+        q, counts, k = queries[a:b], reach[a:b], qkeys[a:b]
+        if k[0] == k[-1]:
+            # one bucket: a matrix of its queries against its candidates
+            cut = [slice(*r) for r in zip(start[k[0] + runs], start[k[0] + runs + w])]
+            xc, yc, tc = (np.concatenate([v[c] for c in cut]) for v in (xt, yt, order))
+            d2 = np.subtract.outer(xs[q], xc)
+            dy = np.subtract.outer(ys[q], yc)
+            t = np.tile(tc, len(q))
+        else:
+            first = start[k[:, None] + runs].ravel()
+            length = start[k[:, None] + (runs + w)].ravel() - first
+            # run j's targets are order[first[j] : first[j] + length[j]]
+            at = np.repeat(first - (np.cumsum(length) - length), length)
+            at += np.arange(len(at))
+            d2 = np.repeat(xs[q], counts)
+            d2 -= xt[at]
+            dy = np.repeat(ys[q], counts)
+            dy -= yt[at]
+            t = order[at]
+        # in place, so that only two pair-sized float temporaries are alive
+        d2 *= d2
+        dy *= dy
+        d2 += dy
+        yield q, counts, t, d2.ravel()
+        a = b
 
 
 def _cells_across(extent: float, side: float) -> int:

@@ -79,27 +79,39 @@ def build_supercell_grid(
     return build_cell_grid(region, rho, gamma)
 
 
-def rejection_sample(n: int, propose, accept, gen: np.random.Generator) -> np.ndarray:
-    """n points by rejection: ``propose(rows, gen)`` draws one (m, 2)
-    candidate per pending row and ``accept(candidates)`` masks those kept;
-    the other rows draw again, in ascending order, until all are kept."""
-    out = np.empty((n, 2))
-    pending = np.arange(n)
-    for _ in range(_MAX_REJECTIONS):
-        cand = propose(pending, gen)
+def rejection_sample(
+    sources: np.ndarray, propose, accept, gen: np.random.Generator
+) -> np.ndarray:
+    """One point per row of ``sources``, by rejection: ``propose(rows, gen)``
+    draws one (m, 2) candidate per row of the (m, ...) array ``rows`` and
+    ``accept(candidates)`` masks those kept.  The first round proposes from
+    ``sources`` itself and its candidates become the output; the rejected
+    rows draw again, in ascending order, until all are kept."""
+    out = propose(sources, gen)
+    pending = np.flatnonzero(~accept(out))
+    for _ in range(_MAX_REJECTIONS - 1):
+        if not pending.size:
+            break
+        cand = propose(sources[pending], gen)
         ok = accept(cand)
         out[pending[ok]] = cand[ok]
         pending = pending[~ok]
-        if not pending.size:
-            return out
-    raise MobilityError(f"rejection sampling left {pending.size} of {n} rows unplaced")
+    if pending.size:
+        raise MobilityError(
+            f"rejection sampling left {pending.size} of {len(sources)} rows unplaced"
+        )
+    return out
 
 
 def _in_disk(centres: np.ndarray, rho: float, gen: np.random.Generator) -> np.ndarray:
     """One point uniform on B(c, rho) per centre, by the sqrt-radius trick."""
     r = rho * np.sqrt(gen.random(len(centres)))
     theta = gen.random(len(centres)) * 2 * math.pi
-    return centres + np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+    out = np.empty((len(centres), 2))
+    np.multiply(r, np.cos(theta), out=out[:, 0])
+    np.multiply(r, np.sin(theta), out=out[:, 1])
+    out += centres
+    return out
 
 
 def _in_block(points: np.ndarray, sgrid: CellGrid, gen: np.random.Generator) -> np.ndarray:
@@ -119,7 +131,10 @@ def _uniform_in_region(n: int, region: Region, gen: np.random.Generator) -> np.n
     lo = np.array(region.bounds[:2])
     span = np.array(region.bounds[2:]) - lo
     return rejection_sample(
-        n, lambda rows, gen: lo + gen.random((len(rows), 2)) * span, region.contains, gen
+        np.broadcast_to(lo, (n, 2)),
+        lambda corners, gen: corners + gen.random((len(corners), 2)) * span,
+        region.contains,
+        gen,
     )
 
 
@@ -131,9 +146,7 @@ def walk_all(
     above 1/4, so the loop terminates fast."""
     if rho == 0:
         return positions.copy()
-    return rejection_sample(
-        len(positions), lambda rows, gen: _in_disk(positions[rows], rho, gen), region.contains, gen
-    )
+    return rejection_sample(positions, lambda x, gen: _in_disk(x, rho, gen), region.contains, gen)
 
 
 def walk_step(x, rho: float, region: Region, rng) -> np.ndarray:
@@ -151,8 +164,8 @@ def cellular_walk_all(
     """One cellular step for every agent: uniform over union(N(C)) & S,
     drawn from the 3-rho-square block around the agent's supercell."""
     return rejection_sample(
-        len(positions),
-        lambda rows, gen: _in_block(positions[rows], sgrid, gen),
+        positions,
+        lambda x, gen: _in_block(x, sgrid, gen),
         lambda c: _covered(c, sgrid, region),
         gen,
     )
@@ -194,8 +207,9 @@ def init_positions(
             return _covered(x, sgrid, region) & _covered(_in_block(x, sgrid, gen), sgrid, region)
         return region.contains(_in_disk(x, mobility.rho, gen))
 
+    # the rows carry nothing: each proposal is a fresh uniform point
     pos = rejection_sample(
-        n, lambda rows, gen: _uniform_in_region(len(rows), region, gen), accept, gen
+        np.empty((n, 0)), lambda rows, gen: _uniform_in_region(len(rows), region, gen), accept, gen
     )
     for _ in range(burn_in):
         if cellular:

@@ -368,6 +368,13 @@ def test_main_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_main_more_sources_than_agents(tmp_path, capsys):
+    text = MINIMAL.replace("n = 40", "n = 2") + "sources = 1,1;2,2;3,3\n"
+    cfg = write(tmp_path, text)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "3 explicit sources but only 2 agents" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["cell_side", "gamma"])
 def test_main_non_numeric_instrumentation_value(tmp_path, capsys, key):
     text = (CONFIGS / "regularity.ini").read_text()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from redwave import epidemic
+from redwave import epidemic, geometry
 from redwave.cli import parse_config
 from redwave.epidemic import (
     BLACK,
@@ -24,7 +24,11 @@ from redwave.epidemic import (
     transmission_phase,
 )
 from redwave.errors import ConfigurationError
-from redwave.experiments import multi_source_run
+from redwave.experiments import (
+    isolated_indices,
+    isolated_indices_bruteforce,
+    multi_source_run,
+)
 from redwave.geometry import Region
 from redwave.mobility import MobilityMode, RngStream, build_supercell_grid
 from tests.conftest import make_snapshot
@@ -295,6 +299,31 @@ def test_transmit_kernels_match_all_pairs_oracle(agents):
     assert_same_inform(
         _inform_euclidean(positions, states, _R), euclidean_oracle(positions, states, _R)
     )
+
+
+@pytest.mark.parametrize("cap", [1, 7, 50])
+def test_kernels_and_isolation_match_oracles_in_small_chunks(monkeypatch, cap):
+    # chunks of a few pairs end inside a bucket's run of queries, and a
+    # white beside a crowd of 60 has more candidates than a chunk holds
+    monkeypatch.setattr(geometry, "_CHUNK_PAIRS", cap)
+    gen = RngStream(cap).generator()
+    sgrid = build_supercell_grid(Region.square(_L), _RHO)
+    crowd = np.r_[gen.random((300, 2)) * _L, 20.0 + gen.random((60, 2))]
+    # duplicates and exact distance ties on a half-unit lattice
+    lattice = gen.integers(0, 97, (360, 2)) / 2
+    states = gen.choice([WHITE, RED, BLACK], size=360, p=[0.5, 0.4, 0.1]).astype(np.int8)
+    for pos in (crowd, lattice):
+        assert_same_inform(_inform_euclidean(pos, states, _R), euclidean_oracle(pos, states, _R))
+        assert_same_inform(
+            _inform_same_supercell(pos, states, sgrid), same_supercell_oracle(pos, states, sgrid)
+        )
+        for R in (0.5, 2.0):
+            assert np.array_equal(isolated_indices(pos, R), isolated_indices_bruteforce(pos, R))
+        # no white, or no red: nobody is informed
+        for only in (RED, WHITE):
+            uniform = np.full(len(pos), only, dtype=np.int8)
+            assert _inform_euclidean(pos, uniform, _R)[0].size == 0
+            assert _inform_same_supercell(pos, uniform, sgrid)[0].size == 0
 
 
 def test_cellular_run_matches_all_pairs_oracle(monkeypatch):

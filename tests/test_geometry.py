@@ -8,17 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from redwave import geometry
 from redwave.errors import ConfigurationError, GeometryError
 from redwave.geometry import (
     _ADJ8,
     CellGrid,
     Region,
+    bucket_cells,
     build_cell_grid,
     cell_diameter,
     cell_distance,
     cell_of,
     eccentricity,
     neighborhood,
+    neighbour_blocks,
 )
 
 
@@ -322,3 +325,59 @@ def test_neighborhood_contains_self_and_bounded(data, disk_grid):
     assert c in nb
     assert 1 <= len(nb) <= 9
     assert nb <= disk_grid.cover
+
+
+# ---------------------------------------------------------------------------
+# the neighbour query
+# ---------------------------------------------------------------------------
+
+
+def oracle_candidates(positions, queries, targets, side, origin, block):
+    """Each query's targets at most ``block`` buckets away in both axes, from
+    the bucket indices of every (query, target) pair."""
+    cells = bucket_cells(positions, side, origin)
+    gap = np.abs(cells[queries, None, :] - cells[None, targets, :]).max(axis=2)
+    near = gap <= block
+    return {int(q): set(targets[row].tolist()) for q, row in zip(queries, near) if row.any()}
+
+
+@pytest.mark.parametrize("cap", [1, 5, 64, 1 << 14])
+@pytest.mark.parametrize("block", [0, 1])
+def test_neighbour_blocks_matches_bucket_oracle(monkeypatch, cap, block):
+    monkeypatch.setattr(geometry, "_CHUNK_PAIRS", cap)
+    gen = np.random.default_rng(7 * cap + block)
+    # sparse agents on both sides of the origin, and a crowd of 40 in one
+    # bucket: a query next to it has more candidates than small chunks hold
+    positions = np.r_[gen.random((150, 2)) * 40 - 20, gen.random((40, 2)) * 0.5 + 3.0]
+    queries = np.sort(gen.choice(190, 120, replace=False))
+    targets = np.sort(gen.choice(190, 100, replace=False))
+    side, origin = 2.5, (-1.0, 0.5)
+    expected = oracle_candidates(positions, queries, targets, side, origin, block)
+    chunks = list(neighbour_blocks(positions, queries, targets, side, origin, block))
+    got = {}
+    for q, counts, t, d2 in chunks:
+        assert np.all(counts > 0) and len(t) == len(d2) == counts.sum()
+        # no chunk exceeds the cap, unless it is a single query over it
+        assert len(t) <= max(cap, counts.max())
+        assert len(q) == 1 or len(t) <= cap
+        bounds = np.cumsum(counts)[:-1]
+        for query, seg, dd in zip(q, np.split(t, bounds), np.split(d2, bounds)):
+            dx = positions[query, 0] - positions[seg, 0]
+            dy = positions[query, 1] - positions[seg, 1]
+            assert np.array_equal(dd, dx * dx + dy * dy)
+            assert len(set(seg.tolist())) == len(seg)
+            got[int(query)] = set(seg.tolist())
+    assert got == expected
+    # each query with a candidate comes in exactly one chunk
+    yielded = np.concatenate([q for q, _, _, _ in chunks])
+    assert sorted(yielded.tolist()) == sorted(expected)
+    if cap < 40:
+        assert any(len(q) == 1 and len(t) > cap for q, _, t, _ in chunks)
+
+
+def test_neighbour_blocks_empty_sets():
+    positions = np.random.default_rng(0).random((10, 2))
+    none, every = np.empty(0, dtype=np.int64), np.arange(10)
+    assert list(neighbour_blocks(positions, none, every, 0.3)) == []
+    assert list(neighbour_blocks(positions, every, none, 0.3)) == []
+    assert list(neighbour_blocks(positions, none, none, 0.3, block=0)) == []
