@@ -202,13 +202,7 @@ def bucket_cells(points: np.ndarray, side: float, origin=(0.0, 0.0)) -> np.ndarr
     """(n, 2) int indices of the side-``side`` square buckets anchored at
     ``origin`` holding an (n, 2) position array: pure floor division."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return _floor_div(pts - np.asarray(origin), side)
-
-
-def _floor_div(x: np.ndarray, side: float) -> np.ndarray:
-    """floor(x / side) as int64, in place on the float array ``x``."""
-    x /= side
-    return np.floor(x, out=x).astype(np.int64)
+    return np.floor((pts - np.asarray(origin)) / side).astype(np.int64)
 
 
 def bucket_side(positions: np.ndarray, reach: float) -> float:
@@ -247,7 +241,7 @@ def _bucket_grid(pos, targets, side, origin, block):
     row), the height, the targets ordered by bucket, where bucket k holds
     ``order[start[k] : start[k + 1]]``, and the box sum of the targets'
     count grid over the ``(2 * block + 1)**2`` buckets around each bucket."""
-    keys, row = (_floor_div(pos[:, axis] - origin[axis], side) for axis in (0, 1))
+    keys, row = (np.floor((pos[:, i] - origin[i]) / side).astype(np.int64) for i in (0, 1))
     keys -= keys.min() - block
     row -= row.min() - block
     width, height = keys.max() + block + 1, row.max() + block + 1

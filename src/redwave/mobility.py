@@ -79,9 +79,7 @@ def build_supercell_grid(
     return build_cell_grid(region, rho, gamma)
 
 
-def rejection_sample(
-    sources: np.ndarray, propose, accept, gen: np.random.Generator
-) -> np.ndarray:
+def rejection_sample(sources, propose, accept, gen: np.random.Generator) -> np.ndarray:
     """One point per row of ``sources``, by rejection: ``propose(rows, gen)``
     draws one (m, 2) candidate per row of the (m, ...) array ``rows`` and
     ``accept(candidates)`` masks those kept.  The first round proposes from

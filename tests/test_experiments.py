@@ -205,7 +205,7 @@ def test_isolated_hash_matches_bruteforce():
     single = [(np.array([[3.0, 4.0]]), 1.0)]
     # the side is R up to its rounding margin when R buckets are not too many
     assert all(R < bucket_side(pos, R) <= R * (1 + 1e-8) for pos, R in sparse)
-    # a dense cluster widens it: at most sqrt(n) + 1 buckets across the
+    # a dense cluster widens it: at most ceil(sqrt(n)) + 1 buckets across the
     # agents, plus the query's margin of one empty bucket on either side
     for pos, R in dense:
         across = np.ptp(bucket_cells(pos, bucket_side(pos, R)), axis=0) + 3
