@@ -241,6 +241,8 @@ def _bucket_grid(pos, targets, side, origin, block):
     row), the height, the targets ordered by bucket, where bucket k holds
     ``order[start[k] : start[k + 1]]``, and the box sum of the targets'
     count grid over the ``(2 * block + 1)**2`` buckets around each bucket."""
+    # bucket column and row as bucket_cells computes them, the column
+    # becoming the key
     keys, row = (np.floor((pos[:, i] - origin[i]) / side).astype(np.int64) for i in (0, 1))
     keys -= keys.min() - block
     row -= row.min() - block
@@ -250,6 +252,7 @@ def _bucket_grid(pos, targets, side, origin, block):
     grid = np.bincount(keys[targets], minlength=width * height)
     start = np.zeros(len(grid) + 1, dtype=np.int64)
     np.cumsum(grid, out=start[1:])
+    # the box sums from the grid's summed-area table
     w = 2 * block + 1
     total = np.zeros((width + 1, height + 1), dtype=np.int64)
     np.cumsum(np.cumsum(grid.reshape(width, height), axis=0), axis=1, out=total[1:, 1:])
