@@ -51,7 +51,7 @@ _SCHEMA = {
         "max_steps",
         "regime",
     },
-    "mobility": {"mode", "rho", "burn_in"},
+    "mobility": {"mode", "rho"},
     "instrumentation": {"cell_side", "gamma"},
     "experiment": {"sweep_axis", "sweep_values", "replicas", "seed"},
 }
@@ -129,6 +129,8 @@ def _read_config(path: str) -> tuple[configparser.ConfigParser, dict[str, float]
         if cp.has_section("instrumentation"):
             for key in cp["instrumentation"]:
                 opts[key] = cp.getfloat("instrumentation", key)
+                if not math.isfinite(opts[key]):
+                    raise ConfigurationError(f"[instrumentation] {key} must be finite")
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
@@ -151,7 +153,6 @@ def parse_config(path: str):
         mode = cp.get("mobility", "mode", fallback="standard")
         rho = cp.getfloat("mobility", "rho", fallback=0.0)
         mobility = MobilityMode(mode, rho)
-        burn_in = cp.getint("mobility", "burn_in", fallback=0)
 
         if cp.getboolean("agents", "density_one", fallback=False):
             n = max(1, int(math.floor(region.area)))
@@ -182,7 +183,6 @@ def parse_config(path: str):
             sources=sources,
             seed=seed,
             max_steps=cp.getint("protocol", "max_steps", fallback=10_000),
-            burn_in=burn_in,
         )
     except (configparser.Error, ValueError) as exc:
         raise ConfigurationError(f"invalid config value: {exc}") from exc
@@ -233,8 +233,6 @@ def emit_config(params: SimParams, path: str) -> None:
         "max_steps": str(params.max_steps),
     }
     cp["mobility"] = {"mode": params.mobility.kind, "rho": _fmt(params.mobility.rho)}
-    if params.burn_in:
-        cp["mobility"]["burn_in"] = str(params.burn_in)
     cp["experiment"] = {"seed": str(params.seed)}
     with open(path, "w") as fh:
         cp.write(fh)
@@ -514,12 +512,13 @@ def main(argv: list[str] | None = None) -> int:
         elif args.verb == "isolated":
             if isinstance(parsed, ExperimentPlan):
                 parsed = parsed.base
+            if args.trials < 1:
+                raise ConfigurationError(f"--trials must be at least 1, got {args.trials}")
             total = 0
             bound = 0.0
             for trial in range(args.trials):
-                res = isolated_count(
-                    parsed.n, parsed.R, parsed.region, RngStream(parsed.seed + trial)
-                )
+                gen = RngStream(parsed.seed + trial).generator()
+                res = isolated_count(parsed.n, parsed.R, parsed.region, gen)
                 total += res.count
                 bound = res.bound
             mean = total / args.trials

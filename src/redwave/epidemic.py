@@ -23,7 +23,6 @@ from .geometry import Region, bucket_side, in_reach, neighbour_blocks
 from .mobility import (
     MobilityMode,
     RngStream,
-    as_generator,
     build_supercell_grid,
     cellular_walk_all,
     init_positions,
@@ -50,17 +49,18 @@ class SimParams:
     sources: object = "random"  # "random" or explicit sequence of points
     seed: int = 0
     max_steps: int = 10_000
-    burn_in: int = 0  # extra mobility steps after the stationary start
 
     def __post_init__(self) -> None:
-        if self.R <= 0:
-            raise ConfigurationError("transmission radius R must be positive")
+        if not (math.isfinite(self.R) and self.R > 0):
+            raise ConfigurationError("transmission radius R must be finite and positive")
         if self.n < 1:
             raise ConfigurationError("need at least one agent")
         if self.k < 1:
             raise ConfigurationError("k must be a positive integer")
         if self.max_steps < 1:
             raise ConfigurationError("max_steps must be at least 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if self.phase_order not in ("transmit_then_move", "move_then_transmit"):
             raise ConfigurationError(f"unknown phase order {self.phase_order!r}")
         if self.transmission_scope not in ("euclidean", "same_supercell"):
@@ -258,10 +258,8 @@ class Engine:
             if not np.all(self.region.contains(pos)):
                 raise ConfigurationError("initial positions must lie inside the region")
         else:
-            placement = RngStream(params.seed, PLACEMENT)
-            pos = init_positions(
-                params.n, self.region, params.mobility, placement, params.burn_in, self.sgrid
-            )
+            placement = RngStream(params.seed, PLACEMENT).generator()
+            pos = init_positions(params.n, self.region, params.mobility, placement, self.sgrid)
         n = params.n
         self.snapshot = Snapshot(
             step=0,
@@ -316,24 +314,6 @@ class Engine:
             self.chain_violations += transmit(self.snapshot, self.params, self.sgrid, t)
         self.snapshot.step = t
         return self.snapshot
-
-
-def transmission_phase(snapshot: Snapshot, params: SimParams, grid=None) -> Snapshot:
-    """Standalone transmission phase on a snapshot copy (for tests/audits)."""
-    out = snapshot.copy()
-    out.step = snapshot.step + 1
-    transmit(out, params, grid, out.step)
-    return out
-
-
-def move_phase(snapshot: Snapshot, params: SimParams, rng) -> Snapshot:
-    """Standalone move phase: every agent steps independently, states unchanged."""
-    out = snapshot.copy()
-    sgrid = None
-    if params.mobility.kind == "cellular":
-        sgrid = build_supercell_grid(params.region, params.mobility.rho)
-    move(out, params, sgrid, as_generator(rng))
-    return out
 
 
 def run(

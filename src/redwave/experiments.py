@@ -12,7 +12,7 @@ import numpy as np
 from .epidemic import RunRecord, SimParams, run
 from .errors import ConfigurationError, GeometryError
 from .geometry import Region, bucket_side, eccentricity, in_reach, neighbour_blocks
-from .mobility import RngStream, _uniform_in_region, as_generator
+from .mobility import RngStream, _uniform_in_region
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,6 @@ class PointSummary:
         if not times:
             return math.nan
         return float(np.median(times))
-
-    def quantile_completion(self, q: float) -> float:
-        times = self.completed_times
-        if not times:
-            return math.nan
-        return float(np.quantile(times, q))
 
 
 @dataclass
@@ -199,10 +193,10 @@ class IsolatedResult:
     positions: np.ndarray
 
 
-def isolated_count(n: int, R: float, region: Region, rng) -> IsolatedResult:
+def isolated_count(n: int, R: float, region: Region, gen: np.random.Generator) -> IsolatedResult:
     """Count isolated agents among n uniform placements, plus the analytic
     expected-count lower bound for the sqrt(n)-square setting."""
-    pos = _uniform_in_region(n, region, as_generator(rng))
+    pos = _uniform_in_region(n, region, gen)
     idx = isolated_indices(pos, R)
     return IsolatedResult(count=len(idx), bound=isolated_bound(n, R), positions=pos)
 

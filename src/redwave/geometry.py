@@ -25,6 +25,9 @@ _ADJ8 = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
 _AREA_SAMPLES_PER_SIDE = 32
 _KNIFE_EDGE_MARGIN = 2.0 / (_AREA_SAMPLES_PER_SIDE**2)
 
+# Lattice spacing of the eccentricity estimate: diameter / _LATTICE_POINTS.
+_LATTICE_POINTS = 1000
+
 
 @dataclass(frozen=True)
 class Region:
@@ -39,8 +42,8 @@ class Region:
     def __post_init__(self) -> None:
         if self.kind not in ("square", "disk"):
             raise ConfigurationError(f"unknown region kind {self.kind!r}")
-        if self.size <= 0:
-            raise ConfigurationError("region size must be positive")
+        if not (math.isfinite(self.size) and self.size > 0):
+            raise ConfigurationError("region size must be finite and positive")
 
     @staticmethod
     def square(side: float) -> "Region":
@@ -180,10 +183,6 @@ class CellGrid:
         flat = np.asarray(states, dtype=np.intp) * size + self.owners_of(positions)
         counts = np.bincount(flat, minlength=3 * size)
         return counts.reshape((3,) + self.mask.shape)
-
-    def cell_center(self, c: CellIndex) -> tuple[float, float]:
-        ox, oy = self.origin
-        return (ox + (c[0] + 0.5) * self.side, oy + (c[1] + 0.5) * self.side)
 
 
 def cell_list(cells: np.ndarray) -> list[CellIndex]:
@@ -375,8 +374,8 @@ def build_cell_grid(region: Region, side: float, gamma: float) -> CellGrid:
     area lies within the sampling tolerance of the threshold are flagged as
     knife-edge.
     """
-    if side <= 0:
-        raise ConfigurationError("cell side must be positive")
+    if not (math.isfinite(side) and side > 0):
+        raise ConfigurationError("cell side must be finite and positive")
     if not (0 < gamma <= 1):
         raise ConfigurationError("gamma must be in (0, 1]")
     if side >= region.diameter:
@@ -431,19 +430,6 @@ def build_cell_grid(region: Region, side: float, gamma: float) -> CellGrid:
     return grid
 
 
-def cell_of(point, grid: CellGrid) -> CellIndex:
-    """The covered cell owning ``point``; errors if the point is outside S.
-
-    A point in an uncovered boundary cell belongs to the nearest covered cell
-    (see ``CellGrid.owner``).
-    """
-    pt = np.asarray(point, dtype=float)
-    if not grid.region.contains(pt):
-        raise GeometryError(f"point {tuple(pt)} outside region")
-    c, r = np.unravel_index(grid.owners_of(pt)[0], grid.mask.shape)
-    return (int(c), int(r))
-
-
 def neighborhood(c: CellIndex, grid: CellGrid) -> set[CellIndex]:
     """N(c): the cell itself plus its covered side/corner neighbors."""
     if c not in grid.cover:
@@ -494,11 +480,11 @@ def cell_diameter(grid: CellGrid) -> int:
     return best
 
 
-def eccentricity(A, region: Region, lattice_points: int = 1000) -> float:
+def eccentricity(A, region: Region) -> float:
     """max over S of the distance to the nearest point of A.
 
     Lattice approximation: S is sampled on a deterministic grid with spacing
-    at most ``diameter / lattice_points``, so the result underestimates the
+    at most ``diameter / _LATTICE_POINTS``, so the result underestimates the
     true eccentricity by at most one lattice spacing.
     """
     pts = np.atleast_2d(np.asarray(A, dtype=float))
@@ -507,7 +493,7 @@ def eccentricity(A, region: Region, lattice_points: int = 1000) -> float:
     if not np.all(region.contains(pts, tol=1e-9)):
         raise GeometryError("source set not contained in region")
 
-    spacing = region.diameter / lattice_points
+    spacing = region.diameter / _LATTICE_POINTS
     xmin, ymin, xmax, ymax = region.bounds
     xs = np.arange(xmin, xmax + spacing / 2, spacing)
     ys = np.arange(ymin, ymax + spacing / 2, spacing)

@@ -190,13 +190,6 @@ def red_close_cells(
     return set(cell_list(_red_close(_state_grid(cellstates, grid))))
 
 
-def rho_close(a: CellIndex, b: CellIndex, grid: CellGrid, rho: float) -> bool:
-    """Whether the geometric centers of two cells are within distance rho."""
-    ax, ay = grid.cell_center(a)
-    bx, by = grid.cell_center(b)
-    return math.hypot(ax - bx, ay - by) <= rho * (1 + 1e-12)
-
-
 def wavefront_distances(
     cellstates: Mapping[CellIndex, CellState], grid: CellGrid
 ) -> CellMap:

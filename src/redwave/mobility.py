@@ -32,12 +32,6 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-def as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    return rng
-
-
 @dataclass(frozen=True)
 class MobilityMode:
     """Movement model: "standard" (disk jumps) or "cellular" (supercell jumps)."""
@@ -48,8 +42,8 @@ class MobilityMode:
     def __post_init__(self) -> None:
         if self.kind not in ("standard", "cellular"):
             raise ConfigurationError(f"unknown mobility kind {self.kind!r}")
-        if self.rho < 0:
-            raise ConfigurationError("move radius must be non-negative")
+        if not (math.isfinite(self.rho) and self.rho >= 0):
+            raise ConfigurationError("move radius must be finite and non-negative")
 
     @staticmethod
     def standard(rho: float) -> "MobilityMode":
@@ -60,23 +54,12 @@ class MobilityMode:
         return MobilityMode("cellular", rho)
 
 
-def build_supercell_grid(
-    region: Region, rho: float, gamma: float = 0.5, cell_side: float | None = None
-) -> CellGrid:
-    """Side-rho partition used by the cellular walk.
-
-    When an analysis cell side is given, rho must be an integer multiple of
-    it so the supercell grid is a supergrid of the cell grid.
-    """
+def build_supercell_grid(region: Region, rho: float) -> CellGrid:
+    """Side-rho partition used by the cellular walk: supercells that S
+    covers at least half of."""
     if rho <= 0:
         raise ConfigurationError("cellular mobility requires rho > 0")
-    if cell_side is not None:
-        ratio = rho / cell_side
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ConfigurationError(
-                f"supercell side {rho} is not an integer multiple of cell side {cell_side}"
-            )
-    return build_cell_grid(region, rho, gamma)
+    return build_cell_grid(region, rho, 0.5)
 
 
 def rejection_sample(sources, propose, accept, gen: np.random.Generator) -> np.ndarray:
@@ -147,15 +130,6 @@ def walk_all(
     return rejection_sample(positions, lambda x, gen: _in_disk(x, rho, gen), region.contains, gen)
 
 
-def walk_step(x, rho: float, region: Region, rng) -> np.ndarray:
-    """Single-agent standard step: uniform on B(x, rho) & S."""
-    gen = as_generator(rng)
-    x = np.asarray(x, dtype=float)
-    if not region.contains(x):
-        raise MobilityError(f"walk_step start {tuple(x)} outside region")
-    return walk_all(x[None, :], rho, region, gen)[0]
-
-
 def cellular_walk_all(
     positions: np.ndarray, sgrid: CellGrid, region: Region, gen: np.random.Generator
 ) -> np.ndarray:
@@ -169,33 +143,20 @@ def cellular_walk_all(
     )
 
 
-def cellular_walk_step(x, sgrid: CellGrid, region: Region, rng) -> np.ndarray:
-    """Single-agent cellular step: uniform over the covered neighborhood of
-    the agent's supercell, intersected with S."""
-    gen = as_generator(rng)
-    x = np.asarray(x, dtype=float)
-    if not region.contains(x):
-        raise MobilityError(f"cellular_walk_step start {tuple(x)} outside region")
-    return cellular_walk_all(x[None, :], sgrid, region, gen)[0]
-
-
 def init_positions(
     n: int,
     region: Region,
     mobility: MobilityMode,
-    rng,
-    burn_in: int = 0,
+    gen: np.random.Generator,
     sgrid: CellGrid | None = None,
 ) -> np.ndarray:
-    """n independent draws from the walk's stationary distribution, then
-    ``burn_in`` extra steps.  Both walks have a symmetric kernel, so the
-    stationary density at x is proportional to the area one step from x
-    reaches: |B(x, rho) & S|, or |union(N(C(x))) & S| for the cellular walk.
-    x uniform on S is kept iff it is in the walk's support and one step
-    proposed from x is accepted."""
+    """n independent draws from the walk's stationary distribution.  Both
+    walks have a symmetric kernel, so the stationary density at x is
+    proportional to the area one step from x reaches: |B(x, rho) & S|, or
+    |union(N(C(x))) & S| for the cellular walk.  x uniform on S is kept iff
+    it is in the walk's support and one step proposed from x is accepted."""
     if n < 1:
         raise ConfigurationError("need at least one agent")
-    gen = as_generator(rng)
     cellular = mobility.kind == "cellular"
     if cellular and sgrid is None:
         sgrid = build_supercell_grid(region, mobility.rho)
@@ -206,12 +167,6 @@ def init_positions(
         return region.contains(_in_disk(x, mobility.rho, gen))
 
     # the rows carry nothing: each proposal is a fresh uniform point
-    pos = rejection_sample(
+    return rejection_sample(
         np.empty((n, 0)), lambda rows, gen: _uniform_in_region(len(rows), region, gen), accept, gen
     )
-    for _ in range(burn_in):
-        if cellular:
-            pos = cellular_walk_all(pos, sgrid, region, gen)
-        else:
-            pos = walk_all(pos, mobility.rho, region, gen)
-    return pos

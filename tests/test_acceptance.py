@@ -229,9 +229,8 @@ def test_ac6_sub_threshold_radius():
     trials = 200
     total = 0
     for t in range(trials):
-        total += isolated_count(
-            params.n, params.R, params.region, RngStream(params.seed + t)
-        ).count
+        gen = RngStream(params.seed + t).generator()
+        total += isolated_count(params.n, params.R, params.region, gen).count
     mean = total / trials
     bound = isolated_bound(params.n, params.R)
     floor = max(1.0, 0.9 * bound)

@@ -1,6 +1,7 @@
 """Config files, trace/summary emission, and the command-line entry point."""
 
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -48,6 +49,13 @@ def write(tmp_path, text, name="config.ini"):
     return str(path)
 
 
+def _with_value(text, key, value):
+    """``text`` with the line setting ``key`` replaced by ``key = value``."""
+    return "\n".join(
+        f"{key} = {value}" if line.startswith(f"{key} =") else line for line in text.splitlines()
+    )
+
+
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
@@ -64,7 +72,6 @@ def test_parse_minimal_config_defaults(tmp_path):
     assert params.phase_order == "transmit_then_move"
     assert params.sources == "random"
     assert params.seed == 0
-    assert params.burn_in == 0
 
 
 def test_parse_density_one(tmp_path):
@@ -145,7 +152,6 @@ def test_config_round_trip(tmp_path):
         mobility=MobilityMode.standard(0.625),
         sources=[(1.25, 2.5)],
         seed=11,
-        burn_in=7,
     )
     path = str(tmp_path / "emitted.ini")
     emit_config(params, path)
@@ -377,13 +383,54 @@ def test_main_more_sources_than_agents(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["cell_side", "gamma"])
 def test_main_non_numeric_instrumentation_value(tmp_path, capsys, key):
-    text = (CONFIGS / "regularity.ini").read_text()
-    text = "\n".join(
-        f"{key} = abc" if line.startswith(f"{key} =") else line for line in text.splitlines()
-    )
+    text = _with_value((CONFIGS / "regularity.ini").read_text(), key, "abc")
     cfg = write(tmp_path, text)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "config error: invalid config value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["size", "r", "rho", "cell_side"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_main_non_finite_number(tmp_path, capsys, key, value):
+    text = _with_value((CONFIGS / "regularity.ini").read_text(), key, value)
+    cfg = write(tmp_path, text)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trace.ndjson").exists()
+
+
+def test_main_non_finite_cell_side_under_sec5(tmp_path, capsys):
+    text = MINIMAL.replace("r = 4.0", "r = 2.0") + (
+        "regime = sec5\n\n[mobility]\nmode = cellular\nrho = 12\n"
+        "\n[instrumentation]\ncell_side = nan\n"
+    )
+    cfg = write(tmp_path, text)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "cell_side must be finite" in capsys.readouterr().err
+
+
+def test_main_negative_seed(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("REDWAVE_SEED", raising=False)
+    cfg = write(tmp_path, MINIMAL)
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg, "--seed", "-1", "--out", out]) == EXIT_CONFIG
+    plan = write(tmp_path, MINIMAL + "\n[experiment]\nreplicas = 2\nseed = -2\n", "plan.ini")
+    assert main(["sweep", "--config", plan, "--out", out]) == EXIT_CONFIG
+    monkeypatch.setenv("REDWAVE_SEED", "-3")
+    assert main(["sweep", "--config", str(CONFIGS / "scaling.ini"), "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("seed must be non-negative") == 3
+    assert not (tmp_path / "out" / "trace.ndjson").exists()
+    assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_main_isolated_needs_a_trial(tmp_path, capsys, trials):
+    cfg = write(tmp_path, MINIMAL)
+    assert main(["isolated", "--config", cfg, "--trials", trials]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "--trials must be at least 1" in captured.err
+    assert "mean_isolated" not in captured.out
 
 
 def test_main_expect_completion_failure(tmp_path):
@@ -442,3 +489,59 @@ def test_main_audit_needs_cell_side(tmp_path):
     rows = [json.loads(line) for line in open(tmp_path / "a" / "audit.ndjson")]
     assert all(row["cells"] is not None for row in rows)
     assert all(row["regular"] in (True, False) for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs: a refactor that leaves the RNG stream alone leaves these
+# bytes alone
+# ---------------------------------------------------------------------------
+
+_PINNED_TRACES = {
+    "ndjson": "cca837222ffefa8c6ad1bfa71b9b16dbbdc10824dc233b1db04402b047a284f9",
+    "csv": "8a03dfe5dc37bd6133cd5bb83e79b8b873e1a71da927433f2db85a9c171a02c4",
+}
+
+_PINNED_SWEEP = "76afa107724d95de87250dd132e7b20eca85223e816e0374f122217141961cc5"
+
+SAME_SUPERCELL_SWEEP = """\
+[region]
+kind = square
+size = 48
+
+[agents]
+density_one = true
+
+[protocol]
+r = 3
+phase_order = move_then_transmit
+transmission_scope = same_supercell
+
+[mobility]
+mode = cellular
+rho = 12
+
+[experiment]
+replicas = 2
+seed = 5
+"""
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+def test_run_trace_bytes_are_pinned(tmp_path, fmt, monkeypatch):
+    monkeypatch.delenv("REDWAVE_SEED", raising=False)
+    cfg = str(CONFIGS / "regularity.ini")
+    out = tmp_path / "o"
+    args = ["run", "--config", cfg, "--seed", "3", "--dump-cells", "each"]
+    assert main(args + ["--format", fmt, "--out", str(out)]) == EXIT_OK
+    assert _sha256(out / f"trace.{fmt}") == _PINNED_TRACES[fmt]
+
+
+def test_sweep_summary_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.delenv("REDWAVE_SEED", raising=False)
+    cfg = write(tmp_path, SAME_SUPERCELL_SWEEP)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == EXIT_OK
+    assert _sha256(tmp_path / "s" / "summary.csv") == _PINNED_SWEEP

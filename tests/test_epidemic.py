@@ -19,9 +19,9 @@ from redwave.epidemic import (
     SimParams,
     _inform_euclidean,
     _inform_same_supercell,
-    move_phase,
+    move,
     run,
-    transmission_phase,
+    transmit,
 )
 from redwave.errors import ConfigurationError
 from redwave.experiments import (
@@ -73,25 +73,25 @@ def test_params_validation():
 
 def test_transmission_no_reds_is_inert():
     snap = make_snapshot([(1.0, 1.0), (2.0, 2.0)], [WHITE, BLACK])
-    out = transmission_phase(snap, params())
-    assert list(out.states) == [WHITE, BLACK]
-    assert out.step == snap.step + 1
+    assert transmit(snap, params(), None, 1) == 0
+    assert list(snap.states) == [WHITE, BLACK]
+    assert list(snap.informed_at) == [-1, 0]
 
 
 def test_transmission_closed_ball_boundary():
     # white exactly at distance R: the closed-ball decision informs it
     R = 3.0
     snap = make_snapshot([(0.0, 0.0), (R, 0.0)], [RED, WHITE])
-    out = transmission_phase(snap, params(R=R))
-    assert out.states[1] == RED
-    assert out.informed_at[1] == 1
-    assert out.informer[1] == 0
+    transmit(snap, params(R=R), None, 1)
+    assert snap.states[1] == RED
+    assert snap.informed_at[1] == 1
+    assert snap.informer[1] == 0
 
 
 def test_transmission_beyond_radius():
     snap = make_snapshot([(0.0, 0.0), (3.1, 0.0)], [RED, WHITE])
-    out = transmission_phase(snap, params(R=3.0))
-    assert out.states[1] == WHITE
+    transmit(snap, params(R=3.0), None, 1)
+    assert snap.states[1] == WHITE
 
 
 def test_transmission_same_supercell_scope():
@@ -106,33 +106,33 @@ def test_transmission_same_supercell_scope():
     )
     # distance 0.1 R, but on opposite sides of the x=12 supercell border
     snap = make_snapshot([(11.8, 6.0), (12.4, 6.0)], [RED, WHITE])
-    out = transmission_phase(snap, p, grid=sgrid)
-    assert out.states[1] == WHITE
+    transmit(snap, p, sgrid, 1)
+    assert snap.states[1] == WHITE
     # same supercell, any in-cell distance: informed
     snap = make_snapshot([(12.5, 6.0), (23.0, 11.0)], [RED, WHITE])
-    out = transmission_phase(snap, p, grid=sgrid)
-    assert out.states[1] == RED
+    transmit(snap, p, sgrid, 1)
+    assert snap.states[1] == RED
 
 
 def test_newly_informed_do_not_relay_within_a_step():
     # chain A(red) - B - C with |AB| <= R, |BC| <= R, |AC| > R:
     # B is informed during the step, C must wait for the next one
     snap = make_snapshot([(0.0, 0.0), (2.5, 0.0), (5.0, 0.0)], [RED, WHITE, WHITE])
-    out = transmission_phase(snap, params(n=3, R=3.0))
-    assert out.states[1] == RED
-    assert out.states[2] == WHITE
+    transmit(snap, params(n=3, R=3.0), None, 1)
+    assert snap.states[1] == RED
+    assert snap.states[2] == WHITE
 
 
 def test_red_countdown_expiry():
     snap = make_snapshot([(0.0, 0.0)], [RED])
-    out = transmission_phase(snap, params(n=1, k=1))
-    assert out.states[0] == BLACK
+    transmit(snap, params(n=1, k=1), None, 1)
+    assert snap.states[0] == BLACK
     # with k=2, the red survives its first active step
     snap2 = make_snapshot([(0.0, 0.0)], [RED])
     snap2.countdown[0] = 2
-    out2 = transmission_phase(snap2, params(n=1, k=2))
-    assert out2.states[0] == RED
-    assert out2.countdown[0] == 1
+    transmit(snap2, params(n=1, k=2), None, 1)
+    assert snap2.states[0] == RED
+    assert snap2.countdown[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -142,15 +142,16 @@ def test_red_countdown_expiry():
 
 def test_move_phase_rho_zero_keeps_positions():
     snap = make_snapshot([(1.0, 1.0), (2.0, 2.0)], [RED, WHITE])
-    out = move_phase(snap, params(rho=0.0), RngStream(0))
-    assert np.array_equal(out.positions, snap.positions)
+    before = snap.positions.copy()
+    move(snap, params(rho=0.0), None, RngStream(0).generator())
+    assert np.array_equal(snap.positions, before)
 
 
 def test_move_phase_keeps_states_and_bounds_displacement():
     snap = make_snapshot([(5.0, 5.0)] * 100, [BLACK] * 100)
-    out = move_phase(snap, params(n=100, rho=1.0), RngStream(1))
-    assert np.all(out.states == BLACK)
-    disp = np.hypot(out.positions[:, 0] - 5.0, out.positions[:, 1] - 5.0)
+    move(snap, params(n=100, rho=1.0), None, RngStream(1).generator())
+    assert np.all(snap.states == BLACK)
+    disp = np.hypot(snap.positions[:, 0] - 5.0, snap.positions[:, 1] - 5.0)
     assert disp.max() <= 1.0 + 1e-12
 
 
@@ -168,7 +169,7 @@ def test_single_agent_completes_at_step_one():
 def test_two_agents_within_range_complete_at_step_two():
     # stationary pair, d < R, k=1: B informed at step 1 (red at its end),
     # B transmits (to nobody new) in step 2, everyone black at its end
-    p = params(n=2, R=3.0, rho=0.0, sources=[(1.0, 1.0)], burn_in=0)
+    p = params(n=2, R=3.0, rho=0.0, sources=[(1.0, 1.0)])
     rec = None
     for seed in range(50):
         cand = run(SimParams(**{**p.__dict__, "seed": seed}))
@@ -182,7 +183,7 @@ def test_two_agents_within_range_complete_at_step_two():
 
 def test_two_agents_out_of_range_fail_at_step_one():
     for seed in range(50):
-        rec = run(params(n=2, R=0.5, rho=0.0, seed=seed, burn_in=0))
+        rec = run(params(n=2, R=0.5, rho=0.0, seed=seed))
         d = math.dist(rec.final.positions[0], rec.final.positions[1])
         if d > 0.5:
             assert rec.failed_at == 1

@@ -18,7 +18,6 @@ from redwave.geometry import (
     build_cell_grid,
     cell_diameter,
     cell_distance,
-    cell_of,
     eccentricity,
     neighborhood,
     neighbour_blocks,
@@ -143,14 +142,17 @@ def test_gamma_validation():
 
 
 # ---------------------------------------------------------------------------
-# cell_of
+# cell ownership
 # ---------------------------------------------------------------------------
 
 
+def _owning_cells(grid, points):
+    return np.column_stack(np.unravel_index(grid.owners_of(np.array(points)), grid.mask.shape))
+
+
 def test_cell_of_basic(grid_4x4):
-    assert cell_of((0.0, 0.0), grid_4x4) == (0, 0)
-    assert cell_of((3.0, 3.0), grid_4x4) == (1, 1)  # half-open boundary
-    assert cell_of((2.999, 0.0), grid_4x4) == (0, 0)
+    cells = _owning_cells(grid_4x4, [(0.0, 0.0), (3.0, 3.0), (2.999, 0.0)])
+    assert cells.tolist() == [[0, 0], [1, 1], [0, 0]]  # half-open boundary
 
 
 @pytest.mark.parametrize(
@@ -169,14 +171,9 @@ def test_owner_is_nearest_covered_cell_lowest_index_first(region, side, gamma):
 
 def test_cell_of_uncovered_sliver_goes_to_nearest_covered_cell():
     grid = build_cell_grid(Region.square(12.0), 5.0, gamma=1.0)  # 2x2 core in a 3x3 box
-    assert cell_of((11.0, 11.0), grid) == (1, 1)
-    assert cell_of((12.0, 0.0), grid) == (1, 0)  # far edge of the box
-    assert cell_of((11.0, 7.0), grid) == (1, 0)  # tie between (1, 0) and (1, 1)
-
-
-def test_cell_of_outside_region(grid_4x4):
-    with pytest.raises(GeometryError):
-        cell_of((13.0, 1.0), grid_4x4)
+    cells = _owning_cells(grid, [(11.0, 11.0), (12.0, 0.0), (11.0, 7.0)])
+    # the far edge of the box, and a tie between (1, 0) and (1, 1)
+    assert cells.tolist() == [[1, 1], [1, 0], [1, 0]]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from redwave.instrument import (
     h_hat,
     is_regular,
     red_close_cells,
-    rho_close,
     spread_audit,
     state_constants,
     supercell_counts,
@@ -260,13 +259,6 @@ def test_red_close_cells(grid_4x4):
     contents[(0, 0)] = [RED]
     states = classify_cells(fill_cells(grid_4x4, contents), grid_4x4)
     assert red_close_cells(states, grid_4x4) == {(0, 1), (1, 0), (1, 1)}
-
-
-def test_rho_close(grid_4x4):
-    l = grid_4x4.side
-    assert rho_close((1, 1), (1, 1), grid_4x4, 0.0)
-    assert rho_close((1, 1), (2, 1), grid_4x4, l)
-    assert not rho_close((1, 1), (2, 2), grid_4x4, l)  # centers l*sqrt(2) apart
 
 
 # ---------------------------------------------------------------------------

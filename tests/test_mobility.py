@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from redwave import mobility
+from redwave.cli import _check_regime
+from redwave.epidemic import SimParams
 from redwave.errors import ConfigurationError, MobilityError
 from redwave.geometry import Region
 from redwave.mobility import (
@@ -18,11 +20,9 @@ from redwave.mobility import (
     _uniform_in_region,
     build_supercell_grid,
     cellular_walk_all,
-    cellular_walk_step,
     init_positions,
     rejection_sample,
     walk_all,
-    walk_step,
 )
 
 
@@ -48,8 +48,8 @@ def test_mobility_mode_validation():
 
 def test_walk_step_rho_zero_is_identity():
     region = Region.square(10.0)
-    x = np.array([3.0, 4.0])
-    assert np.array_equal(walk_step(x, 0.0, region, RngStream(1)), x)
+    x = np.array([[3.0, 4.0]])
+    assert np.array_equal(walk_all(x, 0.0, region, RngStream(1).generator()), x)
 
 
 def test_walk_step_stays_within_rho_and_region():
@@ -88,21 +88,18 @@ def test_walk_step_uniform_over_interior_disk():
     assert p > 0.01
 
 
-def test_walk_step_outside_region_errors():
-    with pytest.raises(MobilityError):
-        walk_step(np.array([20.0, 0.0]), 1.0, Region.square(10.0), RngStream(0))
-
-
 # ---------------------------------------------------------------------------
 # cellular walk
 # ---------------------------------------------------------------------------
 
 
 def test_supercell_grid_requires_multiple_of_cell_side():
-    region = Region.square(48.0)
-    build_supercell_grid(region, 12.0, cell_side=3.0)  # 12 = 4*3, fine
+    # the sec5 regime guard keeps the supercell grid a supergrid of the
+    # analysis cell grid
+    params = SimParams(Region.square(48.0), n=100, R=2.0, mobility=MobilityMode.cellular(12.0))
+    _check_regime("sec5", params, 3.0)  # 12 = 4*3, fine
     with pytest.raises(ConfigurationError):
-        build_supercell_grid(region, 12.0, cell_side=5.0)
+        _check_regime("sec5", params, 5.0)
 
 
 def test_cellular_step_stays_in_neighborhood_block():
@@ -145,8 +142,8 @@ def test_cellular_step_corner_supercell_hits_covered_neighbors_only():
 def test_cellular_single_agent_step():
     region = Region.square(48.0)
     sgrid = build_supercell_grid(region, 12.0)
-    out = cellular_walk_step(np.array([18.0, 18.0]), sgrid, region, RngStream(2))
-    assert region.contains(out)
+    out = cellular_walk_all(np.array([[18.0, 18.0]]), sgrid, region, RngStream(2).generator())
+    assert out.shape == (1, 2) and region.contains(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -156,22 +153,22 @@ def test_cellular_single_agent_step():
 
 def test_init_positions_single_uniform_point():
     region = Region.square(6.0)
-    pos = init_positions(1, region, MobilityMode.standard(0.0), RngStream(4), burn_in=0)
+    pos = init_positions(1, region, MobilityMode.standard(0.0), RngStream(4).generator())
     assert pos.shape == (1, 2)
     assert region.contains(pos[0])
-    again = init_positions(1, region, MobilityMode.standard(0.0), RngStream(4), burn_in=0)
+    again = init_positions(1, region, MobilityMode.standard(0.0), RngStream(4).generator())
     assert np.array_equal(pos, again)
 
 
 def test_init_positions_needs_agents():
     with pytest.raises(ConfigurationError):
-        init_positions(0, Region.square(4.0), MobilityMode.standard(1.0), RngStream(0))
+        init_positions(0, Region.square(4.0), MobilityMode.standard(1.0), RngStream(0).generator())
 
 
 def test_init_positions_cellular_burn_in_spreads_over_supercells():
     region = Region.square(48.0)
     n = 9000
-    pos = init_positions(n, region, MobilityMode.cellular(12.0), RngStream(21))
+    pos = init_positions(n, region, MobilityMode.cellular(12.0), RngStream(21).generator())
     sgrid = build_supercell_grid(region, 12.0)
     cells = sgrid.cells_of(pos)
     counts = np.bincount(cells[:, 0] * 4 + cells[:, 1], minlength=16)
@@ -183,9 +180,15 @@ def test_init_positions_cellular_burn_in_spreads_over_supercells():
 def test_trajectory_determinism():
     region = Region.square(20.0)
     mode = MobilityMode.standard(2.0)
-    a = init_positions(50, region, mode, RngStream(33), burn_in=10)
-    b = init_positions(50, region, mode, RngStream(33), burn_in=10)
-    assert np.array_equal(a, b)
+
+    def trajectory():
+        gen = RngStream(33).generator()
+        pos = init_positions(50, region, mode, gen)
+        for _ in range(10):
+            pos = walk_all(pos, mode.rho, region, gen)
+        return pos
+
+    assert np.array_equal(trajectory(), trajectory())
 
 
 @settings(max_examples=25, deadline=None)
@@ -305,7 +308,7 @@ def test_stationary_start_draws_are_pinned():
     )
     for region, rho in ((Region.square(48.0), 8.0), (Region.disk(24.0), 7.5)):
         for mode in (MobilityMode.standard(4.0), MobilityMode.cellular(rho)):
-            pos = init_positions(2000, region, mode, RngStream(6))
+            pos = init_positions(2000, region, mode, RngStream(6).generator())
             assert _sha256(pos) == next(digests), (region, mode)
 
 
@@ -325,7 +328,7 @@ def test_cellular_start_is_stationary_on_full_tiling():
     mask = np.pad(sgrid.mask, 1)
     neighbours = sum(mask[1 + i : 9 + i, 1 + j : 9 + j] for i in (-1, 0, 1) for j in (-1, 0, 1))
     weights = neighbours[sgrid.mask] / neighbours[sgrid.mask].sum()
-    pos = init_positions(n, region, MobilityMode.cellular(rho), RngStream(1))
+    pos = init_positions(n, region, MobilityMode.cellular(rho), RngStream(1).generator())
     _, p = stats.chisquare(_supercell_counts(pos, sgrid), weights * n)
     assert p > 0.01
 
@@ -337,7 +340,7 @@ def test_cellular_start_on_a_disk_matches_a_long_walk():
     region, rho, n = Region.disk(30.0), 7.5, 20000
     sgrid = build_supercell_grid(region, rho)
     assert not sgrid.mask.all()
-    exact = init_positions(n, region, MobilityMode.cellular(rho), RngStream(1))
+    exact = init_positions(n, region, MobilityMode.cellular(rho), RngStream(1).generator())
     gen = RngStream(2).generator()
     walked = _uniform_in_region(n, region, gen)
     for _ in range(50):
@@ -361,7 +364,7 @@ def test_standard_start_matches_a_long_walk(region):
             d = region.size - np.hypot(pos[:, 0], pos[:, 1])
         return np.histogram(d, np.r_[np.linspace(0.0, rho, 8), np.inf])[0] / n
 
-    exact = init_positions(n, region, MobilityMode.standard(rho), RngStream(1))
+    exact = init_positions(n, region, MobilityMode.standard(rho), RngStream(1).generator())
     gen = RngStream(2).generator()
     walked = _uniform_in_region(n, region, gen)
     for _ in range(400):
