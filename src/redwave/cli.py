@@ -20,8 +20,10 @@ import json
 import math
 import os
 import sys
+from collections import UserDict
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 
@@ -257,14 +259,23 @@ _TRACE_FIELDS = [
 
 _json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-# the state name of each int8 cell code (a code is its CellState's position)
-_CELL_NAMES = [s.value for s in instrument.CellState]
+# each int8 cell code's dump text after a key, '":"state"' (a code is its CellState's position)
+_CELL_SLOTS = np.array(['":' + _json(s.value) for s in instrument.CellState], dtype=object)
 _WHITE_CELL = instrument.CELL_CODE[instrument.CellState.WHITE]
 
 
-def _trace_row(snap: Snapshot, grid=None, cell_keys: list[str] | None = None) -> dict:
+class _CellDump(UserDict):
+    """A ``"c,r" -> state name`` cell dump held as its ``_json`` text, decoded when read."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    data = cached_property(lambda self: json.loads(self.text))
+
+
+def _trace_row(snap: Snapshot, grid=None, dump: tuple | None = None) -> dict:
     """One trace row: the agent counts of ``snap`` and, when a grid is
-    given, its instrument columns; with ``cell_keys`` also its cell dump."""
+    given, its instrument columns; with ``dump`` also its cell dump."""
     w, r, b = snap.counts()
     row: dict = {
         "schema": SCHEMA_VERSION,
@@ -285,9 +296,10 @@ def _trace_row(snap: Snapshot, grid=None, cell_keys: list[str] | None = None) ->
         if dists.size:
             row["max_wavefront"] = float(dists.max())
             row["mean_wavefront"] = float(np.mean(dists))
-        if cell_keys is not None:
-            codes = states.array[grid.mask].tolist()
-            row["cells"] = dict(zip(cell_keys, map(_CELL_NAMES.__getitem__, codes)))
+        if dump is not None:
+            pieces, cells = dump
+            pieces[2::3] = _CELL_SLOTS.take(states.array.take(cells)).tolist()
+            row["cells"] = _CellDump("{" + "".join(pieces)[1:] + "}")
     return row
 
 
@@ -298,7 +310,11 @@ def trace_run(params: SimParams, grid, dump_cells: str, write) -> RunRecord:
     on every step (``dump_cells="each"``) or on the last (``"final"``)."""
     keys = None
     if grid is not None and dump_cells != "never":
-        keys = [f"{c},{r}" for c, r in grid.cells]
+        # the dump text's pieces in the key order of JSON sort_keys, ',"', "c,r"
+        # (no key needs escaping) and a slot each step fills, and the cells'
+        # flat box indices; only the key strings outlive this statement
+        keys = sorted((f"{c},{r}", c * grid.mask.shape[1] + r) for c, r in grid.cells)
+        keys = [p for k, _ in keys for p in (',"', k, None)], np.array([i for _, i in keys])
     each = keys if dump_cells == "each" else None
     held: list[dict] = []
 
@@ -325,7 +341,7 @@ def trace_writer(fmt: str, path: str):
     try:
         with open(tmp, "w", newline="") as fh:
             if fmt == "ndjson":
-                yield lambda row: fh.write(_json(row) + "\n")
+                yield lambda row: fh.write(_json_row(row) + "\n")
             else:
                 writer = csv.DictWriter(fh, fieldnames=_TRACE_FIELDS, lineterminator="\n")
                 writer.writeheader()
@@ -338,8 +354,14 @@ def trace_writer(fmt: str, path: str):
             os.unlink(tmp)
 
 
+def _json_row(row: dict) -> str:
+    """``_json(row)``, with a cell dump spliced in as its encoded text."""
+    cells = "null" if row["cells"] is None else row["cells"].text
+    return _json(dict(row, cells=None)).replace('"cells":null', f'"cells":{cells}', 1)
+
+
 def _csv_row(row: dict) -> dict:
-    out = dict(row, cells=None if row["cells"] is None else _json(row["cells"]))
+    out = dict(row, cells=None if row["cells"] is None else row["cells"].text)
     for key in ("max_wavefront", "mean_wavefront"):
         if out[key] is not None:
             out[key] = _fmt(float(out[key]))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, GeometryError
 from .geometry import Region, bucket_side, in_reach, neighbour_blocks
 from .mobility import (
     MobilityMode,
@@ -69,6 +69,17 @@ class SimParams:
             )
         if self.transmission_scope == "same_supercell" and self.mobility.kind != "cellular":
             raise ConfigurationError("same_supercell scope requires cellular mobility")
+        if isinstance(self.sources, str):
+            if self.sources != "random":
+                raise ConfigurationError(f"unknown source spec {self.sources!r}")
+            return
+        pts = np.asarray(self.sources, dtype=float).reshape(-1, 2)
+        if len(pts) == 0:
+            raise ConfigurationError("explicit source set is empty")
+        if len(pts) > self.n:
+            raise ConfigurationError(f"{len(pts)} explicit sources but only {self.n} agents")
+        if not np.all(self.region.contains(pts, tol=1e-9)):
+            raise GeometryError("source points must lie inside the region")
 
 
 @dataclass
@@ -278,22 +289,11 @@ class Engine:
     def _pick_sources(self) -> tuple[int, ...]:
         params = self.params
         if isinstance(params.sources, str):
-            if params.sources != "random":
-                raise ConfigurationError(f"unknown source spec {params.sources!r}")
             return (int(RngStream(params.seed, SOURCES).generator().integers(params.n)),)
-        pts = np.atleast_2d(np.asarray(params.sources, dtype=float))
-        if pts.size == 0:
-            raise ConfigurationError("explicit source set is empty")
-        if len(pts) > params.n:
-            raise ConfigurationError(
-                f"{len(pts)} explicit sources but only {params.n} agents to hold them"
-            )
-        if not np.all(self.region.contains(pts, tol=1e-9)):
-            raise ConfigurationError("source points must lie inside the region")
         # sources materialize as the nearest agents to the requested points
         chosen: list[int] = []
         pos = self.snapshot.positions
-        for p in pts:
+        for p in np.asarray(params.sources, dtype=float).reshape(-1, 2):
             d = np.hypot(pos[:, 0] - p[0], pos[:, 1] - p[1])
             order = np.argsort(d, kind="stable")
             pick = next(int(i) for i in order if int(i) not in chosen)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .epidemic import RunRecord, SimParams, run
-from .errors import ConfigurationError, GeometryError
+from .errors import ConfigurationError
 from .geometry import Region, bucket_side, eccentricity, in_reach, neighbour_blocks
 from .mobility import RngStream, _uniform_in_region
 
@@ -205,11 +205,8 @@ def multi_source_run(params: SimParams) -> RunRecord:
     """Run with explicit source positions; the record carries ecc(A, S)."""
     if isinstance(params.sources, str):
         raise ConfigurationError("multi_source_run requires an explicit source set")
-    pts = np.atleast_2d(np.asarray(params.sources, dtype=float))
-    if not np.all(params.region.contains(pts, tol=1e-9)):
-        raise GeometryError("source set not contained in region")
     rec = run(params)
-    rec.ecc_sources = eccentricity(pts, params.region)
+    rec.ecc_sources = eccentricity(params.sources, params.region)
     return rec
 
 

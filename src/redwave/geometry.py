@@ -174,20 +174,23 @@ class CellGrid:
 
         Points on the far edge of the bounding box fall in the last box cell.
         """
-        cells = np.clip(self.cells_of(points), 0, np.array(self.mask.shape) - 1)
-        return self.owner[cells[:, 0], cells[:, 1]]
+        flat = 0
+        for i, cells in enumerate(self.mask.shape):
+            # axis i's floor keys as bucket_cells computes them, clipped to the box
+            key = np.floor((points[:, i] - self.origin[i]) / self.side)
+            flat = flat * cells + np.clip(key, 0, cells - 1, out=key).astype(np.intp)
+        return self.owner.ravel()[flat]
 
     def bin(self, positions: np.ndarray, states: np.ndarray) -> np.ndarray:
         """(3, W, H) agent counts per state and owning cell over the index box."""
         size = self.mask.size
         flat = np.asarray(states, dtype=np.intp) * size + self.owners_of(positions)
-        counts = np.bincount(flat, minlength=3 * size)
-        return counts.reshape((3,) + self.mask.shape)
+        return np.bincount(flat, minlength=3 * size).reshape((3,) + self.mask.shape)
 
 
 def cell_list(cells: np.ndarray) -> list[CellIndex]:
     """The True cells of a boolean array over an index box, in index order."""
-    return [(c, r) for c, r in np.argwhere(cells).tolist()]
+    return list(zip(*(i.tolist() for i in np.nonzero(cells))))
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +338,15 @@ def _window_min(a: np.ndarray) -> np.ndarray:
     """Minimum over each cell's 3x3 neighbourhood in the last two axes.
 
     Beyond the box counts as +inf (True for boolean arrays, where the
-    minimum is a logical and).
+    minimum is a logical and): sliced minima over the box, no padded copy.
     """
-    pad = [(0, 0)] * (a.ndim - 2) + [(1, 1), (1, 1)]
-    p = np.pad(a, pad, constant_values=np.inf)
-    m = np.minimum(np.minimum(p[..., :-2, :], p[..., 1:-1, :]), p[..., 2:, :])
-    return np.minimum(np.minimum(m[..., :-2], m[..., 1:-1]), m[..., 2:])
+    m = a.copy()
+    np.minimum(m[..., 1:, :], a[..., :-1, :], out=m[..., 1:, :])
+    np.minimum(m[..., :-1, :], a[..., 1:, :], out=m[..., :-1, :])
+    out = m.copy()
+    np.minimum(out[..., 1:], m[..., :-1], out=out[..., 1:])
+    np.minimum(out[..., :-1], m[..., 1:], out=out[..., :-1])
+    return out
 
 
 def touching(cells: np.ndarray) -> np.ndarray:
@@ -358,9 +364,12 @@ def distance_transform(start: np.ndarray, through: np.ndarray, step: float = 1) 
     spreads the minimum over each 8-connected component.  Leading axes of
     ``start`` are independent problems.
     """
+    add = np.where(through, step, np.inf)  # +inf blocks a path
     cur = np.where(through, start, np.inf)
     while True:
-        nxt = np.where(through, np.minimum(cur, _window_min(cur) + step), np.inf)
+        nxt = _window_min(cur)
+        nxt += add
+        np.minimum(nxt, cur, out=nxt)
         if np.array_equal(nxt, cur):
             return cur
         cur = nxt
@@ -393,18 +402,11 @@ def build_cell_grid(region: Region, side: float, gamma: float) -> CellGrid:
     knife: set[CellIndex] = set()
 
     if region.kind == "square":
-        L = region.size
-        for i in range(ncols):
-            w = min((i + 1) * side, L) - i * side
-            if w <= 0:
-                continue
-            for j in range(nrows):
-                h = min((j + 1) * side, L) - j * side
-                if h <= 0:
-                    continue
-                # 1e-9 relative slack absorbs float noise on exact tilings
-                if w * h >= threshold * (1 - 1e-9):
-                    cover.add((i, j))
+        # each column's extent inside [0, L]; the box is square, so the rows' are the same
+        w = np.minimum(np.arange(1, ncols + 1) * side, region.size) - np.arange(ncols) * side
+        # 1e-9 relative slack absorbs float noise on exact tilings
+        keep = np.multiply.outer(w, w) >= threshold * (1 - 1e-9)
+        cover.update(cell_list(keep & np.multiply.outer(w > 0, w > 0)))
     else:
         m = _AREA_SAMPLES_PER_SIDE
         offs = (np.arange(m) + 0.5) / m * side

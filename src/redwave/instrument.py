@@ -333,9 +333,6 @@ class TransitionTally:
     def observed(self) -> int:
         return self.agreements + self.violations
 
-    def agreement_rate(self) -> float:
-        return self.agreements / self.observed if self.observed else math.nan
-
 
 @dataclass
 class TransitionAudit:
@@ -474,9 +471,6 @@ class LemmaTally:
 
     hypothesis_met: int = 0
     holds: int = 0
-
-    def agreement_rate(self) -> float:
-        return self.holds / self.hypothesis_met if self.hypothesis_met else math.nan
 
 
 @dataclass

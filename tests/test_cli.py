@@ -22,7 +22,7 @@ from redwave.cli import (
     trace_run,
 )
 from redwave.epidemic import SimParams, run
-from redwave.errors import ConfigurationError
+from redwave.errors import ConfigurationError, GeometryError
 from redwave.experiments import ExperimentPlan, replicate
 from redwave.geometry import Region, build_cell_grid
 from redwave.instrument import classify_cells
@@ -238,6 +238,26 @@ def test_trace_cells_dump_matches_cell_maps():
     assert final == [None] * (len(maps) - 1) + maps[-1:]
 
 
+@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+def test_trace_cells_dump_encodes_as_sorted_json(tmp_path, fmt):
+    # 12 columns: key "10,0" sorts before "2,0", unlike the index order
+    region = Region.square(12.0)
+    grid = build_cell_grid(region, 1.0, gamma=0.5)
+    p = SimParams(region=region, n=150, R=2.0, mobility=MobilityMode.standard(1.0), seed=2)
+    keys = [f"{c},{r}" for c, r in grid.cells]
+    assert keys != sorted(keys)
+    rows = _trace_rows(p, grid, "each")
+    path = tmp_path / f"t.{fmt}"
+    emit_trace(rows, fmt, str(path))
+    plain = [dict(row, cells=dict(row["cells"])) for row in rows]
+    encode = lambda v: json.dumps(v, sort_keys=True, separators=(",", ":"))
+    if fmt == "ndjson":
+        assert path.read_text().splitlines() == [encode(row) for row in plain]
+    else:
+        cells = [row["cells"] for row in csv.DictReader(path.open())]
+        assert cells == [encode(row["cells"]) for row in plain]
+
+
 def test_trace_unknown_format(tiny_rows, tmp_path):
     with pytest.raises(ConfigurationError):
         emit_trace(tiny_rows, "yaml", str(tmp_path / "t.yaml"))
@@ -284,20 +304,26 @@ def test_main_streams_the_bytes_of_emit_trace(tmp_path, fmt):
 
 
 @pytest.mark.parametrize("verb", ["run", "audit"])
-def test_failed_run_keeps_the_earlier_trace(tmp_path, verb):
-    # the source lies outside the region, which only the engine detects,
-    # after the trace has been opened
+def test_failed_run_keeps_the_earlier_trace(tmp_path, verb, monkeypatch):
+    # the run fails at step 2, after the trace has been opened and its first
+    # rows written
     out = tmp_path / "out"
     good = write(tmp_path, MINIMAL + "\n[instrumentation]\ncell_side = 3.0\n")
     assert main([verb, "--config", good, "--out", str(out)]) == EXIT_OK
     trace = out / f"{'audit' if verb == 'audit' else 'trace'}.ndjson"
     before = trace.read_bytes()
-    bad = write(
-        tmp_path,
-        MINIMAL + "sources = 20.0,20.0\n\n[instrumentation]\ncell_side = 3.0\n",
-        "bad.ini",
-    )
-    assert main([verb, "--config", bad, "--out", str(out)]) == EXIT_CONFIG
+    real_run = cli.run
+
+    def failing_run(params, on_step):
+        def step(s):
+            on_step(s)
+            if s.step == 2:
+                raise GeometryError("agent left the region")
+
+        return real_run(params, on_step=step)
+
+    monkeypatch.setattr(cli, "run", failing_run)
+    assert main([verb, "--config", good, "--seed", "1", "--out", str(out)]) == EXIT_CONFIG
     assert trace.read_bytes() == before
     assert sorted(p.name for p in out.iterdir()) == [trace.name]
 
@@ -379,6 +405,15 @@ def test_main_more_sources_than_agents(tmp_path, capsys):
     cfg = write(tmp_path, text)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "3 explicit sources but only 2 agents" in capsys.readouterr().err
+
+
+def test_main_sweep_more_sources_than_agents(tmp_path, capsys):
+    # rejected before any replica runs, so no summary is written
+    text = MINIMAL.replace("n = 40", "n = 2") + "sources = 1,1;2,2;3,3\n"
+    cfg = write(tmp_path, text + "\n[experiment]\nreplicas = 2\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == EXIT_CONFIG
+    assert "3 explicit sources but only 2 agents" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "summary.csv").exists()
 
 
 @pytest.mark.parametrize("key", ["cell_side", "gamma"])

@@ -23,7 +23,7 @@ from redwave.epidemic import (
     run,
     transmit,
 )
-from redwave.errors import ConfigurationError
+from redwave.errors import ConfigurationError, RedwaveError
 from redwave.experiments import (
     isolated_indices,
     isolated_indices_bruteforce,
@@ -64,6 +64,21 @@ def test_params_validation():
     with pytest.raises(ConfigurationError):
         # same-supercell transmission without cellular movement
         params(transmission_scope="same_supercell")
+
+
+@pytest.mark.parametrize(
+    "sources, message",
+    [
+        ([], "empty"),
+        ([(20.0, 20.0)], "inside the region"),
+        ([(6, 6), (1, 1), (2, 2)], "3 explicit sources but only 2 agents"),
+    ],
+)
+def test_explicit_sources_are_checked_with_the_params(sources, message):
+    with pytest.raises(RedwaveError, match=message):
+        params(sources=sources)
+    with pytest.raises(ConfigurationError, match="unknown source spec"):
+        params(sources="nearest")
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,50 @@ def test_gamma_validation():
         build_cell_grid(Region.square(12.0), 3.0, gamma=1.5)
 
 
+def _square_cover_loop(L, side, gamma):
+    """The square cover from a per-cell loop over the analytic overlap area."""
+    n = math.ceil(L / side - 1e-12)
+    cover = set()
+    for i in range(n):
+        w = min((i + 1) * side, L) - i * side
+        for j in range(n):
+            h = min((j + 1) * side, L) - j * side
+            if w > 0 and h > 0 and w * h >= gamma * side**2 * (1 - 1e-9):
+                cover.add((i, j))
+    return cover
+
+
+def _owner_oracle(cover, shape):
+    """Nearest covered cell by chessboard distance, lowest flat index first."""
+    cells = np.array(sorted(cover))  # sorted pairs are in flat index order
+    flat = np.ravel_multi_index(cells.T, shape)
+    owner = np.empty(shape, dtype=np.intp)
+    for c in range(shape[0]):
+        for r in range(shape[1]):
+            d = np.maximum(np.abs(cells[:, 0] - c), np.abs(cells[:, 1] - r))
+            owner[c, r] = flat[np.argmin(d)]
+    return owner
+
+
+@pytest.mark.parametrize(
+    "L, side",
+    [(48.0, 2.1213203435596424), (10.0, 3.0), (192.0, 192 / 92), (12.0, 5.0)],
+)
+@pytest.mark.parametrize("gamma", [0.3, 0.6, 1.0])
+def test_square_cover_matches_per_cell_loop(L, side, gamma):
+    expected = _square_cover_loop(L, side, gamma)
+    if not expected:
+        with pytest.raises(GeometryError):
+            build_cell_grid(Region.square(L), side, gamma)
+        return
+    grid = build_cell_grid(Region.square(L), side, gamma)
+    assert grid.cover == expected
+    mask = np.zeros(grid.mask.shape, dtype=bool)
+    mask[tuple(np.array(sorted(expected)).T)] = True
+    assert np.array_equal(grid.mask, mask)
+    assert np.array_equal(grid.owner, _owner_oracle(expected, mask.shape))
+
+
 # ---------------------------------------------------------------------------
 # cell ownership
 # ---------------------------------------------------------------------------
@@ -176,6 +220,41 @@ def test_cell_of_uncovered_sliver_goes_to_nearest_covered_cell():
     assert cells.tolist() == [[1, 1], [1, 0], [1, 0]]
 
 
+def _bin_oracle(grid, positions, states):
+    """Counts per state and owning cell from bucket_cells clipped to the box."""
+    cells = bucket_cells(positions, grid.side, grid.origin)
+    cells = np.clip(cells, 0, np.array(grid.mask.shape) - 1)
+    counts = np.zeros((3,) + grid.mask.shape, dtype=np.int64)
+    own = np.unravel_index(grid.owner[cells[:, 0], cells[:, 1]], grid.mask.shape)
+    np.add.at(counts, (states, *own), 1)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "region, side, gamma",
+    [
+        (Region.square(13.0), 2.0, 0.6),  # uncovered slivers on the far sides
+        (Region.disk(10.0), 3.0, 1.0),  # uncovered rim cells
+        (Region.square(48.0), 48 / 23, 0.3),
+    ],
+)
+def test_bin_matches_bucket_cells_oracle(region, side, gamma):
+    grid = build_cell_grid(region, side, gamma)
+    gen = np.random.default_rng(11)
+    xmin, ymin, xmax, ymax = region.bounds
+    pts = gen.uniform((xmin, ymin), (xmax, ymax), size=(500, 2))
+    pts = pts[region.contains(pts)]
+    if region.kind == "square":
+        # the far edges and corners of the box
+        edge = [(xmax, ymax), (xmax, ymin), (xmin, ymax), (xmax, 5.0), (5.0, ymax), (xmin, ymin)]
+    else:
+        edge = [(xmax, 0.0), (0.0, ymax), (xmin, 0.0), (0.0, ymin), (7.0, 7.0)]
+    pts = np.vstack([pts, edge])
+    states = gen.integers(0, 3, size=len(pts)).astype(np.int8)
+    assert np.array_equal(grid.bin(pts, states), _bin_oracle(grid, pts, states))
+    assert grid.bin(pts, states).sum() == len(pts)
+
+
 # ---------------------------------------------------------------------------
 # neighborhood
 # ---------------------------------------------------------------------------
@@ -190,6 +269,68 @@ def test_neighborhood_sizes(grid_4x4):
 def test_neighborhood_outside_cover(grid_4x4):
     with pytest.raises(GeometryError):
         neighborhood((9, 9), grid_4x4)
+
+
+# ---------------------------------------------------------------------------
+# the masked distance transform
+# ---------------------------------------------------------------------------
+
+
+def oracle_transform(start, through, step):
+    """min over every cell y of ``through`` of start[y] + step * d(y, x), with
+    d the BFS distance through ``through`` (+inf outside it or unreachable)."""
+    cells = set(zip(*np.nonzero(through)))
+    out = np.full(start.shape, np.inf)
+    for y in cells:
+        if np.isfinite(start[y]):
+            for x, d in oracle_bfs(y, cells).items():
+                out[x] = min(out[x], start[y] + step * d)
+    return out
+
+
+def _random_masks(seed):
+    """Boolean masks with holes in boxes from 1x1 to 9x9."""
+    gen = np.random.default_rng(seed)
+    for _ in range(12):
+        shape = tuple(gen.integers(1, 10, size=2))
+        yield gen, gen.random(shape) < gen.uniform(0.4, 0.95)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_distance_transform_matches_bfs_oracle(seed):
+    for gen, through in _random_masks(seed):
+        # unit step from 0 at the sources, some of them blocked
+        start = np.where(gen.random(through.shape) < 0.1, 0.0, np.inf)
+        got = geometry.distance_transform(start, through)
+        assert np.array_equal(got, oracle_transform(start, through, 1))
+        # step 0: the minimum of each 8-connected component
+        start = gen.permutation(through.size).reshape(through.shape).astype(float)
+        got = geometry.distance_transform(start, through, step=0)
+        assert np.array_equal(got, oracle_transform(start, through, 0))
+        # step = size: distance * size + the index of the nearest, lowest source
+        size = through.size
+        index = np.arange(size, dtype=float).reshape(through.shape)
+        start = np.where(gen.random(through.shape) < 0.3, index, np.inf)
+        got = geometry.distance_transform(start, through, step=size)
+        assert np.array_equal(got, oracle_transform(start, through, size))
+
+
+def test_distance_transform_leading_axis_solves_each_problem():
+    for gen, through in _random_masks(9):
+        starts = np.where(gen.random((3,) + through.shape) < 0.15, 0.0, np.inf)
+        got = geometry.distance_transform(starts, through)
+        assert got.shape == starts.shape
+        for start, one in zip(starts, got):
+            assert np.array_equal(one, oracle_transform(start, through, 1))
+
+
+def test_touching_marks_cells_in_or_next_to_a_true_cell():
+    # the box edge must not count as a True neighbour
+    for _, cells in _random_masks(5):
+        expected = np.zeros_like(cells)
+        for c, r in zip(*np.nonzero(cells)):
+            expected[max(c - 1, 0) : c + 2, max(r - 1, 0) : r + 2] = True
+        assert np.array_equal(geometry.touching(cells), expected)
 
 
 # ---------------------------------------------------------------------------
