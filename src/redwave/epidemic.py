@@ -187,19 +187,47 @@ def _inform_euclidean(
 def _inform_same_supercell(
     positions: np.ndarray, states: np.ndarray, sgrid
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Whites sharing a supercell with a red, with the nearest such red.
-
-    The supercells are the buckets, and each bucket's block is itself;
+    """Whites sharing a supercell with a red, with the nearest such red;
     distance ties go to the lowest red index.
+
+    Only the reds and the whites of red-holding supercells take part, in
+    index order.  Stage 1 queries the whites against the reds in the 3x3
+    block of a finer bucket grid, leaving out pairs from different
+    supercells.  Its side ``s`` is the supercell side over the whole square
+    root of the mean red count of a red-holding supercell, so that a fine
+    bucket holds about one red, widened as :func:`bucket_side` widens a
+    reach.  A white whose best squared distance is below ``s**2``, less a
+    1e-9 relative margin against floor rounding, is settled: every red
+    outside its block is farther than ``s``.  Stage 2 queries the other
+    whites with the supercells as the buckets, each bucket's block being
+    itself; it takes every white when ``s`` is not below the supercell side.
     """
-    red_idx = np.flatnonzero(states == RED)
-    white_idx = np.flatnonzero(states == WHITE)
+    key = sgrid.flat_keys(positions, 1)  # one per supercell of the bounding box
+    red = states == RED
+    holds = np.zeros(key.max() + 1, dtype=bool)
+    holds[key[red]] = True
+    take = holds[key]
+    take &= states != BLACK
+    agents = np.flatnonzero(take)
+    red, key, pos = red[agents], key[agents], positions[agents]
+    reds, whites = np.flatnonzero(red), np.flatnonzero(~red)
     informed, informers = [_NONE], [_NONE]
-    blocks = neighbour_blocks(positions, white_idx, red_idx, sgrid.side, sgrid.origin, 0)
-    for w, counts, reds, d2 in blocks:
-        informed.append(w)
-        informers.append(_nearest(counts, reds, d2)[1])
-    return np.concatenate(informed), np.concatenate(informers)
+    if len(whites):  # then some supercell holds a red
+        side = bucket_side(pos, sgrid.side / math.isqrt(len(reds) // np.count_nonzero(holds)))
+        if side < sgrid.side:
+            settled = np.zeros(len(agents), dtype=bool)
+            for w, counts, r, d2 in neighbour_blocks(pos, whites, reds, side, sgrid.origin):
+                d2[np.repeat(key[w], counts) != key[r]] = np.inf
+                best, nearest = _nearest(counts, r, d2)
+                hit = best < side * side * (1 - 1e-9)
+                settled[w[hit]] = True
+                informed.append(w[hit])
+                informers.append(nearest[hit])
+            whites = whites[~settled[whites]]
+        for w, counts, r, d2 in neighbour_blocks(pos, whites, reds, sgrid.side, sgrid.origin, 0):
+            informed.append(w)
+            informers.append(_nearest(counts, r, d2)[1])
+    return agents[np.concatenate(informed)], agents[np.concatenate(informers)]
 
 
 # ---------------------------------------------------------------------------

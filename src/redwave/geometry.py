@@ -162,24 +162,43 @@ class CellGrid:
         out[inside] = self.mask[c[inside], r[inside]]
         return out
 
-    def cells_of(self, points: np.ndarray) -> np.ndarray:
-        """Cell indices, shape (n, 2) int, for an (n, 2) position array.
-
-        Pure floor-division: no cover membership check.
-        """
-        return bucket_cells(points, self.side, self.origin)
-
     def owners_of(self, points: np.ndarray) -> np.ndarray:
         """Flat index of the covered cell owning each point of an (n, 2) array.
 
         Points on the far edge of the bounding box fall in the last box cell.
         """
-        flat = 0
+        return self.owner.ravel()[self.flat_keys(points, 0)]
+
+    def covers(self, points: np.ndarray) -> np.ndarray:
+        """Cover membership of each point of an (n, 2) array, as
+        :meth:`in_cover` decides it for the point's cell: one lookup into the
+        mask padded with one uncovered cell on every side, where every key
+        beyond the box lands (cell ``W`` of a point at x = L among them)."""
+        return self._padded_mask[self.flat_keys(points, 1)]
+
+    @cached_property
+    def _padded_mask(self) -> np.ndarray:
+        return np.pad(self.mask, 1).ravel()
+
+    def flat_keys(self, points: np.ndarray, pad: int) -> np.ndarray:
+        """Flat keys of the cells of an (n, 2) position array in the index
+        box widened by ``pad`` cells on every side, each axis clipped to the
+        widened box.  With ``pad`` 1, no two cells of points in the bounding
+        box, its far edge included, share a key."""
+        # whole numbers far below 2**53 in floats, with two arrays alive at a
+        # time: the cover test of a walk's candidates sets its peak memory
+        flat, key = np.zeros(len(points)), np.empty(len(points))
         for i, cells in enumerate(self.mask.shape):
-            # axis i's floor keys as bucket_cells computes them, clipped to the box
-            key = np.floor((points[:, i] - self.origin[i]) / self.side)
-            flat = flat * cells + np.clip(key, 0, cells - 1, out=key).astype(np.intp)
-        return self.owner.ravel()[flat]
+            # axis i's floor keys as bucket_cells computes them, in place
+            np.subtract(points[:, i], self.origin[i], out=key)
+            key /= self.side
+            np.floor(key, out=key)
+            np.clip(key, -pad, cells - 1 + pad, out=key)
+            key += pad
+            flat *= cells + 2 * pad
+            flat += key
+        del key
+        return flat.astype(np.intp)
 
     def bin(self, positions: np.ndarray, states: np.ndarray) -> np.ndarray:
         """(3, W, H) agent counts per state and owning cell over the index box."""
@@ -398,36 +417,40 @@ def build_cell_grid(region: Region, side: float, gamma: float) -> CellGrid:
     nrows = _cells_across(ymax - ymin, side)
     threshold = gamma * side**2
 
-    cover: set[CellIndex] = set()
-    knife: set[CellIndex] = set()
-
     if region.kind == "square":
         # each column's extent inside [0, L]; the box is square, so the rows' are the same
         w = np.minimum(np.arange(1, ncols + 1) * side, region.size) - np.arange(ncols) * side
         # 1e-9 relative slack absorbs float noise on exact tilings
-        keep = np.multiply.outer(w, w) >= threshold * (1 - 1e-9)
-        cover.update(cell_list(keep & np.multiply.outer(w > 0, w > 0)))
+        mask = np.multiply.outer(w, w) >= threshold * (1 - 1e-9)
+        mask &= np.multiply.outer(w > 0, w > 0)
+        knife = np.zeros_like(mask)
     else:
         m = _AREA_SAMPLES_PER_SIDE
         offs = (np.arange(m) + 0.5) / m * side
         ox, oy = np.meshgrid(offs, offs, indexing="ij")
         sample = np.column_stack([ox.ravel(), oy.ravel()])
+        mask = np.zeros((ncols, nrows), dtype=bool)
+        knife = np.zeros_like(mask)
         for i in range(ncols):
             for j in range(nrows):
                 base = np.array([xmin + i * side, ymin + j * side])
                 frac = np.count_nonzero(region.contains(sample + base)) / (m * m)
-                area = frac * side**2
-                if area >= threshold * (1 - 1e-9):
-                    cover.add((i, j))
-                    if abs(frac - gamma) <= _KNIFE_EDGE_MARGIN:
-                        knife.add((i, j))
-                elif abs(frac - gamma) <= _KNIFE_EDGE_MARGIN:
-                    knife.add((i, j))
+                mask[i, j] = frac * side**2 >= threshold * (1 - 1e-9)
+                knife[i, j] = abs(frac - gamma) <= _KNIFE_EDGE_MARGIN
 
-    if not cover:
+    if not mask.any():
         raise GeometryError("empty cell cover: gamma too large for this side length")
-    grid = CellGrid(region, side, gamma, origin, frozenset(cover), frozenset(knife))
-    if np.isinf(grid.distances(grid.mask_of(grid.cells[:1]))[grid.mask]).any():
+    grid = CellGrid(
+        region, side, gamma, origin, frozenset(cell_list(mask)), frozenset(cell_list(knife))
+    )
+    # the cached mask is the one the cover was made from
+    mask.flags.writeable = False
+    vars(grid)["mask"] = mask
+    # the transform takes about one pass per cell of its source's
+    # eccentricity, so it starts from the covered cell nearest the box centre
+    cells = np.argwhere(mask)
+    centre = cells[np.abs(cells - (np.array(mask.shape) - 1) / 2).max(axis=1).argmin()]
+    if np.isinf(grid.distances(grid.mask_of([tuple(centre)]))[mask]).any():
         raise GeometryError("cell cover is not connected under 8-adjacency")
     return grid
 

@@ -213,8 +213,7 @@ def density_check(
     A cell's count is the number of agents in c & S: agents in uncovered
     boundary slivers are left out rather than folded into a covered cell.
     """
-    cells = grid.cells_of(snapshot.positions)
-    own = grid.in_cover(cells[:, 0], cells[:, 1])
+    own = grid.covers(snapshot.positions)
     tot = grid.bin(snapshot.positions[own], snapshot.states[own]).sum(axis=0)
     bad = grid.mask & ((tot < eta1 * grid.side**2) | (tot > eta2 * grid.side**2))
     return [(c, int(tot[c])) for c in cell_list(bad)]

@@ -95,16 +95,27 @@ def _in_disk(centres: np.ndarray, rho: float, gen: np.random.Generator) -> np.nd
     return out
 
 
-def _in_block(points: np.ndarray, sgrid: CellGrid, gen: np.random.Generator) -> np.ndarray:
-    """One point uniform on the 3x3 supercell block around each point's supercell."""
-    corners = np.asarray(sgrid.origin) + (sgrid.cells_of(points) - 1) * sgrid.side
-    return gen.random((len(points), 2)) * (3 * sgrid.side) + corners
+def _block_corners(points: np.ndarray, sgrid: CellGrid) -> np.ndarray:
+    """Lower-left corner of the 3x3 supercell block around each point's
+    supercell: ``origin + (bucket_cells(points, side, origin) - 1) * side``,
+    in place in one float array (whole numbers convert exactly)."""
+    corners = points - np.asarray(sgrid.origin)
+    corners /= sgrid.side
+    np.floor(corners, out=corners)
+    corners -= 1
+    corners *= sgrid.side
+    corners += sgrid.origin
+    return corners
+
+
+def _in_block(corners: np.ndarray, sgrid: CellGrid, gen: np.random.Generator) -> np.ndarray:
+    """One point uniform on each 3x3 supercell block, given by its lower-left corner."""
+    return gen.random((len(corners), 2)) * (3 * sgrid.side) + corners
 
 
 def _covered(points: np.ndarray, sgrid: CellGrid, region: Region) -> np.ndarray:
     """Which points lie in S and in a covered supercell."""
-    cells = sgrid.cells_of(points)
-    return region.contains(points) & sgrid.in_cover(cells[:, 0], cells[:, 1])
+    return region.contains(points) & sgrid.covers(points)
 
 
 def _uniform_in_region(n: int, region: Region, gen: np.random.Generator) -> np.ndarray:
@@ -134,10 +145,11 @@ def cellular_walk_all(
     positions: np.ndarray, sgrid: CellGrid, region: Region, gen: np.random.Generator
 ) -> np.ndarray:
     """One cellular step for every agent: uniform over union(N(C)) & S,
-    drawn from the 3-rho-square block around the agent's supercell."""
+    drawn from the 3-rho-square block around the agent's supercell, whose
+    corner is found once per step."""
     return rejection_sample(
-        positions,
-        lambda x, gen: _in_block(x, sgrid, gen),
+        _block_corners(positions, sgrid),
+        lambda corners, gen: _in_block(corners, sgrid, gen),
         lambda c: _covered(c, sgrid, region),
         gen,
     )
@@ -163,7 +175,9 @@ def init_positions(
 
     def accept(x):
         if cellular:
-            return _covered(x, sgrid, region) & _covered(_in_block(x, sgrid, gen), sgrid, region)
+            return _covered(x, sgrid, region) & _covered(
+                _in_block(_block_corners(x, sgrid), sgrid, gen), sgrid, region
+            )
         return region.contains(_in_disk(x, mobility.rho, gen))
 
     # the rows carry nothing: each proposal is a fresh uniform point

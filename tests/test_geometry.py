@@ -18,6 +18,7 @@ from redwave.geometry import (
     build_cell_grid,
     cell_diameter,
     cell_distance,
+    cell_list,
     eccentricity,
     neighborhood,
     neighbour_blocks,
@@ -114,6 +115,9 @@ def test_disk_cover_matches_subsampling_oracle(disk_grid):
     disagree = expected.symmetric_difference(disk_grid.cover)
     # knife-edge cells may differ between sampling resolutions; none here
     assert disagree <= set(disk_grid.knife_edge)
+    # the mask build_cell_grid hands over is the cover's, read-only
+    assert cell_list(disk_grid.mask) == sorted(disk_grid.cover)
+    assert not disk_grid.mask.flags.writeable
 
 
 def test_indivisible_side_partial_cells():

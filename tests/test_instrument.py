@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from redwave.epidemic import BLACK, RED, WHITE, SimParams, run
 from redwave.errors import ConfigurationError
-from redwave.geometry import _ADJ8, Region, build_cell_grid
+from redwave.geometry import _ADJ8, Region, bucket_cells, build_cell_grid
 from redwave.instrument import (
     CellState,
     StateConstants,
@@ -605,7 +605,7 @@ def test_supercell_counts_match_manual():
     states = gen.choice([WHITE, RED, BLACK], size=300).astype(np.int8)
     snap = make_snapshot(pos, states)
     counts = supercell_counts(snap, sgrid)
-    cells = sgrid.cells_of(pos)
+    cells = bucket_cells(pos, sgrid.side, sgrid.origin)
     for C, (w, r, b) in counts.items():
         sel = (cells[:, 0] == C[0]) & (cells[:, 1] == C[1])
         assert w == int(np.count_nonzero(states[sel] == WHITE))

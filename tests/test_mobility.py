@@ -13,7 +13,7 @@ from redwave import mobility
 from redwave.cli import _check_regime
 from redwave.epidemic import SimParams
 from redwave.errors import ConfigurationError, MobilityError
-from redwave.geometry import Region
+from redwave.geometry import Region, bucket_cells
 from redwave.mobility import (
     MobilityMode,
     RngStream,
@@ -120,7 +120,7 @@ def test_cellular_step_uniform_over_nine_supercells():
     n = 90_000
     pos = np.tile([[18.0, 18.0]], (n, 1))
     out = cellular_walk_all(pos, sgrid, region, gen)
-    cells = sgrid.cells_of(out)
+    cells = bucket_cells(out, sgrid.side, sgrid.origin)
     keys = [tuple(c) for c in cells]
     counts = np.array(
         [keys.count((i, j)) for i in range(3) for j in range(3)]
@@ -135,7 +135,7 @@ def test_cellular_step_corner_supercell_hits_covered_neighbors_only():
     gen = RngStream(13).generator()
     pos = np.tile([[3.0, 3.0]], (5000, 1))  # corner supercell (0, 0)
     out = cellular_walk_all(pos, sgrid, region, gen)
-    hit = {tuple(c) for c in sgrid.cells_of(out)}
+    hit = {tuple(c) for c in bucket_cells(out, sgrid.side, sgrid.origin)}
     assert hit <= {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
@@ -170,7 +170,7 @@ def test_init_positions_cellular_burn_in_spreads_over_supercells():
     n = 9000
     pos = init_positions(n, region, MobilityMode.cellular(12.0), RngStream(21).generator())
     sgrid = build_supercell_grid(region, 12.0)
-    cells = sgrid.cells_of(pos)
+    cells = bucket_cells(pos, sgrid.side, sgrid.origin)
     counts = np.bincount(cells[:, 0] * 4 + cells[:, 1], minlength=16)
     # all 16 supercells populated, none wildly off the n/16 mean
     assert counts.min() > 0
@@ -286,6 +286,12 @@ def test_walk_draws_are_pinned(region, rho, digest):
             "c18762cafca89b94900a0872308a8000"
             "649b4fd94dc11f40d95ad1ebe64af394",
         ),
+        # the last supercell column (48 <= x <= 50) is uncovered
+        (
+            Region.square(50.0), 8.0,
+            "74afc92a074732ab0c0ddbfca3510266"
+            "363060b714d9be5b2c2ee924177e255f",
+        ),
     ],
 )
 def test_cellular_walk_draws_are_pinned(region, rho, digest):
@@ -295,6 +301,29 @@ def test_cellular_walk_draws_are_pinned(region, rho, digest):
     for _ in range(3):
         pos = cellular_walk_all(pos, sgrid, region, gen)
     assert _sha256(pos) == digest
+
+
+@pytest.mark.parametrize(
+    "region, rho",
+    [(Region.square(48.0), 8.0), (Region.square(50.0), 8.0), (Region.disk(24.0), 7.5)],
+)
+def test_cellular_cover_test_matches_in_cover(region, rho):
+    sgrid = build_supercell_grid(region, rho)
+    xmin, ymin, xmax, ymax = region.bounds
+    gen = np.random.default_rng(3)
+    # beyond the box on every side, and its edges: x = L floors to cell W
+    # when rho tiles L, and at L = 50 to the uncovered last column
+    pts = gen.uniform(xmin - 3 * rho, xmax + 3 * rho, (2000, 2))
+    edge = [(xmax, 10.0), (10.0, ymax), (xmax, ymax), (xmin, ymin), (xmin, 0.0), (xmax - 1e-9, 0.0)]
+    pts = np.vstack([pts, edge])
+    cells = bucket_cells(pts, sgrid.side, sgrid.origin)
+    in_cover = sgrid.in_cover(cells[:, 0], cells[:, 1])
+    assert np.array_equal(sgrid.covers(pts), in_cover)
+    expected = region.contains(pts) & in_cover
+    assert np.array_equal(mobility._covered(pts, sgrid, region), expected)
+    if region.kind == "square":
+        # a candidate exactly at x = L or y = L is rejected
+        assert not expected[-6:-3].any()
 
 
 def test_stationary_start_draws_are_pinned():
@@ -313,7 +342,7 @@ def test_stationary_start_draws_are_pinned():
 
 
 def _supercell_counts(pos, sgrid):
-    cells = sgrid.cells_of(pos)
+    cells = bucket_cells(pos, sgrid.side, sgrid.origin)
     assert np.all(sgrid.in_cover(cells[:, 0], cells[:, 1]))
     keys = cells[:, 0] * sgrid.mask.shape[1] + cells[:, 1]
     return np.bincount(keys, minlength=sgrid.mask.size)[sgrid.mask.ravel()]
