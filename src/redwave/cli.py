@@ -186,58 +186,36 @@ def parse_config(path: str):
             seed=seed,
             max_steps=cp.getint("protocol", "max_steps", fallback=10_000),
         )
+
+        regime = cp.get("protocol", "regime", fallback=None)
+        if regime is not None:
+            _check_regime(regime, params, opts.get("cell_side"))
+
+        is_plan = cp.has_section("experiment") and any(
+            cp.has_option("experiment", key)
+            for key in ("sweep_axis", "sweep_values", "replicas")
+        )
+        if not is_plan:
+            return params
+
+        axis = cp.get("experiment", "sweep_axis", fallback=None)
+        values: tuple = ()
+        if cp.has_option("experiment", "sweep_values"):
+            values = tuple(float(v) for v in cp.get("experiment", "sweep_values").split(","))
+        return ExperimentPlan(
+            base=params,
+            sweep_axis=axis,
+            sweep_values=values,
+            replicas=cp.getint("experiment", "replicas", fallback=1),
+            density_one=cp.getboolean("agents", "density_one", fallback=False),
+        )
     except (configparser.Error, ValueError) as exc:
         raise ConfigurationError(f"invalid config value: {exc}") from exc
-
-    regime = cp.get("protocol", "regime", fallback=None)
-    if regime is not None:
-        _check_regime(regime, params, opts.get("cell_side"))
-
-    is_plan = cp.has_section("experiment") and any(
-        cp.has_option("experiment", key)
-        for key in ("sweep_axis", "sweep_values", "replicas")
-    )
-    if not is_plan:
-        return params
-
-    axis = cp.get("experiment", "sweep_axis", fallback=None)
-    values: tuple = ()
-    if cp.has_option("experiment", "sweep_values"):
-        values = tuple(float(v) for v in cp.get("experiment", "sweep_values").split(","))
-    return ExperimentPlan(
-        base=params,
-        sweep_axis=axis,
-        sweep_values=values,
-        replicas=cp.getint("experiment", "replicas", fallback=1),
-        density_one=cp.getboolean("agents", "density_one", fallback=False),
-    )
 
 
 def instrumentation_options(path: str) -> dict:
     """The [instrumentation] section as a plain dict of floats."""
     return _read_config(path)[1]
-
-
-def emit_config(params: SimParams, path: str) -> None:
-    """Canonical config emitter; parse(emit(params)) round-trips."""
-    cp = _StrictParser()
-    cp["region"] = {"kind": params.region.kind, "size": _fmt(params.region.size)}
-    cp["agents"] = {"n": str(params.n)}
-    sources = params.sources
-    if not isinstance(sources, str):
-        sources = ";".join(f"{_fmt(float(x))},{_fmt(float(y))}" for x, y in sources)
-    cp["protocol"] = {
-        "r": _fmt(params.R),
-        "k": str(params.k),
-        "phase_order": params.phase_order,
-        "transmission_scope": params.transmission_scope,
-        "sources": sources,
-        "max_steps": str(params.max_steps),
-    }
-    cp["mobility"] = {"mode": params.mobility.kind, "rho": _fmt(params.mobility.rho)}
-    cp["experiment"] = {"seed": str(params.seed)}
-    with open(path, "w") as fh:
-        cp.write(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -395,61 +373,45 @@ _SUMMARY_FIELDS = [
 ]
 
 
+def _summary_row(kind: str, p_idx: int, params: SimParams, t) -> dict:
+    """The fields that the replica and aggregate rows of a sweep point share,
+    for completion time ``t``: its ratios are blank when ``t`` is None or
+    nan, and the rho ratio also at rho = 0."""
+    D, rho = params.region.diameter, params.mobility.rho
+    done = t is not None and not math.isnan(t)
+    return {
+        "row_kind": kind,
+        "point": p_idx,
+        "L": _fmt(params.region.size),
+        "n": params.n,
+        "R": _fmt(params.R),
+        "rho": _fmt(rho),
+        "k": params.k,
+        "t_r_over_d": _fmt(t * params.R / D) if done else "",
+        "t_rho_over_d": _fmt(t * rho / D) if done and rho != 0 else "",
+    }
+
+
 def emit_summary(sweep: SweepResult, path: str) -> None:
     """One CSV row per (sweep point, replica), plus one aggregate row per
     point.  Failed runs carry the failure step and a flag, never a fake
-    completion time."""
+    completion time; fields a row does not set are blank."""
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=_SUMMARY_FIELDS, lineterminator="\n")
+            writer = csv.DictWriter(fh, _SUMMARY_FIELDS, restval="", lineterminator="\n")
             writer.writeheader()
             for p_idx, point in enumerate(sweep.points):
                 params = point.params
-                D = params.region.diameter
-                rho = params.mobility.rho
                 for r_idx, (t, f) in enumerate(zip(point.completion_times, point.failures)):
-                    row = {
-                        "row_kind": "replica",
-                        "point": p_idx,
-                        "replica": r_idx,
-                        "seed": params.seed + r_idx,
-                        "L": _fmt(params.region.size),
-                        "n": params.n,
-                        "R": _fmt(params.R),
-                        "rho": _fmt(rho),
-                        "k": params.k,
-                        "completion_time": "" if t is None else t,
-                        "failed": t is None,
-                        "failed_at": "" if f is None else f,
-                        "t_r_over_d": "" if t is None else _fmt(t * params.R / D),
-                        "t_rho_over_d": "" if t is None or rho == 0 else _fmt(t * rho / D),
-                        "median_t": "",
-                        "completion_fraction": "",
-                    }
+                    row = _summary_row("replica", p_idx, params, t)
+                    row.update(replica=r_idx, seed=params.seed + r_idx, completion_time=t)
+                    row.update(failed=t is None, failed_at=f)  # None is written blank
                     writer.writerow(row)
                 med = point.median_completion()
-                writer.writerow(
-                    {
-                        "row_kind": "aggregate",
-                        "point": p_idx,
-                        "replica": "",
-                        "seed": "",
-                        "L": _fmt(params.region.size),
-                        "n": params.n,
-                        "R": _fmt(params.R),
-                        "rho": _fmt(rho),
-                        "k": params.k,
-                        "completion_time": "",
-                        "failed": "",
-                        "failed_at": "",
-                        "t_r_over_d": "" if math.isnan(med) else _fmt(med * params.R / D),
-                        "t_rho_over_d": ""
-                        if math.isnan(med) or rho == 0
-                        else _fmt(med * rho / D),
-                        "median_t": "" if math.isnan(med) else _fmt(med),
-                        "completion_fraction": _fmt(point.completion_fraction()),
-                    }
-                )
+                row = _summary_row("aggregate", p_idx, params, med)
+                row["median_t"] = "" if math.isnan(med) else _fmt(med)
+                row["completion_fraction"] = _fmt(point.completion_fraction())
+                writer.writerow(row)
     except OSError as exc:
         raise OSError(f"cannot write summary {path}: {exc}") from exc
 
@@ -467,10 +429,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True)
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=".")
-        sp.add_argument("--format", choices=["csv", "ndjson"], default="ndjson")
-        sp.add_argument(
-            "--dump-cells", choices=["never", "each", "final"], default="never"
-        )
+        if verb in ("run", "audit"):
+            sp.add_argument("--format", choices=["csv", "ndjson"], default="ndjson")
+            # default: each for audit, never for run
+            sp.add_argument("--dump-cells", choices=["never", "each", "final"])
         if verb == "run":
             sp.add_argument("--expect-completion", action="store_true")
         if verb == "isolated":
@@ -511,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
             if audit and grid is None:
                 print("config error: audit needs [instrumentation] cell_side", file=sys.stderr)
                 return EXIT_CONFIG
-            dump = "each" if audit and args.dump_cells == "never" else args.dump_cells
+            dump = args.dump_cells or ("each" if audit else "never")
             out = os.path.join(args.out, f"{'audit' if audit else 'trace'}.{args.format}")
             with trace_writer(args.format, out) as write:
                 rec = trace_run(parsed, grid, dump, write)

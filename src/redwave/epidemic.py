@@ -155,13 +155,21 @@ class RunRecord:
 # ---------------------------------------------------------------------------
 
 
-def _nearest(counts: np.ndarray, reds: np.ndarray, d2: np.ndarray):
-    """Per query of a neighbour-query chunk: the least squared distance and
-    the lowest red index at that distance."""
-    starts = np.cumsum(counts) - counts
-    best = np.minimum.reduceat(d2, starts)
-    tied = np.flatnonzero(d2 == np.repeat(best, counts))  # at least one per query
-    return best, np.minimum.reduceat(reds[tied], np.searchsorted(tied, starts))
+def _nearest_reds(pos, whites, reds, side, origin=(0.0, 0.0), block=1, key=None):
+    """The neighbour query of ``whites`` against ``reds`` (see
+    :func:`neighbour_blocks`), reduced per white with a candidate: the
+    whites, their least squared distance to a candidate and the lowest red
+    index at that distance.  With ``key``, pairs whose keys differ are at
+    distance +inf."""
+    found = [(_NONE, np.empty(0), _NONE)]
+    for w, counts, r, d2 in neighbour_blocks(pos, whites, reds, side, origin, block):
+        if key is not None:
+            d2[np.repeat(key[w], counts) != key[r]] = np.inf
+        starts = np.cumsum(counts) - counts
+        best = np.minimum.reduceat(d2, starts)
+        tied = np.flatnonzero(d2 == np.repeat(best, counts))  # at least one per white
+        found.append((w, best, np.minimum.reduceat(r[tied], np.searchsorted(tied, starts))))
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 def _inform_euclidean(
@@ -174,14 +182,9 @@ def _inform_euclidean(
     """
     red_idx = np.flatnonzero(states == RED)
     white_idx = np.flatnonzero(states == WHITE)
-    informed, informers = [_NONE], [_NONE]
-    side = bucket_side(positions, R)
-    for w, counts, reds, d2 in neighbour_blocks(positions, white_idx, red_idx, side):
-        best, nearest = _nearest(counts, reds, d2)
-        hit = in_reach(best, R)
-        informed.append(w[hit])
-        informers.append(nearest[hit])
-    return np.concatenate(informed), np.concatenate(informers)
+    w, best, nearest = _nearest_reds(positions, white_idx, red_idx, bucket_side(positions, R))
+    hit = in_reach(best, R)
+    return w[hit], nearest[hit]
 
 
 def _inform_same_supercell(
@@ -215,18 +218,16 @@ def _inform_same_supercell(
     if len(whites):  # then some supercell holds a red
         side = bucket_side(pos, sgrid.side / math.isqrt(len(reds) // np.count_nonzero(holds)))
         if side < sgrid.side:
+            w, best, nearest = _nearest_reds(pos, whites, reds, side, sgrid.origin, key=key)
+            hit = best < side * side * (1 - 1e-9)
+            informed.append(w[hit])
+            informers.append(nearest[hit])
             settled = np.zeros(len(agents), dtype=bool)
-            for w, counts, r, d2 in neighbour_blocks(pos, whites, reds, side, sgrid.origin):
-                d2[np.repeat(key[w], counts) != key[r]] = np.inf
-                best, nearest = _nearest(counts, r, d2)
-                hit = best < side * side * (1 - 1e-9)
-                settled[w[hit]] = True
-                informed.append(w[hit])
-                informers.append(nearest[hit])
+            settled[w[hit]] = True
             whites = whites[~settled[whites]]
-        for w, counts, r, d2 in neighbour_blocks(pos, whites, reds, sgrid.side, sgrid.origin, 0):
-            informed.append(w)
-            informers.append(_nearest(counts, r, d2)[1])
+        w, _, nearest = _nearest_reds(pos, whites, reds, sgrid.side, sgrid.origin, 0)
+        informed.append(w)
+        informers.append(nearest)
     return agents[np.concatenate(informed)], agents[np.concatenate(informers)]
 
 

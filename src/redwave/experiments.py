@@ -33,8 +33,18 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if self.replicas < 1:
             raise ConfigurationError("replicas must be >= 1")
-        if self.sweep_axis is not None and not self.sweep_values:
+        if self.sweep_axis is None:
+            return
+        if self.sweep_axis not in ("L", "R", "rho", "k", "n"):
+            raise ConfigurationError(f"unknown sweep axis {self.sweep_axis!r}")
+        if not self.sweep_values:
             raise ConfigurationError("sweep axis declared without values")
+        if self.sweep_axis in ("k", "n"):
+            for v in self.sweep_values:
+                if not float(v).is_integer():  # nan and inf are not
+                    raise ConfigurationError(
+                        f"sweep axis {self.sweep_axis} takes whole numbers, got {v!r}"
+                    )
 
     def points(self) -> list[SimParams]:
         if self.sweep_axis is None:
@@ -53,9 +63,7 @@ class ExperimentPlan:
             return replace(params, mobility=replace(params.mobility, rho=float(value)))
         if axis == "k":
             return replace(params, k=int(value))
-        if axis == "n":
-            return replace(params, n=int(value))
-        raise ConfigurationError(f"unknown sweep axis {axis!r}")
+        return replace(params, n=int(value))
 
     def _finalize(self, params: SimParams) -> SimParams:
         if self.density_one and self.sweep_axis != "n":

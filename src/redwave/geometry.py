@@ -9,7 +9,7 @@ the cover under 8-adjacency, and a lattice-sampled eccentricity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -23,7 +23,6 @@ _ADJ8 = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
 
 # Sub-sampling resolution for disk cell areas: 32 x 32 = 1024 points per cell.
 _AREA_SAMPLES_PER_SIDE = 32
-_KNIFE_EDGE_MARGIN = 2.0 / (_AREA_SAMPLES_PER_SIDE**2)
 
 # Lattice spacing of the eccentricity estimate: diameter / _LATTICE_POINTS.
 _LATTICE_POINTS = 1000
@@ -104,7 +103,6 @@ class CellGrid:
     gamma: float
     origin: tuple[float, float]
     cover: frozenset[CellIndex]
-    knife_edge: frozenset[CellIndex] = field(default_factory=frozenset)
 
     @cached_property
     def mask(self) -> np.ndarray:
@@ -398,9 +396,7 @@ def build_cell_grid(region: Region, side: float, gamma: float) -> CellGrid:
     """Build the cell cover: cells with ``area(c & S) >= gamma * side**2``.
 
     Square regions get analytic intersection areas; disks are sub-sampled
-    with a deterministic 1024-point lattice per cell.  Cells whose sampled
-    area lies within the sampling tolerance of the threshold are flagged as
-    knife-edge.
+    with a deterministic 1024-point lattice per cell.
     """
     if not (math.isfinite(side) and side > 0):
         raise ConfigurationError("cell side must be finite and positive")
@@ -423,26 +419,21 @@ def build_cell_grid(region: Region, side: float, gamma: float) -> CellGrid:
         # 1e-9 relative slack absorbs float noise on exact tilings
         mask = np.multiply.outer(w, w) >= threshold * (1 - 1e-9)
         mask &= np.multiply.outer(w > 0, w > 0)
-        knife = np.zeros_like(mask)
     else:
         m = _AREA_SAMPLES_PER_SIDE
         offs = (np.arange(m) + 0.5) / m * side
         ox, oy = np.meshgrid(offs, offs, indexing="ij")
         sample = np.column_stack([ox.ravel(), oy.ravel()])
         mask = np.zeros((ncols, nrows), dtype=bool)
-        knife = np.zeros_like(mask)
         for i in range(ncols):
             for j in range(nrows):
                 base = np.array([xmin + i * side, ymin + j * side])
                 frac = np.count_nonzero(region.contains(sample + base)) / (m * m)
                 mask[i, j] = frac * side**2 >= threshold * (1 - 1e-9)
-                knife[i, j] = abs(frac - gamma) <= _KNIFE_EDGE_MARGIN
 
     if not mask.any():
         raise GeometryError("empty cell cover: gamma too large for this side length")
-    grid = CellGrid(
-        region, side, gamma, origin, frozenset(cell_list(mask)), frozenset(cell_list(knife))
-    )
+    grid = CellGrid(region, side, gamma, origin, frozenset(cell_list(mask)))
     # the cached mask is the one the cover was made from
     mask.flags.writeable = False
     vars(grid)["mask"] = mask

@@ -28,54 +28,36 @@ class CellState(Enum):
     EMPTY = "empty"  # no agents at all (artifact extension)
 
 
-# Default calibration: the analysis treats these as unspecified positive
-# constants; these defaults make the density audit pass at mean density 1
-# and are overridable from configs.
-DEFAULT_ETA1 = 0.5
-DEFAULT_ETA2 = 2.0
-DEFAULT_C0 = 1.0
+# Constants of the supercell state ladder.  The analysis leaves them as
+# unspecified positive constants; these make the density audit pass at mean
+# density 1.
+ETA1, ETA2, C0 = 0.5, 2.0, 1.0
 
 
-@dataclass(frozen=True)
-class StateConstants:
-    """Constants of the supercell state ladder.
+def state_constants(h: int) -> tuple[float, float, float]:
+    """(a_h, b_h, c_h) for intermediate state h >= 1: they bound the red and
+    white agent counts of that state.
 
-    ``a[h]``, ``b[h]``, ``c[h]`` (1-indexed via ``state_constants``) bound
-    the red/white agent counts of intermediate state h.
-    """
-
-    eta1: float = DEFAULT_ETA1
-    eta2: float = DEFAULT_ETA2
-    c0: float = DEFAULT_C0
-
-    def __post_init__(self) -> None:
-        if self.eta1 <= 0 or self.eta2 <= 0 or self.c0 <= 0:
-            raise ConfigurationError("state constants must be positive")
-
-
-def state_constants(h: int, eta1: float, eta2: float) -> tuple[float, float, float]:
-    """(a_h, b_h, c_h) for intermediate state h >= 1.
-
-    a_h = eta1^h / (2 * 2160^(h-1) * 20^((h-1)(h-2)/2))
-    b_h = 15 * 68^(h-1) * eta2^h
-    c_h = eta1 / (2 * 20^(h-1))
+    a_h = ETA1^h / (2 * 2160^(h-1) * 20^((h-1)(h-2)/2))
+    b_h = 15 * 68^(h-1) * ETA2^h
+    c_h = ETA1 / (2 * 20^(h-1))
     """
     if h < 1:
         raise ConfigurationError("state index h must be >= 1")
-    a = eta1**h / (2.0 * 2160.0 ** (h - 1) * 20.0 ** ((h - 1) * (h - 2) / 2))
-    b = 15.0 * 68.0 ** (h - 1) * eta2**h
-    c = eta1 / (2.0 * 20.0 ** (h - 1))
+    a = ETA1**h / (2.0 * 2160.0 ** (h - 1) * 20.0 ** ((h - 1) * (h - 2) / 2))
+    b = 15.0 * 68.0 ** (h - 1) * ETA2**h
+    c = ETA1 / (2.0 * 20.0 ** (h - 1))
     return a, b, c
 
 
-def h_hat(R: float, rho: float, n, c0: float = DEFAULT_C0) -> int:
-    """Number of the Red State: ceil(log base R^2 of (c0 (rho/R)^2 ln n)).
+def h_hat(R: float, rho: float, n) -> int:
+    """Number of the Red State: ceil(log base R^2 of (C0 (rho/R)^2 ln n)).
 
     Natural log throughout; requires R^2 > 1 and a positive log argument.
     """
     if R <= 1:
         raise ConfigurationError("h_hat requires R > 1")
-    arg = c0 * (rho**2 / R**2) * math.log(n)
+    arg = C0 * (rho**2 / R**2) * math.log(n)
     if arg <= 0:
         raise ConfigurationError("h_hat log argument must be positive")
     value = math.log(arg) / math.log(R**2)
@@ -200,22 +182,15 @@ def wavefront_distances(
     return CellMap(grid.distances(_state_grid(cellstates, grid) == _RED), grid)
 
 
-def distances_to_set(targets: set[CellIndex], grid: CellGrid) -> CellMap:
-    """Cell-distance from every covered cell to an arbitrary target set."""
-    return CellMap(grid.distances(grid.mask_of(targets)), grid)
-
-
-def density_check(
-    snapshot: Snapshot, grid: CellGrid, eta1: float = DEFAULT_ETA1, eta2: float = DEFAULT_ETA2
-) -> list[tuple[CellIndex, int]]:
-    """Cells whose agent count falls outside [eta1*l^2, eta2*l^2].
+def density_check(snapshot: Snapshot, grid: CellGrid) -> list[tuple[CellIndex, int]]:
+    """Cells whose agent count falls outside [ETA1*l^2, ETA2*l^2].
 
     A cell's count is the number of agents in c & S: agents in uncovered
     boundary slivers are left out rather than folded into a covered cell.
     """
     own = grid.covers(snapshot.positions)
     tot = grid.bin(snapshot.positions[own], snapshot.states[own]).sum(axis=0)
-    bad = grid.mask & ((tot < eta1 * grid.side**2) | (tot > eta2 * grid.side**2))
+    bad = grid.mask & ((tot < ETA1 * grid.side**2) | (tot > ETA2 * grid.side**2))
     return [(c, int(tot[c])) for c in cell_list(bad)]
 
 
@@ -226,7 +201,7 @@ def density_check(
 
 @dataclass(frozen=True)
 class SupercellClassifier:
-    """Binds (R, rho, n) and the state constants to the state ladder.
+    """Binds (R, rho, n) to the state ladder.
 
     States: 0 = White State, 1..h_hat-1 intermediate, h_hat = Red State,
     h_hat + 1 = Black State.  The last three states can overlap, so
@@ -236,11 +211,10 @@ class SupercellClassifier:
     R: float
     rho: float
     n: int
-    constants: StateConstants = StateConstants()
 
     @property
     def h_hat(self) -> int:
-        return h_hat(self.R, self.rho, self.n, self.constants.c0)
+        return h_hat(self.R, self.rho, self.n)
 
     @property
     def red_threshold(self) -> float:
@@ -252,7 +226,7 @@ class SupercellClassifier:
         if n_red == 0 and n_black == 0:
             states.add(0)
         for h in range(1, hh):
-            a, b, c = state_constants(h, self.constants.eta1, self.constants.eta2)
+            a, b, c = state_constants(h)
             if a * self.R ** (2 * h) <= n_red <= b * self.R ** (2 * h) and n_white >= c * self.rho**2:
                 states.add(h)
         if n_red >= self.red_threshold:
@@ -486,7 +460,6 @@ def spread_audit(
     sgrid: CellGrid,
     grid: CellGrid,
     R: float,
-    constants: StateConstants = StateConstants(),
 ) -> SpreadAudit:
     """Audit the one-step agent-spread bounds behind the supercell ladder.
 
@@ -496,14 +469,14 @@ def spread_audit(
     end-of-step snapshots: positions from step t+1, states from step t.
 
     Per (supercell, step) pair with the stated hypothesis:
-      - white spread: #W(N(C), t) = lambda rho^2 with lambda >= 720/c0^2
+      - white spread: #W(N(C), t) = lambda rho^2 with lambda >= 720/C0^2
         implies every cell of C holds >= (lambda/36) R^2 whites mid-step.
-      - red spread: #R(C, t) = lambda R^2 with lambda >= 1800/c0^2 implies
+      - red spread: #R(C, t) = lambda R^2 with lambda >= 1800/C0^2 implies
         every C' in N(C) has >= min((lambda/30) R^2, rho^2/(2R^2)) red-hit
         cells mid-step.
       - red saturation: C in the Red State implies every cell of every
         C' in N(C) is hit by a red mid-step.
-      - red upper bound: #R(C, t+1) <= 68 eta2 M R^2 where M is the max
+      - red upper bound: #R(C, t+1) <= 68 ETA2 M R^2 where M is the max
         red count over N(C) at t (hypothesis always applicable).
     """
     rho = sgrid.side
@@ -514,10 +487,10 @@ def spread_audit(
     if len(snapshots) < 2:
         raise ConfigurationError("spread audit needs at least two snapshots")
     n = snapshots[0].n
-    classifier = SupercellClassifier(R=R, rho=rho, n=n, constants=constants)
+    classifier = SupercellClassifier(R=R, rho=rho, n=n)
     hh = classifier.h_hat
-    lam_w_min = 720.0 / constants.c0**2
-    lam_r_min = 1800.0 / constants.c0**2
+    lam_w_min = 720.0 / C0**2
+    lam_r_min = 1800.0 / C0**2
 
     nbhd = {C: neighborhood(C, sgrid) for C in sgrid.cells}
     # each covered cell's supercell, for the covered cells whose supercell
@@ -561,6 +534,6 @@ def spread_audit(
                     audit.red_saturation.holds += 1
             m_red = max(counts[t][Cp][1] for Cp in nbhd[C])
             audit.red_upper.hypothesis_met += 1
-            if counts[t + 1][C][1] <= 68.0 * constants.eta2 * max(m_red, 0) * R**2:
+            if counts[t + 1][C][1] <= 68.0 * ETA2 * max(m_red, 0) * R**2:
                 audit.red_upper.holds += 1
     return audit

@@ -14,7 +14,6 @@ from redwave.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_RUN_FAILURE,
-    emit_config,
     emit_summary,
     emit_trace,
     main,
@@ -141,21 +140,6 @@ def test_redwave_seed_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("REDWAVE_SEED", "777")
     params = parse_config(write(tmp_path, MINIMAL))
     assert params.seed == 777
-
-
-def test_config_round_trip(tmp_path):
-    params = SimParams(
-        region=Region.square(17.5),
-        n=33,
-        R=2.75,
-        k=2,
-        mobility=MobilityMode.standard(0.625),
-        sources=[(1.25, 2.5)],
-        seed=11,
-    )
-    path = str(tmp_path / "emitted.ini")
-    emit_config(params, path)
-    assert parse_config(path) == params
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +400,26 @@ def test_main_sweep_more_sources_than_agents(tmp_path, capsys):
     assert not (tmp_path / "s" / "summary.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "experiment",
+    [
+        "sweep_axis = k\nsweep_values = 1.5, 2.9",
+        "sweep_axis = k\nsweep_values = nan",
+        "sweep_axis = k\nsweep_values = inf",
+        "sweep_axis = n\nsweep_values = 40, 1e400",
+        "sweep_axis = k\nsweep_values = abc",
+        "sweep_axis = speed\nsweep_values = 1",
+        "replicas = abc",
+    ],
+)
+def test_main_sweep_rejects_bad_experiment_values(tmp_path, capsys, experiment):
+    # rejected before any replica runs, so no summary is written
+    cfg = write(tmp_path, MINIMAL + f"\n[experiment]\n{experiment}\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "summary.csv").exists()
+
+
 @pytest.mark.parametrize("key", ["cell_side", "gamma"])
 def test_main_non_numeric_instrumentation_value(tmp_path, capsys, key):
     text = _with_value((CONFIGS / "regularity.ini").read_text(), key, "abc")
@@ -524,6 +528,36 @@ def test_main_audit_needs_cell_side(tmp_path):
     rows = [json.loads(line) for line in open(tmp_path / "a" / "audit.ndjson")]
     assert all(row["cells"] is not None for row in rows)
     assert all(row["regular"] in (True, False) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "verb, flag, dumped",
+    [
+        ("audit", [], "each"),
+        ("audit", ["--dump-cells", "never"], "never"),
+        ("audit", ["--dump-cells", "final"], "final"),
+        ("run", [], "never"),
+    ],
+)
+def test_main_dump_cells_default_and_explicit(tmp_path, verb, flag, dumped):
+    cfg = write(tmp_path, MINIMAL + "\n[instrumentation]\ncell_side = 1.5\ngamma = 1.0\n")
+    assert main([verb, "--config", cfg, "--out", str(tmp_path / "a"), *flag]) == EXIT_OK
+    name = "audit.ndjson" if verb == "audit" else "trace.ndjson"
+    rows = [json.loads(line) for line in open(tmp_path / "a" / name)]
+    assert len(rows) > 2 and all(row["regular"] in (True, False) for row in rows)
+    has_cells = [row["cells"] is not None for row in rows]
+    last = dumped != "never"
+    assert has_cells == [dumped == "each"] * (len(rows) - 1) + [last]
+
+
+@pytest.mark.parametrize("verb", ["sweep", "isolated"])
+@pytest.mark.parametrize("flag", [["--format", "csv"], ["--dump-cells", "each"]])
+def test_main_trace_flags_only_for_run_and_audit(tmp_path, verb, flag):
+    cfg = write(tmp_path, MINIMAL)
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--config", cfg, "--out", str(tmp_path / "s"), *flag])
+    assert exc.value.code == 2
+    assert not (tmp_path / "s").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -113,8 +113,7 @@ def test_disk_cover_excludes_corners(disk_grid):
 def test_disk_cover_matches_subsampling_oracle(disk_grid):
     expected = oracle_cover(Region.disk(10.0), 3.0, 1.0)
     disagree = expected.symmetric_difference(disk_grid.cover)
-    # knife-edge cells may differ between sampling resolutions; none here
-    assert disagree <= set(disk_grid.knife_edge)
+    assert not disagree
     # the mask build_cell_grid hands over is the cover's, read-only
     assert cell_list(disk_grid.mask) == sorted(disk_grid.cover)
     assert not disk_grid.mask.flags.writeable

@@ -12,13 +12,14 @@ from redwave.epidemic import BLACK, RED, WHITE, SimParams, run
 from redwave.errors import ConfigurationError
 from redwave.geometry import _ADJ8, Region, bucket_cells, build_cell_grid
 from redwave.instrument import (
+    C0,
+    ETA1,
+    ETA2,
     CellState,
-    StateConstants,
     SupercellClassifier,
     classify_cells,
     classify_supercells,
     density_check,
-    distances_to_set,
     h_hat,
     is_regular,
     red_close_cells,
@@ -293,7 +294,7 @@ def test_wavefront_no_reds_is_infinite(grid_4x4):
 
 
 def test_distances_to_set_on_disconnected_target(grid_4x4):
-    d = distances_to_set({(0, 0), (3, 3)}, grid_4x4)
+    d = grid_4x4.distances(grid_4x4.mask_of({(0, 0), (3, 3)}))
     assert d[(0, 0)] == 0
     assert d[(1, 1)] == 1
     assert d[(2, 2)] == 1  # served by (3, 3)
@@ -308,7 +309,7 @@ def test_distances_to_set_on_disconnected_target(grid_4x4):
 def test_density_check_concentration(grid_4x4):
     snap = fill_cells(grid_4x4, {(0, 0): [WHITE] * 40})
     bad = density_check(snap, grid_4x4)
-    assert ((0, 0), 40) in bad  # above eta2 * 9 = 18
+    assert ((0, 0), 40) in bad  # above ETA2 * 9 = 18
     assert all(count == 0 or cell == (0, 0) for cell, count in bad)
 
 
@@ -341,12 +342,13 @@ def test_density_audit_uniform_population():
 
 
 def test_h_hat_direct_evaluations():
+    assert C0 == 1.0
     # R=10, rho=1000, ln n = 100: ceil(log_100(10^6)) = 3
-    assert h_hat(10.0, 1000.0, round(math.exp(100)), c0=1.0) == 3
+    assert h_hat(10.0, 1000.0, round(math.exp(100))) == 3
     # rho = R, ln n = R^2: ceil(log_{R^2}(R^2)) = 1
-    assert h_hat(6.0, 6.0, round(math.exp(36)), c0=1.0) == 1
+    assert h_hat(6.0, 6.0, round(math.exp(36))) == 1
     # R=10, rho=10^4, ln n = 50: ceil(log_100(5 * 10^7)) = 4
-    assert h_hat(10.0, 1.0e4, round(math.exp(50)), c0=1.0) == 4
+    assert h_hat(10.0, 1.0e4, round(math.exp(50))) == 4
 
 
 def test_h_hat_requires_r_above_one():
@@ -356,19 +358,20 @@ def test_h_hat_requires_r_above_one():
 
 def test_state_constants_substitutions():
     eta1, eta2 = 0.5, 2.0
-    assert state_constants(1, eta1, eta2) == pytest.approx((eta1 / 2, 15 * eta2, eta1 / 2))
-    assert state_constants(2, eta1, eta2) == pytest.approx(
+    assert (ETA1, ETA2) == (eta1, eta2)
+    assert state_constants(1) == pytest.approx((eta1 / 2, 15 * eta2, eta1 / 2))
+    assert state_constants(2) == pytest.approx(
         (eta1**2 / 4320, 1020 * eta2**2, eta1 / 40)
     )
-    assert state_constants(3, eta1, eta2) == pytest.approx(
+    assert state_constants(3) == pytest.approx(
         (eta1**3 / (2 * 2160**2 * 20), 15 * 68**2 * eta2**3, eta1 / 800)
     )
     with pytest.raises(ConfigurationError):
-        state_constants(0, eta1, eta2)
+        state_constants(0)
 
 
 def test_state_constants_monotonicity():
-    a, b, c = zip(*(state_constants(h, 0.5, 2.0) for h in range(1, 6)))
+    a, b, c = zip(*(state_constants(h) for h in range(1, 6)))
     assert all(x >= y for x, y in zip(a, a[1:]))  # a non-increasing
     assert all(x <= y for x, y in zip(b, b[1:]))  # b non-decreasing
     assert all(x >= y for x, y in zip(c, c[1:]))  # c non-increasing
@@ -401,7 +404,7 @@ def test_classify_supercell_unclassifiable(classifier):
 
 def test_classify_supercell_intermediate():
     cls = SupercellClassifier(R=6.0, rho=24.0, n=9216)
-    a1, b1, c1 = state_constants(1, 0.5, 2.0)
+    a1, b1, c1 = state_constants(1)
     n_red = math.ceil(a1 * 36)
     n_white = math.ceil(c1 * 576)
     assert 1 in cls.classify(n_white, n_red, 0)
