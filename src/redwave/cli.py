@@ -470,10 +470,11 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_CONFIG
             audit = args.verb == "audit"
             grid = _instrument_grid(parsed, opts)
-            if audit and grid is None:
-                print("config error: audit needs [instrumentation] cell_side", file=sys.stderr)
-                return EXIT_CONFIG
             dump = args.dump_cells or ("each" if audit else "never")
+            if grid is None and (audit or dump != "never"):
+                need = "audit" if audit else f"--dump-cells {dump}"
+                print(f"config error: {need} needs [instrumentation] cell_side", file=sys.stderr)
+                return EXIT_CONFIG
             out = os.path.join(args.out, f"{'audit' if audit else 'trace'}.{args.format}")
             with trace_writer(args.format, out) as write:
                 rec = trace_run(parsed, grid, dump, write)

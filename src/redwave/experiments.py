@@ -34,6 +34,8 @@ class ExperimentPlan:
         if self.replicas < 1:
             raise ConfigurationError("replicas must be >= 1")
         if self.sweep_axis is None:
+            if self.sweep_values:
+                raise ConfigurationError("sweep values declared without a sweep axis")
             return
         if self.sweep_axis not in ("L", "R", "rho", "k", "n"):
             raise ConfigurationError(f"unknown sweep axis {self.sweep_axis!r}")

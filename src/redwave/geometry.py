@@ -351,45 +351,66 @@ def _cells_across(extent: float, side: float) -> int:
     return int(math.ceil(extent / side - 1e-12))
 
 
-def _window_min(a: np.ndarray) -> np.ndarray:
-    """Minimum over each cell's 3x3 neighbourhood in the last two axes.
-
-    Beyond the box counts as +inf (True for boolean arrays, where the
-    minimum is a logical and): sliced minima over the box, no padded copy.
-    """
-    m = a.copy()
-    np.minimum(m[..., 1:, :], a[..., :-1, :], out=m[..., 1:, :])
-    np.minimum(m[..., :-1, :], a[..., 1:, :], out=m[..., :-1, :])
+def touching(cells: np.ndarray) -> np.ndarray:
+    """Cells in, or 8-adjacent to, a cell of the boolean array ``cells``: the
+    3x3 window maximum in the last two axes, by sliced ors over the box."""
+    m = cells.copy()
+    m[..., 1:, :] |= cells[..., :-1, :]
+    m[..., :-1, :] |= cells[..., 1:, :]
     out = m.copy()
-    np.minimum(out[..., 1:], m[..., :-1], out=out[..., 1:])
-    np.minimum(out[..., :-1], m[..., 1:], out=out[..., :-1])
+    out[..., 1:] |= m[..., :-1]
+    out[..., :-1] |= m[..., 1:]
     return out
 
 
-def touching(cells: np.ndarray) -> np.ndarray:
-    """Cells in, or 8-adjacent to, a cell of the boolean array ``cells``."""
-    return ~_window_min(~cells)
-
-
 def distance_transform(start: np.ndarray, through: np.ndarray, step: float = 1) -> np.ndarray:
-    """Masked 8-neighbour min-plus dilation, iterated to its fixed point.
+    """The least ``start[y] + step * d(y, x)`` over the cells y of ``through``,
+    d being the 8-adjacency path length through ``through`` (+inf outside it
+    or where unreachable): the multi-source BFS distance for 0/inf starts and
+    unit step, each 8-connected component's minimum for step 0.  Leading axes
+    are independent problems.
 
-    Every cell of ``through`` takes the minimum of its own value and its
-    neighbours' values plus ``step``; cells outside ``through`` stay +inf
-    and block paths.  With 0 at the sources, +inf elsewhere and unit step
-    this is the multi-source BFS distance under 8-adjacency; with step 0 it
-    spreads the minimum over each 8-connected component.  Leading axes of
-    ``start`` are independent problems.
+    A frontier BFS over the flat box padded by one blocked cell, so that no
+    offset leaves its problem's box.  When ``step`` is at least the spread of
+    the finite starts, a cell's first value is final (label-setting): its
+    nearest sources beat any farther one.  Otherwise a cell re-enters the
+    frontier whenever its value drops.
     """
-    add = np.where(through, step, np.inf)  # +inf blocks a path
-    cur = np.where(through, start, np.inf)
-    while True:
-        nxt = _window_min(cur)
-        nxt += add
-        np.minimum(nxt, cur, out=nxt)
-        if np.array_equal(nxt, cur):
-            return cur
-        cur = nxt
+    shape = np.broadcast_shapes(np.shape(start), np.shape(through))
+    free = np.zeros(shape[:-2] + (shape[-2] + 2, shape[-1] + 2), dtype=bool)
+    free[..., 1:-1, 1:-1] = through
+    padded = np.full(free.shape, np.inf)
+    padded[..., 1:-1, 1:-1] = np.where(through, start, np.inf)
+    reached = padded < np.inf
+    spread = np.ptp(padded[reached]) if reached.any() else 0.0
+    settle = step >= spread
+    if settle:
+        free &= ~reached
+    # only sources next to a free cell have anything to offer
+    frontier = np.flatnonzero(reached & touching(free))
+    val, free, stamp = padded.ravel(), free.ravel(), np.empty(padded.size, dtype=np.intp)
+    h = shape[-1] + 2
+    around = np.array([-h - 1, -h, -h + 1, -1, 1, h - 1, h, h + 1])
+    while len(frontier):
+        near = (frontier[:, None] + around).ravel()
+        if spread == 0:
+            # every frontier cell holds the same value: no minimum to take
+            near = near[free[near]]
+            val[near] = val[frontier[0]] + step
+        else:
+            hit = np.flatnonzero(free[near])
+            near, offer = near[hit], val[frontier[hit // 8]] + step
+            if not settle:
+                drop = offer < val[near]
+                near, offer = near[drop], offer[drop]
+            np.minimum.at(val, near, offer)
+        # of the entries naming one cell, keep the one whose position stayed
+        order = np.arange(len(near))
+        stamp[near] = order
+        frontier = near[stamp[near] == order]
+        if settle:
+            free[frontier] = False
+    return padded[..., 1:-1, 1:-1]
 
 
 def build_cell_grid(region: Region, side: float, gamma: float) -> CellGrid:
@@ -424,24 +445,29 @@ def build_cell_grid(region: Region, side: float, gamma: float) -> CellGrid:
         offs = (np.arange(m) + 0.5) / m * side
         ox, oy = np.meshgrid(offs, offs, indexing="ij")
         sample = np.column_stack([ox.ravel(), oy.ravel()])
-        mask = np.zeros((ncols, nrows), dtype=bool)
-        for i in range(ncols):
-            for j in range(nrows):
-                base = np.array([xmin + i * side, ymin + j * side])
-                frac = np.count_nonzero(region.contains(sample + base)) / (m * m)
-                mask[i, j] = frac * side**2 >= threshold * (1 - 1e-9)
+        # a cell wholly inside meets gamma, one wholly outside does not; the
+        # margin leaves to the lattice count every cell a rounding could tip
+        # (lower corners and extreme squared coordinates; rows are alike)
+        lo = xmin + np.arange(ncols) * side
+        near = np.maximum(lo, np.minimum(lo + side, 0.0)) ** 2
+        far = np.maximum(lo**2, (lo + side) ** 2)
+        mask = np.add.outer(far, far) < region.size**2 * (1 - 1e-9)
+        rim = np.argwhere(~mask & (np.add.outer(near, near) < region.size**2 * (1 + 1e-9)))
+        count = np.empty(len(rim), dtype=np.intp)
+        for at in range(0, len(rim), 64):  # 64 cells' lattices, 1 MB, at a time
+            base = lo[rim[at : at + 64]]
+            hit = region.contains((base[:, None] + sample).reshape(-1, 2))
+            count[at : at + len(base)] = np.count_nonzero(hit.reshape(len(base), -1), axis=1)
+        mask[tuple(rim.T)] = count / (m * m) * side**2 >= threshold * (1 - 1e-9)
 
     if not mask.any():
         raise GeometryError("empty cell cover: gamma too large for this side length")
-    grid = CellGrid(region, side, gamma, origin, frozenset(cell_list(mask)))
-    # the cached mask is the one the cover was made from
+    cells = cell_list(mask)
+    grid = CellGrid(region, side, gamma, origin, frozenset(cells))
+    # the cached mask and cells are the ones the cover was made from
     mask.flags.writeable = False
-    vars(grid)["mask"] = mask
-    # the transform takes about one pass per cell of its source's
-    # eccentricity, so it starts from the covered cell nearest the box centre
-    cells = np.argwhere(mask)
-    centre = cells[np.abs(cells - (np.array(mask.shape) - 1) / 2).max(axis=1).argmin()]
-    if np.isinf(grid.distances(grid.mask_of([tuple(centre)]))[mask]).any():
+    vars(grid).update(mask=mask, cells=cells)
+    if np.isinf(grid.distances(grid.mask_of(cells[:1]))[mask]).any():
         raise GeometryError("cell cover is not connected under 8-adjacency")
     return grid
 

@@ -410,6 +410,7 @@ def test_main_sweep_more_sources_than_agents(tmp_path, capsys):
         "sweep_axis = k\nsweep_values = abc",
         "sweep_axis = speed\nsweep_values = 1",
         "replicas = abc",
+        "sweep_values = 1, 2\nreplicas = 2",
     ],
 )
 def test_main_sweep_rejects_bad_experiment_values(tmp_path, capsys, experiment):
@@ -548,6 +549,20 @@ def test_main_dump_cells_default_and_explicit(tmp_path, verb, flag, dumped):
     has_cells = [row["cells"] is not None for row in rows]
     last = dumped != "never"
     assert has_cells == [dumped == "each"] * (len(rows) - 1) + [last]
+
+
+@pytest.mark.parametrize("dump", ["each", "final", "never"])
+def test_main_run_dump_cells_needs_cell_side(tmp_path, capsys, dump):
+    # a dump needs cells; an explicit never stays a plain run
+    cfg = write(tmp_path, MINIMAL)
+    out = tmp_path / "a"
+    code = main(["run", "--config", cfg, "--out", str(out), "--dump-cells", dump])
+    if dump == "never":
+        assert code == EXIT_OK and (out / "trace.ndjson").exists()
+        return
+    assert code == EXIT_CONFIG
+    assert f"--dump-cells {dump} needs [instrumentation] cell_side" in capsys.readouterr().err
+    assert not (out / "trace.ndjson").exists()
 
 
 @pytest.mark.parametrize("verb", ["sweep", "isolated"])

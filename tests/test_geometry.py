@@ -1,6 +1,7 @@
 """Regions, cell covers, cell distances, diameter, and eccentricity."""
 
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -117,6 +118,35 @@ def test_disk_cover_matches_subsampling_oracle(disk_grid):
     # the mask build_cell_grid hands over is the cover's, read-only
     assert cell_list(disk_grid.mask) == sorted(disk_grid.cover)
     assert not disk_grid.mask.flags.writeable
+
+
+def _disk_cover_loop(radius, side, gamma):
+    """The disk cover from a per-cell loop: the production 32x32 lattice of
+    each cell tested with ``Region.contains``, one cell at a time."""
+    region = Region.disk(radius)
+    m = 32
+    n = math.ceil(2 * radius / side - 1e-12)
+    offs = (np.arange(m) + 0.5) / m * side
+    ox, oy = np.meshgrid(offs, offs, indexing="ij")
+    sample = np.column_stack([ox.ravel(), oy.ravel()])
+    cover = set()
+    for i in range(n):
+        for j in range(n):
+            base = np.array([-radius + i * side, -radius + j * side])
+            frac = np.count_nonzero(region.contains(sample + base)) / (m * m)
+            if frac * side**2 >= gamma * side**2 * (1 - 1e-9):
+                cover.add((i, j))
+    return cover
+
+
+# (5, 1) and (10, 2) put cell corners exactly on the circle, at (3, 4) and (6, 8)
+@pytest.mark.parametrize(
+    "radius, side", [(5.0, 1.0), (10.0, 2.0), (17.3, 1.5), (40.0, 3.0), (12.0, 12 / 7)]
+)
+@pytest.mark.parametrize("gamma", [0.3, 0.6, 1.0])
+def test_disk_cover_matches_per_cell_loop(radius, side, gamma):
+    grid = build_cell_grid(Region.disk(radius), side, gamma)
+    assert grid.cover == _disk_cover_loop(radius, side, gamma)
 
 
 def test_indivisible_side_partial_cells():
@@ -325,6 +355,81 @@ def test_distance_transform_leading_axis_solves_each_problem():
         assert got.shape == starts.shape
         for start, one in zip(starts, got):
             assert np.array_equal(one, oracle_transform(start, through, 1))
+
+
+def _three_step_kinds(gen, shape, density):
+    """(start, step) pairs over a box: unit step from 0 at the sources, step
+    0 over distinct values at the sources, step = size from the sources' flat
+    indices, with sources at a ``density`` share of the cells."""
+    size = math.prod(shape[-2:])
+    index = np.arange(size, dtype=float).reshape(shape[-2:])
+    values = gen.permutation(size).reshape(shape[-2:]).astype(float)
+    for value, step in ((0.0, 1), (values, 0), (index, size)):
+        yield np.where(gen.random(shape) < density, value, np.inf), step
+
+
+def _assert_transform(start, through, step):
+    before = start.copy()
+    got = geometry.distance_transform(start, through, step)
+    assert np.array_equal(start, before)
+    assert got.shape == start.shape
+    box = (-1,) + start.shape[-2:]
+    for one, problem in zip(got.reshape(box), start.reshape(box)):
+        assert np.array_equal(one, oracle_transform(problem, through, step))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (1, 23), (23, 1), (40, 70)])
+def test_distance_transform_beyond_small_boxes(shape):
+    gen = np.random.default_rng(math.prod(shape))
+    # thin boxes hold only one path, so they keep every cell
+    through = gen.random(shape) < (0.75 if min(shape) > 1 else 1.0)
+    density = 0.02 if min(shape) > 1 else 0.3
+    for start, step in _three_step_kinds(gen, shape, density):
+        _assert_transform(start, through, step)
+
+
+def test_distance_transform_with_nothing_to_spread():
+    gen = np.random.default_rng(3)
+    none, every = np.zeros((6, 9), dtype=bool), np.ones((6, 9), dtype=bool)
+    for start, step in _three_step_kinds(gen, (6, 9), 0.5):
+        # no cell to pass through, then no source to start from
+        for s, through in ((start, none), (np.full_like(start, np.inf), every)):
+            got = geometry.distance_transform(s, through, step)
+            assert got.shape == (6, 9) and np.isinf(got).all()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_distance_transform_sources_on_the_box_edge(seed):
+    # without a blocked pad, a flat offset from the last column reaches the
+    # next row's first, and one from the last row the next problem's first
+    gen = np.random.default_rng(seed)
+    shape = (3, 7, 11)
+    edge = np.ones(shape[1:], dtype=bool)
+    edge[1:-1, 1:-1] = False
+    for through in (np.ones(shape[1:], dtype=bool), gen.random(shape[1:]) < 0.8):
+        for start, step in _three_step_kinds(gen, shape, 0.4):
+            start[:, ~edge] = np.inf
+            start[-1] = np.inf  # the last problem has no source at all
+            _assert_transform(start, through, step)
+
+
+@pytest.mark.parametrize("step", [1, 0, 144])
+def test_distance_transform_visits_each_cell_once(step):
+    # a frontier that kept repeats would hold each cell once per path to it,
+    # about 3**11 entries by the far corner of an open 12x12 box
+    through = np.ones((12, 12), dtype=bool)
+    start = np.full(through.shape, np.inf)
+    start[0, 0] = 0.0
+    # a second, higher source: step 0 re-enters cells, step = size takes minima
+    start[5, 5] = {1: np.inf, 0: 1.0, 144: 65.0}[step]
+    tracemalloc.start()
+    try:
+        got = geometry.distance_transform(start, through, step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert np.array_equal(got, oracle_transform(start, through, step))
 
 
 def test_touching_marks_cells_in_or_next_to_a_true_cell():
