@@ -20,10 +20,8 @@ import json
 import math
 import os
 import sys
-from collections import UserDict
 from contextlib import contextmanager
 from dataclasses import replace
-from functools import cached_property
 
 import numpy as np
 
@@ -242,18 +240,10 @@ _CELL_SLOTS = np.array(['":' + _json(s.value) for s in instrument.CellState], dt
 _WHITE_CELL = instrument.CELL_CODE[instrument.CellState.WHITE]
 
 
-class _CellDump(UserDict):
-    """A ``"c,r" -> state name`` cell dump held as its ``_json`` text, decoded when read."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-
-    data = cached_property(lambda self: json.loads(self.text))
-
-
 def _trace_row(snap: Snapshot, grid=None, dump: tuple | None = None) -> dict:
     """One trace row: the agent counts of ``snap`` and, when a grid is
-    given, its instrument columns; with ``dump`` also its cell dump."""
+    given, its instrument columns; with ``dump`` also its cell dump, as
+    the ``_json`` text of its ``"c,r" -> state name`` map."""
     w, r, b = snap.counts()
     row: dict = {
         "schema": SCHEMA_VERSION,
@@ -277,7 +267,7 @@ def _trace_row(snap: Snapshot, grid=None, dump: tuple | None = None) -> dict:
         if dump is not None:
             pieces, cells = dump
             pieces[2::3] = _CELL_SLOTS.take(states.array.take(cells)).tolist()
-            row["cells"] = _CellDump("{" + "".join(pieces)[1:] + "}")
+            row["cells"] = "{" + "".join(pieces)[1:] + "}"
     return row
 
 
@@ -333,13 +323,13 @@ def trace_writer(fmt: str, path: str):
 
 
 def _json_row(row: dict) -> str:
-    """``_json(row)``, with a cell dump spliced in as its encoded text."""
-    cells = "null" if row["cells"] is None else row["cells"].text
+    """``_json(row)``, with a cell dump's JSON text spliced in."""
+    cells = row["cells"] or "null"
     return _json(dict(row, cells=None)).replace('"cells":null', f'"cells":{cells}', 1)
 
 
 def _csv_row(row: dict) -> dict:
-    out = dict(row, cells=None if row["cells"] is None else row["cells"].text)
+    out = dict(row)
     for key in ("max_wavefront", "mean_wavefront"):
         if out[key] is not None:
             out[key] = _fmt(float(out[key]))

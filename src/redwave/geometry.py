@@ -1,4 +1,4 @@
-"""Regions, cell grids, cell distances and geometric eccentricity.
+"""Regions, cell grids, grid distances and geometric eccentricity.
 
 The spatial substrate for everything else: convex bounded regions (squares
 and disks), grid partitions into square cells of side ``l`` kept when they
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -88,36 +88,29 @@ class Region:
         return ok
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellGrid:
     """A gamma-area cell cover of a region with square cells of side ``side``.
 
     Cells are half-open: ``[i*side, (i+1)*side) x [j*side, (j+1)*side)``
     relative to ``origin``, so every boundary point has a unique owner cell.
     The index box spans the region's bounding box, so array index ``[c, r]``
-    is cell ``(c, r)`` in every dense array over the grid.
+    is cell ``(c, r)`` in every dense array over the grid.  ``mask`` is the
+    cover: a read-only boolean array over the index box, True at covered cells.
     """
 
     region: Region
     side: float
     gamma: float
     origin: tuple[float, float]
-    cover: frozenset[CellIndex]
+    mask: np.ndarray
 
-    @cached_property
-    def mask(self) -> np.ndarray:
-        """Read-only boolean cover mask over the index box."""
+    def __post_init__(self) -> None:
         xmin, ymin, xmax, ymax = self.region.bounds
-        mask = np.zeros(
-            (_cells_across(xmax - xmin, self.side), _cells_across(ymax - ymin, self.side)),
-            dtype=bool,
-        )
-        cells = np.array(list(self.cover), dtype=np.int64).reshape(-1, 2)
-        if cells.size and (cells.min() < 0 or np.any(cells.max(axis=0) >= mask.shape)):
-            raise GeometryError("cover reaches outside the region's index box")
-        mask[cells[:, 0], cells[:, 1]] = True
-        mask.flags.writeable = False
-        return mask
+        box = (_cells_across(xmax - xmin, self.side), _cells_across(ymax - ymin, self.side))
+        if self.mask.dtype != bool or self.mask.shape != box:
+            raise GeometryError(f"cover mask is not a boolean array over the {box} index box")
+        self.mask.flags.writeable = False
 
     @cached_property
     def cells(self) -> list[CellIndex]:
@@ -462,64 +455,21 @@ def build_cell_grid(region: Region, side: float, gamma: float) -> CellGrid:
 
     if not mask.any():
         raise GeometryError("empty cell cover: gamma too large for this side length")
-    cells = cell_list(mask)
-    grid = CellGrid(region, side, gamma, origin, frozenset(cells))
-    # the cached mask and cells are the ones the cover was made from
-    mask.flags.writeable = False
-    vars(grid).update(mask=mask, cells=cells)
-    if np.isinf(grid.distances(grid.mask_of(cells[:1]))[mask]).any():
+    grid = CellGrid(region, side, gamma, origin, mask)
+    first = np.zeros(mask.shape, dtype=bool)
+    first.flat[np.flatnonzero(mask)[0]] = True
+    if np.isinf(grid.distances(first)[mask]).any():
         raise GeometryError("cell cover is not connected under 8-adjacency")
     return grid
 
 
 def neighborhood(c: CellIndex, grid: CellGrid) -> set[CellIndex]:
     """N(c): the cell itself plus its covered side/corner neighbors."""
-    if c not in grid.cover:
+    cols, rows = np.array([c] + [(c[0] + dc, c[1] + dr) for dc, dr in _ADJ8]).T
+    covered = grid.in_cover(cols, rows)
+    if not covered[0]:
         raise GeometryError(f"cell {c} not in cover")
-    out = {c}
-    for dc, dr in _ADJ8:
-        nb = (c[0] + dc, c[1] + dr)
-        if nb in grid.cover:
-            out.add(nb)
-    return out
-
-
-@lru_cache(maxsize=1)
-def _distances_from(a: CellIndex, grid: CellGrid) -> np.ndarray:
-    if a not in grid.cover:
-        raise GeometryError(f"source cell {a} not in cover")
-    dist = grid.distances(grid.mask_of([a]))
-    dist.flags.writeable = False
-    return dist
-
-
-def cell_distance(a: CellIndex, b: CellIndex, grid: CellGrid) -> int:
-    """Shortest cell-path length between two covered cells.
-
-    The distance row of the last source is memoised, so all-pairs loops
-    cost one transform per source.
-    """
-    if b not in grid.cover:
-        raise GeometryError(f"cell {b} not in cover")
-    d = _distances_from(a, grid)[b]
-    if math.isinf(d):
-        raise GeometryError(f"cells {a} and {b} are disconnected in the cover")
-    return int(d)
-
-
-def cell_diameter(grid: CellGrid) -> int:
-    """Max pairwise cell-distance over the cover: one transform per cell,
-    64 sources at a time."""
-    best = 0
-    for first in range(0, len(grid.cells), 64):
-        c, r = np.array(grid.cells[first : first + 64]).T
-        targets = np.zeros((len(c),) + grid.mask.shape, dtype=bool)
-        targets[np.arange(len(c)), c, r] = True
-        dist = grid.distances(targets)[:, grid.mask]
-        if np.isinf(dist).any():
-            raise GeometryError("disconnected cover")
-        best = max(best, int(dist.max()))
-    return best
+    return set(zip(cols[covered].tolist(), rows[covered].tolist()))
 
 
 def eccentricity(A, region: Region) -> float:

@@ -88,7 +88,7 @@ class CellMap(Mapping):
         self._convert = convert
 
     def __getitem__(self, c: CellIndex):
-        if c not in self.grid.cover:
+        if not self.grid.in_cover(*c):
             raise KeyError(c)
         return self._convert(self.array[c])
 
@@ -96,7 +96,7 @@ class CellMap(Mapping):
         return iter(self.grid.cells)
 
     def __len__(self) -> int:
-        return len(self.grid.cover)
+        return int(np.count_nonzero(self.grid.mask))
 
 
 def _state_grid(cellstates: Mapping[CellIndex, CellState], grid: CellGrid) -> np.ndarray:

@@ -39,3 +39,19 @@ def grid_4x4():
 @pytest.fixture(scope="session")
 def disk_grid():
     return build_cell_grid(Region.disk(10.0), 3.0, gamma=1.0)
+
+
+def distances_from(a, grid):
+    """Shortest cell-path lengths from covered cell ``a`` over the index box
+    (+inf off the cover and where unreachable): one transform."""
+    return grid.distances(grid.mask_of([a]))
+
+
+def cell_distance(a, b, grid):
+    """Shortest cell-path length between two covered cells."""
+    return int(distances_from(a, grid)[b])
+
+
+def cell_diameter(grid):
+    """Max pairwise cell-distance over the cover: one transform per cell."""
+    return max(int(distances_from(a, grid)[grid.mask].max()) for a in grid.cells)

@@ -217,8 +217,8 @@ def test_trace_cells_dump_matches_cell_maps():
             {f"{c},{r}": v.value for (c, r), v in classify_cells(s, grid).items()}
         ),
     )
-    assert [row["cells"] for row in _trace_rows(p, grid, "each")] == maps
-    final = [row["cells"] for row in _trace_rows(p, grid, "final")]
+    assert [json.loads(row["cells"]) for row in _trace_rows(p, grid, "each")] == maps
+    final = [row["cells"] and json.loads(row["cells"]) for row in _trace_rows(p, grid, "final")]
     assert final == [None] * (len(maps) - 1) + maps[-1:]
 
 
@@ -233,7 +233,7 @@ def test_trace_cells_dump_encodes_as_sorted_json(tmp_path, fmt):
     rows = _trace_rows(p, grid, "each")
     path = tmp_path / f"t.{fmt}"
     emit_trace(rows, fmt, str(path))
-    plain = [dict(row, cells=dict(row["cells"])) for row in rows]
+    plain = [dict(row, cells=json.loads(row["cells"])) for row in rows]
     encode = lambda v: json.dumps(v, sort_keys=True, separators=(",", ":"))
     if fmt == "ndjson":
         assert path.read_text().splitlines() == [encode(row) for row in plain]

@@ -17,13 +17,11 @@ from redwave.geometry import (
     Region,
     bucket_cells,
     build_cell_grid,
-    cell_diameter,
-    cell_distance,
-    cell_list,
     eccentricity,
     neighborhood,
     neighbour_blocks,
 )
+from tests.conftest import cell_diameter, cell_distance
 
 
 # ---------------------------------------------------------------------------
@@ -100,23 +98,23 @@ def test_region_contains_vectorized():
 
 
 def test_square_cover_exact_tiling(grid_4x4):
-    assert grid_4x4.cover == frozenset((i, j) for i in range(4) for j in range(4))
+    assert set(grid_4x4.cells) == {(i, j) for i in range(4) for j in range(4)}
 
 
 def test_disk_cover_excludes_corners(disk_grid):
     # corner-most cells of the 7x7 bounding box cannot meet gamma=1
-    assert (0, 0) not in disk_grid.cover
-    assert (6, 6) not in disk_grid.cover
+    assert (0, 0) not in disk_grid.cells
+    assert (6, 6) not in disk_grid.cells
     # center cell is fully inside
-    assert (3, 3) in disk_grid.cover
+    assert (3, 3) in disk_grid.cells
 
 
 def test_disk_cover_matches_subsampling_oracle(disk_grid):
     expected = oracle_cover(Region.disk(10.0), 3.0, 1.0)
-    disagree = expected.symmetric_difference(disk_grid.cover)
+    disagree = expected.symmetric_difference(disk_grid.cells)
     assert not disagree
-    # the mask build_cell_grid hands over is the cover's, read-only
-    assert cell_list(disk_grid.mask) == sorted(disk_grid.cover)
+    # the cover is its mask, read-only; cells lists it in index order
+    assert disk_grid.cells == sorted(disk_grid.cells)
     assert not disk_grid.mask.flags.writeable
 
 
@@ -146,20 +144,18 @@ def _disk_cover_loop(radius, side, gamma):
 @pytest.mark.parametrize("gamma", [0.3, 0.6, 1.0])
 def test_disk_cover_matches_per_cell_loop(radius, side, gamma):
     grid = build_cell_grid(Region.disk(radius), side, gamma)
-    assert grid.cover == _disk_cover_loop(radius, side, gamma)
+    assert set(grid.cells) == _disk_cover_loop(radius, side, gamma)
 
 
 def test_indivisible_side_partial_cells():
     # 12/5: boundary strips are 2 wide, so gamma=1 keeps only the 2x2 core
     grid = build_cell_grid(Region.square(12.0), 5.0, gamma=1.0)
-    assert grid.cover == frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
+    assert set(grid.cells) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     # a permissive gamma keeps the partial cells (area fraction 2*5/25 = 0.4)
     # a permissive gamma keeps the edge strips (area fraction 10/25 = 0.4)
     # but still drops the 2x2 corner cell (4/25 = 0.16)
     grid = build_cell_grid(Region.square(12.0), 5.0, gamma=0.4)
-    assert grid.cover == frozenset(
-        (i, j) for i in range(3) for j in range(3) if (i, j) != (2, 2)
-    )
+    assert set(grid.cells) == {(i, j) for i in range(3) for j in range(3) if (i, j) != (2, 2)}
 
 
 def test_degenerate_side_rejected():
@@ -211,7 +207,7 @@ def test_square_cover_matches_per_cell_loop(L, side, gamma):
             build_cell_grid(Region.square(L), side, gamma)
         return
     grid = build_cell_grid(Region.square(L), side, gamma)
-    assert grid.cover == expected
+    assert set(grid.cells) == expected
     mask = np.zeros(grid.mask.shape, dtype=bool)
     mask[tuple(np.array(sorted(expected)).T)] = True
     assert np.array_equal(grid.mask, mask)
@@ -241,8 +237,8 @@ def test_owner_is_nearest_covered_cell_lowest_index_first(region, side, gamma):
     W, H = grid.mask.shape
     for c in range(W):
         for r in range(H):
-            # sorted cover: the first minimum is the lowest index
-            best = min(sorted(grid.cover), key=lambda k: max(abs(k[0] - c), abs(k[1] - r)))
+            # cells in index order: the first minimum is the lowest index
+            best = min(grid.cells, key=lambda k: max(abs(k[0] - c), abs(k[1] - r)))
             assert np.unravel_index(grid.owner[c, r], (W, H)) == best
 
 
@@ -302,6 +298,15 @@ def test_neighborhood_sizes(grid_4x4):
 def test_neighborhood_outside_cover(grid_4x4):
     with pytest.raises(GeometryError):
         neighborhood((9, 9), grid_4x4)
+
+
+@pytest.mark.parametrize(
+    "shape, dtype", [((3, 4), bool), ((4, 3), bool), ((5, 4), bool), ((4,), bool), ((4, 4), int)]
+)
+def test_cell_grid_mask_must_span_the_index_box(shape, dtype):
+    # a square of side 12 with side-3 cells has a 4x4 index box
+    with pytest.raises(GeometryError):
+        CellGrid(Region.square(12.0), 3.0, 1.0, (0.0, 0.0), np.ones(shape, dtype=dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +459,7 @@ def test_cell_distance_basic(grid_15x15):
 
 def test_cell_distance_equals_chebyshev_on_full_grid(grid_15x15):
     for a in [(0, 0), (5, 9), (14, 14)]:
-        dist = oracle_bfs(a, grid_15x15.cover)
+        dist = oracle_bfs(a, set(grid_15x15.cells))
         for b, d in dist.items():
             assert d == max(abs(a[0] - b[0]), abs(a[1] - b[1]))
             assert cell_distance(a, b, grid_15x15) == d
@@ -466,16 +471,14 @@ def test_cell_diameter_full_grid(grid_4x4, grid_15x15):
 
 
 def test_cell_diameter_single_cell():
-    grid = CellGrid(
-        Region.square(1.0), 1.0, 1.0, (0.0, 0.0), frozenset({(0, 0)})
-    )
+    grid = CellGrid(Region.square(1.0), 1.0, 1.0, (0.0, 0.0), np.ones((1, 1), dtype=bool))
     assert cell_diameter(grid) == 0
 
 
 def test_cell_diameter_disk_matches_allpairs_bfs(disk_grid):
     best = 0
-    for a in sorted(disk_grid.cover):
-        best = max(best, max(oracle_bfs(a, disk_grid.cover).values()))
+    for a in disk_grid.cells:
+        best = max(best, max(oracle_bfs(a, set(disk_grid.cells)).values()))
     assert cell_diameter(disk_grid) == best
 
 
@@ -516,7 +519,7 @@ def test_eccentricity_errors():
 
 
 _METRIC_GRID = build_cell_grid(Region.disk(10.0), 3.0, gamma=1.0)
-_METRIC_CELLS = sorted(_METRIC_GRID.cover)
+_METRIC_CELLS = _METRIC_GRID.cells
 
 
 @settings(max_examples=50, deadline=None)
@@ -541,8 +544,9 @@ def test_cell_distance_is_a_metric(a, b, c):
     data=st.data(),
 )
 def test_chebyshev_on_random_full_rectangles(cols, rows, data):
-    cover = frozenset((i, j) for i in range(cols) for j in range(rows))
-    grid = CellGrid(Region.square(max(cols, rows)), 1.0, 1.0, (0.0, 0.0), cover)
+    mask = np.zeros((max(cols, rows),) * 2, dtype=bool)
+    mask[:cols, :rows] = True
+    grid = CellGrid(Region.square(max(cols, rows)), 1.0, 1.0, (0.0, 0.0), mask)
     a = data.draw(st.tuples(st.integers(0, cols - 1), st.integers(0, rows - 1)))
     b = data.draw(st.tuples(st.integers(0, cols - 1), st.integers(0, rows - 1)))
     assert cell_distance(a, b, grid) == max(abs(a[0] - b[0]), abs(a[1] - b[1]))
@@ -566,11 +570,11 @@ def test_cell_diameter_brackets_region_diameter(kind, size, side):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_neighborhood_contains_self_and_bounded(data, disk_grid):
-    c = data.draw(st.sampled_from(sorted(disk_grid.cover)))
+    c = data.draw(st.sampled_from(disk_grid.cells))
     nb = neighborhood(c, disk_grid)
     assert c in nb
     assert 1 <= len(nb) <= 9
-    assert nb <= disk_grid.cover
+    assert nb <= set(disk_grid.cells)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redwave.epidemic import BLACK, RED, WHITE, SimParams, run
-from redwave.errors import ConfigurationError
-from redwave.geometry import _ADJ8, Region, bucket_cells, build_cell_grid
+from redwave.errors import ConfigurationError, GeometryError
+from redwave.geometry import _ADJ8, Region, bucket_cells, build_cell_grid, neighborhood
 from redwave.instrument import (
     C0,
     ETA1,
@@ -131,7 +131,7 @@ def test_classify_cells_rules(grid_4x4):
 def test_classify_cells_total_over_cover(grid_4x4):
     snap = fill_cells(grid_4x4, {(0, 0): [WHITE]})
     states = classify_cells(snap, grid_4x4)
-    assert set(states) == set(grid_4x4.cover)
+    assert set(states) == set(grid_4x4.cells)
 
 
 def test_classify_cells_folds_uncovered_agents():
@@ -142,13 +142,27 @@ def test_classify_cells_folds_uncovered_agents():
     assert [c for c, s in states.items() if s is not CellState.EMPTY] == [(1, 1)]
 
 
+def test_cells_outside_the_index_box_are_not_covered(grid_4x4):
+    # every box cell is covered, so a negative index wrapping round to the
+    # far side of the box would find a covered cell
+    W, H = grid_4x4.mask.shape
+    states = classify_cells(make_snapshot([(1.0, 1.0)], [WHITE]), grid_4x4)
+    for c in [(-1, 0), (0, -1), (-1, -1), (W, 0), (0, H)]:
+        with pytest.raises(KeyError):
+            states[c]
+        assert c not in states
+        with pytest.raises(GeometryError):
+            neighborhood(c, grid_4x4)
+    assert len(states) == W * H
+
+
 # ---------------------------------------------------------------------------
 # regularity
 # ---------------------------------------------------------------------------
 
 
 def test_regular_all_white_with_adjacent_red(grid_4x4):
-    contents = {c: [WHITE] for c in grid_4x4.cover}
+    contents = {c: [WHITE] for c in grid_4x4.cells}
     contents[(1, 1)] = [RED]
     report = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4), grid_4x4)
     assert report.regular
@@ -156,7 +170,7 @@ def test_regular_all_white_with_adjacent_red(grid_4x4):
 
 
 def test_grey_cell_violates_property_a(grid_4x4):
-    contents = {c: [WHITE] for c in grid_4x4.cover}
+    contents = {c: [WHITE] for c in grid_4x4.cells}
     contents[(1, 1)] = [RED]
     contents[(0, 0)] = [WHITE, BLACK]
     report = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4), grid_4x4)
@@ -166,7 +180,7 @@ def test_grey_cell_violates_property_a(grid_4x4):
 
 def test_white_component_needs_adjacent_red(grid_4x4):
     # reds exist but the far white corner is separated by black cells
-    contents = {c: [BLACK] for c in grid_4x4.cover}
+    contents = {c: [BLACK] for c in grid_4x4.cells}
     contents[(0, 0)] = [RED]
     contents[(3, 3)] = [WHITE]
     report = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4), grid_4x4)
@@ -175,7 +189,7 @@ def test_white_component_needs_adjacent_red(grid_4x4):
 
 
 def test_white_adjacent_to_black_violates_property_c(grid_4x4):
-    contents = {c: [WHITE] for c in grid_4x4.cover}
+    contents = {c: [WHITE] for c in grid_4x4.cells}
     contents[(1, 1)] = [RED]
     contents[(3, 3)] = [BLACK]
     report = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4), grid_4x4)
@@ -222,7 +236,7 @@ _ORACLE_GRIDS = [
 def test_dense_regularity_and_wavefront_match_oracles(data):
     grid = data.draw(st.sampled_from(_ORACLE_GRIDS))
     palette = sorted(data.draw(st.sets(st.sampled_from(CellState), min_size=1)), key=str)
-    cells = sorted(grid.cover)
+    cells = grid.cells
     drawn = data.draw(st.lists(st.sampled_from(palette), min_size=len(cells), max_size=len(cells)))
     cellstates = dict(zip(cells, drawn))
 
@@ -233,7 +247,7 @@ def test_dense_regularity_and_wavefront_match_oracles(data):
     assert sorted(report.empty_cells) == sorted(empties)
 
     reds = [c for c, s in cellstates.items() if s is CellState.RED]
-    expected = oracle_distances(reds, grid.cover)
+    expected = oracle_distances(reds, set(cells))
     got = wavefront_distances(cellstates, grid)
     assert set(got) == set(cells)
     assert all(got[c] == expected.get(c, math.inf) for c in cells)
@@ -245,7 +259,7 @@ def test_dense_regularity_and_wavefront_match_oracles(data):
 
 
 def test_red_close_cells(grid_4x4):
-    all_white = {c: [WHITE] for c in grid_4x4.cover}
+    all_white = {c: [WHITE] for c in grid_4x4.cells}
     no_red = classify_cells(fill_cells(grid_4x4, all_white), grid_4x4)
     assert red_close_cells(no_red, grid_4x4) == set()
 
@@ -268,7 +282,7 @@ def test_red_close_cells(grid_4x4):
 
 
 def test_wavefront_distances_basics(grid_4x4):
-    contents = {c: [WHITE] for c in grid_4x4.cover}
+    contents = {c: [WHITE] for c in grid_4x4.cells}
     contents[(1, 1)] = [RED]
     states = classify_cells(fill_cells(grid_4x4, contents), grid_4x4)
     d = wavefront_distances(states, grid_4x4)
@@ -278,7 +292,7 @@ def test_wavefront_distances_basics(grid_4x4):
 
 
 def test_wavefront_corner_red_is_chebyshev(grid_15x15):
-    contents = {c: [WHITE] for c in grid_15x15.cover}
+    contents = {c: [WHITE] for c in grid_15x15.cells}
     contents[(0, 0)] = [RED]
     states = classify_cells(fill_cells(grid_15x15, contents), grid_15x15)
     d = wavefront_distances(states, grid_15x15)
@@ -288,7 +302,7 @@ def test_wavefront_corner_red_is_chebyshev(grid_15x15):
 
 def test_wavefront_no_reds_is_infinite(grid_4x4):
     states = classify_cells(
-        fill_cells(grid_4x4, {c: [WHITE] for c in grid_4x4.cover}), grid_4x4
+        fill_cells(grid_4x4, {c: [WHITE] for c in grid_4x4.cells}), grid_4x4
     )
     assert all(math.isinf(v) for v in wavefront_distances(states, grid_4x4).values())
 
@@ -316,7 +330,7 @@ def test_density_check_concentration(grid_4x4):
 def test_density_check_no_agents(grid_4x4):
     snap = make_snapshot(np.empty((0, 2)), np.empty(0, dtype=np.int8))
     bad = density_check(snap, grid_4x4)
-    assert len(bad) == len(grid_4x4.cover)
+    assert len(bad) == len(grid_4x4.cells)
 
 
 def test_density_audit_uniform_population():
@@ -332,7 +346,7 @@ def test_density_audit_uniform_population():
         pos = walk_all(pos, 2.0, region, gen)
         snap = make_snapshot(pos, np.zeros(len(pos), dtype=np.int8))
         violations += len(density_check(snap, grid))
-        pairs += len(grid.cover)
+        pairs += len(grid.cells)
     assert violations / pairs < 1e-3
 
 
@@ -416,15 +430,15 @@ def test_supercell_regularity_reports():
     cls = SupercellClassifier(R=6.0, rho=24.0, n=9216)
 
     snap = make_snapshot(
-        [(c * 24.0 + 1 + 0.01 * i, r * 24.0 + 1) for (c, r) in sgrid.cover for i in range(20)],
-        [WHITE] * (20 * len(sgrid.cover)),
+        [(c * 24.0 + 1 + 0.01 * i, r * 24.0 + 1) for (c, r) in sgrid.cells for i in range(20)],
+        [WHITE] * (20 * len(sgrid.cells)),
     )
     report = supercell_regularity(snap, sgrid, cls)
     assert report.regular
 
     # black supercell (no whites) beside white-state neighbors: violation
     positions, states = [], []
-    for (c, r) in sgrid.cover:
+    for (c, r) in sgrid.cells:
         for i in range(20):
             positions.append((c * 24.0 + 1 + 0.01 * i, r * 24.0 + 1))
             states.append(BLACK if (c, r) == (0, 0) else WHITE)
@@ -434,7 +448,7 @@ def test_supercell_regularity_reports():
 
     # a supercell matching no state: condition-1 violation
     positions, states = [], []
-    for (c, r) in sgrid.cover:
+    for (c, r) in sgrid.cells:
         for i in range(20):
             positions.append((c * 24.0 + 1 + 0.01 * i, r * 24.0 + 1))
             states.append(RED if ((c, r) == (0, 0) and i == 0) else WHITE)
@@ -449,7 +463,7 @@ def test_supercell_regularity_reports():
 
 
 def _uniform_map(sgrid, states):
-    return {c: set(states) for c in sgrid.cover}
+    return {c: set(states) for c in sgrid.cells}
 
 
 def test_transition_audit_examples():
@@ -461,20 +475,20 @@ def test_transition_audit_examples():
     audit = transition_audit(
         [_uniform_map(sgrid, {0}), _uniform_map(sgrid, {0})], sgrid, hh
     )
-    assert audit.tallies["a"].agreements == len(sgrid.cover)
+    assert audit.tallies["a"].agreements == len(sgrid.cells)
     assert audit.tallies["a"].violations == 0
 
     # (e): all-black stays all-black
     audit = transition_audit(
         [_uniform_map(sgrid, {hh + 1}), _uniform_map(sgrid, {hh + 1})], sgrid, hh
     )
-    assert audit.tallies["e"].agreements == len(sgrid.cover)
+    assert audit.tallies["e"].agreements == len(sgrid.cells)
 
     # (b) violated: a state-1 neighborhood observed dropping to 0
     cur = _uniform_map(sgrid, {1})
     nxt = _uniform_map(sgrid, {0})
     audit = transition_audit([cur, nxt], sgrid, hh, require_regular=False)
-    assert audit.tallies["b"].violations == len(sgrid.cover)
+    assert audit.tallies["b"].violations == len(sgrid.cells)
     assert audit.tallies["b"].agreements == 0
 
 
@@ -486,7 +500,7 @@ def test_transition_audit_skips_unclassifiable():
     audit = transition_audit([cur, _uniform_map(sgrid, {0})], sgrid, 2, require_regular=False)
     # (0,0) and its neighbors are skipped
     assert audit.skipped_unclassifiable == 4
-    assert audit.tallies["a"].observed == len(sgrid.cover) - 4
+    assert audit.tallies["a"].observed == len(sgrid.cells) - 4
 
 
 def test_transition_audit_regularity_gate():
@@ -498,7 +512,7 @@ def test_transition_audit_regularity_gate():
     audit = transition_audit(
         [cur, _uniform_map(sgrid, {0})], sgrid, hh, require_regular=True
     )
-    assert audit.skipped_irregular == len(sgrid.cover)
+    assert audit.skipped_irregular == len(sgrid.cells)
     assert all(t.observed == 0 for t in audit.tallies.values())
 
 
@@ -511,7 +525,7 @@ def test_wavefront_speed_audit_expanding_wave(grid_15x15):
     # red square growing by one ring per step: distances drop by exactly 1
     def ring_map(k):
         out = {}
-        for c in grid_15x15.cover:
+        for c in grid_15x15.cells:
             if max(c) <= k:
                 out[c] = CellState.RED
             else:
@@ -528,12 +542,12 @@ def test_wavefront_speed_audit_stalled_wave(grid_15x15):
     def fixed(_):
         return {
             c: (CellState.RED if c == (0, 0) else CellState.WHITE)
-            for c in grid_15x15.cover
+            for c in grid_15x15.cells
         }
 
     audit = wavefront_speed_audit([fixed(0), fixed(1)], grid_15x15, min_decrease=1, target="red")
     assert audit.ok_pairs == 0
-    assert audit.violations == len(grid_15x15.cover) - 1
+    assert audit.violations == len(grid_15x15.cells) - 1
     assert audit.violation_rate() == 1.0
 
 
@@ -542,7 +556,7 @@ def test_supercell_speed_audit_advancing_front():
     sgrid = build_supercell_grid(region, 24.0)
 
     def front(k):
-        return {c: ({3} if c[0] <= k else {0}) for c in sgrid.cover}
+        return {c: ({3} if c[0] <= k else {0}) for c in sgrid.cells}
 
     audit = supercell_speed_audit([front(0), front(1), front(2)], sgrid)
     assert audit.violations == 0
@@ -590,7 +604,7 @@ def test_spread_audit_on_cellular_run():
     snapshots = []
     run(p, on_step=lambda s: snapshots.append(s.copy()))
     audit = spread_audit(snapshots, sgrid, grid, R=6.0)
-    assert audit.pairs == len(sgrid.cover) * (len(snapshots) - 1)
+    assert audit.pairs == len(sgrid.cells) * (len(snapshots) - 1)
     # the red upper bound is always applicable and holds throughout
     assert audit.red_upper.hypothesis_met == audit.pairs
     assert audit.red_upper.holds == audit.pairs
