@@ -59,8 +59,6 @@ _SCHEMA = {
 
 def _fmt(x) -> str:
     """Serialize a number with 17 significant digits (bit-exact round trip)."""
-    if isinstance(x, bool):
-        return str(x).lower()
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
@@ -131,6 +129,8 @@ def _read_config(path: str) -> tuple[configparser.ConfigParser, dict[str, float]
                 opts[key] = cp.getfloat("instrumentation", key)
                 if not math.isfinite(opts[key]):
                     raise ConfigurationError(f"[instrumentation] {key} must be finite")
+            if "gamma" in opts and "cell_side" not in opts:
+                raise ConfigurationError("[instrumentation] gamma needs cell_side")
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
@@ -154,7 +154,10 @@ def parse_config(path: str):
         rho = cp.getfloat("mobility", "rho", fallback=0.0)
         mobility = MobilityMode(mode, rho)
 
-        if cp.getboolean("agents", "density_one", fallback=False):
+        density_one = cp.getboolean("agents", "density_one", fallback=False)
+        if density_one and cp.has_option("agents", "n"):
+            raise ConfigurationError("[agents] takes n or density_one = true, not both")
+        if density_one:
             n = max(1, int(math.floor(region.area)))
         else:
             n = cp.getint("agents", "n")
@@ -200,13 +203,17 @@ def parse_config(path: str):
         values: tuple = ()
         if cp.has_option("experiment", "sweep_values"):
             values = tuple(float(v) for v in cp.get("experiment", "sweep_values").split(","))
-        return ExperimentPlan(
+        plan = ExperimentPlan(
             base=params,
             sweep_axis=axis,
             sweep_values=values,
             replicas=cp.getint("experiment", "replicas", fallback=1),
-            density_one=cp.getboolean("agents", "density_one", fallback=False),
+            density_one=density_one,
         )
+        if regime is not None:
+            for point in plan.points():
+                _check_regime(regime, point, opts.get("cell_side"))
+        return plan
     except (configparser.Error, ValueError) as exc:
         raise ConfigurationError(f"invalid config value: {exc}") from exc
 

@@ -98,7 +98,6 @@ class PointSummary:
 
 @dataclass
 class SweepResult:
-    plan: ExperimentPlan
     points: list[PointSummary]
 
 
@@ -125,7 +124,7 @@ def replicate(plan: ExperimentPlan) -> SweepResult:
             summary.failures.append(rec.failed_at)
             summary.errors.append(None)
         summaries.append(summary)
-    return SweepResult(plan=plan, points=summaries)
+    return SweepResult(points=summaries)
 
 
 @dataclass(frozen=True)

@@ -421,6 +421,38 @@ def test_main_sweep_rejects_bad_experiment_values(tmp_path, capsys, experiment):
     assert not (tmp_path / "s" / "summary.csv").exists()
 
 
+def test_main_sweep_checks_the_regime_on_every_point(tmp_path, capsys):
+    # sec3 needs rho <= R / (2 sqrt 2) = 2.12 at R = 6: the base rho and
+    # rho = 2 pass, rho = 12 does not, so no replica runs
+    text = MINIMAL.replace("r = 4.0", "r = 6.0") + "regime = sec3\n\n[mobility]\nrho = 1\n"
+    cfg = write(tmp_path, text + "\n[experiment]\nsweep_axis = rho\nsweep_values = 2, 12\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == EXIT_CONFIG
+    assert "regime sec3 requires rho" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "summary.csv").exists()
+    cfg = write(tmp_path, text + "\n[experiment]\nsweep_axis = rho\nsweep_values = 1, 2\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == EXIT_OK
+    # an L sweep under sec3, each point's n taken from its area
+    assert parse_config(str(CONFIGS / "scaling.ini")).sweep_values == (32, 48, 64, 96)
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep", "isolated"])
+def test_main_rejects_n_with_density_one(tmp_path, capsys, verb):
+    cfg = write(tmp_path, MINIMAL.replace("n = 40", "n = 50\ndensity_one = true"))
+    assert main([verb, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "takes n or density_one = true, not both" in capsys.readouterr().err
+    assert list((tmp_path / "out").glob("*")) == []
+    off = write(tmp_path, MINIMAL.replace("n = 40", "n = 50\ndensity_one = false"))
+    assert parse_config(off).n == 50
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep", "isolated"])
+def test_main_rejects_gamma_without_cell_side(tmp_path, capsys, verb):
+    cfg = write(tmp_path, MINIMAL + "\n[instrumentation]\ngamma = 0.9\n")
+    assert main([verb, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "gamma needs cell_side" in capsys.readouterr().err
+    assert list((tmp_path / "out").glob("*")) == []
+
+
 @pytest.mark.parametrize("key", ["cell_side", "gamma"])
 def test_main_non_numeric_instrumentation_value(tmp_path, capsys, key):
     text = _with_value((CONFIGS / "regularity.ini").read_text(), key, "abc")

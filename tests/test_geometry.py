@@ -306,7 +306,7 @@ def test_neighborhood_outside_cover(grid_4x4):
 def test_cell_grid_mask_must_span_the_index_box(shape, dtype):
     # a square of side 12 with side-3 cells has a 4x4 index box
     with pytest.raises(GeometryError):
-        CellGrid(Region.square(12.0), 3.0, 1.0, (0.0, 0.0), np.ones(shape, dtype=dtype))
+        CellGrid(Region.square(12.0), 3.0, np.ones(shape, dtype=dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +471,7 @@ def test_cell_diameter_full_grid(grid_4x4, grid_15x15):
 
 
 def test_cell_diameter_single_cell():
-    grid = CellGrid(Region.square(1.0), 1.0, 1.0, (0.0, 0.0), np.ones((1, 1), dtype=bool))
+    grid = CellGrid(Region.square(1.0), 1.0, np.ones((1, 1), dtype=bool))
     assert cell_diameter(grid) == 0
 
 
@@ -546,7 +546,7 @@ def test_cell_distance_is_a_metric(a, b, c):
 def test_chebyshev_on_random_full_rectangles(cols, rows, data):
     mask = np.zeros((max(cols, rows),) * 2, dtype=bool)
     mask[:cols, :rows] = True
-    grid = CellGrid(Region.square(max(cols, rows)), 1.0, 1.0, (0.0, 0.0), mask)
+    grid = CellGrid(Region.square(max(cols, rows)), 1.0, mask)
     a = data.draw(st.tuples(st.integers(0, cols - 1), st.integers(0, rows - 1)))
     b = data.draw(st.tuples(st.integers(0, cols - 1), st.integers(0, rows - 1)))
     assert cell_distance(a, b, grid) == max(abs(a[0] - b[0]), abs(a[1] - b[1]))
