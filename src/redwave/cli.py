@@ -28,7 +28,7 @@ import numpy as np
 from . import instrument
 from .epidemic import RunRecord, SimParams, Snapshot, run
 from .errors import ConfigurationError, RedwaveError
-from .experiments import ExperimentPlan, SweepResult, isolated_count, replicate
+from .experiments import ExperimentPlan, SweepResult, density_one_n, isolated_count, replicate
 from .geometry import Region, build_cell_grid
 from .mobility import MobilityMode, RngStream
 
@@ -158,7 +158,7 @@ def parse_config(path: str):
         if density_one and cp.has_option("agents", "n"):
             raise ConfigurationError("[agents] takes n or density_one = true, not both")
         if density_one:
-            n = max(1, int(math.floor(region.area)))
+            n = density_one_n(region)
         else:
             n = cp.getint("agents", "n")
 
@@ -252,17 +252,8 @@ def _trace_row(snap: Snapshot, grid=None, dump: tuple | None = None) -> dict:
     given, its instrument columns; with ``dump`` also its cell dump, as
     the ``_json`` text of its ``"c,r" -> state name`` map."""
     w, r, b = snap.counts()
-    row: dict = {
-        "schema": SCHEMA_VERSION,
-        "step": snap.step,
-        "white": w,
-        "red": r,
-        "black": b,
-        "regular": None,
-        "max_wavefront": None,
-        "mean_wavefront": None,
-        "cells": None,
-    }
+    row = dict(dict.fromkeys(_TRACE_FIELDS), schema=SCHEMA_VERSION, step=snap.step)
+    row.update(white=w, red=r, black=b)
     if grid is not None:
         states = instrument.classify_cells(snap, grid)
         row["regular"] = instrument.is_regular(states, grid).regular

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, GeometryError
-from .geometry import Region, bucket_side, in_reach, neighbour_blocks
+from .geometry import BucketGrid, Region, bucket_side, in_reach, neighbour_blocks
 from .mobility import (
     MobilityMode,
     RngStream,
@@ -155,14 +155,14 @@ class RunRecord:
 # ---------------------------------------------------------------------------
 
 
-def _nearest_reds(pos, whites, reds, side, origin=(0.0, 0.0), block=1, key=None):
-    """The neighbour query of ``whites`` against ``reds`` (see
+def _nearest_reds(chunks, key=None):
+    """Neighbour-query chunks of whites against reds (see
     :func:`neighbour_blocks`), reduced per white with a candidate: the
     whites, their least squared distance to a candidate and the lowest red
     index at that distance.  With ``key``, pairs whose keys differ are at
     distance +inf."""
     found = [(_NONE, np.empty(0), _NONE)]
-    for w, counts, r, d2 in neighbour_blocks(pos, whites, reds, side, origin, block):
+    for w, counts, r, d2 in chunks:
         if key is not None:
             d2[np.repeat(key[w], counts) != key[r]] = np.inf
         starts = np.cumsum(counts) - counts
@@ -172,19 +172,51 @@ def _nearest_reds(pos, whites, reds, side, origin=(0.0, 0.0), block=1, key=None)
     return tuple(map(np.concatenate, zip(*found)))
 
 
+def _settle(whites, found, side, informed, informers):
+    """Stage 1 of a two-stage kernel, given its nearest reds ``found`` in the
+    3x3 block of buckets of side ``side``: a white whose best squared
+    distance is below ``side**2``, less a 1e-9 relative margin against floor
+    rounding, is settled, since every red outside its block is farther than
+    ``side``.  Appends the settled whites and their reds to ``informed`` and
+    ``informers``; returns the other whites."""
+    w, best, nearest = found
+    hit = best < side * side * (1 - 1e-9)
+    informed.append(w[hit])
+    informers.append(nearest[hit])
+    settled = np.zeros(whites.max(initial=-1) + 1, dtype=bool)
+    settled[w[hit]] = True
+    return whites[~settled[whites]]
+
+
 def _inform_euclidean(
     positions: np.ndarray, states: np.ndarray, R: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Whites within closed distance R of a red, plus their nearest informer.
+    """Whites within closed distance R of a red, plus their nearest informer;
+    distance ties go to the lowest red index.
 
-    Buckets of side at least R, so only the 3x3 bucket block around a white
-    can hold reds within range; distance ties go to the lowest red index.
+    Two stages over one bucket grid of the reds (see :func:`_settle`): its
+    side ``s`` is R / 3, widened as :func:`bucket_side` widens a reach, so
+    that a settled white is in reach.  Stage 2 queries the other whites at
+    the least block ``b`` with ``b * s >= R * (1 + 1e-9)``, so that every
+    red in reach is a candidate, and keeps those in reach.  When ``s`` is
+    widened that far, ``b`` is 1 and stage 1 is the whole query.
     """
-    red_idx = np.flatnonzero(states == RED)
-    white_idx = np.flatnonzero(states == WHITE)
-    w, best, nearest = _nearest_reds(positions, white_idx, red_idx, bucket_side(positions, R))
+    reds = np.flatnonzero(states == RED)
+    whites = np.flatnonzero(states == WHITE)
+    side = bucket_side(positions, R / 3)
+    # the quotient's rounding must not add a block when b * s is R * (1 + 1e-9)
+    block = math.ceil(R * (1 + 1e-9) / side - 1e-12)
+    grid = BucketGrid(positions, reds, side, margin=block)
+    found = _nearest_reds(grid.query(whites, 1))
+    informed, informers = [_NONE], [_NONE]
+    if block > 1:
+        whites = _settle(whites, found, side, informed, informers)
+        found = _nearest_reds(grid.query(whites, block))
+    w, best, nearest = found
     hit = in_reach(best, R)
-    return w[hit], nearest[hit]
+    informed.append(w[hit])
+    informers.append(nearest[hit])
+    return np.concatenate(informed), np.concatenate(informers)
 
 
 def _inform_same_supercell(
@@ -194,16 +226,14 @@ def _inform_same_supercell(
     distance ties go to the lowest red index.
 
     Only the reds and the whites of red-holding supercells take part, in
-    index order.  Stage 1 queries the whites against the reds in the 3x3
-    block of a finer bucket grid, leaving out pairs from different
-    supercells.  Its side ``s`` is the supercell side over the whole square
-    root of the mean red count of a red-holding supercell, so that a fine
-    bucket holds about one red, widened as :func:`bucket_side` widens a
-    reach.  A white whose best squared distance is below ``s**2``, less a
-    1e-9 relative margin against floor rounding, is settled: every red
-    outside its block is farther than ``s``.  Stage 2 queries the other
-    whites with the supercells as the buckets, each bucket's block being
-    itself; it takes every white when ``s`` is not below the supercell side.
+    index order.  Stage 1 (see :func:`_settle`) queries the whites against
+    the reds in the 3x3 block of a finer bucket grid, leaving out pairs
+    from different supercells.  Its side ``s`` is the supercell side over
+    the whole square root of the mean red count of a red-holding supercell,
+    so that a fine bucket holds about one red, widened as
+    :func:`bucket_side` widens a reach.  Stage 2 queries the other whites
+    with the supercells as the buckets, each bucket's block being itself;
+    it takes every white when ``s`` is not below the supercell side.
     """
     key = sgrid.flat_keys(positions, 1)  # one per supercell of the bounding box
     red = states == RED
@@ -218,14 +248,10 @@ def _inform_same_supercell(
     if len(whites):  # then some supercell holds a red
         side = bucket_side(pos, sgrid.side / math.isqrt(len(reds) // np.count_nonzero(holds)))
         if side < sgrid.side:
-            w, best, nearest = _nearest_reds(pos, whites, reds, side, sgrid.origin, key=key)
-            hit = best < side * side * (1 - 1e-9)
-            informed.append(w[hit])
-            informers.append(nearest[hit])
-            settled = np.zeros(len(agents), dtype=bool)
-            settled[w[hit]] = True
-            whites = whites[~settled[whites]]
-        w, _, nearest = _nearest_reds(pos, whites, reds, sgrid.side, sgrid.origin, 0)
+            found = _nearest_reds(neighbour_blocks(pos, whites, reds, side, sgrid.origin), key)
+            whites = _settle(whites, found, side, informed, informers)
+        stage2 = neighbour_blocks(pos, whites, reds, sgrid.side, sgrid.origin, 0)
+        w, _, nearest = _nearest_reds(stage2)
         informed.append(w)
         informers.append(nearest)
     return agents[np.concatenate(informed)], agents[np.concatenate(informers)]
@@ -247,9 +273,9 @@ def transmit(s: Snapshot, params: SimParams, sgrid, t: int) -> int:
     else:
         newly, informers = _inform_euclidean(s.positions, s.states, params.R)
     # countdown of agents red at phase start; expired reds turn black
-    was_red = s.states == RED
-    s.countdown[was_red] -= 1
-    s.states[was_red & (s.countdown == 0)] = BLACK
+    reds = np.flatnonzero(s.states == RED)
+    s.countdown[reds] -= 1
+    s.states[reds[s.countdown[reds] == 0]] = BLACK
     if newly.size == 0:
         return 0
     s.states[newly] = RED

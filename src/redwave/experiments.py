@@ -28,11 +28,17 @@ class ExperimentPlan:
     sweep_axis: str | None = None  # "L", "R", "rho", "k", "n", or None
     sweep_values: tuple = ()
     replicas: int = 1
-    density_one: bool = True  # n = floor(area(S)) unless given explicitly
+    density_one: bool = True  # n = floor(area(S)) at every point, unless n is the axis
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
             raise ConfigurationError("replicas must be >= 1")
+        if self.density_one and self.sweep_axis != "n":
+            n = density_one_n(self.base.region)
+            if self.base.n != n:
+                raise ConfigurationError(
+                    f"n = {self.base.n} given with density_one, which sets n = {n}"
+                )
         if self.sweep_axis is None:
             if self.sweep_values:
                 raise ConfigurationError("sweep values declared without a sweep axis")
@@ -69,8 +75,13 @@ class ExperimentPlan:
 
     def _finalize(self, params: SimParams) -> SimParams:
         if self.density_one and self.sweep_axis != "n":
-            return replace(params, n=max(1, int(math.floor(params.region.area))))
+            return replace(params, n=density_one_n(params.region))
         return params
+
+
+def density_one_n(region: Region) -> int:
+    """The density-one population of a region: floor(area), at least 1."""
+    return max(1, int(math.floor(region.area)))
 
 
 @dataclass
@@ -147,10 +158,7 @@ def scaling_fit(points: list[tuple[float, float]]) -> ScalingFit:
     resid = ys - (slope * xs + intercept)
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    if ss_tot == 0.0:
-        r2 = 1.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return ScalingFit(float(slope), float(intercept), r2)
 
 
@@ -164,20 +172,6 @@ def isolated_bound(n: int, R: float) -> float:
     if math.pi * R**2 >= n:
         return 0.0
     return n * (1.0 - math.pi * R**2 / n) ** (n - 1)
-
-
-def isolated_indices_bruteforce(positions: np.ndarray, R: float) -> np.ndarray:
-    """O(n^2) all-pairs isolation check (the audit oracle): no other agent
-    in reach under the transmission kernel's closed-ball rule."""
-    n = len(positions)
-    if R == 0:
-        return np.arange(n)
-    iso = np.empty(n, dtype=bool)
-    for i in range(n):
-        d2 = (positions[:, 0] - positions[i, 0]) ** 2 + (positions[:, 1] - positions[i, 1]) ** 2
-        d2[i] = np.inf
-        iso[i] = not in_reach(d2, R).any()
-    return np.flatnonzero(iso)
 
 
 def isolated_indices(positions: np.ndarray, R: float) -> np.ndarray:

@@ -250,33 +250,76 @@ def _by_bucket(keys: np.ndarray, agents: np.ndarray, n: int) -> np.ndarray:
     return keys
 
 
-def _bucket_grid(pos, targets, side, origin, block):
-    """The query's grid over the agents' buckets, with a margin of ``block``
-    empty buckets on every side: the agents' bucket keys (column * height +
-    row), the height, the targets ordered by bucket, where bucket k holds
-    ``order[start[k] : start[k + 1]]``, and the box sum of the targets'
-    count grid over the ``(2 * block + 1)**2`` buckets around each bucket."""
-    # bucket column and row as bucket_cells computes them, the column
-    # becoming the key
-    keys, row = (np.floor((pos[:, i] - origin[i]) / side).astype(np.int64) for i in (0, 1))
-    keys -= keys.min() - block
-    row -= row.min() - block
-    width, height = keys.max() + block + 1, row.max() + block + 1
-    keys *= height
-    keys += row
-    grid = np.bincount(keys[targets], minlength=width * height)
-    start = np.zeros(len(grid) + 1, dtype=np.int64)
-    np.cumsum(grid, out=start[1:])
-    # the box sums from the grid's summed-area table
-    w = 2 * block + 1
-    total = np.zeros((width + 1, height + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(grid.reshape(width, height), axis=0), axis=1, out=total[1:, 1:])
-    box = np.zeros((width, height), dtype=np.int64)
-    box[block : width - block, block : height - block] = (
-        total[w:, w:] - total[:-w, w:] - total[w:, :-w] + total[:-w, :-w]
-    )
-    order = _by_bucket(keys[targets], targets, len(pos))
-    return keys, height, order, start, box.ravel()
+class BucketGrid:
+    """The neighbour query's binning: agents in square buckets (see
+    :func:`bucket_cells`), binned once and queried at any block up to
+    ``margin``.  Bucket keys are ``column * height + row`` over the agents'
+    buckets plus a margin of ``margin`` empty buckets on every side, and
+    bucket k holds the targets ``order[start[k] : start[k + 1]]``."""
+
+    def __init__(self, positions, targets, side, origin=(0.0, 0.0), margin=1):
+        pos = self.pos = np.asarray(positions, dtype=float)
+        # bucket column and row as bucket_cells computes them, the column
+        # becoming the key
+        keys, row = (np.floor((pos[:, i] - origin[i]) / side).astype(np.int64) for i in (0, 1))
+        keys -= keys.min() - margin
+        row -= row.min() - margin
+        self.margin, self.height = margin, row.max() + margin + 1
+        width = keys.max() + margin + 1
+        keys *= self.height
+        keys += row
+        self.keys = keys
+        self.start = np.zeros(width * self.height + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys[targets], minlength=width * self.height), out=self.start[1:])
+        self.order = _by_bucket(keys[targets], targets, len(pos))
+
+    def query(self, queries, block=1):
+        """Each query agent against the targets in the ``(2 * block + 1)**2``
+        buckets around its own, as chunks (see :func:`neighbour_blocks`)."""
+        if not 0 <= block <= self.margin:
+            raise ValueError(f"block {block} outside the grid's margin {self.margin}")
+        if len(queries) == 0 or len(self.order) == 0:
+            return
+        keys, start, h, w = self.keys, self.start, self.height, 2 * block + 1
+        # in bucket column c + dx, rows r - block .. r + block are one key run
+        runs = np.arange(-block, block + 1) * h - block
+        # the targets in the block around each bucket of the margin-free box,
+        # as the sum of its column runs
+        run = start[w:] - start[:-w]
+        box = np.zeros(len(start) - 1, dtype=np.int64)
+        lo, hi = block * (h + 1), len(box) - block * (h + 1)
+        for dx in range(w):
+            box[lo:hi] += run[dx * h : dx * h + hi - lo]
+        queries = queries[box[keys[queries]] > 0]
+        # for locality: neighbouring queries read the same target runs (the
+        # isolated scan at n = 65536 ran about 20% slower unsorted, 2-core VM)
+        queries = _by_bucket(keys[queries], queries, len(keys))
+        reach = box[keys[queries]]
+        del run, box
+        ends = np.cumsum(reach)
+        xs, ys = self.pos[:, 0], self.pos[:, 1]
+        xt, yt = xs[self.order], ys[self.order]
+        a = 0
+        while a < len(queries):
+            base = ends[a] - reach[a]
+            b = max(a + 1, int(np.searchsorted(ends, base + _CHUNK_PAIRS, side="right")))
+            q, counts = queries[a:b], reach[a:b]
+            k = keys[q]
+            first = start[k[:, None] + runs].ravel()
+            length = start[k[:, None] + (runs + w)].ravel() - first
+            # run j's targets are order[first[j] : first[j] + length[j]]
+            at = np.repeat(first - (np.cumsum(length) - length), length)
+            at += np.arange(len(at))
+            d2 = np.repeat(xs[q], counts)
+            d2 -= xt[at]
+            dy = np.repeat(ys[q], counts)
+            dy -= yt[at]
+            # in place, so that only two pair-sized float temporaries are alive
+            d2 *= d2
+            dy *= dy
+            d2 += dy
+            yield q, counts, self.order[at], d2
+            a = b
 
 
 def neighbour_blocks(positions, queries, targets, side, origin=(0.0, 0.0), block=1):
@@ -291,45 +334,10 @@ def neighbour_blocks(positions, queries, targets, side, origin=(0.0, 0.0), block
     ``reduceat``.  Queries without a candidate are skipped.  A chunk holds
     at most _CHUNK_PAIRS pairs, unless it is one query with more candidates
     than that: a query is never split across chunks, but a bucket's queries
-    may be.
+    may be.  The one-shot form of :class:`BucketGrid`.
     """
-    if len(queries) == 0 or len(targets) == 0:
-        return
-    pos = np.asarray(positions, dtype=float)
-    keys, height, order, start, box = _bucket_grid(pos, targets, side, origin, block)
-    queries = queries[box[keys[queries]] > 0]
-    # for locality: neighbouring queries read the same target runs (the
-    # isolated scan at n = 65536 ran about 20% slower unsorted, 2-core VM)
-    queries = _by_bucket(keys[queries], queries, len(pos))
-    qkeys = keys[queries]
-    reach = box[qkeys]
-    del keys, box
-    ends = np.cumsum(reach)
-    # in bucket column c + dx, rows r - block .. r + block are one key run
-    w = 2 * block + 1
-    runs = np.arange(-block, block + 1) * height - block
-    xs, ys = pos[:, 0], pos[:, 1]
-    xt, yt = xs[order], ys[order]
-    a = 0
-    while a < len(queries):
-        base = ends[a] - reach[a]
-        b = max(a + 1, int(np.searchsorted(ends, base + _CHUNK_PAIRS, side="right")))
-        q, counts, k = queries[a:b], reach[a:b], qkeys[a:b]
-        first = start[k[:, None] + runs].ravel()
-        length = start[k[:, None] + (runs + w)].ravel() - first
-        # run j's targets are order[first[j] : first[j] + length[j]]
-        at = np.repeat(first - (np.cumsum(length) - length), length)
-        at += np.arange(len(at))
-        d2 = np.repeat(xs[q], counts)
-        d2 -= xt[at]
-        dy = np.repeat(ys[q], counts)
-        dy -= yt[at]
-        # in place, so that only two pair-sized float temporaries are alive
-        d2 *= d2
-        dy *= dy
-        d2 += dy
-        yield q, counts, order[at], d2
-        a = b
+    if len(queries) and len(targets):
+        yield from BucketGrid(positions, targets, side, origin, block).query(queries, block)
 
 
 def _cells_across(extent: float, side: float) -> int:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from redwave.epidemic import RED, WHITE, Snapshot
-from redwave.geometry import Region, build_cell_grid
+from redwave.geometry import Region, build_cell_grid, in_reach
 
 
 def make_snapshot(positions, states, step=0):
@@ -55,3 +55,17 @@ def cell_distance(a, b, grid):
 def cell_diameter(grid):
     """Max pairwise cell-distance over the cover: one transform per cell."""
     return max(int(distances_from(a, grid)[grid.mask].max()) for a in grid.cells)
+
+
+def isolated_indices_bruteforce(positions: np.ndarray, R: float) -> np.ndarray:
+    """O(n^2) all-pairs isolation check (the audit oracle): no other agent
+    in reach under the transmission kernel's closed-ball rule."""
+    n = len(positions)
+    if R == 0:
+        return np.arange(n)
+    iso = np.empty(n, dtype=bool)
+    for i in range(n):
+        d2 = (positions[:, 0] - positions[i, 0]) ** 2 + (positions[:, 1] - positions[i, 1]) ** 2
+        d2[i] = np.inf
+        iso[i] = not in_reach(d2, R).any()
+    return np.flatnonzero(iso)

@@ -19,7 +19,6 @@ from redwave.experiments import (
     isolated_bound,
     isolated_count,
     isolated_indices,
-    isolated_indices_bruteforce,
     replicate,
     scaling_fit,
     threshold_experiment,
@@ -37,7 +36,7 @@ from redwave.instrument import (
     wavefront_speed_audit,
 )
 from redwave.mobility import RngStream, build_supercell_grid
-from tests.conftest import distances_from
+from tests.conftest import distances_from, isolated_indices_bruteforce
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

@@ -26,12 +26,11 @@ from redwave.epidemic import (
 from redwave.errors import ConfigurationError, RedwaveError
 from redwave.experiments import (
     isolated_indices,
-    isolated_indices_bruteforce,
     multi_source_run,
 )
-from redwave.geometry import Region, bucket_cells
+from redwave.geometry import Region, bucket_cells, bucket_side
 from redwave.mobility import MobilityMode, RngStream, build_supercell_grid
-from tests.conftest import make_snapshot
+from tests.conftest import isolated_indices_bruteforce, make_snapshot
 
 
 def params(region_side=10.0, n=2, R=3.0, rho=0.0, k=1, **kw):
@@ -451,6 +450,90 @@ def test_same_supercell_certifies_below_the_fine_side_only(monkeypatch):
     assert_same_inform(got, same_supercell_oracle(pos, states, sgrid))
     w = len(pos) - 1
     assert got[1][got[0] == w].tolist() == [w - 2]
+
+
+def _spy_grid_queries(monkeypatch):
+    """(block, queries) of each query of a BucketGrid, as the euclidean
+    kernel runs its stages."""
+    calls = []
+    query = geometry.BucketGrid.query
+
+    def spy(grid, queries, block=1):
+        calls.append((block, len(queries)))
+        return query(grid, queries, block)
+
+    monkeypatch.setattr(geometry.BucketGrid, "query", spy)
+    return calls
+
+
+@pytest.mark.parametrize("cap", [7, 1 << 14])
+def test_euclidean_stages_match_oracle(monkeypatch, cap):
+    monkeypatch.setattr(geometry, "_CHUNK_PAIRS", cap)
+    calls = _spy_grid_queries(monkeypatch)
+    gen = RngStream(200 + cap).generator()
+    # 1200 agents on [0, L]^2: the side is R / 3 (with its margin), not
+    # widened, so stage 2 takes block 3
+    pos = gen.random((1200, 2)) * _L
+    assert bucket_side(pos, _R / 3) == _R / 3 * (1 + 1e-9)
+    # dense reds settle most whites in stage 1; from sparse reds most fall through
+    for p, settle in (([0.5, 0.4, 0.1], True), ([0.97, 0.01, 0.02], False)):
+        states = gen.choice([WHITE, RED, BLACK], size=len(pos), p=p).astype(np.int8)
+        calls.clear()
+        got = _inform_euclidean(pos, states, _R)
+        assert_same_inform(got, euclidean_oracle(pos, states, _R))
+        whites = np.count_nonzero(states == WHITE)
+        (one, first), (three, fell) = calls
+        assert (one, three, first) == (1, 3, whites) and (fell < whites / 2) == settle
+        # stage 2 informs whites in both, and leaves some uninformed in the sparse one
+        assert 0 < fell and whites - fell < len(got[0]) <= whites - (not settle)
+
+
+def test_euclidean_settles_below_the_side_only(monkeypatch):
+    # Stage 1 settles a white only below the side s.  Three whites go to
+    # stage 2: w, with two reds at the same distance t, just above s, where
+    # b (lower index) lies two buckets away and a in w's block: b informs
+    # it; a white exactly s from a red; a white exactly R from a red.
+    calls = _spy_grid_queries(monkeypatch)
+    gen = RngStream(9).generator()
+    s = _R / 3 * (1 + 1e-9)
+
+    def bucket(x):
+        return math.floor(x / s)
+
+    xw = 6 * s  # the highest coordinate in bucket 5
+    while bucket(xw) > 5:
+        xw = np.nextafter(xw, -np.inf)
+    xb = 7 * s  # the lowest coordinate in bucket 7
+    while bucket(xb) < 7:
+        xb = np.nextafter(xb, np.inf)
+    t = xb - xw
+    assert s < t < 2 * s
+    special = [(xb, 0.0), (xw, t), (xw, 0.0), (40.0, s), (40.0, 0.0), (36.0, 40.0), (30.0, 40.0)]
+    # black agents keep the side at s without taking part
+    pos = np.vstack([gen.random((1200, 2)) * _L, special])
+    states = np.full(len(pos), BLACK, dtype=np.int8)
+    states[-7:] = [RED, RED, WHITE, RED, WHITE, RED, WHITE]
+    assert bucket_side(pos, _R / 3) == s
+    got = _inform_euclidean(pos, states, _R)
+    assert_same_inform(got, euclidean_oracle(pos, states, _R))
+    w = len(pos) - 5
+    assert dict(zip(got[0].tolist(), got[1].tolist())) == {w: w - 2, w + 2: w + 1, w + 4: w + 3}
+    assert calls == [(1, 3), (3, 3)]  # no white is settled
+
+
+def test_euclidean_single_stage_when_the_side_is_widened(monkeypatch):
+    calls = _spy_grid_queries(monkeypatch)
+    gen = RngStream(10).generator()
+    # 30 agents over [0, L]^2 widen the side to about L / sqrt(30) > R, and
+    # a white exactly R from a red
+    pos = np.vstack([gen.random((28, 2)) * _L, [(10.0, 10.0), (16.0, 10.0)]])
+    states = gen.choice([WHITE, RED, BLACK], size=len(pos)).astype(np.int8)
+    states[-2:] = [RED, WHITE]
+    assert bucket_side(pos, _R / 3) >= _R * (1 + 1e-9)
+    got = _inform_euclidean(pos, states, _R)
+    assert_same_inform(got, euclidean_oracle(pos, states, _R))
+    assert got[1][got[0] == len(pos) - 1].tolist() == [len(pos) - 2]
+    assert calls == [(1, np.count_nonzero(states == WHITE))]
 
 
 def test_cellular_run_matches_all_pairs_oracle(monkeypatch):

@@ -12,7 +12,6 @@ from redwave.experiments import (
     isolated_bound,
     isolated_count,
     isolated_indices,
-    isolated_indices_bruteforce,
     multi_source_run,
     replicate,
     scaling_fit,
@@ -20,6 +19,7 @@ from redwave.experiments import (
 )
 from redwave.geometry import Region, bucket_cells, bucket_side
 from redwave.mobility import MobilityMode, RngStream, _uniform_in_region
+from tests.conftest import isolated_indices_bruteforce
 
 
 def base_params(**kw):
@@ -68,6 +68,18 @@ def test_plan_density_one_off():
     assert [p.n for p in plan.points()] == [50, 50]
 
 
+def test_plan_density_one_rejects_another_n():
+    base = SimParams(region=Region.square(24.0), n=50, R=6.0)
+    axes = [(None, ()), ("L", (24.0, 48.0)), ("R", (3.0,)), ("rho", (1.0,)), ("k", (2,))]
+    for axis, values in axes:
+        with pytest.raises(ConfigurationError, match="density_one"):
+            ExperimentPlan(base=base, sweep_axis=axis, sweep_values=values)
+    # the n axis, density_one off, or n = floor(area) itself
+    assert ExperimentPlan(base=base, sweep_axis="n", sweep_values=(10,)).points()[0].n == 10
+    assert ExperimentPlan(base=base, density_one=False).points()[0].n == 50
+    assert ExperimentPlan(base=base_params(region=Region.square(24.0), n=576)).points()[0].n == 576
+
+
 def test_plan_sweep_axes():
     base = base_params()
     for axis, values, get in [
@@ -82,7 +94,7 @@ def test_plan_sweep_axes():
 
 def test_replicate_is_reproducible():
     plan = ExperimentPlan(
-        base=base_params(region=Region.square(12.0), R=5.0, seed=100), replicas=4
+        base=base_params(region=Region.square(12.0), n=144, R=5.0, seed=100), replicas=4
     )
     a = replicate(plan)
     b = replicate(plan)

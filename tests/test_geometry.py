@@ -13,6 +13,7 @@ from redwave import geometry
 from redwave.errors import ConfigurationError, GeometryError
 from redwave.geometry import (
     _ADJ8,
+    BucketGrid,
     CellGrid,
     Region,
     bucket_cells,
@@ -623,6 +624,33 @@ def test_neighbour_blocks_matches_bucket_oracle(monkeypatch, cap, block):
     assert sorted(yielded.tolist()) == sorted(expected)
     if cap < 40:
         assert any(len(q) == 1 and len(t) > cap for q, _, t, _ in chunks)
+
+
+@pytest.mark.parametrize("cap", [1, 5, 64, 1 << 14])
+def test_bucket_grid_serves_every_block_up_to_its_margin(monkeypatch, cap):
+    # one binning, queried at blocks 0 .. 3, each as the bucket oracle
+    monkeypatch.setattr(geometry, "_CHUNK_PAIRS", cap)
+    gen = np.random.default_rng(11 * cap)
+    positions = np.r_[gen.random((150, 2)) * 40 - 20, gen.random((40, 2)) * 0.5 + 3.0]
+    queries = np.sort(gen.choice(190, 120, replace=False))
+    targets = np.sort(gen.choice(190, 100, replace=False))
+    side, origin, margin = 2.5, (-1.0, 0.5), 3
+    grid = BucketGrid(positions, targets, side, origin, margin)
+    for block in range(margin + 1):
+        got = {}
+        for q, counts, t, d2 in grid.query(queries, block):
+            assert np.all(counts > 0) and len(t) == len(d2) == counts.sum()
+            assert len(q) == 1 or len(t) <= cap
+            bounds = np.cumsum(counts)[:-1]
+            for query, seg, dd in zip(q, np.split(t, bounds), np.split(d2, bounds)):
+                dx = positions[query, 0] - positions[seg, 0]
+                dy = positions[query, 1] - positions[seg, 1]
+                assert np.array_equal(dd, dx * dx + dy * dy)
+                assert int(query) not in got and len(set(seg.tolist())) == len(seg)
+                got[int(query)] = set(seg.tolist())
+        assert got == oracle_candidates(positions, queries, targets, side, origin, block)
+    with pytest.raises(ValueError):
+        next(grid.query(queries, margin + 1))
 
 
 def test_neighbour_blocks_empty_sets():
