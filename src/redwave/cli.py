@@ -446,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
                 parsed = replace(parsed, base=replace(parsed.base, seed=args.seed))
             else:
                 parsed = replace(parsed, seed=args.seed)
-    except ConfigurationError as exc:
+    except RedwaveError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, GeometryError
-from .geometry import BucketGrid, Region, bucket_side, in_reach, neighbour_blocks
+from .geometry import BucketGrid, Region, bucket_side, in_reach
 from .mobility import (
     MobilityMode,
     RngStream,
@@ -91,7 +91,9 @@ class Snapshot:
     states: np.ndarray  # (n,) int8: 0 white, 1 red, 2 black
     countdown: np.ndarray  # (n,) int32: remaining active steps of red agents
     informed_at: np.ndarray  # (n,) int64, -1 if never informed
-    informer: np.ndarray  # (n,) int64 index of informing agent, -1 for sources
+    # (n,) int64 informing red, -1 for sources: the nearest red in reach, or
+    # the lowest-index red of the supercell under the same-supercell scope
+    informer: np.ndarray
     chain_origin: np.ndarray  # (n, 2): start position of the informing chain's source
 
     @property
@@ -155,16 +157,13 @@ class RunRecord:
 # ---------------------------------------------------------------------------
 
 
-def _nearest_reds(chunks, key=None):
+def _nearest_reds(chunks):
     """Neighbour-query chunks of whites against reds (see
-    :func:`neighbour_blocks`), reduced per white with a candidate: the
+    :meth:`BucketGrid.query`), reduced per white with a candidate: the
     whites, their least squared distance to a candidate and the lowest red
-    index at that distance.  With ``key``, pairs whose keys differ are at
-    distance +inf."""
+    index at that distance."""
     found = [(_NONE, np.empty(0), _NONE)]
     for w, counts, r, d2 in chunks:
-        if key is not None:
-            d2[np.repeat(key[w], counts) != key[r]] = np.inf
         starts = np.cumsum(counts) - counts
         best = np.minimum.reduceat(d2, starts)
         tied = np.flatnonzero(d2 == np.repeat(best, counts))  # at least one per white
@@ -222,39 +221,23 @@ def _inform_euclidean(
 def _inform_same_supercell(
     positions: np.ndarray, states: np.ndarray, sgrid
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Whites sharing a supercell with a red, with the nearest such red;
-    distance ties go to the lowest red index.
+    """Whites sharing a supercell with a red, each with the lowest-index red
+    of its supercell as informer: one scatter over the supercell keys.
 
-    Only the reds and the whites of red-holding supercells take part, in
-    index order.  Stage 1 (see :func:`_settle`) queries the whites against
-    the reds in the 3x3 block of a finer bucket grid, leaving out pairs
-    from different supercells.  Its side ``s`` is the supercell side over
-    the whole square root of the mean red count of a red-holding supercell,
-    so that a fine bucket holds about one red, widened as
-    :func:`bucket_side` widens a reach.  Stage 2 queries the other whites
-    with the supercells as the buckets, each bucket's block being itself;
-    it takes every white when ``s`` is not below the supercell side.
+    No distance decides who is informed, and the informer feeds only the
+    chain-speed check in :func:`transmit`.  Its bound of 3 sqrt(2) rho per
+    step holds for any red of the supercell: a move spans at most the 3x3
+    supercell block (2 sqrt(2) rho) and a hop at most the supercell
+    diagonal (sqrt(2) rho).
     """
     key = sgrid.flat_keys(positions, 1)  # one per supercell of the bounding box
-    red = states == RED
-    holds = np.zeros(key.max() + 1, dtype=bool)
-    holds[key[red]] = True
-    take = holds[key]
-    take &= states != BLACK
-    agents = np.flatnonzero(take)
-    red, key, pos = red[agents], key[agents], positions[agents]
-    reds, whites = np.flatnonzero(red), np.flatnonzero(~red)
-    informed, informers = [_NONE], [_NONE]
-    if len(whites):  # then some supercell holds a red
-        side = bucket_side(pos, sgrid.side / math.isqrt(len(reds) // np.count_nonzero(holds)))
-        if side < sgrid.side:
-            found = _nearest_reds(neighbour_blocks(pos, whites, reds, side, sgrid.origin), key)
-            whites = _settle(whites, found, side, informed, informers)
-        stage2 = neighbour_blocks(pos, whites, reds, sgrid.side, sgrid.origin, 0)
-        w, _, nearest = _nearest_reds(stage2)
-        informed.append(w)
-        informers.append(nearest)
-    return agents[np.concatenate(informed)], agents[np.concatenate(informers)]
+    reds = np.flatnonzero(states == RED)
+    whites = np.flatnonzero(states == WHITE)
+    first = np.full(key.max() + 1, len(states))  # len(states): no red
+    np.minimum.at(first, key[reds], reds)
+    informers = first[key[whites]]
+    hit = informers < len(states)
+    return whites[hit], informers[hit]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 
 from .epidemic import RunRecord, SimParams, run
 from .errors import ConfigurationError
-from .geometry import Region, bucket_side, eccentricity, in_reach, neighbour_blocks
+from .geometry import BucketGrid, Region, bucket_side, eccentricity, in_reach
 from .mobility import RngStream, _uniform_in_region
 
 
@@ -183,7 +183,7 @@ def isolated_indices(positions: np.ndarray, R: float) -> np.ndarray:
         return np.arange(n)
     agents = np.arange(n)
     reached = np.zeros(n, dtype=np.int64)
-    for q, counts, _, d2 in neighbour_blocks(positions, agents, agents, bucket_side(positions, R)):
+    for q, counts, _, d2 in BucketGrid(positions, agents, bucket_side(positions, R)).query(agents):
         starts = np.cumsum(counts) - counts
         reached[q] = np.add.reduceat(in_reach(d2, R), starts, dtype=np.int64)
     return np.flatnonzero(reached < 2)

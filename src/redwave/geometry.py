@@ -274,8 +274,18 @@ class BucketGrid:
         self.order = _by_bucket(keys[targets], targets, len(pos))
 
     def query(self, queries, block=1):
-        """Each query agent against the targets in the ``(2 * block + 1)**2``
-        buckets around its own, as chunks (see :func:`neighbour_blocks`)."""
+        """The neighbour query: each query agent against the targets in the
+        ``(2 * block + 1)**2`` buckets around its own.
+
+        Yields flat chunks ``(q, counts, t, d2)``: queries ``q``, grouped by
+        bucket, each with ``counts[i] > 0`` candidates, and the candidate
+        targets ``t`` with their squared distances ``d2``, grouped by query,
+        so that ``np.cumsum(counts) - counts`` are the segment starts for
+        ``reduceat``.  Queries without a candidate are skipped.  A chunk
+        holds at most _CHUNK_PAIRS pairs, unless it is one query with more
+        candidates than that: a query is never split across chunks, but a
+        bucket's queries may be.
+        """
         if not 0 <= block <= self.margin:
             raise ValueError(f"block {block} outside the grid's margin {self.margin}")
         if len(queries) == 0 or len(self.order) == 0:
@@ -320,24 +330,6 @@ class BucketGrid:
             d2 += dy
             yield q, counts, self.order[at], d2
             a = b
-
-
-def neighbour_blocks(positions, queries, targets, side, origin=(0.0, 0.0), block=1):
-    """The neighbour query: each query agent against the targets near it.
-
-    Agents are binned into square buckets (see :func:`bucket_cells`); a
-    query's candidates are the targets in the ``(2 * block + 1)**2`` buckets
-    around its own.  Yields flat chunks ``(q, counts, t, d2)``: queries ``q``,
-    grouped by bucket, each with ``counts[i] > 0`` candidates, and the
-    candidate targets ``t`` with their squared distances ``d2``, grouped by
-    query, so that ``np.cumsum(counts) - counts`` are the segment starts for
-    ``reduceat``.  Queries without a candidate are skipped.  A chunk holds
-    at most _CHUNK_PAIRS pairs, unless it is one query with more candidates
-    than that: a query is never split across chunks, but a bucket's queries
-    may be.  The one-shot form of :class:`BucketGrid`.
-    """
-    if len(queries) and len(targets):
-        yield from BucketGrid(positions, targets, side, origin, block).query(queries, block)
 
 
 def _cells_across(extent: float, side: float) -> int:

@@ -400,6 +400,15 @@ def test_main_sweep_more_sources_than_agents(tmp_path, capsys):
     assert not (tmp_path / "s" / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_main_rejects_a_source_outside_the_region(tmp_path, capsys, verb):
+    # the library raises GeometryError; the CLI exits 2 before any run
+    cfg = write(tmp_path, MINIMAL + "sources = 50,50\n")
+    assert main([verb, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "source points must lie inside the region" in capsys.readouterr().err
+    assert list((tmp_path / "out").glob("*")) == []
+
+
 @pytest.mark.parametrize(
     "experiment",
     [

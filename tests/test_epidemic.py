@@ -261,7 +261,10 @@ def euclidean_oracle(positions, states, R):
 
 def same_supercell_oracle(positions, states, sgrid):
     key = bucket_cells(positions, sgrid.side, sgrid.origin) @ np.array([1 << 32, 1])
-    return oracle_inform(positions, states, lambda w, r, d2: key[w, None] == key[None, r])
+    # every pair at distance 0: the informer is the lowest-index red of the supercell
+    return oracle_inform(
+        np.zeros_like(positions), states, lambda w, r, d2: key[w, None] == key[None, r]
+    )
 
 
 def assert_same_inform(got, expected):
@@ -341,18 +344,6 @@ def test_kernels_and_isolation_match_oracles_in_small_chunks(monkeypatch, cap):
             assert _inform_same_supercell(pos, uniform, sgrid)[0].size == 0
 
 
-def _spy_queries(monkeypatch):
-    """(side, block, queries) of each neighbour query the epidemic kernels run."""
-    calls = []
-
-    def spy(positions, queries, targets, side, origin=(0.0, 0.0), block=1):
-        calls.append((side, block, len(queries)))
-        return geometry.neighbour_blocks(positions, queries, targets, side, origin, block)
-
-    monkeypatch.setattr(epidemic, "neighbour_blocks", spy)
-    return calls
-
-
 def _in_supercell(gen, sgrid, cell, k, lattice=False):
     """k points uniform in supercell ``cell``, or on its half-unit lattice."""
     lo = np.asarray(sgrid.origin) + np.asarray(cell) * sgrid.side
@@ -361,26 +352,24 @@ def _in_supercell(gen, sgrid, cell, k, lattice=False):
     return lo + gen.random((k, 2)) * sgrid.side
 
 
-@pytest.mark.parametrize("cap", [1, 7, 50, 1 << 14])
-def test_same_supercell_stages_match_oracle(monkeypatch, cap):
-    monkeypatch.setattr(geometry, "_CHUNK_PAIRS", cap)
-    calls = _spy_queries(monkeypatch)
-    gen = RngStream(100 + cap).generator()
+@pytest.mark.parametrize("seed", [1, 7, 50, 1 << 14])
+def test_same_supercell_stages_match_oracle(seed):
+    gen = RngStream(100 + seed).generator()
     sgrid = build_supercell_grid(Region.square(_L), _RHO)  # 4 x 4 supercells
     edges = np.arange(5) * _RHO  # supercell edges, the far edge x = L among them
     groups = [
         # hundreds of reds and whites in one supercell
         (_in_supercell(gen, sgrid, (1, 1), 600), [RED, WHITE]),
-        # exact distance ties across fine buckets on a half-unit lattice
+        # duplicate positions on a half-unit lattice
         (_in_supercell(gen, sgrid, (2, 2), 400, lattice=True), [RED, WHITE]),
-        # two reds among many whites: most of these whites fall through
+        # two reds among many whites
         (_in_supercell(gen, sgrid, (0, 3), 100), [WHITE]),
         (np.array([[3.0, 40.0], [9.0, 44.0]]), [RED]),
         # agents on supercell edges
         (np.column_stack([gen.choice(edges, 80), gen.random(80) * _L]), [RED, WHITE, BLACK]),
         (np.column_stack([gen.random(80) * _L, gen.choice(edges, 80)]), [RED, WHITE, BLACK]),
         # a white whose nearest red (0.2 away) is across the supercell edge
-        # x = 36; the red of its own supercell is 1.9 away
+        # x = 36; a red of its own supercell is 1.9 away
         (np.array([[36.1, 40.0], [35.9, 40.0], [38.0, 40.0]]), [WHITE, RED, RED]),
     ]
     pos = np.vstack([g for g, _ in groups])
@@ -389,67 +378,11 @@ def test_same_supercell_stages_match_oracle(monkeypatch, cap):
     )
     got = _inform_same_supercell(pos, states, sgrid)
     assert_same_inform(got, same_supercell_oracle(pos, states, sgrid))
-    [(fine, _, _)] = [c for c in calls if c[1] == 1]
-    [(coarse, _, fell)] = [c for c in calls if c[1] == 0]
-    assert fine < coarse == sgrid.side
-    assert (sgrid.side / fine) % 1 != 0  # the fine grid does not tile a supercell
-    assert fell > 0  # stage 2 ran on whites that stage 1 did not settle
+    # informed from its own supercell, not by the nearer red across the edge
     white = len(pos) - 3
-    assert got[1][got[0] == white].tolist() == [white + 2]
-
-
-def _straddling(s, o, lo, hi):
-    """x_w < x_b in [lo, hi) whose buckets of side ``s`` from origin ``o`` are
-    two apart, although (x_b - x_w)**2 <= s * s: the floor division of
-    ``x_b - o`` rounds up to the bucket edge.  None if no pair is found."""
-
-    def bucket(x):
-        return math.floor((x - o) / s)
-
-    for i in range(bucket(lo), bucket(hi) - 1):
-        xb = o + (i + 2) * s  # the lowest coordinate in bucket i + 2
-        while bucket(np.nextafter(xb, -np.inf)) >= i + 2:
-            xb = np.nextafter(xb, -np.inf)
-        while bucket(xb) < i + 2:
-            xb = np.nextafter(xb, np.inf)
-        xw = o + (i + 1) * s  # the highest coordinates in bucket i
-        while bucket(xw) > i:
-            xw = np.nextafter(xw, -np.inf)
-        for _ in range(4):
-            if lo <= xw and xb < hi and (xb - xw) * (xb - xw) <= s * s:
-                return float(xw), float(xb)
-            xw = np.nextafter(xw, -np.inf)
-    return None
-
-
-def test_same_supercell_certifies_below_the_fine_side_only(monkeypatch):
-    # A white w with two reds at the same distance d, about the fine side s:
-    # b (lower index) lies two fine buckets away, because the floor division
-    # rounds, and a lies in w's block.  A red at distance s can thus lie
-    # outside the block, so w must not be settled in stage 1: b informs it.
-    calls = _spy_queries(monkeypatch)
-    gen = RngStream(8).generator()
-    sgrid = build_supercell_grid(Region.disk(24.0), 8.0)  # origin (-24, -24)
-    crowd = np.vstack([_in_supercell(gen, sgrid, c, 500) for c in ((1, 1), (4, 4))])
-    states = np.resize(np.array([RED, RED, RED, WHITE, WHITE], dtype=np.int8), len(crowd) + 3)
-    states[-3:] = [RED, RED, WHITE]  # b, a, w, in supercell (2, 3) or (3, 3)
-    pos = np.vstack([crowd, [(-4.0, 4.0), (-4.0, 5.0), (-3.0, 4.0)]])
-    _inform_same_supercell(pos, states, sgrid)
-    s = calls[0][0]
-    ox, oy = sgrid.origin
-    pair = _straddling(s, ox, -8.0, 0.0) or _straddling(s, ox, 0.0, 8.0)
-    assert pair is not None, f"no straddling pair for fine side {s!r}"
-    xw, xb = pair
-    d = xb - xw
-    row = math.floor((2.0 - oy) / s)
-    y = next(y for y in oy + (np.arange(row, row + 9) + 0.5) * s if (y + d) - y == d)
-    pos[-3:] = [(xb, y), (xw, y + d), (xw, y)]
-    calls.clear()
-    got = _inform_same_supercell(pos, states, sgrid)
-    assert calls[0][0] == s
-    assert_same_inform(got, same_supercell_oracle(pos, states, sgrid))
-    w = len(pos) - 1
-    assert got[1][got[0] == w].tolist() == [w - 2]
+    [red] = got[1][got[0] == white]
+    cells = bucket_cells(pos[[white, red]], sgrid.side, sgrid.origin)
+    assert np.array_equal(cells[0], cells[1])
 
 
 def _spy_grid_queries(monkeypatch):

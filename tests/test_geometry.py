@@ -20,7 +20,6 @@ from redwave.geometry import (
     build_cell_grid,
     eccentricity,
     neighborhood,
-    neighbour_blocks,
 )
 from tests.conftest import cell_diameter, cell_distance
 
@@ -604,7 +603,7 @@ def test_neighbour_blocks_matches_bucket_oracle(monkeypatch, cap, block):
     targets = np.sort(gen.choice(190, 100, replace=False))
     side, origin = 2.5, (-1.0, 0.5)
     expected = oracle_candidates(positions, queries, targets, side, origin, block)
-    chunks = list(neighbour_blocks(positions, queries, targets, side, origin, block))
+    chunks = list(BucketGrid(positions, targets, side, origin, block).query(queries, block))
     got = {}
     for q, counts, t, d2 in chunks:
         assert np.all(counts > 0) and len(t) == len(d2) == counts.sum()
@@ -656,6 +655,6 @@ def test_bucket_grid_serves_every_block_up_to_its_margin(monkeypatch, cap):
 def test_neighbour_blocks_empty_sets():
     positions = np.random.default_rng(0).random((10, 2))
     none, every = np.empty(0, dtype=np.int64), np.arange(10)
-    assert list(neighbour_blocks(positions, none, every, 0.3)) == []
-    assert list(neighbour_blocks(positions, every, none, 0.3)) == []
-    assert list(neighbour_blocks(positions, none, none, 0.3, block=0)) == []
+    assert list(BucketGrid(positions, every, 0.3).query(none)) == []
+    assert list(BucketGrid(positions, none, 0.3).query(every)) == []
+    assert list(BucketGrid(positions, none, 0.3, margin=0).query(none, block=0)) == []
