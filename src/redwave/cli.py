@@ -150,8 +150,8 @@ def parse_config(path: str):
 
     try:
         region = Region(cp.get("region", "kind"), cp.getfloat("region", "size"))
-        mode = cp.get("mobility", "mode", fallback="standard")
-        rho = cp.getfloat("mobility", "rho", fallback=0.0)
+        mode = cp.get("mobility", "mode", fallback=SimParams.mobility.kind)
+        rho = cp.getfloat("mobility", "rho", fallback=SimParams.mobility.rho)
         mobility = MobilityMode(mode, rho)
 
         density_one = cp.getboolean("agents", "density_one", fallback=False)
@@ -162,7 +162,7 @@ def parse_config(path: str):
         else:
             n = cp.getint("agents", "n")
 
-        sources: object = cp.get("protocol", "sources", fallback="random")
+        sources: object = cp.get("protocol", "sources", fallback=SimParams.sources)
         if isinstance(sources, str) and sources != "random":
             pts = []
             for part in sources.split(";"):
@@ -170,7 +170,7 @@ def parse_config(path: str):
                 pts.append((float(x), float(y)))
             sources = pts
 
-        seed = cp.getint("experiment", "seed", fallback=0) if cp.has_section("experiment") else 0
+        seed = cp.getint("experiment", "seed", fallback=SimParams.seed)
         env_seed = os.environ.get("REDWAVE_SEED")
         if env_seed is not None:
             seed = int(env_seed)
@@ -179,13 +179,15 @@ def parse_config(path: str):
             region=region,
             n=n,
             R=cp.getfloat("protocol", "r"),
-            k=cp.getint("protocol", "k", fallback=1),
+            k=cp.getint("protocol", "k", fallback=SimParams.k),
             mobility=mobility,
-            phase_order=cp.get("protocol", "phase_order", fallback="transmit_then_move"),
-            transmission_scope=cp.get("protocol", "transmission_scope", fallback="euclidean"),
+            phase_order=cp.get("protocol", "phase_order", fallback=SimParams.phase_order),
+            transmission_scope=cp.get(
+                "protocol", "transmission_scope", fallback=SimParams.transmission_scope
+            ),
             sources=sources,
             seed=seed,
-            max_steps=cp.getint("protocol", "max_steps", fallback=10_000),
+            max_steps=cp.getint("protocol", "max_steps", fallback=SimParams.max_steps),
         )
 
         regime = cp.get("protocol", "regime", fallback=None)
@@ -207,7 +209,7 @@ def parse_config(path: str):
             base=params,
             sweep_axis=axis,
             sweep_values=values,
-            replicas=cp.getint("experiment", "replicas", fallback=1),
+            replicas=cp.getint("experiment", "replicas", fallback=ExperimentPlan.replicas),
             density_one=density_one,
         )
         if regime is not None:

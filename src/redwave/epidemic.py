@@ -171,47 +171,36 @@ def _nearest_reds(chunks):
     return tuple(map(np.concatenate, zip(*found)))
 
 
-def _settle(whites, found, side, informed, informers):
-    """Stage 1 of a two-stage kernel, given its nearest reds ``found`` in the
-    3x3 block of buckets of side ``side``: a white whose best squared
-    distance is below ``side**2``, less a 1e-9 relative margin against floor
-    rounding, is settled, since every red outside its block is farther than
-    ``side``.  Appends the settled whites and their reds to ``informed`` and
-    ``informers``; returns the other whites."""
-    w, best, nearest = found
-    hit = best < side * side * (1 - 1e-9)
-    informed.append(w[hit])
-    informers.append(nearest[hit])
-    settled = np.zeros(whites.max(initial=-1) + 1, dtype=bool)
-    settled[w[hit]] = True
-    return whites[~settled[whites]]
-
-
 def _inform_euclidean(
-    positions: np.ndarray, states: np.ndarray, R: float
+    positions: np.ndarray, reds: np.ndarray, whites: np.ndarray, R: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whites within closed distance R of a red, plus their nearest informer;
-    distance ties go to the lowest red index.
+    distance ties go to the lowest red index.  A chain advances at most
+    R + rho a step: one move plus one hop.
 
-    Two stages over one bucket grid of the reds (see :func:`_settle`): its
-    side ``s`` is R / 3, widened as :func:`bucket_side` widens a reach, so
-    that a settled white is in reach.  Stage 2 queries the other whites at
-    the least block ``b`` with ``b * s >= R * (1 + 1e-9)``, so that every
-    red in reach is a candidate, and keeps those in reach.  When ``s`` is
-    widened that far, ``b`` is 1 and stage 1 is the whole query.
+    Two stages over one bucket grid of the reds, of side ``s`` = R / 3,
+    widened as :func:`bucket_side` widens a reach.  Stage 1 queries the
+    whites in the 3x3 block of buckets and settles a white whose best
+    squared distance is below ``s**2``, less a 1e-9 relative margin against
+    floor rounding: every red outside its block is farther than ``s``, and
+    ``s`` < R keeps it in reach.  Stage 2 queries the other whites at the
+    least block ``b`` with ``b * s >= R * (1 + 1e-9)``, so that every red in
+    reach is a candidate, and keeps those in reach.  When ``s`` is widened
+    that far, ``b`` is 1 and stage 1 is the whole query.
     """
-    reds = np.flatnonzero(states == RED)
-    whites = np.flatnonzero(states == WHITE)
     side = bucket_side(positions, R / 3)
     # the quotient's rounding must not add a block when b * s is R * (1 + 1e-9)
     block = math.ceil(R * (1 + 1e-9) / side - 1e-12)
     grid = BucketGrid(positions, reds, side, margin=block)
-    found = _nearest_reds(grid.query(whites, 1))
-    informed, informers = [_NONE], [_NONE]
+    w, best, nearest = _nearest_reds(grid.query(whites, 1))
+    informed, informers = [], []
     if block > 1:
-        whites = _settle(whites, found, side, informed, informers)
-        found = _nearest_reds(grid.query(whites, block))
-    w, best, nearest = found
+        hit = best < side * side * (1 - 1e-9)
+        informed.append(w[hit])
+        informers.append(nearest[hit])
+        settled = np.zeros(len(positions), dtype=bool)
+        settled[w[hit]] = True
+        w, best, nearest = _nearest_reds(grid.query(whites[~settled[whites]], block))
     hit = in_reach(best, R)
     informed.append(w[hit])
     informers.append(nearest[hit])
@@ -219,7 +208,7 @@ def _inform_euclidean(
 
 
 def _inform_same_supercell(
-    positions: np.ndarray, states: np.ndarray, sgrid
+    positions: np.ndarray, reds: np.ndarray, whites: np.ndarray, sgrid
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whites sharing a supercell with a red, each with the lowest-index red
     of its supercell as informer: one scatter over the supercell keys.
@@ -230,13 +219,12 @@ def _inform_same_supercell(
     supercell block (2 sqrt(2) rho) and a hop at most the supercell
     diagonal (sqrt(2) rho).
     """
+    n = len(positions)
     key = sgrid.flat_keys(positions, 1)  # one per supercell of the bounding box
-    reds = np.flatnonzero(states == RED)
-    whites = np.flatnonzero(states == WHITE)
-    first = np.full(key.max() + 1, len(states))  # len(states): no red
+    first = np.full(key.max() + 1, n)  # n: no red
     np.minimum.at(first, key[reds], reds)
     informers = first[key[whites]]
-    hit = informers < len(states)
+    hit = informers < n
     return whites[hit], informers[hit]
 
 
@@ -249,14 +237,18 @@ def transmit(s: Snapshot, params: SimParams, sgrid, t: int) -> int:
     """Transmission phase of step t, in place on ``s``.
 
     Returns the number of newly informed agents farther from their chain's
-    source than the maximum information speed allows.
+    source than t steps at the scope's maximum information speed, which
+    its kernel's docstring states.
     """
-    if params.transmission_scope == "same_supercell":
-        newly, informers = _inform_same_supercell(s.positions, s.states, sgrid)
-    else:
-        newly, informers = _inform_euclidean(s.positions, s.states, params.R)
-    # countdown of agents red at phase start; expired reds turn black
     reds = np.flatnonzero(s.states == RED)
+    whites = np.flatnonzero(s.states == WHITE)
+    if params.transmission_scope == "same_supercell":
+        newly, informers = _inform_same_supercell(s.positions, reds, whites, sgrid)
+        speed = 3 * math.sqrt(2) * params.mobility.rho
+    else:
+        newly, informers = _inform_euclidean(s.positions, reds, whites, params.R)
+        speed = params.R + params.mobility.rho
+    # countdown of agents red at phase start; expired reds turn black
     s.countdown[reds] -= 1
     s.states[reds[s.countdown[reds] == 0]] = BLACK
     if newly.size == 0:
@@ -266,18 +258,10 @@ def transmit(s: Snapshot, params: SimParams, sgrid, t: int) -> int:
     s.informed_at[newly] = t
     s.informer[newly] = informers
     s.chain_origin[newly] = s.chain_origin[informers]
-    # maximum information speed: per step, one move plus one
-    # transmission hop.  Euclidean scope: R + rho.  Supercell scope:
-    # a move spans at most the 3x3 supercell block (2 sqrt(2) rho)
-    # and a hop at most the supercell diagonal (sqrt(2) rho).
     d = np.hypot(
         s.positions[newly, 0] - s.chain_origin[newly, 0],
         s.positions[newly, 1] - s.chain_origin[newly, 1],
     )
-    if params.transmission_scope == "same_supercell":
-        speed = 3 * math.sqrt(2) * params.mobility.rho
-    else:
-        speed = params.R + params.mobility.rho
     return int(np.count_nonzero(d > t * speed * (1 + 1e-9)))
 
 
@@ -295,20 +279,19 @@ class Engine:
 
     def __init__(self, params: SimParams, initial_positions: np.ndarray | None = None):
         self.params = params
-        self.region = params.region
         self.gen = RngStream(params.seed, MOVES).generator()
         self.sgrid = None
         if params.mobility.kind == "cellular":
-            self.sgrid = build_supercell_grid(self.region, params.mobility.rho)
+            self.sgrid = build_supercell_grid(params.region, params.mobility.rho)
         if initial_positions is not None:
             pos = np.array(initial_positions, dtype=float)
             if pos.shape != (params.n, 2):
                 raise ConfigurationError("initial positions must have shape (n, 2)")
-            if not np.all(self.region.contains(pos)):
+            if not np.all(params.region.contains(pos)):
                 raise ConfigurationError("initial positions must lie inside the region")
         else:
             placement = RngStream(params.seed, PLACEMENT).generator()
-            pos = init_positions(params.n, self.region, params.mobility, placement, self.sgrid)
+            pos = init_positions(params.n, params.region, params.mobility, placement, self.sgrid)
         n = params.n
         self.snapshot = Snapshot(
             step=0,

@@ -25,6 +25,12 @@ def make_snapshot(positions, states, step=0):
     )
 
 
+def red_white(states):
+    """The red and the white agent indices of ``states``, as the
+    transmission kernels and their oracles take them."""
+    return np.flatnonzero(states == RED), np.flatnonzero(states == WHITE)
+
+
 @pytest.fixture(scope="session")
 def grid_15x15():
     """A full 15x15 cover (square of side 15 with unit cells)."""

@@ -169,7 +169,7 @@ def tiny_rows():
 def test_trace_single_agent_two_rows(tiny_rows, tmp_path):
     path = str(tmp_path / "trace.ndjson")
     emit_trace(tiny_rows, "ndjson", path)
-    rows = [json.loads(line) for line in open(path)]
+    rows = [json.loads(line) for line in Path(path).read_text().splitlines()]
     assert len(rows) == 2  # the initial configuration plus one step
     assert rows[0]["white"] == 0 and rows[0]["red"] == 1
     assert rows[1]["black"] == 1
@@ -184,7 +184,7 @@ def test_trace_rerun_byte_identical(tmp_path):
     a, b = str(tmp_path / "a.ndjson"), str(tmp_path / "b.ndjson")
     emit_trace(_trace_rows(p), "ndjson", a)
     emit_trace(_trace_rows(p), "ndjson", b)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_trace_csv_and_ndjson_agree(tmp_path):
@@ -197,8 +197,8 @@ def test_trace_csv_and_ndjson_agree(tmp_path):
     pj, pc = str(tmp_path / "t.ndjson"), str(tmp_path / "t.csv")
     emit_trace(rows, "ndjson", pj)
     emit_trace(rows, "csv", pc)
-    jrows = [json.loads(line) for line in open(pj)]
-    crows = list(csv.DictReader(open(pc)))
+    jrows = [json.loads(line) for line in Path(pj).read_text().splitlines()]
+    crows = list(csv.DictReader(Path(pc).read_text().splitlines()))
     assert len(jrows) == len(crows)
     for j, c in zip(jrows, crows):
         for key in ("step", "white", "red", "black"):
@@ -238,7 +238,7 @@ def test_trace_cells_dump_encodes_as_sorted_json(tmp_path, fmt):
     if fmt == "ndjson":
         assert path.read_text().splitlines() == [encode(row) for row in plain]
     else:
-        cells = [row["cells"] for row in csv.DictReader(path.open())]
+        cells = [row["cells"] for row in csv.DictReader(path.read_text().splitlines())]
         assert cells == [encode(row["cells"]) for row in plain]
 
 
@@ -328,7 +328,7 @@ def test_summary_rows_and_recomputation(tmp_path):
     sweep = replicate(plan)
     path = str(tmp_path / "summary.csv")
     emit_summary(sweep, path)
-    rows = list(csv.DictReader(open(path)))
+    rows = list(csv.DictReader(Path(path).read_text().splitlines()))
     replicas = [r for r in rows if r["row_kind"] == "replica"]
     aggregates = [r for r in rows if r["row_kind"] == "aggregate"]
     assert len(replicas) == 3 and len(aggregates) == 1
@@ -374,7 +374,8 @@ def test_main_run_counts_agents_in_uncovered_slivers(tmp_path, kind, size):
     text = text.replace("kind = square", f"kind = {kind}").replace("size = 48", f"size = {size}")
     cfg = write(tmp_path, text)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
-    rows = [json.loads(line) for line in (tmp_path / "out" / "trace.ndjson").open()]
+    trace = (tmp_path / "out" / "trace.ndjson").read_text()
+    rows = [json.loads(line) for line in trace.splitlines()]
     assert rows and all(isinstance(row["regular"], bool) for row in rows)
 
 
@@ -543,7 +544,7 @@ def test_main_sweep_and_isolated(tmp_path, capsys):
     text = MINIMAL + "\n[experiment]\nreplicas = 2\nseed = 3\n"
     cfg = write(tmp_path, text)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == EXIT_OK
-    rows = list(csv.DictReader(open(tmp_path / "s" / "summary.csv")))
+    rows = list(csv.DictReader((tmp_path / "s" / "summary.csv").read_text().splitlines()))
     assert len(rows) == 3
 
     assert main(["isolated", "--config", cfg, "--trials", "3"]) == EXIT_OK
@@ -567,7 +568,7 @@ def test_main_audit_needs_cell_side(tmp_path):
     text = MINIMAL + "\n[instrumentation]\ncell_side = 1.5\ngamma = 1.0\n"
     cfg = write(tmp_path, text, name="audit.ini")
     assert main(["audit", "--config", cfg, "--out", str(tmp_path / "a")]) == EXIT_OK
-    rows = [json.loads(line) for line in open(tmp_path / "a" / "audit.ndjson")]
+    rows = [json.loads(line) for line in (tmp_path / "a" / "audit.ndjson").read_text().splitlines()]
     assert all(row["cells"] is not None for row in rows)
     assert all(row["regular"] in (True, False) for row in rows)
 
@@ -585,7 +586,7 @@ def test_main_dump_cells_default_and_explicit(tmp_path, verb, flag, dumped):
     cfg = write(tmp_path, MINIMAL + "\n[instrumentation]\ncell_side = 1.5\ngamma = 1.0\n")
     assert main([verb, "--config", cfg, "--out", str(tmp_path / "a"), *flag]) == EXIT_OK
     name = "audit.ndjson" if verb == "audit" else "trace.ndjson"
-    rows = [json.loads(line) for line in open(tmp_path / "a" / name)]
+    rows = [json.loads(line) for line in (tmp_path / "a" / name).read_text().splitlines()]
     assert len(rows) > 2 and all(row["regular"] in (True, False) for row in rows)
     has_cells = [row["cells"] is not None for row in rows]
     last = dumped != "never"

@@ -30,7 +30,7 @@ from redwave.experiments import (
 )
 from redwave.geometry import Region, bucket_cells, bucket_side
 from redwave.mobility import MobilityMode, RngStream, build_supercell_grid
-from tests.conftest import isolated_indices_bruteforce, make_snapshot
+from tests.conftest import isolated_indices_bruteforce, make_snapshot, red_white
 
 
 def params(region_side=10.0, n=2, R=3.0, rho=0.0, k=1, **kw):
@@ -126,6 +126,28 @@ def test_transmission_same_supercell_scope():
     snap = make_snapshot([(12.5, 6.0), (23.0, 11.0)], [RED, WHITE])
     transmit(snap, p, sgrid, 1)
     assert snap.states[1] == RED
+
+
+@pytest.mark.parametrize(
+    "scope, mobility, t, speed",
+    [
+        ("euclidean", MobilityMode.standard(2.0), 3, 6.0 + 2.0),  # R + rho
+        ("same_supercell", MobilityMode.cellular(8.0), 1, 3 * math.sqrt(2) * 8.0),
+    ],
+    ids=["euclidean", "same_supercell"],
+)
+def test_transmit_counts_chain_speed_violations(scope, mobility, t, speed):
+    region = Region.square(48.0)
+    sgrid = build_supercell_grid(region, mobility.rho) if scope == "same_supercell" else None
+    p = SimParams(region=region, n=2, R=6.0, mobility=mobility, transmission_scope=scope)
+    # the white at x = 44 is 3 from the red, in reach and in its side-8
+    # supercell; the red's chain started t * speed from the white, or just
+    # past that and the check's 1e-9 relative slack
+    for stretch, violations in ((1.0, 0), (1 + 2e-9, 1)):
+        snap = make_snapshot([(41.0, 1.0), (44.0, 1.0)], [RED, WHITE])
+        snap.chain_origin[0] = (44.0 - t * speed * stretch, 1.0)
+        assert transmit(snap, p, sgrid, t) == violations
+        assert snap.states[1] == RED and snap.informer[1] == 0
 
 
 def test_newly_informed_do_not_relay_within_a_step():
@@ -237,11 +259,10 @@ def test_run_record_series_conservation():
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def oracle_inform(positions, states, reach, chunk=256):
+def oracle_inform(positions, reds, whites, reach, chunk=256):
     """All pairs: each white that ``reach(whites, reds, d2)`` connects to some
     red, informed by the nearest such red, ties to the lowest red index."""
-    reds = np.flatnonzero(states == RED)
-    whites = np.flatnonzero(states == WHITE) if reds.size else reds  # argmin needs a red
+    whites = whites if reds.size else reds  # argmin needs a red
     informed, informers = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for a in range(0, len(whites), chunk):
         w = whites[a : a + chunk]
@@ -255,15 +276,15 @@ def oracle_inform(positions, states, reach, chunk=256):
     return np.concatenate(informed), np.concatenate(informers)
 
 
-def euclidean_oracle(positions, states, R):
-    return oracle_inform(positions, states, lambda w, r, d2: d2 <= R * R * (1 + 1e-12))
+def euclidean_oracle(positions, reds, whites, R):
+    return oracle_inform(positions, reds, whites, lambda w, r, d2: d2 <= R * R * (1 + 1e-12))
 
 
-def same_supercell_oracle(positions, states, sgrid):
+def same_supercell_oracle(positions, reds, whites, sgrid):
     key = bucket_cells(positions, sgrid.side, sgrid.origin) @ np.array([1 << 32, 1])
     # every pair at distance 0: the informer is the lowest-index red of the supercell
     return oracle_inform(
-        np.zeros_like(positions), states, lambda w, r, d2: key[w, None] == key[None, r]
+        np.zeros_like(positions), reds, whites, lambda w, r, d2: key[w, None] == key[None, r]
     )
 
 
@@ -286,7 +307,9 @@ def test_spatial_hash_matches_brute_force(seed):
     front = np.where(np.abs(dense[:, 0] - 10.0) < 0.5, RED, WHITE).astype(np.int8)
     front[gen.random(3000) < 0.1] = BLACK
     for pos, s in ((positions, states), (dense, front)):
-        assert_same_inform(_inform_euclidean(pos, s, 2.5), euclidean_oracle(pos, s, 2.5))
+        assert_same_inform(
+            _inform_euclidean(pos, *red_white(s), 2.5), euclidean_oracle(pos, *red_white(s), 2.5)
+        )
 
 
 # a coarse lattice with the supercell borders and the far edge x = L, y = L,
@@ -311,11 +334,12 @@ def test_transmit_kernels_match_all_pairs_oracle(agents):
     states = np.array([s for _, _, s in agents], dtype=np.int8)
     sgrid = build_supercell_grid(Region.square(_L), _RHO)
     assert_same_inform(
-        _inform_same_supercell(positions, states, sgrid),
-        same_supercell_oracle(positions, states, sgrid),
+        _inform_same_supercell(positions, *red_white(states), sgrid),
+        same_supercell_oracle(positions, *red_white(states), sgrid),
     )
     assert_same_inform(
-        _inform_euclidean(positions, states, _R), euclidean_oracle(positions, states, _R)
+        _inform_euclidean(positions, *red_white(states), _R),
+        euclidean_oracle(positions, *red_white(states), _R),
     )
 
 
@@ -331,17 +355,21 @@ def test_kernels_and_isolation_match_oracles_in_small_chunks(monkeypatch, cap):
     lattice = gen.integers(0, 97, (360, 2)) / 2
     states = gen.choice([WHITE, RED, BLACK], size=360, p=[0.5, 0.4, 0.1]).astype(np.int8)
     for pos in (crowd, lattice):
-        assert_same_inform(_inform_euclidean(pos, states, _R), euclidean_oracle(pos, states, _R))
         assert_same_inform(
-            _inform_same_supercell(pos, states, sgrid), same_supercell_oracle(pos, states, sgrid)
+            _inform_euclidean(pos, *red_white(states), _R),
+            euclidean_oracle(pos, *red_white(states), _R),
+        )
+        assert_same_inform(
+            _inform_same_supercell(pos, *red_white(states), sgrid),
+            same_supercell_oracle(pos, *red_white(states), sgrid),
         )
         for R in (0.5, 2.0):
             assert np.array_equal(isolated_indices(pos, R), isolated_indices_bruteforce(pos, R))
         # no white, or no red: nobody is informed
         for only in (RED, WHITE):
             uniform = np.full(len(pos), only, dtype=np.int8)
-            assert _inform_euclidean(pos, uniform, _R)[0].size == 0
-            assert _inform_same_supercell(pos, uniform, sgrid)[0].size == 0
+            assert _inform_euclidean(pos, *red_white(uniform), _R)[0].size == 0
+            assert _inform_same_supercell(pos, *red_white(uniform), sgrid)[0].size == 0
 
 
 def _in_supercell(gen, sgrid, cell, k, lattice=False):
@@ -376,8 +404,8 @@ def test_same_supercell_stages_match_oracle(seed):
     states = np.concatenate(
         [np.resize(np.array(kinds, dtype=np.int8), len(g)) for g, kinds in groups]
     )
-    got = _inform_same_supercell(pos, states, sgrid)
-    assert_same_inform(got, same_supercell_oracle(pos, states, sgrid))
+    got = _inform_same_supercell(pos, *red_white(states), sgrid)
+    assert_same_inform(got, same_supercell_oracle(pos, *red_white(states), sgrid))
     # informed from its own supercell, not by the nearer red across the edge
     white = len(pos) - 3
     [red] = got[1][got[0] == white]
@@ -412,8 +440,8 @@ def test_euclidean_stages_match_oracle(monkeypatch, cap):
     for p, settle in (([0.5, 0.4, 0.1], True), ([0.97, 0.01, 0.02], False)):
         states = gen.choice([WHITE, RED, BLACK], size=len(pos), p=p).astype(np.int8)
         calls.clear()
-        got = _inform_euclidean(pos, states, _R)
-        assert_same_inform(got, euclidean_oracle(pos, states, _R))
+        got = _inform_euclidean(pos, *red_white(states), _R)
+        assert_same_inform(got, euclidean_oracle(pos, *red_white(states), _R))
         whites = np.count_nonzero(states == WHITE)
         (one, first), (three, fell) = calls
         assert (one, three, first) == (1, 3, whites) and (fell < whites / 2) == settle
@@ -447,8 +475,8 @@ def test_euclidean_settles_below_the_side_only(monkeypatch):
     states = np.full(len(pos), BLACK, dtype=np.int8)
     states[-7:] = [RED, RED, WHITE, RED, WHITE, RED, WHITE]
     assert bucket_side(pos, _R / 3) == s
-    got = _inform_euclidean(pos, states, _R)
-    assert_same_inform(got, euclidean_oracle(pos, states, _R))
+    got = _inform_euclidean(pos, *red_white(states), _R)
+    assert_same_inform(got, euclidean_oracle(pos, *red_white(states), _R))
     w = len(pos) - 5
     assert dict(zip(got[0].tolist(), got[1].tolist())) == {w: w - 2, w + 2: w + 1, w + 4: w + 3}
     assert calls == [(1, 3), (3, 3)]  # no white is settled
@@ -463,8 +491,8 @@ def test_euclidean_single_stage_when_the_side_is_widened(monkeypatch):
     states = gen.choice([WHITE, RED, BLACK], size=len(pos)).astype(np.int8)
     states[-2:] = [RED, WHITE]
     assert bucket_side(pos, _R / 3) >= _R * (1 + 1e-9)
-    got = _inform_euclidean(pos, states, _R)
-    assert_same_inform(got, euclidean_oracle(pos, states, _R))
+    got = _inform_euclidean(pos, *red_white(states), _R)
+    assert_same_inform(got, euclidean_oracle(pos, *red_white(states), _R))
     assert got[1][got[0] == len(pos) - 1].tolist() == [len(pos) - 2]
     assert calls == [(1, np.count_nonzero(states == WHITE))]
 

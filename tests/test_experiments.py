@@ -19,7 +19,7 @@ from redwave.experiments import (
 )
 from redwave.geometry import Region, bucket_cells, bucket_side
 from redwave.mobility import MobilityMode, RngStream, _uniform_in_region
-from tests.conftest import isolated_indices_bruteforce
+from tests.conftest import isolated_indices_bruteforce, red_white
 
 
 def base_params(**kw):
@@ -235,7 +235,7 @@ def test_isolation_uses_the_kernels_closed_ball():
         for b in np.arange(1, 30) / 10:
             pos = np.array([[0.0, 0.0], [a, b]])
             R = float(np.hypot(a, b))
-            assert list(_inform_euclidean(pos, states, R)[0]) == [1]
+            assert list(_inform_euclidean(pos, *red_white(states), R)[0]) == [1]
             assert len(isolated_indices_bruteforce(pos, R)) == 0
             assert len(isolated_indices(pos, R)) == 0, (a, b)
 
