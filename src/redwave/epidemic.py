@@ -7,12 +7,14 @@ informed during step t enter the end-of-step snapshot as red(k) and start
 transmitting at step t+1.
 
 The engine stores the population in flat numpy arrays for speed and runs
-the two phases, :func:`transmit` and :func:`move`, in place on them.
+the two phases, :func:`transmit` in place on them and :func:`move` into a
+new positions array.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -265,12 +267,17 @@ def transmit(s: Snapshot, params: SimParams, sgrid, t: int) -> int:
     return int(np.count_nonzero(d > t * speed * (1 + 1e-9)))
 
 
-def move(s: Snapshot, params: SimParams, sgrid, gen: np.random.Generator) -> None:
-    """Move phase, in place on ``s``: every agent steps independently."""
+def move(
+    positions: np.ndarray, params: SimParams, sgrid, gen: np.random.Generator
+) -> np.ndarray:
+    """Move phase: every agent steps independently from ``positions``, which
+    it only reads.  Returns the new positions, or ``positions`` itself when
+    nothing moves (the standard walk with rho = 0)."""
     if params.mobility.kind == "cellular":
-        s.positions = cellular_walk_all(s.positions, sgrid, params.region, gen)
-    elif params.mobility.rho > 0:
-        s.positions = walk_all(s.positions, params.mobility.rho, params.region, gen)
+        return cellular_walk_all(positions, sgrid, params.region, gen)
+    if params.mobility.rho > 0:
+        return walk_all(positions, params.mobility.rho, params.region, gen)
+    return positions
 
 
 class Engine:
@@ -321,20 +328,45 @@ class Engine:
             chosen.append(pick)
         return tuple(chosen)
 
-    def _move(self) -> None:
-        move(self.snapshot, self.params, self.sgrid, self.gen)
+    def _move(self, positions: np.ndarray) -> np.ndarray:
+        return move(positions, self.params, self.sgrid, self.gen)
 
     def step(self) -> Snapshot:
-        """Advance one time step and return the end-of-step snapshot."""
-        t = self.snapshot.step + 1
-        if self.params.phase_order == "transmit_then_move":
-            self.chain_violations += transmit(self.snapshot, self.params, self.sgrid, t)
-            self._move()
+        """Advance one time step and return the end-of-step snapshot.
+
+        Under ``transmit_then_move`` a move that does something runs on a
+        second thread beside the transmission phase.  The move reads only
+        the phase-start positions, which the transmission reads and never
+        writes, and draws only from the engine's move stream, so the step
+        equals the two phases run one after the other.  The thread ends
+        within the step, and an error the move raised is raised here.
+        """
+        s, p, t = self.snapshot, self.params, self.snapshot.step + 1
+        if p.phase_order == "move_then_transmit":
+            s.positions = self._move(s.positions)
+            self.chain_violations += transmit(s, p, self.sgrid, t)
+        elif p.mobility.kind == "standard" and p.mobility.rho == 0:  # nothing moves
+            self.chain_violations += transmit(s, p, self.sgrid, t)
         else:
-            self._move()
-            self.chain_violations += transmit(self.snapshot, self.params, self.sgrid, t)
-        self.snapshot.step = t
-        return self.snapshot
+            start, moved = s.positions, []  # the new positions, or the move's error
+
+            def move_beside():
+                try:
+                    moved.append(self._move(start))
+                except BaseException as err:  # re-raised on the stepping thread
+                    moved.append(err)
+
+            worker = threading.Thread(target=move_beside)
+            worker.start()
+            try:
+                self.chain_violations += transmit(s, p, self.sgrid, t)
+            finally:
+                worker.join()
+            if isinstance(moved[0], BaseException):
+                raise moved[0]
+            s.positions = moved[0]
+        s.step = t
+        return s
 
 
 def run(
@@ -368,6 +400,6 @@ def run(
             rec.exhausted = True
             break
         snap = eng.step()
-    rec.final = eng.snapshot.copy()
+    rec.final = eng.snapshot  # the engine is dropped on return
     rec.chain_violations = eng.chain_violations
     return rec

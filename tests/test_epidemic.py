@@ -1,6 +1,8 @@
 """The k-flooding state machine: phases, hand traces, and invariants."""
 
 import math
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from redwave import epidemic, geometry
+from redwave import epidemic, geometry, mobility
 from redwave.cli import parse_config
 from redwave.epidemic import (
     BLACK,
@@ -23,7 +25,7 @@ from redwave.epidemic import (
     run,
     transmit,
 )
-from redwave.errors import ConfigurationError, RedwaveError
+from redwave.errors import ConfigurationError, GeometryError, MobilityError, RedwaveError
 from redwave.experiments import (
     isolated_indices,
     multi_source_run,
@@ -179,16 +181,107 @@ def test_red_countdown_expiry():
 def test_move_phase_rho_zero_keeps_positions():
     snap = make_snapshot([(1.0, 1.0), (2.0, 2.0)], [RED, WHITE])
     before = snap.positions.copy()
-    move(snap, params(rho=0.0), None, RngStream(0).generator())
+    snap.positions = move(snap.positions, params(rho=0.0), None, RngStream(0).generator())
     assert np.array_equal(snap.positions, before)
 
 
 def test_move_phase_keeps_states_and_bounds_displacement():
     snap = make_snapshot([(5.0, 5.0)] * 100, [BLACK] * 100)
-    move(snap, params(n=100, rho=1.0), None, RngStream(1).generator())
+    snap.positions = move(snap.positions, params(n=100, rho=1.0), None, RngStream(1).generator())
     assert np.all(snap.states == BLACK)
     disp = np.hypot(snap.positions[:, 0] - 5.0, snap.positions[:, 1] - 5.0)
     assert disp.max() <= 1.0 + 1e-12
+
+
+def _sequential_step(eng):
+    """One transmit_then_move step of ``eng`` with the two phases run one
+    after the other on this thread."""
+    s, t = eng.snapshot, eng.snapshot.step + 1
+    eng.chain_violations += transmit(s, eng.params, eng.sgrid, t)
+    s.positions = move(s.positions, eng.params, eng.sgrid, eng.gen)
+    s.step = t
+
+
+@pytest.mark.parametrize(
+    "region, mobility_mode, walk",
+    [
+        # rho near the side: many rows are rejected, so the walk runs several rounds
+        (Region.square(12.0), MobilityMode.standard(9.0), "walk_all"),
+        (Region.disk(8.0), MobilityMode.standard(2.0), "walk_all"),
+        (Region.square(12.0), MobilityMode.cellular(3.0), "cellular_walk_all"),
+    ],
+)
+def test_move_beside_transmit_matches_the_sequential_step(
+    monkeypatch, region, mobility_mode, walk
+):
+    threads = []
+    real = getattr(epidemic, walk)
+
+    def traced(*args):
+        threads.append(threading.current_thread())
+        return real(*args)
+
+    monkeypatch.setattr(epidemic, walk, traced)
+    p = SimParams(region=region, n=300, R=2.0, mobility=mobility_mode, seed=3)
+    beside, sequential = Engine(p), Engine(p)
+    for _ in range(6):
+        beside.step()
+        _sequential_step(sequential)
+        for name in ("positions", "states", "countdown", "informed_at", "informer", "chain_origin"):
+            assert np.array_equal(
+                getattr(beside.snapshot, name), getattr(sequential.snapshot, name)
+            ), name
+        assert beside.snapshot.step == sequential.snapshot.step
+        assert beside.chain_violations == sequential.chain_violations
+    assert np.any(beside.snapshot.states != WHITE)
+    # the engine's moves ran off this thread, the sequential ones on it
+    assert len(threads) == 12
+    assert threading.main_thread() not in threads[::2]
+    assert set(threads[1::2]) == {threading.main_thread()}
+
+
+def test_a_failing_move_leaves_step_and_run_with_its_type(monkeypatch):
+    p = params(n=200, region_side=12.0, R=2.0, rho=9.0, seed=4)
+    before = threading.active_count()
+    eng = Engine(p)
+    with monkeypatch.context() as m, pytest.raises(MobilityError) as err:
+        m.setattr(mobility, "_MAX_REJECTIONS", 1)  # a rejected row is not redrawn
+        eng.step()
+    assert type(err.value) is MobilityError
+    assert threading.active_count() == before
+
+    def fail(*args):
+        raise MobilityError("no move")
+
+    monkeypatch.setattr(epidemic, "walk_all", fail)
+    with pytest.raises(MobilityError, match="no move") as err:
+        run(p)
+    assert type(err.value) is MobilityError
+    assert threading.active_count() == before
+
+
+def test_a_failing_transmission_joins_the_move_first(monkeypatch):
+    started, walked = threading.Event(), []
+    walk = epidemic.walk_all
+
+    def slow_walk(*args):
+        started.set()
+        time.sleep(0.05)
+        walked.append(walk(*args))
+        return walked[-1]
+
+    def failing_transmit(*args):
+        assert started.wait(5)  # the move is running
+        raise GeometryError("no transmission")
+
+    monkeypatch.setattr(epidemic, "walk_all", slow_walk)
+    monkeypatch.setattr(epidemic, "transmit", failing_transmit)
+    before = threading.active_count()
+    with pytest.raises(GeometryError, match="no transmission"):
+        run(params(n=50, rho=1.0, seed=2))
+    # the move finished before the error left the step
+    assert len(walked) == 1
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
