@@ -271,13 +271,10 @@ def move(
     positions: np.ndarray, params: SimParams, sgrid, gen: np.random.Generator
 ) -> np.ndarray:
     """Move phase: every agent steps independently from ``positions``, which
-    it only reads.  Returns the new positions, or ``positions`` itself when
-    nothing moves (the standard walk with rho = 0)."""
+    it only reads.  Returns the new positions."""
     if params.mobility.kind == "cellular":
         return cellular_walk_all(positions, sgrid, params.region, gen)
-    if params.mobility.rho > 0:
-        return walk_all(positions, params.mobility.rho, params.region, gen)
-    return positions
+    return walk_all(positions, params.mobility.rho, params.region, gen)
 
 
 class Engine:
@@ -334,18 +331,16 @@ class Engine:
     def step(self) -> Snapshot:
         """Advance one time step and return the end-of-step snapshot.
 
-        Under ``transmit_then_move`` a move that does something runs on a
-        second thread beside the transmission phase.  The move reads only
-        the phase-start positions, which the transmission reads and never
-        writes, and draws only from the engine's move stream, so the step
-        equals the two phases run one after the other.  The thread ends
-        within the step, and an error the move raised is raised here.
+        Under ``transmit_then_move`` the move runs on a second thread
+        beside the transmission phase.  The move reads only the phase-start
+        positions, which the transmission reads and never writes, and draws
+        only from the engine's move stream, so the step equals the two
+        phases run one after the other.  The thread ends within the step,
+        and an error the move raised is raised here.
         """
         s, p, t = self.snapshot, self.params, self.snapshot.step + 1
         if p.phase_order == "move_then_transmit":
             s.positions = self._move(s.positions)
-            self.chain_violations += transmit(s, p, self.sgrid, t)
-        elif p.mobility.kind == "standard" and p.mobility.rho == 0:  # nothing moves
             self.chain_violations += transmit(s, p, self.sgrid, t)
         else:
             start, moved = s.positions, []  # the new positions, or the move's error

@@ -86,18 +86,11 @@ def rejection_sample(sources, propose, accept, gen: np.random.Generator) -> np.n
 
 def _in_disk(centres: np.ndarray, rho: float, gen: np.random.Generator) -> np.ndarray:
     """One point uniform on B(c, rho) per centre, by the sqrt-radius trick."""
-    m = len(centres)
-    r = gen.random(m)
-    np.sqrt(r, out=r)
-    r *= rho
-    theta = gen.random(m)
-    theta *= 2
-    theta *= math.pi
-    out = np.empty((m, 2))
-    np.cos(theta, out=out[:, 0])
-    out[:, 0] *= r
-    np.sin(theta, out=theta)
-    np.multiply(r, theta, out=out[:, 1])
+    r = rho * np.sqrt(gen.random(len(centres)))
+    theta = gen.random(len(centres)) * 2 * math.pi
+    out = np.empty((len(centres), 2))
+    np.multiply(r, np.cos(theta), out=out[:, 0])
+    np.multiply(r, np.sin(theta), out=out[:, 1])
     out += centres
     return out
 
