@@ -8,7 +8,7 @@ transmitting at step t+1.
 
 The engine stores the population in flat numpy arrays for speed and runs
 the two phases, :func:`transmit` in place on them and :func:`move` into a
-new positions array.
+new positions array, which it runs one step ahead on a thread of its own.
 """
 
 from __future__ import annotations
@@ -278,8 +278,11 @@ def move(
 
 
 class Engine:
-    """Sequential, deterministic single-run engine.  Placement, random
-    source choice and moves draw from their own streams of the seed."""
+    """Deterministic single-run engine.  Placement, random source choice and
+    moves draw from their own streams of the seed.  The move runs one step
+    ahead on a thread of its own (see :meth:`step`), and every positions
+    array the engine publishes is read-only, so that a write into positions
+    a move is reading raises ``ValueError`` instead of racing."""
 
     def __init__(self, params: SimParams, initial_positions: np.ndarray | None = None):
         self.params = params
@@ -296,6 +299,7 @@ class Engine:
         else:
             placement = RngStream(params.seed, PLACEMENT).generator()
             pos = init_positions(params.n, params.region, params.mobility, placement, self.sgrid)
+        pos.flags.writeable = False
         n = params.n
         self.snapshot = Snapshot(
             step=0,
@@ -310,6 +314,7 @@ class Engine:
         src, s = list(self.source_indices), self.snapshot
         s.states[src], s.countdown[src], s.informed_at[src] = RED, params.k, 0
         self.chain_violations = 0
+        self._ahead = None  # the move started ahead: its thread and its outcome
 
     def _pick_sources(self) -> tuple[int, ...]:
         params = self.params
@@ -328,38 +333,70 @@ class Engine:
     def _move(self, positions: np.ndarray) -> np.ndarray:
         return move(positions, self.params, self.sgrid, self.gen)
 
+    def _move_ahead(self) -> None:
+        """Start the move of the snapshot's positions on a thread of its own."""
+        start, moved = self.snapshot.positions, []  # the new positions, or the move's error
+
+        def move_ahead():
+            try:
+                new = self._move(start)
+                new.flags.writeable = False
+                moved.append(new)
+            except BaseException as err:  # raised by the step that uses the move
+                moved.append(err)
+
+        self._ahead = threading.Thread(target=move_ahead), moved
+        self._ahead[0].start()
+
+    def _join_ahead(self) -> np.ndarray | BaseException | None:
+        """Join the move started ahead and return its outcome, the new
+        positions or the move's error; None if no move is pending.  A caller
+        that drops the outcome drops the error with it."""
+        ahead, self._ahead = self._ahead, None
+        if ahead is None:
+            return None
+        ahead[0].join()
+        return ahead[1][0]
+
     def step(self) -> Snapshot:
         """Advance one time step and return the end-of-step snapshot.
 
-        Under ``transmit_then_move`` the move runs on a second thread
-        beside the transmission phase.  The move reads only the phase-start
-        positions, which the transmission reads and never writes, and draws
-        only from the engine's move stream, so the step equals the two
-        phases run one after the other.  The thread ends within the step,
-        and an error the move raised is raised here.
+        The step collects the move started ahead (the first step may start
+        it), and raises that move's error; the phase order only decides
+        whether ``transmit`` reads the positions before or after.  Then it
+        starts the move of the new positions, unless this step is certainly
+        the last: at ``max_steps``, when no red is left after a transmission
+        that has run, or, with the transmission to come, when no white is
+        left and no red has more than one active step.  That move runs
+        beside the rest of the step, the run loop's counts and ``on_step``
+        hook, and the next step up to its collection.  The step equals the
+        two phases run one after the other: moves read only positions that
+        nothing writes, and only they draw from the move stream, one at a
+        time.  An error inside the step drops the pending move first.
         """
         s, p, t = self.snapshot, self.params, self.snapshot.step + 1
-        if p.phase_order == "move_then_transmit":
-            s.positions = self._move(s.positions)
-            self.chain_violations += transmit(s, p, self.sgrid, t)
-        else:
-            start, moved = s.positions, []  # the new positions, or the move's error
-
-            def move_beside():
-                try:
-                    moved.append(self._move(start))
-                except BaseException as err:  # re-raised on the stepping thread
-                    moved.append(err)
-
-            worker = threading.Thread(target=move_beside)
-            worker.start()
-            try:
+        moved_first = p.phase_order == "move_then_transmit"
+        if self._ahead is None:
+            self._move_ahead()
+        try:
+            if not moved_first:
                 self.chain_violations += transmit(s, p, self.sgrid, t)
-            finally:
-                worker.join()
-            if isinstance(moved[0], BaseException):
-                raise moved[0]
-            s.positions = moved[0]
+            moved = self._join_ahead()
+            if isinstance(moved, BaseException):
+                raise moved
+            s.positions = moved
+            reds = s.states == RED
+            if moved_first:  # a red with one active step left turns black in transmit
+                goes_on = np.any(s.states == WHITE) or np.any(s.countdown[reds] > 1)
+            else:
+                goes_on = np.any(reds)
+            if t < p.max_steps and goes_on:
+                self._move_ahead()
+            if moved_first:
+                self.chain_violations += transmit(s, p, self.sgrid, t)
+        except BaseException:
+            self._join_ahead()
+            raise
         s.step = t
         return s
 
@@ -373,28 +410,33 @@ def run(
 
     ``on_step`` is called with the engine's live snapshot once after
     placement (step 0) and once after each step; it must copy whatever it
-    keeps, since the engine updates that snapshot in place.
+    keeps, since the engine updates that snapshot in place, and must not
+    write the positions, which the next move may be reading.
     """
     eng = Engine(params, initial_positions=initial_positions)
     rec = RunRecord(params=params, source_indices=eng.source_indices)
     snap = eng.snapshot
-    while True:
-        w, r, b = snap.counts()
-        rec.series.white.append(w)
-        rec.series.red.append(r)
-        rec.series.black.append(b)
-        if on_step is not None:
-            on_step(snap)
-        if r == 0 and snap.step > 0:
-            if w == 0:
-                rec.completion_time = snap.step
-            else:
-                rec.failed_at = snap.step
-            break
-        if snap.step == params.max_steps:
-            rec.exhausted = True
-            break
-        snap = eng.step()
+    try:
+        eng._move_ahead()  # step 1 always runs
+        while True:
+            w, r, b = snap.counts()
+            rec.series.white.append(w)
+            rec.series.red.append(r)
+            rec.series.black.append(b)
+            if on_step is not None:
+                on_step(snap)
+            if r == 0 and snap.step > 0:
+                if w == 0:
+                    rec.completion_time = snap.step
+                else:
+                    rec.failed_at = snap.step
+                break
+            if snap.step == params.max_steps:
+                rec.exhausted = True
+                break
+            snap = eng.step()
+    finally:
+        eng._join_ahead()  # a move started ahead of a step that never ran
     rec.final = eng.snapshot  # the engine is dropped on return
     rec.chain_violations = eng.chain_violations
     return rec

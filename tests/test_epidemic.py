@@ -194,14 +194,39 @@ def test_move_phase_keeps_states_and_bounds_displacement():
 
 
 def _sequential_step(eng):
-    """One transmit_then_move step of ``eng`` with the two phases run one
-    after the other on this thread."""
+    """One step of ``eng`` with the two phases run one after the other on
+    this thread, in the engine's phase order."""
     s, t = eng.snapshot, eng.snapshot.step + 1
+    if eng.params.phase_order == "move_then_transmit":
+        s.positions = move(s.positions, eng.params, eng.sgrid, eng.gen)
     eng.chain_violations += transmit(s, eng.params, eng.sgrid, t)
-    s.positions = move(s.positions, eng.params, eng.sgrid, eng.gen)
+    if eng.params.phase_order == "transmit_then_move":
+        s.positions = move(s.positions, eng.params, eng.sgrid, eng.gen)
     s.step = t
 
 
+ORDERS = ["transmit_then_move", "move_then_transmit"]
+
+
+def _patch_walk(monkeypatch, walk="walk_all", delay=0.0, fail_after=None):
+    """Patch the engine's walk to record the thread of each call, after
+    sleeping ``delay`` s; with ``fail_after``, every call after that many
+    raises.  Returns the recorded threads."""
+    threads = []
+    real = getattr(epidemic, walk)
+
+    def patched(*args):
+        threads.append(threading.current_thread())
+        time.sleep(delay)
+        if fail_after is not None and len(threads) > fail_after:
+            raise MobilityError("a move no step uses")
+        return real(*args)
+
+    monkeypatch.setattr(epidemic, walk, patched)
+    return threads
+
+
+@pytest.mark.parametrize("phase_order", ORDERS)
 @pytest.mark.parametrize(
     "region, mobility_mode, walk",
     [
@@ -212,32 +237,121 @@ def _sequential_step(eng):
     ],
 )
 def test_move_beside_transmit_matches_the_sequential_step(
-    monkeypatch, region, mobility_mode, walk
+    monkeypatch, region, mobility_mode, walk, phase_order
 ):
-    threads = []
-    real = getattr(epidemic, walk)
-
-    def traced(*args):
-        threads.append(threading.current_thread())
-        return real(*args)
-
-    monkeypatch.setattr(epidemic, walk, traced)
-    p = SimParams(region=region, n=300, R=2.0, mobility=mobility_mode, seed=3)
-    beside, sequential = Engine(p), Engine(p)
+    p = SimParams(
+        region=region, n=300, R=2.0, mobility=mobility_mode, seed=3, phase_order=phase_order
+    )
+    sequential, expected = Engine(p), []
     for _ in range(6):
-        beside.step()
         _sequential_step(sequential)
+        expected.append((sequential.snapshot.copy(), sequential.chain_violations))
+    # each run completes within the six steps; the later ones step an empty front
+    assert sequential.snapshot.counts() == (0, 0, p.n)
+
+    threads = _patch_walk(monkeypatch, walk)
+    pipelined = Engine(p)
+    for snap, violations in expected:
+        pipelined.step()
         for name in ("positions", "states", "countdown", "informed_at", "informer", "chain_origin"):
-            assert np.array_equal(
-                getattr(beside.snapshot, name), getattr(sequential.snapshot, name)
-            ), name
-        assert beside.snapshot.step == sequential.snapshot.step
-        assert beside.chain_violations == sequential.chain_violations
-    assert np.any(beside.snapshot.states != WHITE)
-    # the engine's moves ran off this thread, the sequential ones on it
-    assert len(threads) == 12
-    assert threading.main_thread() not in threads[::2]
-    assert set(threads[1::2]) == {threading.main_thread()}
+            assert np.array_equal(getattr(pipelined.snapshot, name), getattr(snap, name)), name
+        assert pipelined.snapshot.step == snap.step
+        assert pipelined.chain_violations == violations
+    pipelined._join_ahead()
+    # every engine move ran off this thread, and none was started ahead of a
+    # seventh step, which no run would take
+    assert len(threads) == 6
+    assert threading.main_thread() not in threads
+
+
+@pytest.mark.parametrize("phase_order", ORDERS)
+@pytest.mark.parametrize("k, max_steps", [(1, 10_000), (2, 10_000), (1, 3)])
+def test_a_run_moves_once_a_step(monkeypatch, phase_order, k, max_steps):
+    # as often as the sequential engine: no move of a completed or exhausted
+    # run is started ahead and dropped
+    p = params(
+        n=80, region_side=16.0, R=4.0, rho=2.0, k=k, seed=17,
+        phase_order=phase_order, max_steps=max_steps,
+    )
+    calls = _patch_walk(monkeypatch)
+    rec = run(p)
+    assert rec.failed_at is None and rec.exhausted == (max_steps == 3)
+    assert len(calls) == rec.steps_run()
+
+
+def test_a_dropped_move_never_raises(monkeypatch):
+    # under move_then_transmit a run that dies out with whites left starts
+    # one move that no step uses; its error is dropped with it
+    p = SimParams(
+        region=Region.square(16.0), n=40, R=1.5, mobility=MobilityMode.standard(1.0),
+        seed=0, phase_order="move_then_transmit",
+    )
+    expected = run(p)
+    assert expected.failed_at == 5 and expected.series.white[-1] > 0
+    before = threading.active_count()
+    calls = _patch_walk(monkeypatch, fail_after=expected.failed_at)
+    rec = run(p)
+    assert len(calls) == expected.failed_at + 1
+    assert threading.active_count() == before
+    assert rec.failed_at == expected.failed_at
+    assert rec.series == expected.series
+    assert rec.chain_violations == expected.chain_violations
+    for name in ("positions", "states", "countdown", "informed_at", "informer", "chain_origin"):
+        assert np.array_equal(getattr(rec.final, name), getattr(expected.final, name)), name
+
+
+@pytest.mark.parametrize("phase_order", ORDERS)
+def test_a_raising_hook_leaves_run_with_its_type_and_no_thread(monkeypatch, phase_order):
+    def hook(snap):
+        if snap.step == 2:
+            raise OSError("trace file gone")
+
+    # a move is still running when the hook raises, unless joined
+    movers = _patch_walk(monkeypatch, delay=0.05)
+    before = threading.active_count()
+    with pytest.raises(OSError, match="trace file gone") as err:
+        run(params(n=80, region_side=16.0, R=4.0, rho=2.0, seed=17, phase_order=phase_order), on_step=hook)
+    assert type(err.value) is OSError
+    assert len(movers) == 3  # the third move was started ahead of step 3
+    assert not any(t.is_alive() for t in movers)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("phase_order", ORDERS)
+def test_a_failing_step_joins_the_move_started_ahead(monkeypatch, phase_order):
+    # Engine.step itself joins the pending move: under move_then_transmit
+    # the next step's move is already running when the transmission fails
+    def failing_transmit(*args):
+        raise GeometryError("no transmission")
+
+    movers = _patch_walk(monkeypatch, delay=0.05)
+    monkeypatch.setattr(epidemic, "transmit", failing_transmit)
+    eng = Engine(params(n=50, rho=1.0, seed=2, phase_order=phase_order))
+    with pytest.raises(GeometryError, match="no transmission"):
+        eng.step()
+    assert len(movers) == (2 if phase_order == "move_then_transmit" else 1)
+    assert not any(t.is_alive() for t in movers)
+
+
+@pytest.mark.parametrize("phase_order", ORDERS)
+def test_published_positions_are_read_only(phase_order):
+    p = params(n=20, rho=1.0, seed=1, phase_order=phase_order)
+    given = np.full((20, 2), 5.0)
+    eng = Engine(p, initial_positions=given)
+    given[0] = 1.0  # the engine keeps a copy; the caller's array stays writable
+    published = [Engine(p).snapshot.positions, eng.snapshot.positions, eng.step().positions]
+    eng._join_ahead()
+    for positions in published:
+        with pytest.raises(ValueError, match="read-only"):
+            positions[0, 0] = 0.0
+
+    def write(snap):  # a hook writing into positions a pending move reads
+        snap.positions[:, 0] += 0.0
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="read-only"):
+        run(p, on_step=write)
+    assert threading.active_count() == before
 
 
 def test_a_failing_move_leaves_step_and_run_with_its_type(monkeypatch):
