@@ -57,8 +57,8 @@ class SimParams:
             raise ConfigurationError("transmission radius R must be finite and positive")
         if self.n < 1:
             raise ConfigurationError("need at least one agent")
-        if self.k < 1:
-            raise ConfigurationError("k must be a positive integer")
+        if not 1 <= self.k <= np.iinfo(np.int32).max:  # the countdown is int32
+            raise ConfigurationError(f"k must be an integer in [1, 2**31 - 1], got {self.k}")
         if self.max_steps < 1:
             raise ConfigurationError("max_steps must be at least 1")
         if self.seed < 0:
@@ -71,6 +71,8 @@ class SimParams:
             )
         if self.transmission_scope == "same_supercell" and self.mobility.kind != "cellular":
             raise ConfigurationError("same_supercell scope requires cellular mobility")
+        if self.mobility.kind == "cellular" and self.mobility.rho <= 0:
+            raise ConfigurationError("cellular mobility requires rho > 0")
         if isinstance(self.sources, str):
             if self.sources != "random":
                 raise ConfigurationError(f"unknown source spec {self.sources!r}")
@@ -91,11 +93,9 @@ class Snapshot:
     step: int
     positions: np.ndarray  # (n, 2) float
     states: np.ndarray  # (n,) int8: 0 white, 1 red, 2 black
-    countdown: np.ndarray  # (n,) int32: remaining active steps of red agents
-    informed_at: np.ndarray  # (n,) int64, -1 if never informed
-    # (n,) int64 informing red, -1 for sources: the nearest red in reach, or
-    # the lowest-index red of the supercell under the same-supercell scope
-    informer: np.ndarray
+    # (n,) int32: remaining active steps of red agents, 0 for every agent
+    # that is not red
+    countdown: np.ndarray
     chain_origin: np.ndarray  # (n, 2): start position of the informing chain's source
 
     @property
@@ -116,8 +116,6 @@ class Snapshot:
             self.positions.copy(),
             self.states.copy(),
             self.countdown.copy(),
-            self.informed_at.copy(),
-            self.informer.copy(),
             self.chain_origin.copy(),
         )
 
@@ -191,8 +189,9 @@ def _inform_euclidean(
     that far, ``b`` is 1 and stage 1 is the whole query.
     """
     side = bucket_side(positions, R / 3)
-    # the quotient's rounding must not add a block when b * s is R * (1 + 1e-9)
-    block = math.ceil(R * (1 + 1e-9) / side - 1e-12)
+    # the quotient's rounding must not add a block when b * s is R * (1 + 1e-9);
+    # a side over 1e12 R would make it 0
+    block = max(1, math.ceil(R * (1 + 1e-9) / side - 1e-12))
     grid = BucketGrid(positions, reds, side, margin=block)
     w, best, nearest = _nearest_reds(grid.query(whites, 1))
     informed, informers = [], []
@@ -257,8 +256,6 @@ def transmit(s: Snapshot, params: SimParams, sgrid, t: int) -> int:
         return 0
     s.states[newly] = RED
     s.countdown[newly] = params.k
-    s.informed_at[newly] = t
-    s.informer[newly] = informers
     s.chain_origin[newly] = s.chain_origin[informers]
     d = np.hypot(
         s.positions[newly, 0] - s.chain_origin[newly, 0],
@@ -306,13 +303,11 @@ class Engine:
             positions=pos,
             states=np.full(n, WHITE, dtype=np.int8),
             countdown=np.zeros(n, dtype=np.int32),
-            informed_at=np.full(n, -1, dtype=np.int64),
-            informer=np.full(n, -1, dtype=np.int64),
             chain_origin=pos.copy(),
         )
         self.source_indices = self._pick_sources()
         src, s = list(self.source_indices), self.snapshot
-        s.states[src], s.countdown[src], s.informed_at[src] = RED, params.k, 0
+        s.states[src], s.countdown[src] = RED, params.k
         self.chain_violations = 0
         self._ahead = None  # the move started ahead: its thread and its outcome
 
@@ -365,16 +360,17 @@ class Engine:
         it), and raises that move's error; the phase order only decides
         whether ``transmit`` reads the positions before or after.  Then it
         starts the move of the new positions, unless this step is certainly
-        the last: at ``max_steps``, when no red is left after a transmission
-        that has run, or, with the transmission to come, when no white is
-        left and no red has more than one active step.  That move runs
-        beside the rest of the step, the run loop's counts and ``on_step``
-        hook, and the next step up to its collection.  The step equals the
-        two phases run one after the other: moves read only positions that
-        nothing writes, and only they draw from the move stream, one at a
-        time.  An error inside the step drops the pending move first.
+        the last: at ``max_steps``, or when, at the step's start, no white
+        is left and no red has more than one active step.  A run that dies
+        out with whites left drops that move.  The move runs beside the
+        rest of the step, the run loop's counts and ``on_step`` hook, and
+        the next step up to its collection.  The step equals the two phases
+        run one after the other: moves read only positions that nothing
+        writes, and only they draw from the move stream, one at a time.  An
+        error inside the step drops the pending move first.
         """
         s, p, t = self.snapshot, self.params, self.snapshot.step + 1
+        goes_on = t < p.max_steps and (np.any(s.states == WHITE) or np.any(s.countdown > 1))
         moved_first = p.phase_order == "move_then_transmit"
         if self._ahead is None:
             self._move_ahead()
@@ -385,12 +381,7 @@ class Engine:
             if isinstance(moved, BaseException):
                 raise moved
             s.positions = moved
-            reds = s.states == RED
-            if moved_first:  # a red with one active step left turns black in transmit
-                goes_on = np.any(s.states == WHITE) or np.any(s.countdown[reds] > 1)
-            else:
-                goes_on = np.any(reds)
-            if t < p.max_steps and goes_on:
+            if goes_on:
                 self._move_ahead()
             if moved_first:
                 self.chain_violations += transmit(s, p, self.sgrid, t)

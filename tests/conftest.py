@@ -11,16 +11,12 @@ def make_snapshot(positions, states, step=0):
     """A synthetic Snapshot with consistent bookkeeping arrays."""
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     st = np.asarray(states, dtype=np.int8)
-    n = len(st)
     countdown = np.where(st == RED, 1, 0).astype(np.int32)
-    informed_at = np.where(st == WHITE, -1, 0).astype(np.int64)
     return Snapshot(
         step=step,
         positions=pos,
         states=st,
         countdown=countdown,
-        informed_at=informed_at,
-        informer=np.full(n, -1, dtype=np.int64),
         chain_origin=pos.copy(),
     )
 

@@ -431,6 +431,32 @@ def test_main_sweep_rejects_bad_experiment_values(tmp_path, capsys, experiment):
     assert not (tmp_path / "s" / "summary.csv").exists()
 
 
+_CELLULAR_RHO_0 = MINIMAL + "\n[mobility]\nmode = cellular\nrho = 0\n"
+
+
+@pytest.mark.parametrize(
+    "verb, text, message",
+    [
+        # k beyond the int32 countdown, as a single run and as a sweep point
+        ("run", MINIMAL + "k = 3000000000\n", "k must be an integer"),
+        (
+            "sweep",
+            MINIMAL + "\n[experiment]\nsweep_axis = k\nsweep_values = 3000000000\n",
+            "k must be an integer",
+        ),
+        ("run", _CELLULAR_RHO_0, "cellular mobility requires rho > 0"),
+        ("sweep", _CELLULAR_RHO_0 + "\n[experiment]\nreplicas = 2\n", "requires rho > 0"),
+    ],
+    ids=["run-k", "sweep-k", "run-cellular-rho0", "sweep-cellular-rho0"],
+)
+def test_main_rejects_a_config_that_fails_only_inside_a_run(tmp_path, capsys, verb, text, message):
+    # rejected before any run: no trace, and no summary of failed replicas
+    cfg = write(tmp_path, text)
+    assert main([verb, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert list((tmp_path / "out").glob("*")) == []
+
+
 def test_main_sweep_checks_the_regime_on_every_point(tmp_path, capsys):
     # sec3 needs rho <= R / (2 sqrt 2) = 2.12 at R = 6: the base rho and
     # rho = 2 pass, rho = 12 does not, so no replica runs
