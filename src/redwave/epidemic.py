@@ -8,12 +8,14 @@ transmitting at step t+1.
 
 The engine stores the population in flat numpy arrays for speed and runs
 the two phases, :func:`transmit` in place on them and :func:`move` into a
-new positions array, which it runs one step ahead on a thread of its own.
+new positions array, which it runs one step ahead on a thread of its own
+(inline on one CPU).
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -172,14 +174,15 @@ def _nearest_reds(chunks):
 
 
 def _inform_euclidean(
-    positions: np.ndarray, reds: np.ndarray, whites: np.ndarray, R: float
+    positions: np.ndarray, reds: np.ndarray, whites: np.ndarray, R: float, region: Region
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whites within closed distance R of a red, plus their nearest informer;
     distance ties go to the lowest red index.  A chain advances at most
     R + rho a step: one move plus one hop.
 
     Two stages over one bucket grid of the reds, of side ``s`` = R / 3,
-    widened as :func:`bucket_side` widens a reach.  Stage 1 queries the
+    widened as :func:`bucket_side` widens a reach over ``region``, which
+    holds every agent and frames the grid.  Stage 1 queries the
     whites in the 3x3 block of buckets and settles a white whose best
     squared distance is below ``s**2``, less a 1e-9 relative margin against
     floor rounding: every red outside its block is farther than ``s``, and
@@ -188,11 +191,11 @@ def _inform_euclidean(
     reach is a candidate, and keeps those in reach.  When ``s`` is widened
     that far, ``b`` is 1 and stage 1 is the whole query.
     """
-    side = bucket_side(positions, R / 3)
+    side = bucket_side(positions, R / 3, region)
     # the quotient's rounding must not add a block when b * s is R * (1 + 1e-9);
     # a side over 1e12 R would make it 0
     block = max(1, math.ceil(R * (1 + 1e-9) / side - 1e-12))
-    grid = BucketGrid(positions, reds, side, margin=block)
+    grid = BucketGrid(positions, reds, side, margin=block, bounds=region.bounds)
     w, best, nearest = _nearest_reds(grid.query(whites, 1))
     informed, informers = [], []
     if block > 1:
@@ -247,7 +250,7 @@ def transmit(s: Snapshot, params: SimParams, sgrid, t: int) -> int:
         newly, informers = _inform_same_supercell(s.positions, reds, whites, sgrid)
         speed = 3 * math.sqrt(2) * params.mobility.rho
     else:
-        newly, informers = _inform_euclidean(s.positions, reds, whites, params.R)
+        newly, informers = _inform_euclidean(s.positions, reds, whites, params.R, params.region)
         speed = params.R + params.mobility.rho
     # countdown of agents red at phase start; expired reds turn black
     s.countdown[reds] -= 1
@@ -274,12 +277,22 @@ def move(
     return walk_all(positions, params.mobility.rho, params.region, gen)
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class Engine:
     """Deterministic single-run engine.  Placement, random source choice and
     moves draw from their own streams of the seed.  The move runs one step
     ahead on a thread of its own (see :meth:`step`), and every positions
     array the engine publishes is read-only, so that a write into positions
-    a move is reading raises ``ValueError`` instead of racing."""
+    a move is reading raises ``ValueError`` instead of racing.  When the
+    process may run on one CPU only, the move ahead runs at once on the
+    calling thread instead: a second thread there only shares that CPU and
+    gets its own malloc arena."""
 
     def __init__(self, params: SimParams, initial_positions: np.ndarray | None = None):
         self.params = params
@@ -309,7 +322,8 @@ class Engine:
         src, s = list(self.source_indices), self.snapshot
         s.states[src], s.countdown[src] = RED, params.k
         self.chain_violations = 0
-        self._ahead = None  # the move started ahead: its thread and its outcome
+        self._ahead = None  # the move started ahead: its thread (None inline) and its outcome
+        self._inline = _cpus() == 1
 
     def _pick_sources(self) -> tuple[int, ...]:
         params = self.params
@@ -329,19 +343,27 @@ class Engine:
         return move(positions, self.params, self.sgrid, self.gen)
 
     def _move_ahead(self) -> None:
-        """Start the move of the snapshot's positions on a thread of its own."""
+        """Start the move of the snapshot's positions on a thread of its own,
+        or run it at once on one CPU."""
         start, moved = self.snapshot.positions, []  # the new positions, or the move's error
+        # a thread carries every error to the step; inline, an interrupt or
+        # an exit leaves at once, even from a move that no step would use
+        caught = Exception if self._inline else BaseException
 
         def move_ahead():
             try:
                 new = self._move(start)
                 new.flags.writeable = False
                 moved.append(new)
-            except BaseException as err:  # raised by the step that uses the move
+            except caught as err:  # raised by the step that uses the move
                 moved.append(err)
 
-        self._ahead = threading.Thread(target=move_ahead), moved
-        self._ahead[0].start()
+        if self._inline:
+            move_ahead()
+            self._ahead = None, moved
+        else:
+            self._ahead = threading.Thread(target=move_ahead), moved
+            self._ahead[0].start()
 
     def _join_ahead(self) -> np.ndarray | BaseException | None:
         """Join the move started ahead and return its outcome, the new
@@ -350,7 +372,8 @@ class Engine:
         ahead, self._ahead = self._ahead, None
         if ahead is None:
             return None
-        ahead[0].join()
+        if ahead[0] is not None:
+            ahead[0].join()
         return ahead[1][0]
 
     def step(self) -> Snapshot:
@@ -362,12 +385,13 @@ class Engine:
         starts the move of the new positions, unless this step is certainly
         the last: at ``max_steps``, or when, at the step's start, no white
         is left and no red has more than one active step.  A run that dies
-        out with whites left drops that move.  The move runs beside the
-        rest of the step, the run loop's counts and ``on_step`` hook, and
-        the next step up to its collection.  The step equals the two phases
-        run one after the other: moves read only positions that nothing
-        writes, and only they draw from the move stream, one at a time.  An
-        error inside the step drops the pending move first.
+        out with whites left drops that move.  The move runs (on one CPU,
+        has run) beside the rest of the step, the run loop's counts and
+        ``on_step`` hook, and the next step up to its collection.  The step
+        equals the two phases run one after the other: moves read only
+        positions that nothing writes, and only they draw from the move
+        stream, one at a time.  An error inside the step drops the pending
+        move first.
         """
         s, p, t = self.snapshot, self.params, self.snapshot.step + 1
         goes_on = t < p.max_steps and (np.any(s.states == WHITE) or np.any(s.countdown > 1))

@@ -181,11 +181,18 @@ def isolated_indices(positions: np.ndarray, R: float) -> np.ndarray:
     n = len(positions)
     if R == 0 or n == 0:
         return np.arange(n)
-    agents = np.arange(n)
+    grid = BucketGrid(positions, np.arange(n), bucket_side(positions, R))
+    # pass 1 queries only the agents that share their own bucket, within it,
+    # and settles those with a second agent in reach there; pass 2 counts
+    # every other agent over the 3x3 block from scratch (at density one most
+    # agents settle in pass 1, each against a few candidates, not about 9)
     reached = np.zeros(n, dtype=np.int64)
-    for q, counts, _, d2 in BucketGrid(positions, agents, bucket_side(positions, R)).query(agents):
-        starts = np.cumsum(counts) - counts
-        reached[q] = np.add.reduceat(in_reach(d2, R), starts, dtype=np.int64)
+    crowded = np.flatnonzero(np.diff(grid.start)[grid.keys] > 1)
+    for block in (0, 1):
+        queries = crowded if block == 0 else np.flatnonzero(reached < 2)
+        for q, counts, _, d2 in grid.query(queries, block):
+            starts = np.cumsum(counts) - counts
+            reached[q] = np.add.reduceat(in_reach(d2, R), starts, dtype=np.int64)
     return np.flatnonzero(reached < 2)
 
 

@@ -220,16 +220,22 @@ def bucket_cells(points: np.ndarray, side: float, origin=(0.0, 0.0)) -> np.ndarr
     return np.floor((pts - np.asarray(origin)) / side).astype(np.int64)
 
 
-def bucket_side(positions: np.ndarray, reach: float) -> float:
+def bucket_side(positions: np.ndarray, reach: float, region: Region | None = None) -> float:
     """Bucket side for a reach query with the 3x3 block: ``reach``, widened to
-    the widest extent of the agents' bounding box over sqrt(n), so that the
-    bucket grid over that box has at most about n cells whatever the reach.
+    the widest extent of the frame over sqrt(n), so that the bucket grid over
+    the frame has at most about n cells whatever the reach.  The frame is
+    ``region``'s bounding box when given, which holds every agent, else the
+    agents' own bounding box.
 
     The 1e-9 relative margin keeps a pair in reach (see :func:`in_reach`)
     within adjacent buckets although floor division rounds: at side exactly
     0.2, x = 1.4 and x = 1.6 fall in buckets 6 and 8.
     """
-    extent = max(np.ptp(positions[:, 0]), np.ptp(positions[:, 1]))
+    if region is None:
+        extent = max(np.ptp(positions[:, 0]), np.ptp(positions[:, 1]))
+    else:
+        xmin, ymin, xmax, ymax = region.bounds
+        extent = max(xmax - xmin, ymax - ymin)
     return max(reach * (1 + 1e-9), extent / math.sqrt(len(positions)))
 
 
@@ -253,19 +259,30 @@ def _by_bucket(keys: np.ndarray, agents: np.ndarray, n: int) -> np.ndarray:
 class BucketGrid:
     """The neighbour query's binning: agents in square buckets (see
     :func:`bucket_cells`), binned once and queried at any block up to
-    ``margin``.  Bucket keys are ``column * height + row`` over the agents'
+    ``margin``.  Bucket keys are ``column * height + row`` over a box of
     buckets plus a margin of ``margin`` empty buckets on every side, and
-    bucket k holds the targets ``order[start[k] : start[k + 1]]``."""
+    bucket k holds the targets ``order[start[k] : start[k + 1]]``.
 
-    def __init__(self, positions, targets, side, origin=(0.0, 0.0), margin=1):
+    The box is the agents' own buckets, or with ``bounds``, an
+    ``(xmin, ymin, xmax, ymax)`` box that holds every agent, the buckets
+    from its corner, which is then the origin: no pass over the agents
+    finds it."""
+
+    def __init__(self, positions, targets, side, origin=(0.0, 0.0), margin=1, bounds=None):
         pos = self.pos = np.asarray(positions, dtype=float)
+        if bounds is not None:
+            origin = bounds[:2]
         # bucket column and row as bucket_cells computes them, the column
         # becoming the key
         keys, row = (np.floor((pos[:, i] - origin[i]) / side).astype(np.int64) for i in (0, 1))
-        keys -= keys.min() - margin
-        row -= row.min() - margin
-        self.margin, self.height = margin, row.max() + margin + 1
-        width = keys.max() + margin + 1
+        if bounds is None:
+            lo, hi = (keys.min(), row.min()), (keys.max(), row.max())
+        else:  # x <= xmax floors to at most xmax's bucket: rounding is monotone
+            lo, hi = (0, 0), [math.floor((bounds[2 + i] - origin[i]) / side) for i in (0, 1)]
+        keys -= lo[0] - margin
+        row -= lo[1] - margin
+        self.margin, self.height = margin, hi[1] - lo[1] + 2 * margin + 1
+        width = hi[0] - lo[0] + 2 * margin + 1
         keys *= self.height
         keys += row
         self.keys = keys

@@ -207,6 +207,19 @@ def _sequential_step(eng):
 ORDERS = ["transmit_then_move", "move_then_transmit"]
 
 
+def _force_cpus(monkeypatch, cpus):
+    """Make the CPU affinity the engine reads hold ``cpus`` CPUs."""
+    affinity = set(range(cpus))
+    monkeypatch.setattr(epidemic.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+
+
+@pytest.fixture(autouse=True)
+def _two_cpus(monkeypatch):
+    # the pipeline tests check the threaded move, which the engine runs
+    # inline on a one-CPU host (see test_one_cpu_moves_inline_as_the_threads_do)
+    _force_cpus(monkeypatch, 2)
+
+
 def _patch_walk(monkeypatch, walk="walk_all", delay=0.0, fail_after=None):
     """Patch the engine's walk to record the thread of each call, after
     sleeping ``delay`` s; with ``fail_after``, every call after that many
@@ -331,6 +344,86 @@ def test_a_failing_step_joins_the_move_started_ahead(monkeypatch, phase_order):
         eng.step()
     assert len(movers) == (2 if phase_order == "move_then_transmit" else 1)
     assert not any(t.is_alive() for t in movers)
+
+
+def _spy_thread_starts(monkeypatch):
+    """Record every thread started while the patch holds."""
+    started = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(epidemic.threading, "Thread", Spy)
+    return started
+
+
+@pytest.mark.parametrize("phase_order", ORDERS)
+@pytest.mark.parametrize(
+    "mobility_mode, walk",
+    [(MobilityMode.standard(2.0), "walk_all"), (MobilityMode.cellular(3.0), "cellular_walk_all")],
+)
+def test_one_cpu_moves_inline_as_the_threads_do(monkeypatch, mobility_mode, walk, phase_order):
+    p = SimParams(
+        region=Region.square(12.0), n=300, R=2.0, mobility=mobility_mode, seed=3,
+        phase_order=phase_order,
+    )
+    started = _spy_thread_starts(monkeypatch)
+    threaded = run(p)
+    assert len(started) == threaded.steps_run()
+    started.clear()
+    _force_cpus(monkeypatch, 1)
+    movers = _patch_walk(monkeypatch, walk)
+    inline = run(p)
+    # no thread starts; every move runs on this thread, once a step
+    assert started == [] and set(movers) == {threading.current_thread()}
+    assert len(movers) == inline.steps_run()
+    assert inline.completion_time == threaded.completion_time is not None
+    assert inline.series == threaded.series
+    assert inline.chain_violations == threaded.chain_violations
+    for name in ("positions", "states", "countdown", "chain_origin"):
+        assert np.array_equal(getattr(inline.final, name), getattr(threaded.final, name)), name
+
+
+@pytest.mark.parametrize("phase_order", ORDERS)
+def test_one_cpu_drops_a_failed_move_no_step_uses(monkeypatch, phase_order):
+    p = SimParams(
+        region=Region.square(16.0), n=40, R=1.5, mobility=MobilityMode.standard(1.0),
+        seed=0, phase_order=phase_order,
+    )
+    expected = run(p)
+    _force_cpus(monkeypatch, 1)
+    started = _spy_thread_starts(monkeypatch)
+    with monkeypatch.context() as m:
+        _patch_walk(m, fail_after=0)
+        with pytest.raises(MobilityError):  # raised by the step that uses the move
+            Engine(p).step()
+    calls = _patch_walk(monkeypatch, fail_after=expected.failed_at)
+    rec = run(p)
+    assert started == [] and len(calls) == expected.failed_at + 1
+    assert rec.failed_at == expected.failed_at and rec.series == expected.series
+    # an interrupt is no error of the move: it leaves the run at once, also
+    # from the move that no step uses
+    moves = []
+
+    def interrupted(*args):
+        moves.append(args)
+        if len(moves) > expected.failed_at:
+            raise KeyboardInterrupt
+        return mobility.walk_all(*args)
+
+    monkeypatch.setattr(epidemic, "walk_all", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(p)
+    assert len(moves) == expected.failed_at + 1
+
+
+def test_cpu_count_stands_in_for_a_missing_affinity(monkeypatch):
+    monkeypatch.delattr(epidemic.os, "sched_getaffinity", raising=False)
+    for count, inline in ((1, True), (None, True), (2, False)):
+        monkeypatch.setattr(epidemic.os, "cpu_count", lambda: count)
+        assert Engine(params())._inline == inline
 
 
 @pytest.mark.parametrize("phase_order", ORDERS)
@@ -515,7 +608,8 @@ def test_spatial_hash_matches_brute_force(seed):
     front[gen.random(3000) < 0.1] = BLACK
     for pos, s in ((positions, states), (dense, front)):
         assert_same_inform(
-            _inform_euclidean(pos, *red_white(s), 2.5), euclidean_oracle(pos, *red_white(s), 2.5)
+            _inform_euclidean(pos, *red_white(s), 2.5, Region.square(20.0)),
+            euclidean_oracle(pos, *red_white(s), 2.5),
         )
 
 
@@ -545,7 +639,7 @@ def test_transmit_kernels_match_all_pairs_oracle(agents):
         same_supercell_oracle(positions, *red_white(states), sgrid),
     )
     assert_same_inform(
-        _inform_euclidean(positions, *red_white(states), _R),
+        _inform_euclidean(positions, *red_white(states), _R, Region.square(_L)),
         euclidean_oracle(positions, *red_white(states), _R),
     )
 
@@ -563,7 +657,7 @@ def test_kernels_and_isolation_match_oracles_in_small_chunks(monkeypatch, cap):
     states = gen.choice([WHITE, RED, BLACK], size=360, p=[0.5, 0.4, 0.1]).astype(np.int8)
     for pos in (crowd, lattice):
         assert_same_inform(
-            _inform_euclidean(pos, *red_white(states), _R),
+            _inform_euclidean(pos, *red_white(states), _R, Region.square(_L)),
             euclidean_oracle(pos, *red_white(states), _R),
         )
         assert_same_inform(
@@ -575,7 +669,7 @@ def test_kernels_and_isolation_match_oracles_in_small_chunks(monkeypatch, cap):
         # no white, or no red: nobody is informed
         for only in (RED, WHITE):
             uniform = np.full(len(pos), only, dtype=np.int8)
-            assert _inform_euclidean(pos, *red_white(uniform), _R)[0].size == 0
+            assert _inform_euclidean(pos, *red_white(uniform), _R, Region.square(_L))[0].size == 0
             assert _inform_same_supercell(pos, *red_white(uniform), sgrid)[0].size == 0
 
 
@@ -642,12 +736,12 @@ def test_euclidean_stages_match_oracle(monkeypatch, cap):
     # 1200 agents on [0, L]^2: the side is R / 3 (with its margin), not
     # widened, so stage 2 takes block 3
     pos = gen.random((1200, 2)) * _L
-    assert bucket_side(pos, _R / 3) == _R / 3 * (1 + 1e-9)
+    assert bucket_side(pos, _R / 3, Region.square(_L)) == _R / 3 * (1 + 1e-9)
     # dense reds settle most whites in stage 1; from sparse reds most fall through
     for p, settle in (([0.5, 0.4, 0.1], True), ([0.97, 0.01, 0.02], False)):
         states = gen.choice([WHITE, RED, BLACK], size=len(pos), p=p).astype(np.int8)
         calls.clear()
-        got = _inform_euclidean(pos, *red_white(states), _R)
+        got = _inform_euclidean(pos, *red_white(states), _R, Region.square(_L))
         assert_same_inform(got, euclidean_oracle(pos, *red_white(states), _R))
         whites = np.count_nonzero(states == WHITE)
         (one, first), (three, fell) = calls
@@ -681,8 +775,8 @@ def test_euclidean_settles_below_the_side_only(monkeypatch):
     pos = np.vstack([gen.random((1200, 2)) * _L, special])
     states = np.full(len(pos), BLACK, dtype=np.int8)
     states[-7:] = [RED, RED, WHITE, RED, WHITE, RED, WHITE]
-    assert bucket_side(pos, _R / 3) == s
-    got = _inform_euclidean(pos, *red_white(states), _R)
+    assert bucket_side(pos, _R / 3, Region.square(_L)) == s
+    got = _inform_euclidean(pos, *red_white(states), _R, Region.square(_L))
     assert_same_inform(got, euclidean_oracle(pos, *red_white(states), _R))
     w = len(pos) - 5
     assert dict(zip(got[0].tolist(), got[1].tolist())) == {w: w - 2, w + 2: w + 1, w + 4: w + 3}
@@ -700,11 +794,35 @@ def test_euclidean_single_stage_when_the_side_is_widened(monkeypatch):
         pos = np.vstack([gen.random((28, 2)) * _L, [(10.0, 10.0), (10.0 + R, 10.0)]])
         states = gen.choice([WHITE, RED, BLACK], size=len(pos)).astype(np.int8)
         states[-2:] = [RED, WHITE]
-        assert bucket_side(pos, R / 3) >= R * (1 + 1e-9)
-        got = _inform_euclidean(pos, *red_white(states), R)
+        assert bucket_side(pos, R / 3, Region.square(_L)) >= R * (1 + 1e-9)
+        got = _inform_euclidean(pos, *red_white(states), R, Region.square(_L))
         assert_same_inform(got, euclidean_oracle(pos, *red_white(states), R))
         assert got[1][got[0] == len(pos) - 1].tolist() == [len(pos) - 2]
         assert calls == [(1, np.count_nonzero(states == WHITE))]
+
+
+def test_euclidean_kernel_on_the_regions_frame():
+    # the grid starts at the region's corner, not at the origin or at the
+    # agents' own corner: a disk about the origin, agents on its rim (its
+    # bounding box's edges) among them, and a square whose agents leave
+    # its far half empty
+    gen = RngStream(12).generator()
+    disk = Region.disk(20.0)
+    angles = gen.random(40) * 2 * np.pi
+    edges = [[20.0, 0.0], [-20.0, 0.0], [0.0, 20.0], [0.0, -20.0]]
+    rim = np.r_[edges, 20.0 * np.c_[np.cos(angles), np.sin(angles)]]
+    rim = rim[disk.contains(rim)]
+    inner = gen.random((3000, 2)) * 40.0 - 20.0
+    for pos, region in (
+        (np.r_[inner[disk.contains(inner)], rim], disk),
+        (gen.random((800, 2)) * 10.0, Region.square(40.0)),
+    ):
+        states = gen.choice([WHITE, RED, BLACK], size=len(pos), p=[0.6, 0.2, 0.2]).astype(np.int8)
+        for R in (0.7, 3.0):
+            assert_same_inform(
+                _inform_euclidean(pos, *red_white(states), R, region),
+                euclidean_oracle(pos, *red_white(states), R),
+            )
 
 
 def test_cellular_run_matches_all_pairs_oracle(monkeypatch):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from redwave import geometry
 from redwave.epidemic import RED, WHITE, SimParams, _inform_euclidean, run
 from redwave.errors import ConfigurationError, GeometryError
 from redwave.experiments import (
@@ -17,7 +18,7 @@ from redwave.experiments import (
     scaling_fit,
     threshold_experiment,
 )
-from redwave.geometry import Region, bucket_cells, bucket_side
+from redwave.geometry import Region, bucket_cells, bucket_side, in_reach
 from redwave.mobility import MobilityMode, RngStream, _uniform_in_region
 from tests.conftest import isolated_indices_bruteforce, red_white
 
@@ -192,6 +193,23 @@ def test_isolated_bound_formula_and_clamp():
     assert isolated_bound(10, 10.0) == 0.0
 
 
+def _two_pass_cases(gen):
+    """Inputs at the edges of the isolation scan's two passes."""
+    # one agent in each of 100 side-1 buckets: 100 agents over an extent of
+    # 10 set the side to 1, and no agent shares its bucket, so pass 1 is empty
+    cells = np.argwhere(np.ones((10, 10), dtype=bool))[1:]  # all but (0, 0)
+    cells = cells[gen.permutation(len(cells))[:98]]
+    lone = np.r_[[[0.0, 0.0], [10.0, 10.0]], cells + 0.01 + 0.98 * gen.random((98, 2))]
+    # every agent has a twin at its own position, so all settle in pass 1
+    twins = np.repeat(gen.random((300, 2)) * 20.0, 2, axis=0)
+    # a pair exactly R apart, with rounding noise, in one side-20 bucket
+    pairs = [
+        (np.array([[0.0, 0.0], [40.0, 40.0], [20.0, 20.0], [20.0 + a, 20.0 + b]]), np.hypot(a, b))
+        for a, b in ((0.3, 0.4), (0.1, 0.2), (1.1, 0.0))
+    ]
+    return [(lone, 0.5), (lone, 0.9), (twins, 0.5)] + pairs
+
+
 def test_isolated_hash_matches_bruteforce():
     gen = RngStream(31).generator()
     cases = []
@@ -221,10 +239,44 @@ def test_isolated_hash_matches_bruteforce():
     for pos, R in dense:
         across = np.ptp(bucket_cells(pos, bucket_side(pos, R)), axis=0) + 3
         assert bucket_side(pos, R) > R and across.prod() < (math.sqrt(len(pos)) + 4) ** 2
-    for pos, R in cases + sparse + dense + disk + dups + single:
+    for pos, R in cases + sparse + dense + disk + dups + single + _two_pass_cases(gen):
         got = isolated_indices(pos, R)
         exp = isolated_indices_bruteforce(pos, R)
         assert np.array_equal(got, exp)
+
+
+def test_isolation_scan_settles_crowded_agents_first(monkeypatch):
+    # pass 1 queries exactly the agents that share their own bucket, at block
+    # 0; pass 2 exactly those it left below two agents in reach, at block 1
+    calls = []
+    query = geometry.BucketGrid.query
+
+    def spy(grid, queries, block=1):
+        calls.append((block, np.array(queries)))
+        return query(grid, queries, block)
+
+    monkeypatch.setattr(geometry.BucketGrid, "query", spy)
+    gen = RngStream(32).generator()
+    uniform = (gen.random((900, 2)) * 30.0, 0.3 * math.sqrt(math.log(900)))
+    sizes = []
+    for pos, R in _two_pass_cases(gen) + [uniform]:
+        calls.clear()
+        got = isolated_indices(pos, R)
+        cells = bucket_cells(pos, bucket_side(pos, R))
+        _, own, per = np.unique(cells, axis=0, return_inverse=True, return_counts=True)
+        own = own.ravel()
+        crowded = per[own] > 1
+        d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
+        mates = ((own[:, None] == own[None, :]) & in_reach(d2, R)).sum(axis=1)
+        assert [block for block, _ in calls] == [0, 1]
+        assert np.array_equal(calls[0][1], np.flatnonzero(crowded))
+        assert np.array_equal(calls[1][1], np.flatnonzero(~crowded | (mates < 2)))
+        assert np.array_equal(got, isolated_indices_bruteforce(pos, R))
+        sizes.append((len(calls[0][1]), len(calls[1][1])))
+    # no crowded agent in the lone inputs, none left after pass 1 in the
+    # twins; the pair R apart settles in pass 1, the two far agents do not
+    assert sizes[0][0] == sizes[1][0] == 0 and sizes[2] == (600, 0)
+    assert sizes[3:6] == [(2, 2)] * 3
 
 
 def test_isolation_uses_the_kernels_closed_ball():
@@ -235,7 +287,7 @@ def test_isolation_uses_the_kernels_closed_ball():
         for b in np.arange(1, 30) / 10:
             pos = np.array([[0.0, 0.0], [a, b]])
             R = float(np.hypot(a, b))
-            assert list(_inform_euclidean(pos, *red_white(states), R)[0]) == [1]
+            assert list(_inform_euclidean(pos, *red_white(states), R, Region.square(3.0))[0]) == [1]
             assert len(isolated_indices_bruteforce(pos, R)) == 0
             assert len(isolated_indices(pos, R)) == 0, (a, b)
 
