@@ -66,7 +66,9 @@ class Region:
 
     @property
     def bounds(self) -> tuple[float, float, float, float]:
-        """(xmin, ymin, xmax, ymax) of the bounding box."""
+        """(xmin, ymin, xmax, ymax) of the bounding box: a square whose lower
+        corner has equal coordinates, so that the scalars ``xmin`` and
+        ``xmax - xmin`` place it on both axes."""
         if self.kind == "square":
             return (0.0, 0.0, self.size, self.size)
         r = self.size
@@ -76,11 +78,9 @@ class Region:
         """Vectorized membership test for an (n, 2) array (or a single point)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "square":
-            x, y = pts[:, 0], pts[:, 1]
-            ok = x >= -tol
-            ok &= x <= self.size + tol
-            ok &= y >= -tol
-            ok &= y <= self.size + tol
+            ok = pts >= -tol
+            ok &= pts <= self.size + tol
+            ok = ok[:, 0] & ok[:, 1]
         else:
             ok = np.einsum("ij,ij->i", pts, pts) <= (self.size + tol) ** 2
         if np.ndim(points) == 1:
@@ -105,15 +105,16 @@ class CellGrid:
     mask: np.ndarray
 
     def __post_init__(self) -> None:
-        xmin, ymin, xmax, ymax = self.region.bounds
-        box = (_cells_across(xmax - xmin, self.side), _cells_across(ymax - ymin, self.side))
+        xmin, _, xmax, _ = self.region.bounds
+        box = (_cells_across(xmax - xmin, self.side),) * 2
         if self.mask.dtype != bool or self.mask.shape != box:
             raise GeometryError(f"cover mask is not a boolean array over the {box} index box")
         self.mask.flags.writeable = False
 
     @property
-    def origin(self) -> tuple[float, float]:
-        return self.region.bounds[:2]
+    def origin(self) -> float:
+        """Both coordinates of the index box's lower corner (see Region.bounds)."""
+        return self.region.bounds[0]
 
     @cached_property
     def cells(self) -> list[CellIndex]:
@@ -184,7 +185,7 @@ class CellGrid:
         flat, key = np.zeros(len(points)), np.empty(len(points))
         for i, cells in enumerate(self.mask.shape):
             # axis i's floor keys as bucket_cells computes them, in place
-            np.subtract(points[:, i], self.origin[i], out=key)
+            np.subtract(points[:, i], self.origin, out=key)
             key /= self.side
             np.floor(key, out=key)
             np.clip(key, -pad, cells - 1 + pad, out=key)
@@ -430,9 +431,8 @@ def build_cell_grid(region: Region, side: float, gamma: float) -> CellGrid:
             f"cell side {side} >= region diameter {region.diameter}: degenerate grid"
         )
 
-    xmin, ymin, xmax, ymax = region.bounds
+    xmin, _, xmax, _ = region.bounds
     ncols = _cells_across(xmax - xmin, side)
-    nrows = _cells_across(ymax - ymin, side)
     threshold = gamma * side**2
 
     if region.kind == "square":

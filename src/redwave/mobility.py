@@ -99,7 +99,7 @@ def _block_corners(points: np.ndarray, sgrid: CellGrid) -> np.ndarray:
     """Lower-left corner of the 3x3 supercell block around each point's
     supercell: ``origin + (bucket_cells(points, side, origin) - 1) * side``,
     in place in one float array (whole numbers convert exactly)."""
-    corners = points - np.asarray(sgrid.origin)
+    corners = points - sgrid.origin
     corners /= sgrid.side
     np.floor(corners, out=corners)
     corners -= 1
@@ -120,11 +120,10 @@ def _covered(points: np.ndarray, sgrid: CellGrid, region: Region) -> np.ndarray:
 
 def _uniform_in_region(n: int, region: Region, gen: np.random.Generator) -> np.ndarray:
     """n points uniform over S, by rejection from the bounding box."""
-    lo = np.array(region.bounds[:2])
-    span = np.array(region.bounds[2:]) - lo
+    lo, _, hi, _ = region.bounds
     return rejection_sample(
-        np.broadcast_to(lo, (n, 2)),
-        lambda corners, gen: corners + gen.random((len(corners), 2)) * span,
+        np.empty((n, 0)),
+        lambda rows, gen: gen.random((len(rows), 2)) * (hi - lo) + lo,
         region.contains,
         gen,
     )

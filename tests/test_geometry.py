@@ -92,6 +92,42 @@ def test_region_contains_vectorized():
     assert not dk.contains(np.array([1.0, 0.1]))
 
 
+@pytest.mark.parametrize("tol", [0.0, 0.25])
+def test_square_contains_matches_per_coordinate_comparisons(tol):
+    L = 7.5
+    sq = Region.square(L)
+    values = [-1.0, -tol, np.nextafter(-tol, -1.0), -0.0, 0.0, 3.0, np.nextafter(L, 0.0), L,
+              np.nextafter(L, np.inf), L + tol, np.nextafter(L + tol, np.inf), np.inf, np.nan]
+    pts = np.stack(np.meshgrid(values, values), axis=-1).reshape(-1, 2)
+    x, y = pts[:, 0], pts[:, 1]
+    expected = (x >= -tol) & (x <= L + tol) & (y >= -tol) & (y <= L + tol)
+    # the test must not depend on memory layout: Fortran order, strided
+    # columns, strided and reversed rows
+    wide = np.zeros((len(pts), 4))
+    wide[:, ::2] = pts
+    layouts = [pts, np.asfortranarray(pts), wide[:, ::2], np.repeat(pts, 2, axis=0)[::2]]
+    for a in layouts:
+        assert np.array_equal(sq.contains(a, tol), expected)
+    assert np.array_equal(sq.contains(pts[::-1], tol), expected[::-1])
+    # a single point, as an array or a list, gives a Python bool
+    for p, want in zip(pts, expected):
+        assert sq.contains(p, tol) is bool(want)
+        assert sq.contains(p.tolist(), tol) is bool(want)
+
+
+@given(st.sampled_from(["square", "disk"]), st.floats(1e-6, 1e6))
+def test_bounding_box_is_a_square_with_equal_corner_coordinates(kind, size):
+    # the walks, the placement and the cell keys shift and scale every row
+    # by one scalar corner and one scalar span, never by an (x, y) pair
+    region = Region(kind, size)
+    xmin, ymin, xmax, ymax = region.bounds
+    assert xmin == ymin and xmax == ymax
+    assert xmin == (0.0 if kind == "square" else -size)
+    assert xmax - xmin == (size if kind == "square" else 2 * size)
+    grid = build_cell_grid(region, region.diameter / 3, 0.5)
+    assert grid.origin == xmin and grid.mask.shape[0] == grid.mask.shape[1]
+
+
 # ---------------------------------------------------------------------------
 # cell covers
 # ---------------------------------------------------------------------------

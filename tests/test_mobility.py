@@ -326,6 +326,28 @@ def test_cellular_cover_test_matches_in_cover(region, rho):
         assert not expected[-6:-3].any()
 
 
+@pytest.mark.parametrize(
+    "region, rho",
+    [(Region.square(192.0), 24.0), (Region.disk(24.0), 7.5), (Region.square(50.0), 8.0)],
+)
+def test_block_corners_match_bucket_cells(region, rho):
+    # the corner arithmetic shifts rows by the scalar origin; the oracle is
+    # bucket_cells with the (x, y) origin broadcast over the rows.  The disk's
+    # origin is negative, and at L = 50 the last supercell column is uncovered
+    sgrid = build_supercell_grid(region, rho)
+    xmin, ymin, xmax, ymax = region.bounds
+    # the box's edges and one ulp inside each, in every pairing, and the centre
+    edge = [xmin, np.nextafter(xmin, xmax), (xmin + xmax) / 2, np.nextafter(xmax, xmin), xmax]
+    pts = np.vstack(
+        [np.stack(np.meshgrid(edge, edge), axis=-1).reshape(-1, 2),
+         _uniform_in_region(2000, region, RngStream(6).generator())]
+    )
+    pts.flags.writeable = False  # the engine's positions are read-only
+    origin = np.array([xmin, ymin])
+    expected = origin + (bucket_cells(pts, sgrid.side, origin) - 1) * sgrid.side
+    assert np.array_equal(mobility._block_corners(pts, sgrid), expected)
+
+
 def test_stationary_start_draws_are_pinned():
     digests = iter(
         (
