@@ -18,9 +18,6 @@ from .errors import ConfigurationError, GeometryError
 
 CellIndex = tuple[int, int]
 
-# 8-adjacency offsets (side or corner contact)
-_ADJ8 = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
-
 # Sub-sampling resolution for disk cell areas: 32 x 32 = 1024 points per cell.
 _AREA_SAMPLES_PER_SIDE = 32
 
@@ -136,13 +133,6 @@ class CellGrid:
         owner = (best % size).astype(np.intp)
         owner.flags.writeable = False
         return owner
-
-    def mask_of(self, cells) -> np.ndarray:
-        """Boolean array over the index box, True at the given cells."""
-        out = np.zeros(self.mask.shape, dtype=bool)
-        for c in cells:
-            out[c] = True
-        return out
 
     def distances(self, targets: np.ndarray) -> np.ndarray:
         """Cell-distance through the cover to the True cells of ``targets``
@@ -354,15 +344,17 @@ def _cells_across(extent: float, side: float) -> int:
     return int(math.ceil(extent / side - 1e-12))
 
 
-def touching(cells: np.ndarray) -> np.ndarray:
-    """Cells in, or 8-adjacent to, a cell of the boolean array ``cells``: the
-    3x3 window maximum in the last two axes, by sliced ors over the box."""
-    m = cells.copy()
-    m[..., 1:, :] |= cells[..., :-1, :]
-    m[..., :-1, :] |= cells[..., 1:, :]
+def touching(a: np.ndarray, op=np.maximum) -> np.ndarray:
+    """The 3x3 window reduction by the ufunc ``op`` in the last two axes of
+    ``a``, cells beyond the box left out, by sliced in-place ops over the
+    box.  For a boolean array, the cells in, or 8-adjacent to, a True cell;
+    with ``np.add``, the window sum; a window minimum is ``-touching(-a)``."""
+    m = a.copy()
+    op(m[..., 1:, :], a[..., :-1, :], out=m[..., 1:, :])
+    op(m[..., :-1, :], a[..., 1:, :], out=m[..., :-1, :])
     out = m.copy()
-    out[..., 1:] |= m[..., :-1]
-    out[..., :-1] |= m[..., 1:]
+    op(out[..., 1:], m[..., :-1], out=out[..., 1:])
+    op(out[..., :-1], m[..., 1:], out=out[..., :-1])
     return out
 
 
@@ -469,15 +461,6 @@ def build_cell_grid(region: Region, side: float, gamma: float) -> CellGrid:
     if np.isinf(grid.distances(first)[mask]).any():
         raise GeometryError("cell cover is not connected under 8-adjacency")
     return grid
-
-
-def neighborhood(c: CellIndex, grid: CellGrid) -> set[CellIndex]:
-    """N(c): the cell itself plus its covered side/corner neighbors."""
-    cols, rows = np.array([c] + [(c[0] + dc, c[1] + dr) for dc, dr in _ADJ8]).T
-    covered = grid.in_cover(cols, rows)
-    if not covered[0]:
-        raise GeometryError(f"cell {c} not in cover")
-    return set(zip(cols[covered].tolist(), rows[covered].tolist()))
 
 
 def eccentricity(A, region: Region) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .epidemic import RED, WHITE, Snapshot
 from .errors import ConfigurationError
-from .geometry import CellGrid, CellIndex, cell_list, distance_transform, neighborhood, touching
+from .geometry import CellGrid, CellIndex, cell_list, distance_transform, touching
 
 
 class CellState(Enum):
@@ -41,13 +41,24 @@ def state_constants(h: int) -> tuple[float, float, float]:
     a_h = ETA1^h / (2 * 2160^(h-1) * 20^((h-1)(h-2)/2))
     b_h = 15 * 68^(h-1) * ETA2^h
     c_h = ETA1 / (2 * 20^(h-1))
+
+    Where a power leaves the float range (from h = 24 in a_h), a_h and c_h
+    read 0.0 and b_h inf, their limits.
     """
     if h < 1:
         raise ConfigurationError("state index h must be >= 1")
-    a = ETA1**h / (2.0 * 2160.0 ** (h - 1) * 20.0 ** ((h - 1) * (h - 2) / 2))
-    b = 15.0 * 68.0 ** (h - 1) * ETA2**h
-    c = ETA1 / (2.0 * 20.0 ** (h - 1))
+    a = ETA1**h / (2.0 * _power(2160.0, h - 1) * _power(20.0, (h - 1) * (h - 2) / 2))
+    b = 15.0 * _power(68.0, h - 1) * _power(ETA2, h)
+    c = ETA1 / (2.0 * _power(20.0, h - 1))
     return a, b, c
+
+
+def _power(base: float, exponent: float) -> float:
+    """``base ** exponent``, or inf where float ``**`` raises on overflow."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
 
 
 def h_hat(R: float, rho: float, n) -> int:
@@ -162,14 +173,8 @@ def is_regular(cellstates: Mapping[CellIndex, CellState], grid: CellGrid) -> Reg
 
 
 def _red_close(codes: np.ndarray) -> np.ndarray:
-    return (codes == _WHITE) & touching(codes == _RED)
-
-
-def red_close_cells(
-    cellstates: Mapping[CellIndex, CellState], grid: CellGrid
-) -> set[CellIndex]:
     """White cells 8-adjacent to at least one red cell."""
-    return set(cell_list(_red_close(_state_grid(cellstates, grid))))
+    return (codes == _WHITE) & touching(codes == _RED)
 
 
 def wavefront_distances(
@@ -204,8 +209,8 @@ class SupercellClassifier:
     """Binds (R, rho, n) to the state ladder.
 
     States: 0 = White State, 1..h_hat-1 intermediate, h_hat = Red State,
-    h_hat + 1 = Black State.  The last three states can overlap, so
-    classification returns the set of all states whose conditions hold.
+    h_hat + 1 = Black State.  States can overlap, so classification marks
+    every state whose conditions hold.
     """
 
     R: float
@@ -220,74 +225,57 @@ class SupercellClassifier:
     def red_threshold(self) -> float:
         return 90.0 * (self.rho**2 / self.R**2) * math.log(self.n)
 
-    def classify(self, n_white: int, n_red: int, n_black: int) -> set[int]:
+    def classify(self, n_white, n_red, n_black) -> np.ndarray:
+        """(h_hat + 2, ...) booleans over the broadcast (white, red, black)
+        counts, scalars or arrays: ``[h]`` is True where state h's conditions
+        hold.  Counts marked in no state are unclassifiable."""
+        w, r, b = np.broadcast_arrays(n_white, n_red, n_black)
         hh = self.h_hat
-        states: set[int] = set()
-        if n_red == 0 and n_black == 0:
-            states.add(0)
+        out = np.empty((hh + 2,) + w.shape, dtype=bool)
+        out[0] = (r == 0) & (b == 0)
         for h in range(1, hh):
-            a, b, c = state_constants(h)
-            if a * self.R ** (2 * h) <= n_red <= b * self.R ** (2 * h) and n_white >= c * self.rho**2:
-                states.add(h)
-        if n_red >= self.red_threshold:
-            states.add(hh)
-        if n_white == 0:
-            states.add(hh + 1)
-        return states
-
-
-def supercell_counts(
-    snapshot: Snapshot, sgrid: CellGrid
-) -> dict[CellIndex, tuple[int, int, int]]:
-    """(white, red, black) agent counts per covered supercell."""
-    counts = sgrid.bin(snapshot.positions, snapshot.states)
-    return {(c, r): tuple(counts[:, c, r].tolist()) for c, r in sgrid.cells}
+            a, b_h, c = state_constants(h)
+            scale = self.R ** (2 * h)
+            out[h] = (a * scale <= r) & (r <= b_h * scale) & (w >= c * self.rho**2)
+        out[hh] = r >= self.red_threshold
+        out[hh + 1] = w == 0
+        return out
 
 
 def classify_supercells(
     snapshot: Snapshot, sgrid: CellGrid, classifier: SupercellClassifier
-) -> dict[CellIndex, set[int]]:
-    """State sets of every covered supercell; empty set = unclassifiable."""
-    return {
-        c: classifier.classify(w, r, b)
-        for c, (w, r, b) in supercell_counts(snapshot, sgrid).items()
-    }
+) -> np.ndarray:
+    """The state marks (see SupercellClassifier.classify) of every supercell
+    of the index box; uncovered supercells are marked in no state."""
+    return classifier.classify(*sgrid.bin(snapshot.positions, snapshot.states)) & sgrid.mask
+
+
+def _top(states: np.ndarray) -> np.ndarray:
+    """The highest state marked per supercell of a state map, -1 where none is."""
+    levels = np.arange(len(states)).reshape(-1, 1, 1)
+    return np.where(states, levels, -1).max(axis=0)
 
 
 @dataclass
 class SupercellRegularityReport:
     regular: bool
     unclassifiable: list[CellIndex] = field(default_factory=list)
-    black_neighbor_violations: list[tuple[CellIndex, CellIndex]] = field(default_factory=list)
+    # Black-State supercells with a neighbour in neither the Red nor the Black State
+    black_neighbor_violations: list[CellIndex] = field(default_factory=list)
 
 
-def supercell_regularity(
-    snapshot: Snapshot, sgrid: CellGrid, classifier: SupercellClassifier
-) -> SupercellRegularityReport:
-    """Regularity of a snapshot's classified supercell map."""
-    return supercell_map_regularity(
-        classify_supercells(snapshot, sgrid, classifier), sgrid, classifier.h_hat
+def supercell_regularity(states: np.ndarray, sgrid: CellGrid) -> SupercellRegularityReport:
+    """Regularity of a supercell state map.  Condition 1: every covered
+    supercell classifiable.  Condition 2: neighbours of a Black-State
+    supercell are in the Red or Black State."""
+    unclassifiable = cell_list(sgrid.mask & ~states.any(axis=0))
+    neither = sgrid.mask & ~(states[-2] | states[-1])
+    violations = cell_list(states[-1] & touching(neither))
+    return SupercellRegularityReport(
+        regular=not unclassifiable and not violations,
+        unclassifiable=unclassifiable,
+        black_neighbor_violations=violations,
     )
-
-
-def supercell_map_regularity(
-    states: dict[CellIndex, set[int]], sgrid: CellGrid, hh: int
-) -> SupercellRegularityReport:
-    """Condition 1: every supercell classifiable.  Condition 2: neighbors of
-    a Black-State supercell are in the Red or Black State."""
-    report = SupercellRegularityReport(regular=True)
-    for c, st in sorted(states.items()):
-        if not st:
-            report.unclassifiable.append(c)
-    for c, st in sorted(states.items()):
-        if (hh + 1) in st:
-            report.black_neighbor_violations += [
-                (c, nb)
-                for nb in sorted(neighborhood(c, sgrid) - {c})
-                if nb in states and hh not in states[nb] and (hh + 1) not in states[nb]
-            ]
-    report.regular = not report.unclassifiable and not report.black_neighbor_violations
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +303,7 @@ class TransitionAudit:
 
 
 def transition_audit(
-    state_maps: list[dict[CellIndex, set[int]]],
-    sgrid: CellGrid,
-    hh: int,
-    require_regular: bool = False,
+    state_maps: list[np.ndarray], sgrid: CellGrid, require_regular: bool = False
 ) -> TransitionAudit:
     """Match observed supercell transitions against the state-ladder rules.
 
@@ -335,32 +320,23 @@ def transition_audit(
     makes C Black; (e) m = Black keeps/makes C Black.
     """
     audit = TransitionAudit(tallies={k: TransitionTally() for k in _IMPLICATIONS})
-    neighborhoods = {c: neighborhood(c, sgrid) for c in sgrid.cells}
     for cur, nxt in zip(state_maps[:-1], state_maps[1:]):
-        if require_regular and not supercell_map_regularity(cur, sgrid, hh).regular:
-            audit.skipped_irregular += len(neighborhoods)
+        if require_regular and not supercell_regularity(cur, sgrid).regular:
+            audit.skipped_irregular += len(sgrid.cells)
             continue
-        for c, nbs in neighborhoods.items():
-            if any(not cur[nb] for nb in nbs) or not nxt[c]:
-                audit.skipped_unclassifiable += 1
-                continue
-            m = max(max(cur[nb]) for nb in nbs)
-            h_now = max(cur[c])
-            h_next = nxt[c]
-            if m == 0:
-                key, expected = "a", 0
-            elif 1 <= m <= hh - 1:
-                key, expected = "b", m + 1
-            elif m == hh and h_now < hh:
-                key, expected = "c", hh
-            elif m == hh and h_now >= hh:
-                key, expected = "d", hh + 1
-            else:  # m == hh + 1
-                key, expected = "e", hh + 1
-            if expected in h_next:
-                audit.tallies[key].agreements += 1
-            else:
-                audit.tallies[key].violations += 1
+        hh = len(cur) - 2
+        top = _top(cur)
+        m = touching(top)  # uncovered supercells read -1
+        judged = sgrid.mask & ~touching(sgrid.mask & (top < 0)) & nxt.any(axis=0)
+        audit.skipped_unclassifiable += len(sgrid.cells) - int(np.count_nonzero(judged))
+        # each supercell's rule, (a)..(e) as 0..4, and the state it expects next
+        rule = np.select([m == 0, m < hh, m == hh], [0, 1, np.where(top < hh, 2, 3)], 4)
+        expected = np.choose(rule, [0, m + 1, hh, hh + 1, hh + 1])
+        met = np.take_along_axis(nxt, expected[None], axis=0)[0]
+        tally = np.bincount(2 * rule[judged] + met[judged], minlength=10).reshape(5, 2)
+        for key, (missed, agreed) in zip(_IMPLICATIONS, tally.tolist()):
+            audit.tallies[key].agreements += agreed
+            audit.tallies[key].violations += missed
     return audit
 
 
@@ -415,20 +391,14 @@ def wavefront_speed_audit(
     return audit
 
 
-def supercell_speed_audit(
-    state_maps: list[dict[CellIndex, set[int]]],
-    sgrid: CellGrid,
-) -> SpeedAudit:
-    """Supercell wave advance: distance from White-State supercells to the
-    informed set (state >= 1) drops by at least 1 per step."""
+def supercell_speed_audit(state_maps: list[np.ndarray], sgrid: CellGrid) -> SpeedAudit:
+    """Supercell wave advance: distance from supercells in the White State
+    alone to the informed set (a state >= 1) drops by at least 1 per step."""
     audit = SpeedAudit()
-    dists = [
-        sgrid.distances(sgrid.mask_of(c for c, st in m.items() if st and max(st) >= 1))
-        for m in state_maps
-    ]
-    for cur_d, nxt_d, nxt in zip(dists[:-1], dists[1:], state_maps[1:]):
-        sel = sgrid.mask_of(c for c, st in nxt.items() if st == {0})
-        sel &= np.isfinite(cur_d) & (cur_d != 0)
+    tops = [_top(m) for m in state_maps]
+    dists = [sgrid.distances(top >= 1) for top in tops]
+    for cur_d, nxt_d, nxt in zip(dists[:-1], dists[1:], tops[1:]):
+        sel = (nxt == 0) & np.isfinite(cur_d) & (cur_d != 0)
         _tally(audit, nxt_d[sel] <= cur_d[sel] - 1)
     return audit
 
@@ -486,13 +456,10 @@ def spread_audit(
     ratio = int(round(ratio))
     if len(snapshots) < 2:
         raise ConfigurationError("spread audit needs at least two snapshots")
-    n = snapshots[0].n
-    classifier = SupercellClassifier(R=R, rho=rho, n=n)
-    hh = classifier.h_hat
+    classifier = SupercellClassifier(R=R, rho=rho, n=snapshots[0].n)
     lam_w_min = 720.0 / C0**2
     lam_r_min = 1800.0 / C0**2
 
-    nbhd = {C: neighborhood(C, sgrid) for C in sgrid.cells}
     # each covered cell's supercell, for the covered cells whose supercell
     # is covered
     cells = np.argwhere(grid.mask)
@@ -503,7 +470,7 @@ def spread_audit(
     np.add.at(cells_per_super, (sup[:, 0], sup[:, 1]), 1)
 
     audit = SpreadAudit()
-    counts = [supercell_counts(s, sgrid) for s in snapshots]
+    counts = [sgrid.bin(s.positions, s.states) for s in snapshots]
     for t in range(len(snapshots) - 1):
         cur, nxt = snapshots[t], snapshots[t + 1]
         # mid-step configuration of step t+1: moved positions, pre-transmission states
@@ -512,28 +479,29 @@ def spread_audit(
         np.minimum.at(fewest_whites, (sup[:, 0], sup[:, 1]), mid[WHITE])
         red_hit = np.zeros(sgrid.mask.shape, dtype=np.int64)
         np.add.at(red_hit, (sup[:, 0], sup[:, 1]), mid[RED] > 0)
-        saturated = red_hit == cells_per_super
-        for C in sgrid.cells:
-            audit.pairs += 1
-            w_n = sum(counts[t][Cp][0] for Cp in nbhd[C])
-            lam_w = w_n / rho**2
-            if lam_w >= lam_w_min:
-                audit.white_spread.hypothesis_met += 1
-                if fewest_whites[C] >= (lam_w / 36.0) * R**2:
-                    audit.white_spread.holds += 1
-            lam_r = counts[t][C][1] / R**2
-            if lam_r >= lam_r_min:
-                audit.red_spread.hypothesis_met += 1
-                need = min((lam_r / 30.0) * R**2, rho**2 / (2.0 * R**2))
-                if all(red_hit[Cp] >= need for Cp in nbhd[C]):
-                    audit.red_spread.holds += 1
-            w, r, b = counts[t][C]
-            if hh in classifier.classify(w, r, b):
-                audit.red_saturation.hypothesis_met += 1
-                if all(saturated[Cp] for Cp in nbhd[C]):
-                    audit.red_saturation.holds += 1
-            m_red = max(counts[t][Cp][1] for Cp in nbhd[C])
-            audit.red_upper.hypothesis_met += 1
-            if counts[t + 1][C][1] <= 68.0 * ETA2 * max(m_red, 0) * R**2:
-                audit.red_upper.holds += 1
+        # the fewest red-hit cells of a covered supercell over N(C)
+        fewest_hit = -touching(np.where(sgrid.mask, -red_hit, -np.inf))
+        unsaturated = red_hit < cells_per_super  # none where uncovered: 0 < 0
+        # sgrid.bin leaves uncovered supercells empty, so the box windows'
+        # sums and maxima of the counts are those over N(C)
+        w, r, b = counts[t]
+        audit.pairs += len(sgrid.cells)
+        lam_w = touching(w, np.add) / rho**2
+        _lemma(
+            audit.white_spread,
+            sgrid.mask & (lam_w >= lam_w_min),
+            fewest_whites >= (lam_w / 36.0) * R**2,
+        )
+        lam_r = r / R**2
+        need = np.minimum((lam_r / 30.0) * R**2, rho**2 / (2.0 * R**2))
+        _lemma(audit.red_spread, sgrid.mask & (lam_r >= lam_r_min), fewest_hit >= need)
+        red_state = classifier.classify(w, r, b)[-2] & sgrid.mask
+        _lemma(audit.red_saturation, red_state, ~touching(unsaturated))
+        bound = 68.0 * ETA2 * touching(r) * R**2
+        _lemma(audit.red_upper, sgrid.mask, counts[t + 1][RED] <= bound)
     return audit
+
+
+def _lemma(tally: LemmaTally, met: np.ndarray, holds: np.ndarray) -> None:
+    tally.hypothesis_met += int(np.count_nonzero(met))
+    tally.holds += int(np.count_nonzero(met & holds))

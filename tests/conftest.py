@@ -46,7 +46,9 @@ def disk_grid():
 def distances_from(a, grid):
     """Shortest cell-path lengths from covered cell ``a`` over the index box
     (+inf off the cover and where unreachable): one transform."""
-    return grid.distances(grid.mask_of([a]))
+    source = np.zeros(grid.mask.shape, dtype=bool)
+    source[a] = True
+    return grid.distances(source)
 
 
 def cell_distance(a, b, grid):

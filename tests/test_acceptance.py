@@ -104,7 +104,6 @@ def speedup_batch():
         if cellular:
             sgrid = build_supercell_grid(params.region, rho)
             classifier = SupercellClassifier(R=params.R, rho=rho, n=params.n)
-            hh = classifier.h_hat
 
             def classify(s):
                 return classify_supercells(s, sgrid, classifier)
@@ -127,7 +126,7 @@ def speedup_batch():
                 )
                 # audits are per run: pairing the final map of one run with
                 # the initial map of the next would be meaningless
-                audit = transition_audit(maps, sgrid, hh)
+                audit = transition_audit(maps, sgrid)
                 for key, tally in audit.tallies.items():
                     out["transitions"][key][0] += tally.agreements
                     out["transitions"][key][1] += tally.violations

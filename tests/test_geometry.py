@@ -12,16 +12,17 @@ from hypothesis import strategies as st
 from redwave import geometry
 from redwave.errors import ConfigurationError, GeometryError
 from redwave.geometry import (
-    _ADJ8,
     BucketGrid,
     CellGrid,
     Region,
     bucket_cells,
     build_cell_grid,
     eccentricity,
-    neighborhood,
 )
 from tests.conftest import cell_diameter, cell_distance
+
+# 8-adjacency offsets (side or corner contact)
+_ADJ8 = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +326,17 @@ def test_bin_matches_bucket_cells_oracle(region, side, gamma):
 # ---------------------------------------------------------------------------
 
 
+def _neighborhood(c, grid):
+    """N(c) as the audits take it: the 3x3 window around c, over the cover."""
+    one = np.zeros(grid.mask.shape, dtype=bool)
+    one[c] = True
+    return set(geometry.cell_list(geometry.touching(one) & grid.mask))
+
+
 def test_neighborhood_sizes(grid_4x4):
-    assert len(neighborhood((1, 1), grid_4x4)) == 9
-    assert len(neighborhood((0, 0), grid_4x4)) == 4
-    assert len(neighborhood((1, 0), grid_4x4)) == 6
-
-
-def test_neighborhood_outside_cover(grid_4x4):
-    with pytest.raises(GeometryError):
-        neighborhood((9, 9), grid_4x4)
+    assert len(_neighborhood((1, 1), grid_4x4)) == 9
+    assert len(_neighborhood((0, 0), grid_4x4)) == 4
+    assert len(_neighborhood((1, 0), grid_4x4)) == 6
 
 
 @pytest.mark.parametrize(
@@ -475,11 +478,21 @@ def test_distance_transform_visits_each_cell_once(step):
 
 def test_touching_marks_cells_in_or_next_to_a_true_cell():
     # the box edge must not count as a True neighbour
-    for _, cells in _random_masks(5):
+    for gen, cells in _random_masks(5):
         expected = np.zeros_like(cells)
         for c, r in zip(*np.nonzero(cells)):
             expected[max(c - 1, 0) : c + 2, max(r - 1, 0) : r + 2] = True
         assert np.array_equal(geometry.touching(cells), expected)
+        # integer inputs: the window maximum and the window sum, against a
+        # brute-force 3x3 window that skips the cells beyond the box
+        values = gen.integers(-50, 50, size=cells.shape)
+        for op, reduce in ((np.maximum, np.max), (np.add, np.sum)):
+            expected = np.empty_like(values)
+            for c, r in np.ndindex(values.shape):
+                expected[c, r] = reduce(values[max(c - 1, 0) : c + 2, max(r - 1, 0) : r + 2])
+            got = geometry.touching(values, op)
+            assert got.dtype == values.dtype
+            assert np.array_equal(got, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +620,7 @@ def test_cell_diameter_brackets_region_diameter(kind, size, side):
 @given(data=st.data())
 def test_neighborhood_contains_self_and_bounded(data, disk_grid):
     c = data.draw(st.sampled_from(disk_grid.cells))
-    nb = neighborhood(c, disk_grid)
+    nb = _neighborhood(c, disk_grid)
     assert c in nb
     assert 1 <= len(nb) <= 9
     assert nb <= set(disk_grid.cells)

@@ -9,23 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redwave.epidemic import BLACK, RED, WHITE, SimParams, run
-from redwave.errors import ConfigurationError, GeometryError
-from redwave.geometry import _ADJ8, Region, bucket_cells, build_cell_grid, neighborhood
+from redwave.errors import ConfigurationError
+from redwave.geometry import Region, bucket_cells, build_cell_grid, cell_list
 from redwave.instrument import (
     C0,
     ETA1,
     ETA2,
     CellState,
+    SpeedAudit,
+    SpreadAudit,
     SupercellClassifier,
+    TransitionAudit,
+    TransitionTally,
+    _red_close,
     classify_cells,
     classify_supercells,
     density_check,
     h_hat,
     is_regular,
-    red_close_cells,
     spread_audit,
     state_constants,
-    supercell_counts,
     supercell_regularity,
     supercell_speed_audit,
     transition_audit,
@@ -39,6 +42,9 @@ from tests.conftest import make_snapshot
 # ---------------------------------------------------------------------------
 # set/deque oracles, deliberately different from the dense implementation
 # ---------------------------------------------------------------------------
+
+# 8-adjacency offsets (side or corner contact)
+_ADJ8 = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
 
 
 def oracle_distances(sources, cover):
@@ -151,8 +157,6 @@ def test_cells_outside_the_index_box_are_not_covered(grid_4x4):
         with pytest.raises(KeyError):
             states[c]
         assert c not in states
-        with pytest.raises(GeometryError):
-            neighborhood(c, grid_4x4)
     assert len(states) == W * H
 
 
@@ -258,6 +262,10 @@ def test_dense_regularity_and_wavefront_match_oracles(data):
 # ---------------------------------------------------------------------------
 
 
+def red_close_cells(cellstates, grid):
+    return set(cell_list(_red_close(cellstates.array)))
+
+
 def test_red_close_cells(grid_4x4):
     all_white = {c: [WHITE] for c in grid_4x4.cells}
     no_red = classify_cells(fill_cells(grid_4x4, all_white), grid_4x4)
@@ -308,7 +316,9 @@ def test_wavefront_no_reds_is_infinite(grid_4x4):
 
 
 def test_distances_to_set_on_disconnected_target(grid_4x4):
-    d = grid_4x4.distances(grid_4x4.mask_of({(0, 0), (3, 3)}))
+    targets = np.zeros(grid_4x4.mask.shape, dtype=bool)
+    targets[0, 0] = targets[3, 3] = True
+    d = grid_4x4.distances(targets)
     assert d[(0, 0)] == 0
     assert d[(1, 1)] == 1
     assert d[(2, 2)] == 1  # served by (3, 3)
@@ -392,9 +402,35 @@ def test_state_constants_monotonicity():
     assert all(x < y for x, y in zip(a, b))
 
 
+def test_state_constants_past_the_float_range():
+    # h_hat = 44 here, and 20.0 ** ((h-1)(h-2)/2) overflows from h = 24 on
+    cls = SupercellClassifier(R=1.1, rho=24.0, n=9216)
+    assert cls.h_hat == 44
+    marks = cls.classify(100, 5, 0)
+    assert marks.shape == (46,)
+    assert marks[24:44].all()  # a_h = 0, b_h large and c_h tiny there
+    assert not marks[[0, 44, 45]].any()
+    # bit for bit the formulas as written, wherever they stay finite
+    for h in range(1, 24):
+        assert state_constants(h) == (
+            ETA1**h / (2.0 * 2160.0 ** (h - 1) * 20.0 ** ((h - 1) * (h - 2) / 2)),
+            15.0 * 68.0 ** (h - 1) * ETA2**h,
+            ETA1 / (2.0 * 20.0 ** (h - 1)),
+        )
+    a, b, c = zip(*(state_constants(h) for h in range(1, 2001)))
+    assert set(a[23:]) == {0.0}
+    assert all(x <= y for x, y in zip(b, b[1:])) and b[-1] == math.inf
+    assert all(x >= y for x, y in zip(c, c[1:])) and c[-1] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # supercell classification
 # ---------------------------------------------------------------------------
+
+
+def marked(states):
+    """The states one supercell's classification marks, as a set."""
+    return set(np.flatnonzero(states).tolist())
 
 
 @pytest.fixture(scope="module")
@@ -404,16 +440,21 @@ def classifier():
 
 def test_classify_supercell_white_black_red(classifier):
     hh = classifier.h_hat
-    assert classifier.classify(100, 0, 0) == {0}
-    assert classifier.classify(0, 3, 50) == {classifier.h_hat + 1}
+    assert marked(classifier.classify(100, 0, 0)) == {0}
+    assert marked(classifier.classify(0, 3, 50)) == {classifier.h_hat + 1}
     thresh = math.ceil(classifier.red_threshold)
-    got = classifier.classify(10, thresh, 0)
+    got = marked(classifier.classify(10, thresh, 0))
     assert hh in got
+    # arrays broadcast, one count triple per position
+    got = classifier.classify(np.array([[100], [0]]), np.array([0, 3]), 50)
+    assert got.shape == (hh + 2, 2, 2)
+    assert marked(got[:, 0, 1]) == marked(classifier.classify(100, 3, 50))
+    assert marked(got[:, 1, 0]) == {hh + 1}
 
 
 def test_classify_supercell_unclassifiable(classifier):
     # a lone red among whites matches no state at these parameters
-    assert classifier.classify(500, 1, 0) == set()
+    assert marked(classifier.classify(500, 1, 0)) == set()
 
 
 def test_classify_supercell_intermediate():
@@ -421,7 +462,7 @@ def test_classify_supercell_intermediate():
     a1, b1, c1 = state_constants(1)
     n_red = math.ceil(a1 * 36)
     n_white = math.ceil(c1 * 576)
-    assert 1 in cls.classify(n_white, n_red, 0)
+    assert 1 in marked(cls.classify(n_white, n_red, 0))
 
 
 def test_supercell_regularity_reports():
@@ -433,7 +474,7 @@ def test_supercell_regularity_reports():
         [(c * 24.0 + 1 + 0.01 * i, r * 24.0 + 1) for (c, r) in sgrid.cells for i in range(20)],
         [WHITE] * (20 * len(sgrid.cells)),
     )
-    report = supercell_regularity(snap, sgrid, cls)
+    report = supercell_regularity(classify_supercells(snap, sgrid, cls), sgrid)
     assert report.regular
 
     # black supercell (no whites) beside white-state neighbors: violation
@@ -442,9 +483,10 @@ def test_supercell_regularity_reports():
         for i in range(20):
             positions.append((c * 24.0 + 1 + 0.01 * i, r * 24.0 + 1))
             states.append(BLACK if (c, r) == (0, 0) else WHITE)
-    report = supercell_regularity(make_snapshot(positions, states), sgrid, cls)
+    snap = make_snapshot(positions, states)
+    report = supercell_regularity(classify_supercells(snap, sgrid, cls), sgrid)
     assert not report.regular
-    assert report.black_neighbor_violations
+    assert report.black_neighbor_violations == [(0, 0)]
 
     # a supercell matching no state: condition-1 violation
     positions, states = [], []
@@ -452,7 +494,8 @@ def test_supercell_regularity_reports():
         for i in range(20):
             positions.append((c * 24.0 + 1 + 0.01 * i, r * 24.0 + 1))
             states.append(RED if ((c, r) == (0, 0) and i == 0) else WHITE)
-    report = supercell_regularity(make_snapshot(positions, states), sgrid, cls)
+    snap = make_snapshot(positions, states)
+    report = supercell_regularity(classify_supercells(snap, sgrid, cls), sgrid)
     assert not report.regular
     assert (0, 0) in report.unclassifiable
 
@@ -462,8 +505,11 @@ def test_supercell_regularity_reports():
 # ---------------------------------------------------------------------------
 
 
-def _uniform_map(sgrid, states):
-    return {c: set(states) for c in sgrid.cells}
+def _uniform_map(sgrid, states, hh=2):
+    """A state map marking ``states`` at every covered supercell."""
+    out = np.zeros((hh + 2,) + sgrid.mask.shape, dtype=bool)
+    out[list(states)] = sgrid.mask
+    return out
 
 
 def test_transition_audit_examples():
@@ -472,22 +518,20 @@ def test_transition_audit_examples():
     hh = 2
 
     # (a): all-white stays all-white
-    audit = transition_audit(
-        [_uniform_map(sgrid, {0}), _uniform_map(sgrid, {0})], sgrid, hh
-    )
+    audit = transition_audit([_uniform_map(sgrid, {0}), _uniform_map(sgrid, {0})], sgrid)
     assert audit.tallies["a"].agreements == len(sgrid.cells)
     assert audit.tallies["a"].violations == 0
 
     # (e): all-black stays all-black
     audit = transition_audit(
-        [_uniform_map(sgrid, {hh + 1}), _uniform_map(sgrid, {hh + 1})], sgrid, hh
+        [_uniform_map(sgrid, {hh + 1}), _uniform_map(sgrid, {hh + 1})], sgrid
     )
     assert audit.tallies["e"].agreements == len(sgrid.cells)
 
     # (b) violated: a state-1 neighborhood observed dropping to 0
     cur = _uniform_map(sgrid, {1})
     nxt = _uniform_map(sgrid, {0})
-    audit = transition_audit([cur, nxt], sgrid, hh, require_regular=False)
+    audit = transition_audit([cur, nxt], sgrid, require_regular=False)
     assert audit.tallies["b"].violations == len(sgrid.cells)
     assert audit.tallies["b"].agreements == 0
 
@@ -496,8 +540,8 @@ def test_transition_audit_skips_unclassifiable():
     region = Region.square(96.0)
     sgrid = build_supercell_grid(region, 24.0)
     cur = _uniform_map(sgrid, {0})
-    cur[(0, 0)] = set()  # unclassifiable
-    audit = transition_audit([cur, _uniform_map(sgrid, {0})], sgrid, 2, require_regular=False)
+    cur[:, 0, 0] = False  # unclassifiable
+    audit = transition_audit([cur, _uniform_map(sgrid, {0})], sgrid, require_regular=False)
     # (0,0) and its neighbors are skipped
     assert audit.skipped_unclassifiable == 4
     assert audit.tallies["a"].observed == len(sgrid.cells) - 4
@@ -508,10 +552,9 @@ def test_transition_audit_regularity_gate():
     sgrid = build_supercell_grid(region, 24.0)
     hh = 2
     cur = _uniform_map(sgrid, {0})
-    cur[(0, 0)] = {hh + 1}  # black supercell beside white ones: irregular
-    audit = transition_audit(
-        [cur, _uniform_map(sgrid, {0})], sgrid, hh, require_regular=True
-    )
+    cur[:, 0, 0] = False
+    cur[hh + 1, 0, 0] = True  # black supercell beside white ones: irregular
+    audit = transition_audit([cur, _uniform_map(sgrid, {0})], sgrid, require_regular=True)
     assert audit.skipped_irregular == len(sgrid.cells)
     assert all(t.observed == 0 for t in audit.tallies.values())
 
@@ -556,7 +599,11 @@ def test_supercell_speed_audit_advancing_front():
     sgrid = build_supercell_grid(region, 24.0)
 
     def front(k):
-        return {c: ({3} if c[0] <= k else {0}) for c in sgrid.cells}
+        out = np.zeros((4,) + sgrid.mask.shape, dtype=bool)
+        behind = np.arange(sgrid.mask.shape[0])[:, None] <= k
+        out[3] = sgrid.mask & behind
+        out[0] = sgrid.mask & ~behind
+        return out
 
     audit = supercell_speed_audit([front(0), front(1), front(2)], sgrid)
     assert audit.violations == 0
@@ -621,11 +668,257 @@ def test_supercell_counts_match_manual():
     pos = gen.random((300, 2)) * 96.0
     states = gen.choice([WHITE, RED, BLACK], size=300).astype(np.int8)
     snap = make_snapshot(pos, states)
-    counts = supercell_counts(snap, sgrid)
+    counts = sgrid.bin(snap.positions, snap.states)
     cells = bucket_cells(pos, sgrid.side, sgrid.origin)
-    for C, (w, r, b) in counts.items():
+    for C in sgrid.cells:
+        w, r, b = counts[:, C[0], C[1]]
         sel = (cells[:, 0] == C[0]) & (cells[:, 1] == C[1])
         assert w == int(np.count_nonzero(states[sel] == WHITE))
         assert r == int(np.count_nonzero(states[sel] == RED))
         assert b == int(np.count_nonzero(states[sel] == BLACK))
-    assert sum(w + r + b for w, r, b in counts.values()) == 300
+    assert counts.sum() == 300
+
+
+# ---------------------------------------------------------------------------
+# supercell audits against dict/set oracles: the per-supercell loops the
+# dense audits replaced, on synthetic dense populations
+# ---------------------------------------------------------------------------
+
+
+def oracle_classify(classifier, n_white, n_red, n_black):
+    """The states of one count triple, each state's conditions in turn."""
+    hh, R, rho = classifier.h_hat, classifier.R, classifier.rho
+    states = set()
+    if n_red == 0 and n_black == 0:
+        states.add(0)
+    for h in range(1, hh):
+        a, b, c = state_constants(h)
+        if a * R ** (2 * h) <= n_red <= b * R ** (2 * h) and n_white >= c * rho**2:
+            states.add(h)
+    if n_red >= classifier.red_threshold:
+        states.add(hh)
+    if n_white == 0:
+        states.add(hh + 1)
+    return states
+
+
+def oracle_counts(snapshot, sgrid):
+    counts = sgrid.bin(snapshot.positions, snapshot.states)
+    return {c: tuple(counts[:, c[0], c[1]].tolist()) for c in sgrid.cells}
+
+
+def oracle_neighborhood(c, sgrid):
+    """N(c): c and its covered side/corner neighbours."""
+    cover = set(sgrid.cells)
+    return {c} | {(c[0] + dc, c[1] + dr) for dc, dr in _ADJ8} & cover
+
+
+def oracle_supercell_regularity(states, sgrid, hh):
+    """(unclassifiable supercells, (black supercell, offending neighbour) pairs)."""
+    unclassifiable = [c for c, st in sorted(states.items()) if not st]
+    pairs = [
+        (c, nb)
+        for c, st in sorted(states.items())
+        if hh + 1 in st
+        for nb in sorted(oracle_neighborhood(c, sgrid) - {c})
+        if hh not in states[nb] and hh + 1 not in states[nb]
+    ]
+    return unclassifiable, pairs
+
+
+def oracle_transition_audit(state_maps, sgrid, hh, require_regular):
+    audit = TransitionAudit(tallies={k: TransitionTally() for k in "abcde"})
+    neighborhoods = {c: oracle_neighborhood(c, sgrid) for c in sgrid.cells}
+    for cur, nxt in zip(state_maps[:-1], state_maps[1:]):
+        if require_regular and any(oracle_supercell_regularity(cur, sgrid, hh)):
+            audit.skipped_irregular += len(neighborhoods)
+            continue
+        for c, nbs in neighborhoods.items():
+            if any(not cur[nb] for nb in nbs) or not nxt[c]:
+                audit.skipped_unclassifiable += 1
+                continue
+            m = max(max(cur[nb]) for nb in nbs)
+            h_now = max(cur[c])
+            if m == 0:
+                key, expected = "a", 0
+            elif 1 <= m <= hh - 1:
+                key, expected = "b", m + 1
+            elif m == hh and h_now < hh:
+                key, expected = "c", hh
+            elif m == hh and h_now >= hh:
+                key, expected = "d", hh + 1
+            else:
+                key, expected = "e", hh + 1
+            if expected in nxt[c]:
+                audit.tallies[key].agreements += 1
+            else:
+                audit.tallies[key].violations += 1
+    return audit
+
+
+def oracle_supercell_speed_audit(state_maps, sgrid):
+    audit = SpeedAudit()
+    cover = set(sgrid.cells)
+    dists = [
+        oracle_distances([c for c, st in m.items() if st and max(st) >= 1], cover)
+        for m in state_maps
+    ]
+    for cur_d, nxt_d, nxt in zip(dists[:-1], dists[1:], state_maps[1:]):
+        for c, st in nxt.items():
+            if st == {0} and cur_d.get(c, 0) != 0:
+                if nxt_d.get(c, math.inf) <= cur_d[c] - 1:
+                    audit.ok_pairs += 1
+                else:
+                    audit.violations += 1
+    return audit
+
+
+def oracle_spread_audit(snapshots, sgrid, grid, R):
+    rho = sgrid.side
+    ratio = int(round(rho / grid.side))
+    classifier = SupercellClassifier(R=R, rho=rho, n=snapshots[0].n)
+    hh = classifier.h_hat
+    nbhd = {C: oracle_neighborhood(C, sgrid) for C in sgrid.cells}
+    cells = np.argwhere(grid.mask)
+    sup = cells // ratio
+    keep = sgrid.in_cover(sup[:, 0], sup[:, 1])
+    cells, sup = cells[keep], sup[keep]
+    cells_per_super = np.zeros(sgrid.mask.shape, dtype=np.int64)
+    np.add.at(cells_per_super, (sup[:, 0], sup[:, 1]), 1)
+
+    audit = SpreadAudit()
+    counts = [oracle_counts(s, sgrid) for s in snapshots]
+    for t in range(len(snapshots) - 1):
+        cur, nxt = snapshots[t], snapshots[t + 1]
+        mid = grid.bin(nxt.positions, cur.states)[:, cells[:, 0], cells[:, 1]]
+        fewest_whites = np.full(sgrid.mask.shape, np.inf)
+        np.minimum.at(fewest_whites, (sup[:, 0], sup[:, 1]), mid[WHITE])
+        red_hit = np.zeros(sgrid.mask.shape, dtype=np.int64)
+        np.add.at(red_hit, (sup[:, 0], sup[:, 1]), mid[RED] > 0)
+        saturated = red_hit == cells_per_super
+        for C in sgrid.cells:
+            audit.pairs += 1
+            w_n = sum(counts[t][Cp][0] for Cp in nbhd[C])
+            lam_w = w_n / rho**2
+            if lam_w >= 720.0 / C0**2:
+                audit.white_spread.hypothesis_met += 1
+                if fewest_whites[C] >= (lam_w / 36.0) * R**2:
+                    audit.white_spread.holds += 1
+            lam_r = counts[t][C][1] / R**2
+            if lam_r >= 1800.0 / C0**2:
+                audit.red_spread.hypothesis_met += 1
+                need = min((lam_r / 30.0) * R**2, rho**2 / (2.0 * R**2))
+                if all(red_hit[Cp] >= need for Cp in nbhd[C]):
+                    audit.red_spread.holds += 1
+            if hh in oracle_classify(classifier, *counts[t][C]):
+                audit.red_saturation.hypothesis_met += 1
+                if all(saturated[Cp] for Cp in nbhd[C]):
+                    audit.red_saturation.holds += 1
+            m_red = max(counts[t][Cp][1] for Cp in nbhd[C])
+            audit.red_upper.hypothesis_met += 1
+            if counts[t + 1][C][1] <= 68.0 * ETA2 * max(m_red, 0) * R**2:
+                audit.red_upper.holds += 1
+    return audit
+
+
+# a supercell kind: its weight in the population, and its white/red/black mix
+_KINDS = [
+    (1.0, (1.0, 0.0, 0.0)),  # white
+    (0.4, (0.9, 0.1, 0.0)),  # intermediate
+    (4.0, (0.05, 0.95, 0.0)),  # red
+    (1.0, (0.0, 0.3, 0.7)),  # spent: reds and blacks, no whites
+    (0.5, (0.0, 0.0, 1.0)),  # black
+    (0.05, (0.5, 0.0, 0.5)),  # grey: no state fits
+    (0.0, (1.0, 0.0, 0.0)),  # empty
+]
+_R, _RHO, _SIDE = 1.5, 2.0, 1.0  # h_hat = 4 at n = 40000
+
+
+def synthetic_run(region, seed, steps=8, n=40000):
+    """Snapshots of n agents spread over the covered supercells by a front
+    sweeping one supercell column a step: spent supercells behind the red
+    column, intermediate ones on the front, white ones ahead, on odd steps
+    half of them swapped for a random kind, each weight scaled by 0.5 to 2."""
+    sgrid = build_supercell_grid(region, _RHO)
+    gen = np.random.default_rng(seed)
+    cells = np.array(sgrid.cells)
+    weights, mixes = (np.array(x) for x in zip(*_KINDS))
+    snapshots = []
+    for t in range(steps):
+        ahead = cells[:, 0] - (t - 1)
+        kind = np.select([ahead < -3, ahead < -1, ahead < 0, ahead == 0], [4, 3, 2, 1], 0)
+        swap = gen.random(len(cells)) < 0.5 * (t % 2)
+        kind[swap] = gen.integers(0, len(_KINDS), size=swap.sum())
+        weight = weights[kind] * gen.uniform(0.5, 2.0, size=len(cells))
+        home = gen.choice(len(cells), size=n, p=weight / weight.sum())
+        states = (gen.random(n)[:, None] > np.cumsum(mixes[kind[home]], axis=1)).sum(axis=1)
+        positions = sgrid.origin + (cells[home] + gen.random((n, 2))) * _RHO
+        snapshots.append(make_snapshot(positions, np.minimum(states, BLACK), step=t))
+    return snapshots, sgrid, build_cell_grid(region, _SIDE, gamma=0.5)
+
+
+_SYNTHETIC = [(Region.square(12.0), seed) for seed in range(3)] + [
+    (Region.disk(6.0), seed) for seed in range(3)
+]
+
+
+@pytest.fixture(scope="module")
+def synthetic_audits():
+    """Per case: the dense audits and the oracles' on the same snapshots."""
+    out = []
+    for region, seed in _SYNTHETIC:
+        snapshots, sgrid, grid = synthetic_run(region, seed)
+        cls = SupercellClassifier(R=_R, rho=_RHO, n=snapshots[0].n)
+        maps = [classify_supercells(s, sgrid, cls) for s in snapshots]
+        sets = [
+            {c: oracle_classify(cls, *wrb) for c, wrb in oracle_counts(s, sgrid).items()}
+            for s in snapshots
+        ]
+        out.append((region, sgrid, cls.h_hat, snapshots, grid, maps, sets))
+    return out
+
+
+def test_supercell_audits_match_set_oracles(synthetic_audits):
+    for region, sgrid, hh, snapshots, grid, maps, sets in synthetic_audits:
+        assert hh == 4
+        assert region.kind == "square" or not sgrid.mask.all()
+        for states, expected in zip(maps, sets):
+            assert states.shape == (hh + 2,) + sgrid.mask.shape
+            assert not states[:, ~sgrid.mask].any()
+            assert {c: marked(states[:, c[0], c[1]]) for c in sgrid.cells} == expected
+            report = supercell_regularity(states, sgrid)
+            unclassifiable, pairs = oracle_supercell_regularity(expected, sgrid, hh)
+            assert report.unclassifiable == unclassifiable
+            assert report.black_neighbor_violations == sorted({c for c, _ in pairs})
+            assert report.regular == (not unclassifiable and not pairs)
+        for gate in (False, True):
+            got = transition_audit(maps, sgrid, require_regular=gate)
+            assert got == oracle_transition_audit(sets, sgrid, hh, gate)
+        assert supercell_speed_audit(maps, sgrid) == oracle_supercell_speed_audit(sets, sgrid)
+        got = spread_audit(snapshots, sgrid, grid, R=_R)
+        assert got == oracle_spread_audit(snapshots, sgrid, grid, _R)
+
+
+def test_synthetic_populations_reach_every_rule_and_lemma(synthetic_audits):
+    # every rule judged both ways, with and without the regularity gate,
+    # every lemma's hypothesis met with its conclusion both holding and
+    # failing, and some maps regular
+    tallies = {(k, gate): [0, 0] for k in "abcde" for gate in (False, True)}
+    lemmas = {}
+    regular = speed = 0
+    for _, sgrid, hh, snapshots, grid, maps, sets in synthetic_audits:
+        for gate in (False, True):
+            audit = oracle_transition_audit(sets, sgrid, hh, gate)
+            for key, tally in audit.tallies.items():
+                tallies[key, gate][0] += tally.agreements
+                tallies[key, gate][1] += tally.violations
+        audit = oracle_spread_audit(snapshots, sgrid, grid, _R)
+        for name in ("white_spread", "red_spread", "red_saturation", "red_upper"):
+            lemma = getattr(audit, name)
+            met, holds = lemmas.get(name, (0, 0))
+            lemmas[name] = (met + lemma.hypothesis_met, holds + lemma.holds)
+        regular += sum(not any(oracle_supercell_regularity(m, sgrid, hh)) for m in sets)
+        speed += oracle_supercell_speed_audit(sets, sgrid).total
+    assert all(agreed > 0 and missed > 0 for agreed, missed in tallies.values()), tallies
+    assert all(met > holds > 0 for met, holds in lemmas.values()), lemmas
+    assert regular > 0 and speed > 0
