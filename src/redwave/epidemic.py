@@ -329,14 +329,14 @@ class Engine:
         params = self.params
         if isinstance(params.sources, str):
             return (int(RngStream(params.seed, SOURCES).generator().integers(params.n)),)
-        # sources materialize as the nearest agents to the requested points
+        # sources materialize as the nearest agents to the requested points,
+        # the lowest index on a tie, each point taking an agent not yet chosen
         chosen: list[int] = []
         pos = self.snapshot.positions
         for p in np.asarray(params.sources, dtype=float).reshape(-1, 2):
             d = np.hypot(pos[:, 0] - p[0], pos[:, 1] - p[1])
-            order = np.argsort(d, kind="stable")
-            pick = next(int(i) for i in order if int(i) not in chosen)
-            chosen.append(pick)
+            d[chosen] = np.inf
+            chosen.append(int(np.argmin(d)))
         return tuple(chosen)
 
     def _move(self, positions: np.ndarray) -> np.ndarray:

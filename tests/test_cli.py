@@ -1,7 +1,9 @@
 """Config files, trace/summary emission, and the command-line entry point."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 from pathlib import Path
@@ -641,6 +643,57 @@ def test_main_trace_flags_only_for_run_and_audit(tmp_path, verb, flag):
         main([verb, "--config", cfg, "--out", str(tmp_path / "s"), *flag])
     assert exc.value.code == 2
     assert not (tmp_path / "s").exists()
+
+
+# ---------------------------------------------------------------------------
+# the process's malloc policy
+# ---------------------------------------------------------------------------
+
+_VERB_CONFIG = MINIMAL + "\n[instrumentation]\ncell_side = 1.5\n"
+
+
+class _Libc:
+    """A C library whose ``mallopt`` only records its calls."""
+
+    def __init__(self, events):
+        self.mallopt = lambda param, value: events.append(("mallopt", param, value)) or 1
+
+
+def _main_outputs(tmp_path, verb, name):
+    """Exit code, stdout and output file bytes of ``main`` running ``verb``."""
+    cfg = write(tmp_path, _VERB_CONFIG)
+    out = tmp_path / name
+    args = [verb, "--config", cfg, "--seed", "4", "--out", str(out)]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(args + (["--trials", "2"] if verb == "isolated" else []))
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    return code, stdout.getvalue().replace(str(out), "<out>"), files
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep", "audit", "isolated"])
+def test_main_sets_the_malloc_policy_first(tmp_path, monkeypatch, verb):
+    # mmap threshold 32 MiB, then trim threshold 1 GiB (glibc's M_MMAP_THRESHOLD
+    # is -3, M_TRIM_THRESHOLD -1), before main parses its arguments
+    events = []
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: _Libc(events))
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: events.append("parser") or build())
+    code, _, files = _main_outputs(tmp_path, verb, "o")
+    assert code == EXIT_OK and (files or verb == "isolated")
+    assert events == [("mallopt", -3, 32 << 20), ("mallopt", -1, 1 << 30), "parser"]
+
+
+def _no_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep", "audit", "isolated"])
+@pytest.mark.parametrize("cdll", [_no_library, lambda name: object()], ids=["oserror", "no_mallopt"])
+def test_main_without_mallopt_gives_the_same_outputs(tmp_path, monkeypatch, verb, cdll):
+    expected = _main_outputs(tmp_path, verb, "with")
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert _main_outputs(tmp_path, verb, "without") == expected
 
 
 # ---------------------------------------------------------------------------

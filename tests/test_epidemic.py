@@ -536,6 +536,34 @@ def test_all_sources_complete_at_step_one():
     assert rec.completion_time == 1
 
 
+def _sources_by_stable_sort(positions, points):
+    """Each point's source: the first agent not yet chosen in the stable
+    argsort of its distances."""
+    chosen = []
+    for x, y in points:
+        order = np.argsort(np.hypot(positions[:, 0] - x, positions[:, 1] - y), kind="stable")
+        chosen.append(next(int(i) for i in order if int(i) not in chosen))
+    return tuple(chosen)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sources_are_the_nearest_agents_lowest_index_first(seed):
+    # tied distances (a cross around (5, 5)), a duplicate position, and the
+    # same point asked for again
+    pos = np.array([(5, 5), (3, 5), (7, 5), (5, 5), (5, 3), (5, 7)], dtype=float)
+    points = [(5, 5), (5, 5), (5, 5), (5, 4), (5, 5)]
+    eng = Engine(params(n=len(pos), sources=points), initial_positions=pos)
+    assert eng.source_indices == (0, 3, 1, 4, 2) == _sources_by_stable_sort(pos, points)
+    # a half-integer lattice, so duplicates and equal distances abound
+    gen = np.random.default_rng(seed)
+    pos = gen.integers(0, 21, (60, 2)) / 2
+    points = [tuple(p) for p in gen.integers(0, 21, (12, 2)) / 2]
+    points += points[:4]
+    eng = Engine(params(n=len(pos), sources=points), initial_positions=pos)
+    assert eng.source_indices == _sources_by_stable_sort(pos, points)
+    assert len(set(eng.source_indices)) == len(points)
+
+
 def test_exhaustion_when_steps_run_out():
     # two stationary whites never informed: failure, not exhaustion;
     # but k large keeps the source red past max_steps
