@@ -439,9 +439,8 @@ def _instrument_grid(params: SimParams, opts: dict):
     return build_cell_grid(params.region, side, gamma)
 
 
-# glibc's mallopt parameters (malloc.h) and the values main sets: n-sized
-# arrays come from the heap (32 MiB is the 64-bit maximum), and the heap
-# keeps what they free for the next step
+# glibc's mallopt parameters (malloc.h); 32 MiB is the 64-bit maximum mmap
+# threshold, and 1 GiB is far above any run's working set
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MALLOC_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 1 << 30))
 
@@ -449,9 +448,10 @@ _MALLOC_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 1 << 30))
 def _keep_freed_memory() -> None:
     """Keep the memory a step frees in the process for the next step.
 
-    Under glibc's default policy a step's large arrays are fresh mmaps, and
-    freed heap goes back to the kernel, so each step faults the same pages
-    in again.  Either setting alone turns off glibc's dynamic mmap
+    Under glibc's default policy a step's n-sized arrays are fresh mmaps,
+    and freed heap goes back to the kernel, so each step faults the same
+    pages in again.  With the policy they come from the heap, which keeps
+    what they free.  Either setting alone turns off glibc's dynamic mmap
     threshold and measured slower, so both are set.  Where the C library or
     its ``mallopt`` cannot be loaded (macOS, Windows) nothing changes;
     musl's ``mallopt`` does nothing."""
@@ -459,6 +459,7 @@ def _keep_freed_memory() -> None:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):  # TypeError: no CDLL(None) on Windows
         return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     for param, value in _MALLOC_POLICY:
         mallopt(param, value)
 

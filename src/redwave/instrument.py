@@ -310,9 +310,12 @@ def transition_audit(
     The local evolution law is stated for regular configurations; with
     ``require_regular`` only pairs whose source map is regular are judged
     and irregular steps are counted in ``skipped_irregular``.  m^t(C) is
-    the max state over N(C) (states overlap only at the top of the ladder,
-    so the max is the natural representative; the same convention is used
-    for the observed next state).  Pairs where C or any neighbor is
+    the max state over N(C), and the observed next state is read the same
+    way.  The intermediate bands nest: a_h R^{2h} falls with h (for R below
+    about 65), b_h R^{2h} grows and c_h rho^2 falls, so a count triple in
+    state h's band is in every higher intermediate band.  The max thus
+    reads h_hat - 1 for every intermediate supercell, and rule (b) is
+    judged only at m = h_hat - 1.  Pairs where C or any neighbor is
     unclassifiable are skipped and counted, not judged.
 
     Rules: (a) m=0 keeps C in state 0; (b) an intermediate m pushes C to

@@ -7,6 +7,7 @@ import io
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -652,13 +653,6 @@ def test_main_trace_flags_only_for_run_and_audit(tmp_path, verb, flag):
 _VERB_CONFIG = MINIMAL + "\n[instrumentation]\ncell_side = 1.5\n"
 
 
-class _Libc:
-    """A C library whose ``mallopt`` only records its calls."""
-
-    def __init__(self, events):
-        self.mallopt = lambda param, value: events.append(("mallopt", param, value)) or 1
-
-
 def _main_outputs(tmp_path, verb, name):
     """Exit code, stdout and output file bytes of ``main`` running ``verb``."""
     cfg = write(tmp_path, _VERB_CONFIG)
@@ -676,7 +670,8 @@ def test_main_sets_the_malloc_policy_first(tmp_path, monkeypatch, verb):
     # mmap threshold 32 MiB, then trim threshold 1 GiB (glibc's M_MMAP_THRESHOLD
     # is -3, M_TRIM_THRESHOLD -1), before main parses its arguments
     events = []
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: _Libc(events))
+    libc = SimpleNamespace(mallopt=lambda param, value: events.append(("mallopt", param, value)))
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
     build = cli._build_parser
     monkeypatch.setattr(cli, "_build_parser", lambda: events.append("parser") or build())
     code, _, files = _main_outputs(tmp_path, verb, "o")
@@ -689,7 +684,9 @@ def _no_library(name):
 
 
 @pytest.mark.parametrize("verb", ["run", "sweep", "audit", "isolated"])
-@pytest.mark.parametrize("cdll", [_no_library, lambda name: object()], ids=["oserror", "no_mallopt"])
+@pytest.mark.parametrize(
+    "cdll", [_no_library, lambda name: object()], ids=["oserror", "no_mallopt"]
+)
 def test_main_without_mallopt_gives_the_same_outputs(tmp_path, monkeypatch, verb, cdll):
     expected = _main_outputs(tmp_path, verb, "with")
     monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
