@@ -272,18 +272,29 @@ def _trace_row(snap: Snapshot, grid=None, dump: tuple | None = None) -> dict:
     return row
 
 
+def _dump_keys(grid) -> tuple[list, np.ndarray]:
+    """The cell dump's text pieces in the key order of JSON sort_keys, ',"',
+    "c,r" (no key needs escaping) and a slot each step fills, and the
+    covered cells' flat box indices in that order.  As "," sorts below every
+    digit, that order is the product of each axis's order as strings."""
+    width, height = grid.mask.shape
+    cols, rows = (np.array(sorted(range(m), key=str)) for m in (width, height))
+    flat = np.add.outer(cols * height, rows).ravel()
+    covered = grid.mask.ravel()[flat]
+    text = np.add.outer(
+        np.array([f"{c}," for c in cols], dtype=object), np.array(rows.astype(str), dtype=object)
+    ).ravel()[covered]
+    pieces = [',"', None, None] * len(text)
+    pieces[1::3] = text.tolist()
+    return pieces, flat[covered]
+
+
 def trace_run(params: SimParams, grid, dump_cells: str, write) -> RunRecord:
     """Run once; each step's trace row goes to ``write`` when the next step
     ends, the last when the run ends so that it can take the final dump.
     With a grid the rows carry the instrument columns, and per-cell states
     on every step (``dump_cells="each"``) or on the last (``"final"``)."""
-    keys = None
-    if grid is not None and dump_cells != "never":
-        # the dump text's pieces in the key order of JSON sort_keys, ',"', "c,r"
-        # (no key needs escaping) and a slot each step fills, and the cells'
-        # flat box indices; only the key strings outlive this statement
-        keys = sorted((f"{c},{r}", c * grid.mask.shape[1] + r) for c, r in grid.cells)
-        keys = [p for k, _ in keys for p in (',"', k, None)], np.array([i for _, i in keys])
+    keys = _dump_keys(grid) if grid is not None and dump_cells != "never" else None
     each = keys if dump_cells == "each" else None
     held: list[dict] = []
 

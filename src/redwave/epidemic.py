@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, GeometryError
-from .geometry import BucketGrid, Region, bucket_side, in_reach
+from .geometry import BucketGrid, Region, bucket_side, in_reach, point_items
 from .mobility import (
     MobilityMode,
     RngStream,
@@ -259,12 +259,10 @@ def transmit(s: Snapshot, params: SimParams, sgrid, t: int) -> int:
         return 0
     s.states[newly] = RED
     s.countdown[newly] = params.k
-    s.chain_origin[newly] = s.chain_origin[informers]
-    d = np.hypot(
-        s.positions[newly, 0] - s.chain_origin[newly, 0],
-        s.positions[newly, 1] - s.chain_origin[newly, 1],
-    )
-    return int(np.count_nonzero(d > t * speed * (1 + 1e-9)))
+    origin = point_items(s.chain_origin)
+    origin[newly] = origin[informers]
+    d = point_items(s.positions)[newly] - origin[newly]
+    return int(np.count_nonzero(np.hypot(d.real, d.imag) > t * speed * (1 + 1e-9)))
 
 
 def move(

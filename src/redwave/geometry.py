@@ -192,6 +192,13 @@ class CellGrid:
         return np.bincount(flat, minlength=3 * size).reshape((3,) + self.mask.shape)
 
 
+def point_items(points: np.ndarray) -> np.ndarray:
+    """Each row of a C-contiguous (n, 2) float array as one complex128 item,
+    in a view that writes through: numpy gathers and scatters such items
+    many times faster than (n, 2) rows."""
+    return points.view(np.complex128)[:, 0]
+
+
 def cell_list(cells: np.ndarray) -> list[CellIndex]:
     """The True cells of a boolean array over an index box, in index order."""
     return list(zip(*(i.tolist() for i in np.nonzero(cells))))

@@ -1,6 +1,8 @@
 """Agent movement: standard random-walk steps uniform in B(x, rho) & S, the
 cellular (supercell) random walk, and exact stationary starting positions,
 each one :func:`rejection_sample` call with a proposal and a predicate.
+No proposal computes a sine, a cosine or a square root: the standard walk
+draws from the square around B(x, rho) and rejects what falls outside it.
 
 All randomness flows through :class:`RngStream`, a thin wrapper over numpy's
 PCG64 so that identical (seed, stream) pairs give identical sample sequences
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, MobilityError
-from .geometry import CellGrid, Region, build_cell_grid
+from .geometry import CellGrid, Region, build_cell_grid, point_items
 
 _MAX_REJECTIONS = 10**6
 
@@ -67,15 +69,18 @@ def rejection_sample(sources, propose, accept, gen: np.random.Generator) -> np.n
     draws one (m, 2) candidate per row of the (m, ...) array ``rows`` and
     ``accept(candidates)`` masks those kept.  The first round proposes from
     ``sources`` itself and its candidates become the output; the rejected
-    rows draw again, in ascending order, until all are kept."""
+    rows draw again, in ascending order, until all are kept.  Rows move as
+    one item each: ``np.take`` gathers them, and kept candidates are written
+    through :func:`point_items`."""
     out = propose(sources, gen)
     pending = np.flatnonzero(~accept(out))
+    kept = point_items(out)
     for _ in range(_MAX_REJECTIONS - 1):
         if not pending.size:
             break
-        cand = propose(sources[pending], gen)
+        cand = propose(np.take(sources, pending, axis=0), gen)
         ok = accept(cand)
-        out[pending[ok]] = cand[ok]
+        kept[pending[ok]] = point_items(cand)[ok]
         pending = pending[~ok]
     if pending.size:
         raise MobilityError(
@@ -85,13 +90,16 @@ def rejection_sample(sources, propose, accept, gen: np.random.Generator) -> np.n
 
 
 def _in_disk(centres: np.ndarray, rho: float, gen: np.random.Generator) -> np.ndarray:
-    """One point uniform on B(c, rho) per centre, by the sqrt-radius trick."""
-    r = rho * np.sqrt(gen.random(len(centres)))
-    theta = gen.random(len(centres)) * 2 * math.pi
-    out = np.empty((len(centres), 2))
-    np.multiply(r, np.cos(theta), out=out[:, 0])
-    np.multiply(r, np.sin(theta), out=out[:, 1])
+    """One candidate per centre c, uniform on the square [c - rho, c + rho]^2;
+    a candidate outside the closed disk B(c, rho) gets a NaN x, which no
+    region contains.  The candidates a region keeps are uniform on its part
+    of B(c, rho), and a round keeps a share |B(c, rho) & S| / (4 rho^2)."""
+    out = gen.random((len(centres), 2))
+    out *= 2 * rho
+    out -= rho
+    outside = np.einsum("ij,ij->i", out, out) > rho * rho
     out += centres
+    out[:, 0][outside] = np.nan
     return out
 
 
@@ -133,8 +141,9 @@ def walk_all(
     positions: np.ndarray, rho: float, region: Region, gen: np.random.Generator
 ) -> np.ndarray:
     """One standard random-walk step for every row of ``positions``: uniform
-    on B(x, rho) & S.  Convexity of S with x in S keeps the acceptance rate
-    above 1/4, so the loop terminates fast."""
+    on B(x, rho) & S.  Convexity of S with x in S keeps a quarter of the disk
+    in S at least, and the disk fills pi/4 of the square the candidates come
+    from, so each round keeps at least pi/16 of its rows."""
     if rho == 0:
         return positions.copy()
     return rejection_sample(positions, lambda x, gen: _in_disk(x, rho, gen), region.contains, gen)
@@ -165,7 +174,9 @@ def init_positions(
     walks have a symmetric kernel, so the stationary density at x is
     proportional to the area one step from x reaches: |B(x, rho) & S|, or
     |union(N(C(x))) & S| for the cellular walk.  x uniform on S is kept iff
-    it is in the walk's support and one step proposed from x is accepted."""
+    it is in the walk's support and one step proposed from x is accepted,
+    which happens with a probability proportional to that area: the
+    proposal's square or 3x3 block has the same size from every x."""
     if n < 1:
         raise ConfigurationError("need at least one agent")
     cellular = mobility.kind == "cellular"

@@ -1,8 +1,12 @@
 """Shared helpers for the test suite."""
 
+import ctypes
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from redwave import cli
 from redwave.epidemic import RED, WHITE, Snapshot
 from redwave.geometry import Region, build_cell_grid, in_reach
 
@@ -19,6 +23,16 @@ def make_snapshot(positions, states, step=0):
         countdown=countdown,
         chain_origin=pos.copy(),
     )
+
+
+@pytest.fixture(autouse=True)
+def _default_malloc_policy(monkeypatch):
+    """Keep this process on the C library's default malloc policy: glibc has
+    no call that restores it, so ``cli.main`` called in process finds a
+    library whose ``mallopt`` does nothing.  A test that stubs
+    ``cli.ctypes.CDLL`` itself still sees every call."""
+    libc = SimpleNamespace(mallopt=lambda param, value: 1)
+    monkeypatch.setattr(cli, "ctypes", SimpleNamespace(CDLL=lambda name: libc, c_int=ctypes.c_int))
 
 
 def red_white(states):

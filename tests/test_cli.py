@@ -245,6 +245,24 @@ def test_trace_cells_dump_encodes_as_sorted_json(tmp_path, fmt):
         assert cells == [encode(row["cells"]) for row in plain]
 
 
+@pytest.mark.parametrize(
+    "region, side, gamma",
+    [
+        (Region.square(92.0), 1.0, 0.3),  # 92 columns: "9,0" sorts between "89,91" and "90,0"
+        (Region.square(13.0), 2.0, 0.6),  # the last row and column are uncovered slivers
+        (Region.disk(16.0), 1.5, 0.5),
+    ],
+    ids=["square92", "sliver", "disk"],
+)
+def test_dump_keys_match_sorted_keys(region, side, gamma):
+    # the oracle sorts the "c,r" key strings of the covered cells
+    grid = build_cell_grid(region, side, gamma)
+    keys = sorted((f"{c},{r}", c * grid.mask.shape[1] + r) for c, r in grid.cells)
+    pieces, flat = cli._dump_keys(grid)
+    assert pieces == [p for k, _ in keys for p in (',"', k, None)]
+    assert flat.tolist() == [i for _, i in keys]
+
+
 def test_trace_unknown_format(tiny_rows, tmp_path):
     with pytest.raises(ConfigurationError):
         emit_trace(tiny_rows, "yaml", str(tmp_path / "t.yaml"))
@@ -699,8 +717,8 @@ def test_main_without_mallopt_gives_the_same_outputs(tmp_path, monkeypatch, verb
 # ---------------------------------------------------------------------------
 
 _PINNED_TRACES = {
-    "ndjson": "cca837222ffefa8c6ad1bfa71b9b16dbbdc10824dc233b1db04402b047a284f9",
-    "csv": "8a03dfe5dc37bd6133cd5bb83e79b8b873e1a71da927433f2db85a9c171a02c4",
+    "ndjson": "dd612b8344d5ee9dcca3ef6bd56799d296e03428efcb09f44b253bbc9755dc09",
+    "csv": "76ed90ae831baf4eee0bbc745440b4f74095b919b20b5f59f12d77419a214182",
 }
 
 _PINNED_SWEEP = "76afa107724d95de87250dd132e7b20eca85223e816e0374f122217141961cc5"

@@ -88,6 +88,46 @@ def test_walk_step_uniform_over_interior_disk():
     assert p > 0.01
 
 
+@pytest.mark.parametrize(
+    "region, x",
+    [
+        (Region.square(20.0), (0.0, 0.0)),  # a corner: a quarter of the disk is in S
+        (Region.square(20.0), (10.0, 0.0)),  # an edge point: half of it
+        (Region.disk(10.0), (6.0, 7.5)),  # 0.4 from the rim
+    ],
+    ids=["corner", "edge", "disk_rim"],
+)
+def test_walk_step_at_the_boundary_is_uniform_on_ball_and_region(region, x):
+    # the candidates come from the square around B(x, rho) and those outside
+    # the disk are NaN: every output is finite, in S and in the closed ball,
+    # and the 8 x 8 sub-cells of that square are hit in proportion to their
+    # area in B & S, counted on a 1024 x 1024 lattice of cell midpoints
+    # (chi-square at significance 0.01, sub-cells expecting under 5 hits merged)
+    rho, n, sub, lattice = 3.0, 100_000, 8, 1024
+    x = np.array(x)
+    out = walk_all(np.tile(x, (n, 1)), rho, region, RngStream(5).generator())
+    assert np.isfinite(out).all()
+    assert np.all(region.contains(out))
+    assert np.hypot(out[:, 0] - x[0], out[:, 1] - x[1]).max() <= rho + 1e-12
+
+    def sub_cells(points):
+        cells = np.floor((points - (x - rho)) / (2 * rho) * sub).astype(int).clip(0, sub - 1)
+        return np.bincount(cells[:, 0] * sub + cells[:, 1], minlength=sub * sub)
+
+    mid = (np.arange(lattice) + 0.5) / lattice * 2 * rho + (x - rho)[:, None]
+    pts = np.stack(np.meshgrid(mid[0], mid[1], indexing="ij"), axis=-1).reshape(-1, 2)
+    inside = region.contains(pts) & (np.hypot(pts[:, 0] - x[0], pts[:, 1] - x[1]) <= rho)
+    expected = sub_cells(pts[inside]) / np.count_nonzero(inside) * n
+    counts = sub_cells(out)
+    assert not counts[expected == 0].any()
+    small = expected < 5
+    counts = np.r_[counts[~small], counts[small].sum()]
+    expected = np.r_[expected[~small], expected[small].sum()]
+    keep = expected > 0
+    _, p = stats.chisquare(counts[keep], expected[keep] * counts.sum() / expected.sum())
+    assert p > 0.01
+
+
 # ---------------------------------------------------------------------------
 # cellular walk
 # ---------------------------------------------------------------------------
@@ -253,13 +293,13 @@ def _sha256(a):
     [
         (
             Region.square(48.0), 4.0,
-            "f350723c9d9321e3a5aa4f7641c1ba8b"
-            "c614f8288c7568f4345e752458350e34",
+            "ce24b7abc7455a0561e9dcae4008a230"
+            "c1a584d3fdd19024096e64492c2028aa",
         ),
         (
             Region.disk(24.0), 3.0,
-            "244d86dc85b22f7fc9990a5f95a38ac0"
-            "a10e02ca836dcbaffe7eb479b6961f82",
+            "11ca24074432f83340eacc6c37e9d8eb"
+            "40eafb0a578266876624a0edce9e28cc",
         ),
     ],
 )
@@ -351,9 +391,9 @@ def test_block_corners_match_bucket_cells(region, rho):
 def test_stationary_start_draws_are_pinned():
     digests = iter(
         (
-            "82b5f599cfee318f9a0f169e9d96d0c7aa80c5a2616408bc4c4f8916ac6b7b94",
+            "bb4f62bf21d10884e9ba4757737e64ab570605fb8e55ed5366a6f6ed89d86153",
             "17c9b554480066c32c32cc5edff2300ede2932c64a01edc5e48292c3b8d8f144",
-            "4b12ca896519b7b2b82bb554d3d30530b32571d53469f57d01a9fa1ac5b164ad",
+            "831a7407d3624c0323fc5af43ba3b722d0f2fee9371087edd15d573109229f8c",
             "a5da63a3b659381937112a452e5a22d4c947c2e780717b8db9bd73541bdc3e12",
         )
     )
