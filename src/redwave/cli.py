@@ -259,15 +259,15 @@ def _trace_row(snap: Snapshot, grid=None, dump: tuple | None = None) -> dict:
     row.update(white=w, red=r, black=b)
     if grid is not None:
         states = instrument.classify_cells(snap, grid)
-        row["regular"] = instrument.is_regular(states, grid).regular
-        dist = instrument.wavefront_distances(states, grid).array
-        dists = dist[(states.array == _WHITE_CELL) & np.isfinite(dist)]
+        row["regular"] = instrument.is_regular(states).regular
+        dist = instrument.wavefront_distances(states, grid)
+        dists = dist[(states == _WHITE_CELL) & np.isfinite(dist)]
         if dists.size:
             row["max_wavefront"] = float(dists.max())
             row["mean_wavefront"] = float(np.mean(dists))
         if dump is not None:
             pieces, cells = dump
-            pieces[2::3] = _CELL_SLOTS.take(states.array.take(cells)).tolist()
+            pieces[2::3] = _CELL_SLOTS.take(states.take(cells)).tolist()
             row["cells"] = "{" + "".join(pieces)[1:] + "}"
     return row
 

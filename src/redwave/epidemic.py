@@ -143,7 +143,6 @@ class RunRecord:
     final: Snapshot | None = None
     source_indices: tuple[int, ...] = ()
     chain_violations: int = 0
-    ecc_sources: float | None = None  # filled by multi-source experiments
     snapshots = None  # always None; the benchmark's output probe reads it
 
     def steps_run(self) -> int:

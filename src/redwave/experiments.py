@@ -1,5 +1,5 @@
 """Seeded multi-replica experiment harness: completion-time sweeps, scaling
-fits, multi-source runs, and the isolated-agent / sub-threshold experiments.
+fits, and the isolated-agent / sub-threshold experiments.
 """
 
 from __future__ import annotations
@@ -9,9 +9,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .epidemic import RunRecord, SimParams, run
-from .errors import ConfigurationError
-from .geometry import BucketGrid, Region, bucket_side, eccentricity, in_reach
+from .epidemic import SimParams, run
+from .errors import ConfigurationError, RedwaveError
+from .geometry import BucketGrid, Region, bucket_side, in_reach
 from .mobility import RngStream, _uniform_in_region
 
 
@@ -115,9 +115,10 @@ class SweepResult:
 def replicate(plan: ExperimentPlan) -> SweepResult:
     """Execute every (sweep point, replica) run.
 
-    Per-run errors are captured into the summary instead of aborting the
-    sweep.  Execution is sequential but the seed policy makes the result
-    independent of any execution order.
+    A replica's ``RedwaveError`` is captured into the summary instead of
+    aborting the sweep; any other exception is a fault of the program and
+    propagates.  Execution is sequential but the seed policy makes the
+    result independent of any execution order.
     """
     summaries: list[PointSummary] = []
     for params in plan.points():
@@ -126,7 +127,7 @@ def replicate(plan: ExperimentPlan) -> SweepResult:
             p = replace(params, seed=params.seed + r)
             try:
                 rec = run(p)
-            except Exception as exc:  # per-run capture, sweep continues
+            except RedwaveError as exc:  # per-run capture, sweep continues
                 summary.completion_times.append(None)
                 summary.failures.append(None)
                 summary.errors.append(f"{type(exc).__name__}: {exc}")
@@ -209,15 +210,6 @@ def isolated_count(n: int, R: float, region: Region, gen: np.random.Generator) -
     pos = _uniform_in_region(n, region, gen)
     idx = isolated_indices(pos, R)
     return IsolatedResult(count=len(idx), bound=isolated_bound(n, R), positions=pos)
-
-
-def multi_source_run(params: SimParams) -> RunRecord:
-    """Run with explicit source positions; the record carries ecc(A, S)."""
-    if isinstance(params.sources, str):
-        raise ConfigurationError("multi_source_run requires an explicit source set")
-    rec = run(params)
-    rec.ecc_sources = eccentricity(params.sources, params.region)
-    return rec
 
 
 @dataclass

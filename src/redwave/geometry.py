@@ -1,9 +1,9 @@
-"""Regions, cell grids, grid distances and geometric eccentricity.
+"""Regions, cell grids and grid distances.
 
 The spatial substrate for everything else: convex bounded regions (squares
 and disks), grid partitions into square cells of side ``l`` kept when they
-overlap the region by at least ``gamma * l**2``, dense grid distances over
-the cover under 8-adjacency, and a lattice-sampled eccentricity.
+overlap the region by at least ``gamma * l**2``, and dense grid distances
+over the cover under 8-adjacency.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ CellIndex = tuple[int, int]
 
 # Sub-sampling resolution for disk cell areas: 32 x 32 = 1024 points per cell.
 _AREA_SAMPLES_PER_SIDE = 32
-
-# Lattice spacing of the eccentricity estimate: diameter / _LATTICE_POINTS.
-_LATTICE_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -468,32 +465,3 @@ def build_cell_grid(region: Region, side: float, gamma: float) -> CellGrid:
     if np.isinf(grid.distances(first)[mask]).any():
         raise GeometryError("cell cover is not connected under 8-adjacency")
     return grid
-
-
-def eccentricity(A, region: Region) -> float:
-    """max over S of the distance to the nearest point of A.
-
-    Lattice approximation: S is sampled on a deterministic grid with spacing
-    at most ``diameter / _LATTICE_POINTS``, so the result underestimates the
-    true eccentricity by at most one lattice spacing.
-    """
-    pts = np.atleast_2d(np.asarray(A, dtype=float))
-    if pts.size == 0:
-        raise GeometryError("empty source set")
-    if not np.all(region.contains(pts, tol=1e-9)):
-        raise GeometryError("source set not contained in region")
-
-    spacing = region.diameter / _LATTICE_POINTS
-    xmin, ymin, xmax, ymax = region.bounds
-    xs = np.arange(xmin, xmax + spacing / 2, spacing)
-    ys = np.arange(ymin, ymax + spacing / 2, spacing)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    lattice = np.column_stack([gx.ravel(), gy.ravel()])
-    lattice = lattice[region.contains(lattice)]
-
-    # chunked min-distance to A to bound peak memory
-    best = np.full(len(lattice), np.inf)
-    for a in pts:
-        d = np.hypot(lattice[:, 0] - a[0], lattice[:, 1] - a[1])
-        np.minimum(best, d, out=best)
-    return float(best.max())

@@ -4,12 +4,14 @@ and the supercell state-ladder constants.
 
 Everything here is a pure function of a snapshot plus a grid, so audits run
 inline during a simulation, from the per-step hook of ``epidemic.run``.
+Classifications are dense arrays over the grid's index box: an int8 state
+grid per cell (``CELL_CODE``, -1 off the cover), and per supercell an
+``(h_hat + 2, W, H)`` stack of state marks.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -82,47 +84,16 @@ def h_hat(R: float, rho: float, n) -> int:
 
 # int8 codes of a state grid: a CellState's position in the enum, so white,
 # red and black share the agent state codes; -1 marks uncovered box cells
-_STATES = tuple(CellState)
-CELL_CODE = {s: np.int8(i) for i, s in enumerate(_STATES)}
+CELL_CODE = {s: np.int8(i) for i, s in enumerate(CellState)}
 _WHITE, _RED, _BLACK, _GREY, _EMPTY = CELL_CODE.values()
 _OUT = np.int8(-1)
 
 
-class CellMap(Mapping):
-    """Read-only ``(col, row) -> value`` view of a dense array over a grid's
-    cover.  ``array`` is indexed by cell; iteration follows ``grid.cells``."""
-
-    def __init__(self, array: np.ndarray, grid: CellGrid, convert=float) -> None:
-        array.flags.writeable = False
-        self.array = array
-        self.grid = grid
-        self._convert = convert
-
-    def __getitem__(self, c: CellIndex):
-        if not self.grid.in_cover(*c):
-            raise KeyError(c)
-        return self._convert(self.array[c])
-
-    def __iter__(self):
-        return iter(self.grid.cells)
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self.grid.mask))
-
-
-def _state_grid(cellstates: Mapping[CellIndex, CellState], grid: CellGrid) -> np.ndarray:
-    """The int8 state grid behind a cell-state map."""
-    if isinstance(cellstates, CellMap):
-        return cellstates.array
-    codes = np.full(grid.mask.shape, _OUT)
-    for c, s in cellstates.items():
-        codes[c] = CELL_CODE[s]
-    return codes
-
-
-def classify_cells(snapshot: Snapshot, grid: CellGrid) -> CellMap:
-    """Per covered cell: red if it holds a red agent, white if only whites,
-    black if only blacks, grey for any other mixture, empty if agent-free."""
+def classify_cells(snapshot: Snapshot, grid: CellGrid) -> np.ndarray:
+    """The int8 state grid over the cell index box: per covered cell the
+    ``CELL_CODE`` of red if it holds a red agent, white if only whites,
+    black if only blacks, grey for any other mixture, empty if agent-free;
+    -1 off the cover."""
     w, r, b = grid.bin(snapshot.positions, snapshot.states) > 0
     codes = np.full(grid.mask.shape, _GREY)
     codes[w & ~b] = _WHITE
@@ -130,7 +101,7 @@ def classify_cells(snapshot: Snapshot, grid: CellGrid) -> CellMap:
     codes[~w & ~b] = _EMPTY
     codes[r] = _RED
     codes[~grid.mask] = _OUT
-    return CellMap(codes, grid, _STATES.__getitem__)
+    return codes
 
 
 @dataclass
@@ -140,8 +111,8 @@ class RegularityReport:
     empty_cells: list[CellIndex] = field(default_factory=list)
 
 
-def is_regular(cellstates: Mapping[CellIndex, CellState], grid: CellGrid) -> RegularityReport:
-    """Check the three regularity properties of a configuration.
+def is_regular(codes: np.ndarray) -> RegularityReport:
+    """Check the three regularity properties of a state grid.
 
     (a) no grey cell; (b) every white component is adjacent to a red cell,
     i.e. every white cell is reached from the red cells through white and
@@ -153,7 +124,6 @@ def is_regular(cellstates: Mapping[CellIndex, CellState], grid: CellGrid) -> Reg
     are empty in nearly every step, so making them fatal would void the
     verdict everywhere.
     """
-    codes = _state_grid(cellstates, grid)
     white, red = codes == _WHITE, codes == _RED
     violations = [("a", c) for c in cell_list(codes == _GREY)]
     violations += [("c", c) for c in cell_list(white & touching(codes == _BLACK))]
@@ -177,14 +147,11 @@ def _red_close(codes: np.ndarray) -> np.ndarray:
     return (codes == _WHITE) & touching(codes == _RED)
 
 
-def wavefront_distances(
-    cellstates: Mapping[CellIndex, CellState], grid: CellGrid
-) -> CellMap:
-    """Cell-distance from every covered cell to the red cell set.
-
-    Red cells map to 0; with no red cell everything maps to infinity.
-    """
-    return CellMap(grid.distances(_state_grid(cellstates, grid) == _RED), grid)
+def wavefront_distances(codes: np.ndarray, grid: CellGrid) -> np.ndarray:
+    """Cell-distance from every covered cell of a state grid to its red
+    cells, over the index box: red cells read 0, and with no red cell every
+    cell reads infinity, as does every cell off the cover."""
+    return grid.distances(codes == _RED)
 
 
 def density_check(snapshot: Snapshot, grid: CellGrid) -> list[tuple[CellIndex, int]]:
@@ -370,12 +337,13 @@ def _tally(audit: SpeedAudit, ok: np.ndarray) -> None:
 
 
 def wavefront_speed_audit(
-    cellstate_maps: list[Mapping[CellIndex, CellState]],
+    state_grids: list[np.ndarray],
     grid: CellGrid,
     min_decrease: int = 1,
     target: str = "red",
 ) -> SpeedAudit:
-    """Per-step wave-front advance over (white cell, step) pairs.
+    """Per-step wave-front advance over (white cell, step) pairs of a run's
+    state grids, one per step.
 
     For every cell white at t+1 with a finite distance d_t to the target set
     (red cells, or red-close cells for the high-mobility audit), require
@@ -384,11 +352,10 @@ def wavefront_speed_audit(
     if target not in ("red", "red_close"):
         raise ConfigurationError(f"unknown audit target {target!r}")
     audit = SpeedAudit()
-    codes = [_state_grid(m, grid) for m in cellstate_maps]
     dists = [
-        grid.distances(c == _RED if target == "red" else _red_close(c)) for c in codes
+        grid.distances(c == _RED if target == "red" else _red_close(c)) for c in state_grids
     ]
-    for cur_d, nxt_d, nxt in zip(dists[:-1], dists[1:], codes[1:]):
+    for cur_d, nxt_d, nxt in zip(dists[:-1], dists[1:], state_grids[1:]):
         sel = (nxt == _WHITE) & np.isfinite(cur_d)
         _tally(audit, nxt_d[sel] <= np.maximum(cur_d[sel] - min_decrease, 0))
     return audit

@@ -25,6 +25,7 @@ from redwave.experiments import (
 )
 from redwave.geometry import Region, build_cell_grid
 from redwave.instrument import (
+    CELL_CODE,
     CellState,
     SpeedAudit,
     SupercellClassifier,
@@ -75,9 +76,9 @@ def regularity_batch():
         out["completions"].append(rec.completion_time)
         for m in maps:
             out["configs"] += 1
-            if is_regular(m, grid).regular:
+            if is_regular(m).regular:
                 out["regular"] += 1
-            if not any(s is CellState.GREY for s in m.values()):
+            if not (m == CELL_CODE[CellState.GREY]).any():
                 out["grey_free"] += 1
         out["speed"] = out["speed"].merge(wavefront_speed_audit(maps, grid, 1, "red"))
     return out

@@ -27,7 +27,7 @@ from redwave.epidemic import SimParams, run
 from redwave.errors import ConfigurationError, GeometryError
 from redwave.experiments import ExperimentPlan, replicate
 from redwave.geometry import Region, build_cell_grid
-from redwave.instrument import classify_cells
+from redwave.instrument import CellState, classify_cells
 from redwave.mobility import MobilityMode
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -213,13 +213,14 @@ def test_trace_cells_dump_matches_cell_maps():
     region = Region.square(13.0)
     grid = build_cell_grid(region, 2.0, gamma=0.6)
     p = SimParams(region=region, n=150, R=2.0, mobility=MobilityMode.standard(1.0), seed=5)
+    names = [s.value for s in CellState]
     maps = []
-    run(
-        p,
-        on_step=lambda s: maps.append(
-            {f"{c},{r}": v.value for (c, r), v in classify_cells(s, grid).items()}
-        ),
-    )
+
+    def dump(snap):
+        codes = classify_cells(snap, grid)
+        maps.append({f"{c},{r}": names[codes[c, r]] for c, r in grid.cells})
+
+    run(p, on_step=dump)
     assert [json.loads(row["cells"]) for row in _trace_rows(p, grid, "each")] == maps
     final = [row["cells"] and json.loads(row["cells"]) for row in _trace_rows(p, grid, "final")]
     assert final == [None] * (len(maps) - 1) + maps[-1:]
@@ -723,6 +724,32 @@ _PINNED_TRACES = {
 
 _PINNED_SWEEP = "76afa107724d95de87250dd132e7b20eca85223e816e0374f122217141961cc5"
 
+# the audit of CI's disk config: rim cells short of gamma, empty cells, and
+# uncovered cells in the index box
+_PINNED_DISK_AUDIT = {
+    "ndjson": "45b83de0f9ca016c98b52fe7348d89aaccb2e222ad1933f7358ac9b6873843ce",
+    "csv": "74c8bfaf86e623e477cbf0d5f4b5d5a34268183c9bfbe1e24b3ba145f73cb311",
+}
+
+DISK_AUDIT = """\
+[region]
+kind = disk
+size = 16
+
+[agents]
+n = 800
+
+[protocol]
+r = 4
+
+[mobility]
+rho = 1
+
+[instrumentation]
+cell_side = 1.5
+gamma = 0.5
+"""
+
 SAME_SUPERCELL_SWEEP = """\
 [region]
 kind = square
@@ -758,6 +785,16 @@ def test_run_trace_bytes_are_pinned(tmp_path, fmt, monkeypatch):
     args = ["run", "--config", cfg, "--seed", "3", "--dump-cells", "each"]
     assert main(args + ["--format", fmt, "--out", str(out)]) == EXIT_OK
     assert _sha256(out / f"trace.{fmt}") == _PINNED_TRACES[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+def test_disk_audit_bytes_are_pinned(tmp_path, fmt, monkeypatch):
+    monkeypatch.delenv("REDWAVE_SEED", raising=False)
+    cfg = write(tmp_path, DISK_AUDIT)
+    out = tmp_path / "o"
+    args = ["audit", "--config", cfg, "--seed", "3"]
+    assert main(args + ["--format", fmt, "--out", str(out)]) == EXIT_OK
+    assert _sha256(out / f"audit.{fmt}") == _PINNED_DISK_AUDIT[fmt]
 
 
 def test_sweep_summary_bytes_are_pinned(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from redwave import geometry
+from redwave import experiments, geometry
 from redwave.epidemic import RED, WHITE, SimParams, _inform_euclidean, run
 from redwave.errors import ConfigurationError, GeometryError
 from redwave.experiments import (
@@ -13,7 +13,6 @@ from redwave.experiments import (
     isolated_bound,
     isolated_count,
     isolated_indices,
-    multi_source_run,
     replicate,
     scaling_fit,
     threshold_experiment,
@@ -124,6 +123,24 @@ def test_replicate_captures_per_run_errors():
     assert result.points[0].errors == [None, None]
     assert all(e is not None for e in result.points[1].errors)
     assert result.points[1].completion_times == [None, None]
+
+
+def test_replicate_captures_only_package_errors(monkeypatch):
+    # a RedwaveError is a replica's outcome; any other exception is a fault
+    # of the program and ends the sweep
+    plan = ExperimentPlan(base=base_params(), replicas=2)
+
+    def raising(exc):
+        def fake_run(params):
+            raise exc
+
+        return fake_run
+
+    monkeypatch.setattr(experiments, "run", raising(GeometryError("no cover")))
+    assert replicate(plan).points[0].errors == ["GeometryError: no cover"] * 2
+    monkeypatch.setattr(experiments, "run", raising(RuntimeError("a bug")))
+    with pytest.raises(RuntimeError, match="a bug"):
+        replicate(plan)
 
 
 def test_point_summary_aggregates():
@@ -309,24 +326,13 @@ def test_multi_source_all_agents_complete_immediately():
     p = base_params(n=6, region=Region.square(10.0))
     probe = run(p)
     pts = [tuple(map(float, xy)) for xy in probe.final.chain_origin[:6]]
-    rec = multi_source_run(SimParams(**{**p.__dict__, "sources": pts}))
+    rec = run(SimParams(**{**p.__dict__, "sources": pts}))
     assert rec.completion_time == 1
-    assert rec.ecc_sources > 0
-
-
-def test_multi_source_single_point_matches_plain_run():
-    p = base_params(seed=3, sources=[(8.0, 8.0)])
-    a = multi_source_run(p)
-    b = run(p)
-    assert a.completion_time == b.completion_time
-    assert np.array_equal(a.final.states, b.final.states)
 
 
 def test_multi_source_validates_containment():
     with pytest.raises(GeometryError):
-        multi_source_run(base_params(sources=[(99.0, 0.0)]))
-    with pytest.raises(ConfigurationError):
-        multi_source_run(base_params(sources="random"))
+        run(base_params(sources=[(99.0, 0.0)]))
 
 
 # ---------------------------------------------------------------------------

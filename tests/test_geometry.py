@@ -1,4 +1,4 @@
-"""Regions, cell covers, cell distances, diameter, and eccentricity."""
+"""Regions, cell covers, cell distances, and diameter."""
 
 import math
 import tracemalloc
@@ -17,7 +17,6 @@ from redwave.geometry import (
     Region,
     bucket_cells,
     build_cell_grid,
-    eccentricity,
 )
 from tests.conftest import cell_diameter, cell_distance
 
@@ -529,37 +528,6 @@ def test_cell_diameter_disk_matches_allpairs_bfs(disk_grid):
     for a in disk_grid.cells:
         best = max(best, max(oracle_bfs(a, set(disk_grid.cells)).values()))
     assert cell_diameter(disk_grid) == best
-
-
-# ---------------------------------------------------------------------------
-# eccentricity
-# ---------------------------------------------------------------------------
-
-
-def test_eccentricity_center():
-    L = 10.0
-    ecc = eccentricity([(L / 2, L / 2)], Region.square(L))
-    assert ecc == pytest.approx(L / math.sqrt(2), abs=Region.square(L).diameter / 1000 + 1e-9)
-
-
-def test_eccentricity_one_corner():
-    L = 10.0
-    ecc = eccentricity([(0.0, 0.0)], Region.square(L))
-    assert ecc == pytest.approx(L * math.sqrt(2), abs=Region.square(L).diameter / 1000 + 1e-9)
-
-
-def test_eccentricity_four_corners():
-    L = 10.0
-    corners = [(0.0, 0.0), (0.0, L), (L, 0.0), (L, L)]
-    ecc = eccentricity(corners, Region.square(L))
-    assert ecc == pytest.approx(L / math.sqrt(2), abs=Region.square(L).diameter / 1000 + 1e-9)
-
-
-def test_eccentricity_errors():
-    with pytest.raises(GeometryError):
-        eccentricity(np.empty((0, 2)), Region.square(1.0))
-    with pytest.raises(GeometryError):
-        eccentricity([(5.0, 5.0)], Region.square(2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from redwave.errors import ConfigurationError
 from redwave.geometry import Region, bucket_cells, build_cell_grid, cell_list
 from redwave.instrument import (
     C0,
+    CELL_CODE,
     ETA1,
     ETA2,
     CellState,
@@ -92,6 +93,14 @@ def oracle_is_regular(cellstates):
     return not violations, violations, empties
 
 
+def state_grid(cellstates, grid):
+    """The int8 state grid of a ``{cell: CellState}`` map over the cover."""
+    codes = np.full(grid.mask.shape, -1, dtype=np.int8)
+    for c, s in cellstates.items():
+        codes[c] = CELL_CODE[s]
+    return codes
+
+
 def fill_cells(grid, contents):
     """Snapshot with the given agents per cell; untouched cells stay empty.
 
@@ -127,25 +136,29 @@ def test_classify_cells_rules(grid_4x4):
         },
     )
     states = classify_cells(snap, grid_4x4)
-    assert states[(0, 0)] is CellState.WHITE
-    assert states[(1, 0)] is CellState.RED
-    assert states[(2, 0)] is CellState.GREY
-    assert states[(3, 0)] is CellState.BLACK
-    assert states[(2, 2)] is CellState.EMPTY
+    assert states[0, 0] == CELL_CODE[CellState.WHITE]
+    assert states[1, 0] == CELL_CODE[CellState.RED]
+    assert states[2, 0] == CELL_CODE[CellState.GREY]
+    assert states[3, 0] == CELL_CODE[CellState.BLACK]
+    assert states[2, 2] == CELL_CODE[CellState.EMPTY]
 
 
-def test_classify_cells_total_over_cover(grid_4x4):
-    snap = fill_cells(grid_4x4, {(0, 0): [WHITE]})
-    states = classify_cells(snap, grid_4x4)
-    assert set(states) == set(grid_4x4.cells)
+def test_classify_cells_total_over_cover(grid_4x4, disk_grid):
+    # an int8 grid over the index box, -1 exactly off the cover
+    for grid in (grid_4x4, disk_grid):
+        states = classify_cells(fill_cells(grid, {(1, 1): [WHITE]}), grid)
+        assert states.dtype == np.int8 and states.shape == grid.mask.shape
+        assert np.array_equal(states == -1, ~grid.mask)
+        assert set(states[grid.mask].tolist()) <= set(CELL_CODE.values())
 
 
 def test_classify_cells_folds_uncovered_agents():
     grid = build_cell_grid(Region.square(12.0), 5.0, gamma=1.0)  # 2x2 core
     snap = make_snapshot([(11.0, 11.0)], [WHITE])  # in S but outside cover
     states = classify_cells(snap, grid)
-    assert states[(1, 1)] is CellState.WHITE  # nearest covered cell
-    assert [c for c, s in states.items() if s is not CellState.EMPTY] == [(1, 1)]
+    assert states[1, 1] == CELL_CODE[CellState.WHITE]  # nearest covered cell
+    occupied = grid.mask & (states != CELL_CODE[CellState.EMPTY])
+    assert cell_list(occupied) == [(1, 1)]
 
 
 def test_cells_outside_the_index_box_are_not_covered(grid_4x4):
@@ -153,11 +166,9 @@ def test_cells_outside_the_index_box_are_not_covered(grid_4x4):
     # far side of the box would find a covered cell
     W, H = grid_4x4.mask.shape
     states = classify_cells(make_snapshot([(1.0, 1.0)], [WHITE]), grid_4x4)
+    assert states.shape == (W, H) and (states >= 0).all()
     for c in [(-1, 0), (0, -1), (-1, -1), (W, 0), (0, H)]:
-        with pytest.raises(KeyError):
-            states[c]
-        assert c not in states
-    assert len(states) == W * H
+        assert not grid_4x4.in_cover(*c)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +179,7 @@ def test_cells_outside_the_index_box_are_not_covered(grid_4x4):
 def test_regular_all_white_with_adjacent_red(grid_4x4):
     contents = {c: [WHITE] for c in grid_4x4.cells}
     contents[(1, 1)] = [RED]
-    report = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4), grid_4x4)
+    report = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4))
     assert report.regular
     assert report.violations == []
 
@@ -177,7 +188,7 @@ def test_grey_cell_violates_property_a(grid_4x4):
     contents = {c: [WHITE] for c in grid_4x4.cells}
     contents[(1, 1)] = [RED]
     contents[(0, 0)] = [WHITE, BLACK]
-    report = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4), grid_4x4)
+    report = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4))
     assert not report.regular
     assert ("a", (0, 0)) in report.violations
 
@@ -187,7 +198,7 @@ def test_white_component_needs_adjacent_red(grid_4x4):
     contents = {c: [BLACK] for c in grid_4x4.cells}
     contents[(0, 0)] = [RED]
     contents[(3, 3)] = [WHITE]
-    report = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4), grid_4x4)
+    report = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4))
     assert not report.regular
     assert ("b", (3, 3)) in report.violations
 
@@ -196,14 +207,14 @@ def test_white_adjacent_to_black_violates_property_c(grid_4x4):
     contents = {c: [WHITE] for c in grid_4x4.cells}
     contents[(1, 1)] = [RED]
     contents[(3, 3)] = [BLACK]
-    report = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4), grid_4x4)
+    report = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4))
     assert not report.regular
     assert any(v[0] == "c" for v in report.violations)
 
 
 def test_empty_cells_reported_not_fatal(grid_4x4):
     contents = {(0, 0): [RED], (0, 1): [WHITE]}
-    report = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4), grid_4x4)
+    report = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4))
     assert report.regular
     assert len(report.empty_cells) == 14
 
@@ -223,7 +234,7 @@ def test_initial_configurations_mostly_regular():
             SimParams(**{**p.__dict__, "seed": seed, "max_steps": 1}),
             on_step=lambda s: maps.append(classify_cells(s, grid)),
         )
-        if is_regular(maps[0], grid).regular:
+        if is_regular(maps[0]).regular:
             ok += 1
     assert ok / trials >= 0.99
 
@@ -243,8 +254,9 @@ def test_dense_regularity_and_wavefront_match_oracles(data):
     cells = grid.cells
     drawn = data.draw(st.lists(st.sampled_from(palette), min_size=len(cells), max_size=len(cells)))
     cellstates = dict(zip(cells, drawn))
+    codes = state_grid(cellstates, grid)
 
-    report = is_regular(cellstates, grid)
+    report = is_regular(codes)
     regular, violations, empties = oracle_is_regular(cellstates)
     assert report.regular == regular
     assert sorted(report.violations) == sorted(violations)
@@ -252,9 +264,9 @@ def test_dense_regularity_and_wavefront_match_oracles(data):
 
     reds = [c for c, s in cellstates.items() if s is CellState.RED]
     expected = oracle_distances(reds, set(cells))
-    got = wavefront_distances(cellstates, grid)
-    assert set(got) == set(cells)
+    got = wavefront_distances(codes, grid)
     assert all(got[c] == expected.get(c, math.inf) for c in cells)
+    assert np.isinf(got[~grid.mask]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +275,7 @@ def test_dense_regularity_and_wavefront_match_oracles(data):
 
 
 def red_close_cells(cellstates, grid):
-    return set(cell_list(_red_close(cellstates.array)))
+    return set(cell_list(_red_close(cellstates)))
 
 
 def test_red_close_cells(grid_4x4):
@@ -304,15 +316,15 @@ def test_wavefront_corner_red_is_chebyshev(grid_15x15):
     contents[(0, 0)] = [RED]
     states = classify_cells(fill_cells(grid_15x15, contents), grid_15x15)
     d = wavefront_distances(states, grid_15x15)
-    for (c, r), v in d.items():
-        assert v == max(c, r)
+    for c, r in grid_15x15.cells:
+        assert d[c, r] == max(c, r)
 
 
 def test_wavefront_no_reds_is_infinite(grid_4x4):
     states = classify_cells(
         fill_cells(grid_4x4, {c: [WHITE] for c in grid_4x4.cells}), grid_4x4
     )
-    assert all(math.isinf(v) for v in wavefront_distances(states, grid_4x4).values())
+    assert np.isinf(wavefront_distances(states, grid_4x4)).all()
 
 
 def test_distances_to_set_on_disconnected_target(grid_4x4):
@@ -567,13 +579,10 @@ def test_transition_audit_regularity_gate():
 def test_wavefront_speed_audit_expanding_wave(grid_15x15):
     # red square growing by one ring per step: distances drop by exactly 1
     def ring_map(k):
-        out = {}
-        for c in grid_15x15.cells:
-            if max(c) <= k:
-                out[c] = CellState.RED
-            else:
-                out[c] = CellState.WHITE
-        return out
+        return state_grid(
+            {c: CellState.RED if max(c) <= k else CellState.WHITE for c in grid_15x15.cells},
+            grid_15x15,
+        )
 
     maps = [ring_map(k) for k in range(4)]
     audit = wavefront_speed_audit(maps, grid_15x15, min_decrease=1, target="red")
@@ -583,10 +592,10 @@ def test_wavefront_speed_audit_expanding_wave(grid_15x15):
 
 def test_wavefront_speed_audit_stalled_wave(grid_15x15):
     def fixed(_):
-        return {
-            c: (CellState.RED if c == (0, 0) else CellState.WHITE)
-            for c in grid_15x15.cells
-        }
+        return state_grid(
+            {c: CellState.RED if c == (0, 0) else CellState.WHITE for c in grid_15x15.cells},
+            grid_15x15,
+        )
 
     audit = wavefront_speed_audit([fixed(0), fixed(1)], grid_15x15, min_decrease=1, target="red")
     assert audit.ok_pairs == 0
