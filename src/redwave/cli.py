@@ -6,7 +6,7 @@ duplicate keys are hard errors.  All randomness flows from the config seed;
 the REDWAVE_SEED environment variable is the only environment override.
 
 CLI verbs: ``run`` (single run), ``sweep`` (experiment plan), ``audit``
-(instrument checks with per-cell dumps), ``isolated`` (isolated-agent
+(per-step instrument checks and per-cell dumps), ``isolated`` (isolated-agent
 experiment).  Exit codes: 0 success, 2 config error, 3 run failure with
 --expect-completion, 4 I/O error.
 """
@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -250,26 +251,29 @@ _CELL_SLOTS = np.array(['":' + _json(s.value) for s in instrument.CellState], dt
 _WHITE_CELL = instrument.CELL_CODE[instrument.CellState.WHITE]
 
 
-def _trace_row(snap: Snapshot, grid=None, dump: tuple | None = None) -> dict:
-    """One trace row: the agent counts of ``snap`` and, when a grid is
-    given, its instrument columns; with ``dump`` also its cell dump, as
-    the ``_json`` text of its ``"c,r" -> state name`` map."""
+def _trace_row(snap: Snapshot, cells=None, dump: tuple | None = None) -> dict:
+    """One trace row: the agent counts of ``snap`` and, with a cell audit,
+    its instrument columns; with ``dump`` also its cell dump."""
     w, r, b = snap.counts()
     row = dict(dict.fromkeys(_TRACE_FIELDS), schema=SCHEMA_VERSION, step=snap.step)
     row.update(white=w, red=r, black=b)
-    if grid is not None:
-        states = instrument.classify_cells(snap, grid)
-        row["regular"] = instrument.is_regular(states).regular
-        dist = instrument.wavefront_distances(states, grid)
+    if cells is not None:
+        states, report, dist = cells(snap)
+        row["regular"] = report.regular
         dists = dist[(states == _WHITE_CELL) & np.isfinite(dist)]
         if dists.size:
             row["max_wavefront"] = float(dists.max())
             row["mean_wavefront"] = float(np.mean(dists))
         if dump is not None:
-            pieces, cells = dump
-            pieces[2::3] = _CELL_SLOTS.take(states.take(cells)).tolist()
-            row["cells"] = "{" + "".join(pieces)[1:] + "}"
+            row["cells"] = _cells_text(states, dump)
     return row
+
+
+def _cells_text(states: np.ndarray, dump: tuple) -> str:
+    """The ``_json`` text of a state grid's ``"c,r" -> state name`` map."""
+    pieces, cells = dump
+    pieces[2::3] = _CELL_SLOTS.take(states.take(cells)).tolist()
+    return "{" + "".join(pieces)[1:] + "}"
 
 
 def _dump_keys(grid) -> tuple[list, np.ndarray]:
@@ -289,11 +293,19 @@ def _dump_keys(grid) -> tuple[list, np.ndarray]:
     return pieces, flat[covered]
 
 
-def trace_run(params: SimParams, grid, dump_cells: str, write) -> RunRecord:
+def trace_run(
+    params: SimParams, grid, dump_cells: str, write, supercells: bool = False
+) -> tuple[RunRecord, Counter]:
     """Run once; each step's trace row goes to ``write`` when the next step
     ends, the last when the run ends so that it can take the final dump.
-    With a grid the rows carry the instrument columns, and per-cell states
-    on every step (``dump_cells="each"``) or on the last (``"final"``)."""
+    With a grid the steps are audited by cells and the rows carry the
+    instrument columns, and per-cell states on every step (``"each"``) or
+    on the last (``"final"``); with ``supercells`` a cellular walk is also
+    audited by supercells.  Returns the record and the audits' tally."""
+    tally = Counter(configs=0)  # the steps audited
+    cells = instrument.CellAudit(grid, tally) if grid is not None else None
+    cellular = supercells and params.mobility.kind == "cellular"
+    ladder = instrument.SupercellAudit(params, tally) if cellular else None
     keys = _dump_keys(grid) if grid is not None and dump_cells != "never" else None
     each = keys if dump_cells == "each" else None
     held: list[dict] = []
@@ -301,13 +313,32 @@ def trace_run(params: SimParams, grid, dump_cells: str, write) -> RunRecord:
     def on_step(snap: Snapshot) -> None:
         if held:
             write(held.pop())
-        held.append(_trace_row(snap, grid, each))
+        tally["configs"] += 1
+        if ladder is not None:
+            ladder(snap)
+        held.append(_trace_row(snap, cells, each))
 
     rec = run(params, on_step=on_step)
     if dump_cells == "final" and keys is not None:
-        held[0] = _trace_row(rec.final, grid, keys)
+        held[0]["cells"] = _cells_text(cells.codes, keys)
     write(held[0])
-    return rec
+    return rec, tally
+
+
+@contextmanager
+def _replacing(path: str, what: str):
+    """Yield a text file that replaces ``path`` only if the block ends
+    without an error, so a failed write leaves an earlier file untouched."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(f"cannot write {what} {path}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 @contextmanager
@@ -317,21 +348,13 @@ def trace_writer(fmt: str, path: str):
     without an error, so a failed run leaves an earlier trace untouched."""
     if fmt not in ("ndjson", "csv"):
         raise ConfigurationError(f"unknown trace format {fmt!r}")
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", newline="") as fh:
-            if fmt == "ndjson":
-                yield lambda row: fh.write(_json_row(row) + "\n")
-            else:
-                writer = csv.DictWriter(fh, fieldnames=_TRACE_FIELDS, lineterminator="\n")
-                writer.writeheader()
-                yield lambda row: writer.writerow(_csv_row(row))
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise OSError(f"cannot write trace {path}: {exc}") from exc
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    with _replacing(path, "trace") as fh:
+        if fmt == "ndjson":
+            yield lambda row: fh.write(_json_row(row) + "\n")
+        else:
+            writer = csv.DictWriter(fh, fieldnames=_TRACE_FIELDS, lineterminator="\n")
+            writer.writeheader()
+            yield lambda row: writer.writerow(_csv_row(row))
 
 
 def _json_row(row: dict) -> str:
@@ -397,25 +420,23 @@ def _summary_row(kind: str, p_idx: int, params: SimParams, t) -> dict:
 def emit_summary(sweep: SweepResult, path: str) -> None:
     """One CSV row per (sweep point, replica), plus one aggregate row per
     point.  Failed runs carry the failure step and a flag, never a fake
-    completion time; fields a row does not set are blank."""
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, _SUMMARY_FIELDS, restval="", lineterminator="\n")
-            writer.writeheader()
-            for p_idx, point in enumerate(sweep.points):
-                params = point.params
-                for r_idx, (t, f) in enumerate(zip(point.completion_times, point.failures)):
-                    row = _summary_row("replica", p_idx, params, t)
-                    row.update(replica=r_idx, seed=params.seed + r_idx, completion_time=t)
-                    row.update(failed=t is None, failed_at=f)  # None is written blank
-                    writer.writerow(row)
-                med = point.median_completion()
-                row = _summary_row("aggregate", p_idx, params, med)
-                row["median_t"] = "" if math.isnan(med) else _fmt(med)
-                row["completion_fraction"] = _fmt(point.completion_fraction())
+    completion time; fields a row does not set are blank.  The rows
+    replace ``path`` only once all are written."""
+    with _replacing(path, "summary") as fh:
+        writer = csv.DictWriter(fh, _SUMMARY_FIELDS, restval="", lineterminator="\n")
+        writer.writeheader()
+        for p_idx, point in enumerate(sweep.points):
+            params = point.params
+            for r_idx, (t, f) in enumerate(zip(point.completion_times, point.failures)):
+                row = _summary_row("replica", p_idx, params, t)
+                row.update(replica=r_idx, seed=params.seed + r_idx, completion_time=t)
+                row.update(failed=t is None, failed_at=f)  # None is written blank
                 writer.writerow(row)
-    except OSError as exc:
-        raise OSError(f"cannot write summary {path}: {exc}") from exc
+            med = point.median_completion()
+            row = _summary_row("aggregate", p_idx, params, med)
+            row["median_t"] = "" if math.isnan(med) else _fmt(med)
+            row["completion_fraction"] = _fmt(point.completion_fraction())
+            writer.writerow(row)
 
 
 # ---------------------------------------------------------------------------
@@ -498,16 +519,18 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_CONFIG
             audit = args.verb == "audit"
             grid = _instrument_grid(parsed, opts)
-            dump = args.dump_cells or ("each" if audit else "never")
-            if grid is None and (audit or dump != "never"):
-                need = "audit" if audit else f"--dump-cells {dump}"
+            # a cellular walk is audited by supercells, a standard walk by cells
+            by_cells = audit and parsed.mobility.kind != "cellular"
+            dump = args.dump_cells or ("each" if audit and grid is not None else "never")
+            if grid is None and (by_cells or dump != "never"):
+                need = "audit" if by_cells else f"--dump-cells {dump}"
                 print(f"config error: {need} needs [instrumentation] cell_side", file=sys.stderr)
                 return EXIT_CONFIG
             out = os.path.join(args.out, f"{'audit' if audit else 'trace'}.{args.format}")
             with trace_writer(args.format, out) as write:
-                rec = trace_run(parsed, grid, dump, write)
+                rec, tally = trace_run(parsed, grid, dump, write, supercells=audit)
             if audit:
-                print(f"audit={out}")
+                print(" ".join([f"audit={out}"] + [f"{k}={v}" for k, v in sorted(tally.items())]))
             else:
                 print(
                     f"completion_time={rec.completion_time} failed_at={rec.failed_at} "

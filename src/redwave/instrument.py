@@ -2,24 +2,27 @@
 classification, regularity predicates, density audits, wave-front distances,
 and the supercell state-ladder constants.
 
-Everything here is a pure function of a snapshot plus a grid, so audits run
-inline during a simulation, from the per-step hook of ``epidemic.run``.
-Classifications are dense arrays over the grid's index box: an int8 state
-grid per cell (``CELL_CODE``, -1 off the cover), and per supercell an
-``(h_hat + 2, W, H)`` stack of state marks.
+The checks are pure functions of a snapshot plus a grid, or of two
+consecutive steps, so ``CellAudit`` and ``SupercellAudit`` run them inline
+during a simulation, from the per-step hook of ``epidemic.run``, and tally
+their verdicts.  Classifications are dense arrays over the grid's index
+box: an int8 state grid per cell (``CELL_CODE``, -1 off the cover), and per
+supercell an ``(h_hat + 2, W, H)`` stack of state marks.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .epidemic import RED, WHITE, Snapshot
+from .epidemic import RED, WHITE, SimParams, Snapshot
 from .errors import ConfigurationError
 from .geometry import CellGrid, CellIndex, cell_list, distance_transform, touching
+from .mobility import build_supercell_grid
 
 
 class CellState(Enum):
@@ -142,11 +145,6 @@ def is_regular(codes: np.ndarray) -> RegularityReport:
     )
 
 
-def _red_close(codes: np.ndarray) -> np.ndarray:
-    """White cells 8-adjacent to at least one red cell."""
-    return (codes == _WHITE) & touching(codes == _RED)
-
-
 def wavefront_distances(codes: np.ndarray, grid: CellGrid) -> np.ndarray:
     """Cell-distance from every covered cell of a state grid to its red
     cells, over the index box: red cells read 0, and with no red cell every
@@ -183,6 +181,9 @@ class SupercellClassifier:
     R: float
     rho: float
     n: int
+
+    def __post_init__(self) -> None:
+        h_hat(self.R, self.rho, self.n)  # a ConfigurationError where no ladder exists
 
     @property
     def h_hat(self) -> int:
@@ -246,131 +247,106 @@ def supercell_regularity(states: np.ndarray, sgrid: CellGrid) -> SupercellRegula
 
 
 # ---------------------------------------------------------------------------
-# state-ladder transition audit
+# per-step audits: each pair check is a function of two consecutive steps
 # ---------------------------------------------------------------------------
 
-_IMPLICATIONS = ("a", "b", "c", "d", "e")
+
+def front_pairs(prev_dist: np.ndarray, codes: np.ndarray, dist: np.ndarray) -> dict[str, int]:
+    """The cell wave front's advance over one step, from the distance grid
+    of the step before to a step's state and distance grids.  Each cell
+    white now at a finite distance d from the red cells a step before is a
+    pair; it is missed unless its distance now is at most max(d - 1, 0)."""
+    pairs = (codes == _WHITE) & np.isfinite(prev_dist)
+    missed = pairs & (dist > np.maximum(prev_dist - 1, 0))
+    return {"front": int(np.count_nonzero(pairs)), "front_missed": int(np.count_nonzero(missed))}
 
 
-@dataclass
-class TransitionTally:
-    agreements: int = 0
-    violations: int = 0
-
-    @property
-    def observed(self) -> int:
-        return self.agreements + self.violations
-
-
-@dataclass
-class TransitionAudit:
-    tallies: dict[str, TransitionTally]
-    skipped_unclassifiable: int = 0
-    skipped_irregular: int = 0
+def supercell_front_pairs(prev: np.ndarray, states: np.ndarray, sgrid: CellGrid) -> dict[str, int]:
+    """The supercell wave front's advance over one step of two state maps.
+    Each supercell in the White State alone now, at a finite nonzero
+    distance d from the informed set (a state >= 1) a step before, is a
+    pair; it is missed unless its distance now is at most d - 1."""
+    top = _top(states)
+    prev_dist, dist = sgrid.distances(_top(prev) >= 1), sgrid.distances(top >= 1)
+    pairs = (top == 0) & np.isfinite(prev_dist) & (prev_dist != 0)
+    missed = pairs & (dist > prev_dist - 1)
+    return {
+        "supercell_front": int(np.count_nonzero(pairs)),
+        "supercell_front_missed": int(np.count_nonzero(missed)),
+    }
 
 
-def transition_audit(
-    state_maps: list[np.ndarray], sgrid: CellGrid, require_regular: bool = False
-) -> TransitionAudit:
-    """Match observed supercell transitions against the state-ladder rules.
-
-    The local evolution law is stated for regular configurations; with
-    ``require_regular`` only pairs whose source map is regular are judged
-    and irregular steps are counted in ``skipped_irregular``.  m^t(C) is
-    the max state over N(C), and the observed next state is read the same
-    way.  The intermediate bands nest: a_h R^{2h} falls with h (for R below
-    about 65), b_h R^{2h} grows and c_h rho^2 falls, so a count triple in
-    state h's band is in every higher intermediate band.  The max thus
-    reads h_hat - 1 for every intermediate supercell, and rule (b) is
-    judged only at m = h_hat - 1.  Pairs where C or any neighbor is
-    unclassifiable are skipped and counted, not judged.
+def ladder_pairs(prev: np.ndarray, states: np.ndarray, sgrid: CellGrid) -> dict[str, int]:
+    """Match one step's supercell transitions, state map ``prev`` to
+    ``states``, against the state-ladder rules: each rule's pairs
+    (``rule_a``) and misses (``rule_a_missed``), and the ``skipped``
+    supercells, where C or a neighbour was unclassifiable or C is now.
+    m^t(C) is the max state over N(C).  The intermediate bands nest (a_h R^{2h} falls with h
+    for R below about 65, b_h R^{2h} grows and c_h rho^2 falls), so an
+    intermediate supercell's max reads h_hat - 1, and rule (b) is judged
+    only at m = h_hat - 1.
 
     Rules: (a) m=0 keeps C in state 0; (b) an intermediate m pushes C to
     m+1; (c) m = Red with C below Red makes C Red; (d) m = Red with C Red
     makes C Black; (e) m = Black keeps/makes C Black.
     """
-    audit = TransitionAudit(tallies={k: TransitionTally() for k in _IMPLICATIONS})
-    for cur, nxt in zip(state_maps[:-1], state_maps[1:]):
-        if require_regular and not supercell_regularity(cur, sgrid).regular:
-            audit.skipped_irregular += len(sgrid.cells)
-            continue
-        hh = len(cur) - 2
-        top = _top(cur)
-        m = touching(top)  # uncovered supercells read -1
-        judged = sgrid.mask & ~touching(sgrid.mask & (top < 0)) & nxt.any(axis=0)
-        audit.skipped_unclassifiable += len(sgrid.cells) - int(np.count_nonzero(judged))
-        # each supercell's rule, (a)..(e) as 0..4, and the state it expects next
-        rule = np.select([m == 0, m < hh, m == hh], [0, 1, np.where(top < hh, 2, 3)], 4)
-        expected = np.choose(rule, [0, m + 1, hh, hh + 1, hh + 1])
-        met = np.take_along_axis(nxt, expected[None], axis=0)[0]
-        tally = np.bincount(2 * rule[judged] + met[judged], minlength=10).reshape(5, 2)
-        for key, (missed, agreed) in zip(_IMPLICATIONS, tally.tolist()):
-            audit.tallies[key].agreements += agreed
-            audit.tallies[key].violations += missed
-    return audit
+    hh = len(prev) - 2
+    top = _top(prev)
+    m = touching(top)  # uncovered supercells read -1
+    judged = sgrid.mask & ~touching(sgrid.mask & (top < 0)) & states.any(axis=0)
+    # each supercell's rule, (a)..(e) as 0..4, and the state it expects next
+    rule = np.select([m == 0, m < hh, m == hh], [0, 1, np.where(top < hh, 2, 3)], 4)
+    expected = np.choose(rule, [0, m + 1, hh, hh + 1, hh + 1])
+    met = np.take_along_axis(states, expected[None], axis=0)[0]
+    tally = np.bincount(2 * rule[judged] + met[judged], minlength=10).reshape(5, 2)
+    out = {"skipped": len(sgrid.cells) - int(np.count_nonzero(judged))}
+    for key, (missed, agreed) in zip("abcde", tally.tolist()):
+        out[f"rule_{key}"] = missed + agreed
+        out[f"rule_{key}_missed"] = missed
+    return out
 
 
-# ---------------------------------------------------------------------------
-# wave-speed audits
-# ---------------------------------------------------------------------------
+class CellAudit:
+    """The cell audit of one run, called with each step's snapshot: it adds
+    the step's regularity, grey-freedom and ``front_pairs`` counts to
+    ``tally``, and returns (and keeps) its state grid, ``RegularityReport``
+    and distance grid."""
+
+    def __init__(self, grid: CellGrid, tally: Counter) -> None:
+        self.grid, self.tally = grid, tally
+        self.codes = self.dist = None
+
+    def __call__(self, snap: Snapshot) -> tuple[np.ndarray, RegularityReport, np.ndarray]:
+        codes = classify_cells(snap, self.grid)
+        report = is_regular(codes)
+        dist = wavefront_distances(codes, self.grid)
+        self.tally["regular"] += report.regular
+        self.tally["grey_free"] += not (codes == _GREY).any()
+        if self.dist is not None:
+            self.tally.update(front_pairs(self.dist, codes, dist))
+        self.codes, self.dist = codes, dist
+        return codes, report, dist
 
 
-@dataclass
-class SpeedAudit:
-    ok_pairs: int = 0
-    violations: int = 0
+class SupercellAudit:
+    """The supercell audit of one cellular run, called with each step's
+    snapshot: it adds the step's ``supercell_regular`` verdict and its
+    ``supercell_front_pairs`` and ``ladder_pairs`` counts to ``tally``.  A
+    run without a state ladder (``h_hat``) is a ConfigurationError here."""
 
-    @property
-    def total(self) -> int:
-        return self.ok_pairs + self.violations
+    def __init__(self, params: SimParams, tally: Counter) -> None:
+        rho = params.mobility.rho
+        self.sgrid = build_supercell_grid(params.region, rho)
+        self.classifier = SupercellClassifier(params.R, rho, params.n)
+        self.tally, self.states = tally, None
 
-    def violation_rate(self) -> float:
-        return self.violations / self.total if self.total else 0.0
-
-    def merge(self, other: "SpeedAudit") -> "SpeedAudit":
-        return SpeedAudit(self.ok_pairs + other.ok_pairs, self.violations + other.violations)
-
-
-def _tally(audit: SpeedAudit, ok: np.ndarray) -> None:
-    audit.ok_pairs += int(np.count_nonzero(ok))
-    audit.violations += int(np.count_nonzero(~ok))
-
-
-def wavefront_speed_audit(
-    state_grids: list[np.ndarray],
-    grid: CellGrid,
-    min_decrease: int = 1,
-    target: str = "red",
-) -> SpeedAudit:
-    """Per-step wave-front advance over (white cell, step) pairs of a run's
-    state grids, one per step.
-
-    For every cell white at t+1 with a finite distance d_t to the target set
-    (red cells, or red-close cells for the high-mobility audit), require
-    d_{t+1} <= max(d_t - min_decrease, 0).
-    """
-    if target not in ("red", "red_close"):
-        raise ConfigurationError(f"unknown audit target {target!r}")
-    audit = SpeedAudit()
-    dists = [
-        grid.distances(c == _RED if target == "red" else _red_close(c)) for c in state_grids
-    ]
-    for cur_d, nxt_d, nxt in zip(dists[:-1], dists[1:], state_grids[1:]):
-        sel = (nxt == _WHITE) & np.isfinite(cur_d)
-        _tally(audit, nxt_d[sel] <= np.maximum(cur_d[sel] - min_decrease, 0))
-    return audit
-
-
-def supercell_speed_audit(state_maps: list[np.ndarray], sgrid: CellGrid) -> SpeedAudit:
-    """Supercell wave advance: distance from supercells in the White State
-    alone to the informed set (a state >= 1) drops by at least 1 per step."""
-    audit = SpeedAudit()
-    tops = [_top(m) for m in state_maps]
-    dists = [sgrid.distances(top >= 1) for top in tops]
-    for cur_d, nxt_d, nxt in zip(dists[:-1], dists[1:], tops[1:]):
-        sel = (nxt == 0) & np.isfinite(cur_d) & (cur_d != 0)
-        _tally(audit, nxt_d[sel] <= cur_d[sel] - 1)
-    return audit
+    def __call__(self, snap: Snapshot) -> None:
+        states = classify_supercells(snap, self.sgrid, self.classifier)
+        self.tally["supercell_regular"] += supercell_regularity(states, self.sgrid).regular
+        if self.states is not None:
+            self.tally.update(supercell_front_pairs(self.states, states, self.sgrid))
+            self.tally.update(ladder_pairs(self.states, states, self.sgrid))
+        self.states = states
 
 
 # ---------------------------------------------------------------------------

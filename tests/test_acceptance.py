@@ -7,14 +7,15 @@ criteria through module-scoped fixtures.
 """
 
 import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from redwave import cli
 from redwave.cli import emit_trace, instrumentation_options, parse_config, trace_run
-from redwave.epidemic import run
 from redwave.experiments import (
     isolated_bound,
     isolated_count,
@@ -24,19 +25,7 @@ from redwave.experiments import (
     threshold_experiment,
 )
 from redwave.geometry import Region, build_cell_grid
-from redwave.instrument import (
-    CELL_CODE,
-    CellState,
-    SpeedAudit,
-    SupercellClassifier,
-    classify_cells,
-    classify_supercells,
-    is_regular,
-    supercell_speed_audit,
-    transition_audit,
-    wavefront_speed_audit,
-)
-from redwave.mobility import RngStream, build_supercell_grid
+from redwave.mobility import RngStream
 from tests.conftest import distances_from, isolated_indices_bruteforce
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -52,92 +41,44 @@ def _report(name: str, ok: bool, detail: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _audit(name: str, seeds=None):
+    """Each seeded run of a preset as ``redwave audit --dump-cells never``
+    runs it: the run records and the summed audit tally.  ``seeds`` default
+    to the seeds of an experiment preset's replicas."""
+    cfg = str(CONFIGS / f"{name}.ini")
+    params = parse_config(cfg)
+    if seeds is None:
+        plan, params = params, params.points()[0]
+        seeds = range(params.seed, params.seed + plan.replicas)
+    grid = cli._instrument_grid(params, instrumentation_options(cfg))
+    records, tally = [], Counter()
+    for seed in seeds:
+        rec, run_tally = trace_run(
+            replace(params, seed=seed), grid, "never", lambda row: None, supercells=True
+        )
+        records.append(rec)
+        tally.update(run_tally)
+    return records, tally
+
+
 @pytest.fixture(scope="module")
 def regularity_batch():
-    """20 seeded low-mobility runs with full cell-level instrumentation."""
-    cfg = str(CONFIGS / "regularity.ini")
-    params = parse_config(cfg)
-    opts = instrumentation_options(cfg)
-    grid = build_cell_grid(params.region, opts["cell_side"], opts["gamma"])
-    out = {
-        "configs": 0,
-        "regular": 0,
-        "grey_free": 0,
-        "speed": SpeedAudit(),
-        "chain_violations": 0,
-        "completions": [],
-    }
-    for seed in range(20):
-        maps = []  # one classified cell map per step, built as the run goes
-        rec = run(
-            replace(params, seed=seed), on_step=lambda s: maps.append(classify_cells(s, grid))
-        )
-        out["chain_violations"] += rec.chain_violations
-        out["completions"].append(rec.completion_time)
-        for m in maps:
-            out["configs"] += 1
-            if is_regular(m).regular:
-                out["regular"] += 1
-            if not (m == CELL_CODE[CellState.GREY]).any():
-                out["grey_free"] += 1
-        out["speed"] = out["speed"].merge(wavefront_speed_audit(maps, grid, 1, "red"))
-    return out
+    """20 seeded low-mobility runs, audited by cells."""
+    return _audit("regularity", range(20))
 
 
 @pytest.fixture(scope="module")
 def speedup_batch():
-    """30 replicas each at rho in {6, 12, 24}; the standard runs carry the
-    cell-level wavefront audit, the cellular runs the supercell audits."""
-    out = {
-        "medians": {},
-        "speed": SpeedAudit(),
-        "supercell_speed": SpeedAudit(),
-        "transitions": {k: [0, 0] for k in "abcde"},
-        "chain_violations": 0,
+    """30 replicas each at rho in {6, 12, 24}: the standard walks audited by
+    cells, the cellular walk by supercells."""
+    return {
+        rho: _audit(name)
+        for rho, name in (
+            (6.0, "speedup_rho6"),
+            (12.0, "speedup_rho12"),
+            (24.0, "speedup_rho24_cellular"),
+        )
     }
-    for name in ("speedup_rho6", "speedup_rho12", "speedup_rho24_cellular"):
-        cfg = str(CONFIGS / f"{name}.ini")
-        plan = parse_config(cfg)
-        opts = instrumentation_options(cfg)
-        params = plan.points()[0]
-        rho = params.mobility.rho
-        cellular = params.mobility.kind == "cellular"
-        if cellular:
-            sgrid = build_supercell_grid(params.region, rho)
-            classifier = SupercellClassifier(R=params.R, rho=rho, n=params.n)
-
-            def classify(s):
-                return classify_supercells(s, sgrid, classifier)
-        else:
-            grid = build_cell_grid(params.region, opts["cell_side"], opts["gamma"])
-
-            def classify(s):
-                return classify_cells(s, grid)
-        times = []
-        for r in range(plan.replicas):
-            maps = []
-            rec = run(
-                replace(params, seed=params.seed + r), on_step=lambda s: maps.append(classify(s))
-            )
-            out["chain_violations"] += rec.chain_violations
-            times.append(rec.completion_time)
-            if cellular:
-                out["supercell_speed"] = out["supercell_speed"].merge(
-                    supercell_speed_audit(maps, sgrid)
-                )
-                # audits are per run: pairing the final map of one run with
-                # the initial map of the next would be meaningless
-                audit = transition_audit(maps, sgrid)
-                for key, tally in audit.tallies.items():
-                    out["transitions"][key][0] += tally.agreements
-                    out["transitions"][key][1] += tally.violations
-            else:
-                out["speed"] = out["speed"].merge(
-                    wavefront_speed_audit(maps, grid, 1, "red")
-                )
-        completed = [t for t in times if t is not None]
-        out["medians"][rho] = float(np.median(completed)) if completed else math.nan
-    return out
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +92,8 @@ def scaling_batch():
 
 
 def test_ac1_chain_speed_invariant(regularity_batch, speedup_batch):
-    total = regularity_batch["chain_violations"] + speedup_batch["chain_violations"]
+    batches = [regularity_batch, *speedup_batch.values()]
+    total = sum(rec.chain_violations for records, _ in batches for rec in records)
     _report(
         "AC-1 informer-chain speed",
         total == 0,
@@ -161,7 +103,7 @@ def test_ac1_chain_speed_invariant(regularity_batch, speedup_batch):
 
 
 def test_ac2_regularity(regularity_batch):
-    b = regularity_batch
+    _, b = regularity_batch
     frac_regular = b["regular"] / b["configs"]
     frac_grey_free = b["grey_free"] / b["configs"]
     ok = frac_regular >= 0.99 and frac_grey_free >= 0.99
@@ -197,7 +139,10 @@ def test_ac3_completion_scales_with_diameter(scaling_batch):
 
 
 def test_ac4_mobility_speedup(speedup_batch):
-    m = speedup_batch["medians"]
+    m = {}
+    for rho, (records, _) in speedup_batch.items():
+        completed = [rec.completion_time for rec in records if rec.completion_time is not None]
+        m[rho] = float(np.median(completed)) if completed else math.nan
     decreasing = m[6.0] > m[12.0] > m[24.0]
     ratio = m[24.0] / m[6.0]
     ok = decreasing and ratio <= 0.5
@@ -248,16 +193,14 @@ def test_ac6_sub_threshold_radius():
 
 
 def test_ac7_wavefront_speed(regularity_batch, speedup_batch):
-    pooled = (
-        regularity_batch["speed"]
-        .merge(speedup_batch["speed"])
-        .merge(speedup_batch["supercell_speed"])
-    )
-    rate = pooled.violation_rate()
+    tallies = [tally for _, tally in [regularity_batch, *speedup_batch.values()]]
+    total = sum(t["front"] + t["supercell_front"] for t in tallies)
+    missed = sum(t["front_missed"] + t["supercell_front_missed"] for t in tallies)
+    rate = missed / total if total else 0.0
     _report(
         "AC-7 per-step wavefront advance",
         rate <= 0.01,
-        f"{pooled.violations}/{pooled.total} (white cell, step) pairs missed "
+        f"{missed}/{total} (white cell, step) pairs missed "
         f"the distance decrease ({rate:.3%}, gate <= 1%)",
     )
 
@@ -291,14 +234,15 @@ def test_ac8_oracle_equivalence():
 
 
 def test_ac9_state_ladder_transitions(speedup_batch):
+    _, tally = speedup_batch[24.0]
     lines = []
     ok = True
-    for key, (agree, viol) in sorted(speedup_batch["transitions"].items()):
-        observed = agree + viol
+    for key in "abcde":
+        observed = tally[f"rule_{key}"]
         if observed < 20:
             lines.append(f"({key}) under-sampled ({observed} obs)")
             continue
-        rate = agree / observed
+        rate = (observed - tally[f"rule_{key}_missed"]) / observed
         if rate < 0.95:
             ok = False
         lines.append(f"({key}) {rate:.1%} of {observed}")

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -27,7 +28,7 @@ from redwave.epidemic import SimParams, run
 from redwave.errors import ConfigurationError, GeometryError
 from redwave.experiments import ExperimentPlan, replicate
 from redwave.geometry import Region, build_cell_grid
-from redwave.instrument import CellState, classify_cells
+from redwave.instrument import CellState, SupercellAudit, classify_cells
 from redwave.mobility import MobilityMode
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -285,9 +286,10 @@ def test_trace_rows_stream_to_the_writer(monkeypatch):
         mobility=MobilityMode.standard(1.0), seed=8,
     )
     written = []
-    rec = trace_run(p, None, "never", lambda row: written.append((row["step"], len(ended))))
+    rec, tally = trace_run(p, None, "never", lambda row: written.append((row["step"], len(ended))))
     last = rec.steps_run()
     assert written == [(t, t + 2) for t in range(last)] + [(last, last + 1)]
+    assert tally == {"configs": last + 1}  # no grid and no supercells: nothing audited
 
 
 @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
@@ -369,6 +371,25 @@ def test_summary_rows_and_recomputation(tmp_path):
     if not math.isnan(med):
         assert float(agg["median_t"]) == med
     assert float(agg["completion_fraction"]) == sweep.points[0].completion_fraction()
+
+
+def test_failed_summary_write_keeps_the_earlier_summary(tmp_path, monkeypatch):
+    # the writer fails once the header is written
+    cfg = write(tmp_path, MINIMAL + "\n[experiment]\nreplicas = 2\nseed = 3\n")
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    before = (out / "summary.csv").read_bytes()
+
+    class HeaderOnly(csv.DictWriter):
+        def writerow(self, row):
+            if row["row_kind"] != "row_kind":
+                raise OSError("no space left on device")
+            return super().writerow(row)
+
+    monkeypatch.setattr(cli, "csv", SimpleNamespace(DictWriter=HeaderOnly))
+    assert main(["sweep", "--config", cfg, "--seed", "4", "--out", str(out)]) == EXIT_IO
+    assert (out / "summary.csv").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == ["summary.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +640,45 @@ def test_main_audit_needs_cell_side(tmp_path):
     rows = [json.loads(line) for line in (tmp_path / "a" / "audit.ndjson").read_text().splitlines()]
     assert all(row["cells"] is not None for row in rows)
     assert all(row["regular"] in (True, False) for row in rows)
+
+
+def test_main_audit_of_a_cellular_walk_prints_the_supercell_tally(tmp_path, capsys):
+    # the cellular preset as a single run: no cell_side, so no cell dumps
+    text = (CONFIGS / "speedup_rho24_cellular.ini").read_text()
+    lines = text.splitlines(True)
+    cfg = write(tmp_path, "".join(line for line in lines if not line.startswith("replicas")))
+    out = tmp_path / "a"
+    assert main(["audit", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    rows = [json.loads(line) for line in (out / "audit.ndjson").read_text().splitlines()]
+    assert all(row["cells"] is None and row["regular"] is None for row in rows)
+
+    params = parse_config(cfg)
+    tally = Counter(configs=0)
+    audit = SupercellAudit(params, tally)
+
+    def step(snap):
+        tally["configs"] += 1
+        audit(snap)
+
+    run(params, on_step=step)
+    fields = " ".join(f"{k}={v}" for k, v in sorted(tally.items()))
+    assert capsys.readouterr().out == f"audit={out / 'audit.ndjson'} {fields}\n"
+    assert tally["configs"] == len(rows) and tally["rule_a"] > 0 and tally["supercell_front"] > 0
+
+
+@pytest.mark.parametrize(
+    "r, n", [(1.0, 200), (6.0, 1)], ids=["r_at_most_one", "one_agent"]
+)
+def test_main_audit_of_a_cellular_walk_needs_a_state_ladder(tmp_path, capsys, monkeypatch, r, n):
+    # h_hat needs R > 1 and ln n > 0: a config error before placement
+    text = f"[region]\nkind = square\nsize = 48\n\n[agents]\nn = {n}\n\n[protocol]\nr = {r}\n"
+    cfg = write(tmp_path, text + "\n[mobility]\nmode = cellular\nrho = 12\n")
+    placed = []
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: placed.append(args))
+    out = tmp_path / "a"
+    assert main(["audit", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: h_hat" in capsys.readouterr().err
+    assert placed == [] and list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """Cell/supercell classification, regularity, distances, and audits."""
 
 import math
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -10,31 +10,28 @@ from hypothesis import strategies as st
 
 from redwave.epidemic import BLACK, RED, WHITE, SimParams, run
 from redwave.errors import ConfigurationError
-from redwave.geometry import Region, bucket_cells, build_cell_grid, cell_list
+from redwave.geometry import Region, bucket_cells, build_cell_grid, cell_list, touching
 from redwave.instrument import (
     C0,
     CELL_CODE,
     ETA1,
     ETA2,
     CellState,
-    SpeedAudit,
     SpreadAudit,
+    SupercellAudit,
     SupercellClassifier,
-    TransitionAudit,
-    TransitionTally,
-    _red_close,
     classify_cells,
     classify_supercells,
     density_check,
+    front_pairs,
     h_hat,
     is_regular,
+    ladder_pairs,
     spread_audit,
     state_constants,
+    supercell_front_pairs,
     supercell_regularity,
-    supercell_speed_audit,
-    transition_audit,
     wavefront_distances,
-    wavefront_speed_audit,
 )
 from redwave.mobility import MobilityMode, RngStream, build_supercell_grid, walk_all
 from tests.conftest import make_snapshot
@@ -274,8 +271,13 @@ def test_dense_regularity_and_wavefront_match_oracles(data):
 # ---------------------------------------------------------------------------
 
 
+def red_close(codes):
+    """White cells 8-adjacent to at least one red cell of a state grid."""
+    return (codes == CELL_CODE[CellState.WHITE]) & touching(codes == CELL_CODE[CellState.RED])
+
+
 def red_close_cells(cellstates, grid):
-    return set(cell_list(_red_close(cellstates)))
+    return set(cell_list(red_close(cellstates)))
 
 
 def test_red_close_cells(grid_4x4):
@@ -530,22 +532,17 @@ def test_transition_audit_examples():
     hh = 2
 
     # (a): all-white stays all-white
-    audit = transition_audit([_uniform_map(sgrid, {0}), _uniform_map(sgrid, {0})], sgrid)
-    assert audit.tallies["a"].agreements == len(sgrid.cells)
-    assert audit.tallies["a"].violations == 0
+    pairs = ladder_pairs(_uniform_map(sgrid, {0}), _uniform_map(sgrid, {0}), sgrid)
+    assert pairs["rule_a"] == len(sgrid.cells)
+    assert pairs["rule_a_missed"] == 0
 
     # (e): all-black stays all-black
-    audit = transition_audit(
-        [_uniform_map(sgrid, {hh + 1}), _uniform_map(sgrid, {hh + 1})], sgrid
-    )
-    assert audit.tallies["e"].agreements == len(sgrid.cells)
+    pairs = ladder_pairs(_uniform_map(sgrid, {hh + 1}), _uniform_map(sgrid, {hh + 1}), sgrid)
+    assert pairs["rule_e"] == len(sgrid.cells)
 
     # (b) violated: a state-1 neighborhood observed dropping to 0
-    cur = _uniform_map(sgrid, {1})
-    nxt = _uniform_map(sgrid, {0})
-    audit = transition_audit([cur, nxt], sgrid, require_regular=False)
-    assert audit.tallies["b"].violations == len(sgrid.cells)
-    assert audit.tallies["b"].agreements == 0
+    pairs = ladder_pairs(_uniform_map(sgrid, {1}), _uniform_map(sgrid, {0}), sgrid)
+    assert pairs["rule_b"] == pairs["rule_b_missed"] == len(sgrid.cells)
 
 
 def test_transition_audit_skips_unclassifiable():
@@ -553,27 +550,24 @@ def test_transition_audit_skips_unclassifiable():
     sgrid = build_supercell_grid(region, 24.0)
     cur = _uniform_map(sgrid, {0})
     cur[:, 0, 0] = False  # unclassifiable
-    audit = transition_audit([cur, _uniform_map(sgrid, {0})], sgrid, require_regular=False)
+    pairs = ladder_pairs(cur, _uniform_map(sgrid, {0}), sgrid)
     # (0,0) and its neighbors are skipped
-    assert audit.skipped_unclassifiable == 4
-    assert audit.tallies["a"].observed == len(sgrid.cells) - 4
-
-
-def test_transition_audit_regularity_gate():
-    region = Region.square(96.0)
-    sgrid = build_supercell_grid(region, 24.0)
-    hh = 2
-    cur = _uniform_map(sgrid, {0})
-    cur[:, 0, 0] = False
-    cur[hh + 1, 0, 0] = True  # black supercell beside white ones: irregular
-    audit = transition_audit([cur, _uniform_map(sgrid, {0})], sgrid, require_regular=True)
-    assert audit.skipped_irregular == len(sgrid.cells)
-    assert all(t.observed == 0 for t in audit.tallies.values())
+    assert pairs["skipped"] == 4
+    assert pairs["rule_a"] == len(sgrid.cells) - 4
 
 
 # ---------------------------------------------------------------------------
-# speed audits
+# wave-front checks
 # ---------------------------------------------------------------------------
+
+
+def _front_run(codes, grid):
+    """The summed ``front_pairs`` counts over consecutive state grids."""
+    dists = [wavefront_distances(c, grid) for c in codes]
+    tally = Counter()
+    for prev_dist, c, dist in zip(dists, codes[1:], dists[1:]):
+        tally.update(front_pairs(prev_dist, c, dist))
+    return tally
 
 
 def test_wavefront_speed_audit_expanding_wave(grid_15x15):
@@ -584,23 +578,18 @@ def test_wavefront_speed_audit_expanding_wave(grid_15x15):
             grid_15x15,
         )
 
-    maps = [ring_map(k) for k in range(4)]
-    audit = wavefront_speed_audit(maps, grid_15x15, min_decrease=1, target="red")
-    assert audit.violations == 0
-    assert audit.ok_pairs > 0
+    tally = _front_run([ring_map(k) for k in range(4)], grid_15x15)
+    assert tally["front_missed"] == 0
+    assert tally["front"] > 0
 
 
 def test_wavefront_speed_audit_stalled_wave(grid_15x15):
-    def fixed(_):
-        return state_grid(
-            {c: CellState.RED if c == (0, 0) else CellState.WHITE for c in grid_15x15.cells},
-            grid_15x15,
-        )
-
-    audit = wavefront_speed_audit([fixed(0), fixed(1)], grid_15x15, min_decrease=1, target="red")
-    assert audit.ok_pairs == 0
-    assert audit.violations == len(grid_15x15.cells) - 1
-    assert audit.violation_rate() == 1.0
+    fixed = state_grid(
+        {c: CellState.RED if c == (0, 0) else CellState.WHITE for c in grid_15x15.cells},
+        grid_15x15,
+    )
+    tally = _front_run([fixed, fixed], grid_15x15)
+    assert tally["front"] == tally["front_missed"] == len(grid_15x15.cells) - 1
 
 
 def test_supercell_speed_audit_advancing_front():
@@ -614,9 +603,11 @@ def test_supercell_speed_audit_advancing_front():
         out[0] = sgrid.mask & ~behind
         return out
 
-    audit = supercell_speed_audit([front(0), front(1), front(2)], sgrid)
-    assert audit.violations == 0
-    assert audit.ok_pairs > 0
+    tally = Counter()
+    for k in range(2):
+        tally.update(supercell_front_pairs(front(k), front(k + 1), sgrid))
+    assert tally["supercell_front_missed"] == 0
+    assert tally["supercell_front"] > 0
 
 
 def test_high_mobility_red_close_decrease():
@@ -635,9 +626,12 @@ def test_high_mobility_red_close_decrease():
         )
         maps = []
         run(p, on_step=lambda s: maps.append(classify_cells(s, grid)))
-        audit = wavefront_speed_audit(maps, grid, min_decrease=dec, target="red_close")
-        viol += audit.violations
-        ok += audit.ok_pairs
+        dists = [grid.distances(red_close(c)) for c in maps]
+        for cur_d, nxt_d, nxt in zip(dists, dists[1:], maps[1:]):
+            sel = (nxt == CELL_CODE[CellState.WHITE]) & np.isfinite(cur_d)
+            held = nxt_d[sel] <= np.maximum(cur_d[sel] - dec, 0)
+            ok += int(np.count_nonzero(held))
+            viol += int(np.count_nonzero(~held))
     assert viol / (viol + ok) <= 0.01
 
 
@@ -735,16 +729,13 @@ def oracle_supercell_regularity(states, sgrid, hh):
     return unclassifiable, pairs
 
 
-def oracle_transition_audit(state_maps, sgrid, hh, require_regular):
-    audit = TransitionAudit(tallies={k: TransitionTally() for k in "abcde"})
+def oracle_transition_audit(state_maps, sgrid, hh):
+    tally = Counter()
     neighborhoods = {c: oracle_neighborhood(c, sgrid) for c in sgrid.cells}
     for cur, nxt in zip(state_maps[:-1], state_maps[1:]):
-        if require_regular and any(oracle_supercell_regularity(cur, sgrid, hh)):
-            audit.skipped_irregular += len(neighborhoods)
-            continue
         for c, nbs in neighborhoods.items():
             if any(not cur[nb] for nb in nbs) or not nxt[c]:
-                audit.skipped_unclassifiable += 1
+                tally["skipped"] += 1
                 continue
             m = max(max(cur[nb]) for nb in nbs)
             h_now = max(cur[c])
@@ -758,15 +749,13 @@ def oracle_transition_audit(state_maps, sgrid, hh, require_regular):
                 key, expected = "d", hh + 1
             else:
                 key, expected = "e", hh + 1
-            if expected in nxt[c]:
-                audit.tallies[key].agreements += 1
-            else:
-                audit.tallies[key].violations += 1
-    return audit
+            tally[f"rule_{key}"] += 1
+            tally[f"rule_{key}_missed"] += expected not in nxt[c]
+    return tally
 
 
 def oracle_supercell_speed_audit(state_maps, sgrid):
-    audit = SpeedAudit()
+    tally = Counter()
     cover = set(sgrid.cells)
     dists = [
         oracle_distances([c for c, st in m.items() if st and max(st) >= 1], cover)
@@ -775,11 +764,9 @@ def oracle_supercell_speed_audit(state_maps, sgrid):
     for cur_d, nxt_d, nxt in zip(dists[:-1], dists[1:], state_maps[1:]):
         for c, st in nxt.items():
             if st == {0} and cur_d.get(c, 0) != 0:
-                if nxt_d.get(c, math.inf) <= cur_d[c] - 1:
-                    audit.ok_pairs += 1
-                else:
-                    audit.violations += 1
-    return audit
+                tally["supercell_front"] += 1
+                tally["supercell_front_missed"] += nxt_d.get(c, math.inf) > cur_d[c] - 1
+    return tally
 
 
 def oracle_spread_audit(snapshots, sgrid, grid, R):
@@ -900,34 +887,38 @@ def test_supercell_audits_match_set_oracles(synthetic_audits):
             assert report.unclassifiable == unclassifiable
             assert report.black_neighbor_violations == sorted({c for c, _ in pairs})
             assert report.regular == (not unclassifiable and not pairs)
-        for gate in (False, True):
-            got = transition_audit(maps, sgrid, require_regular=gate)
-            assert got == oracle_transition_audit(sets, sgrid, hh, gate)
-        assert supercell_speed_audit(maps, sgrid) == oracle_supercell_speed_audit(sets, sgrid)
+        # the per-step audit, summed over the run, against the oracles
+        tally = Counter()
+        audit = SupercellAudit(
+            SimParams(region=region, n=40000, R=_R, mobility=MobilityMode.cellular(_RHO)), tally
+        )
+        for snap in snapshots:
+            audit(snap)
+        expected = Counter(
+            supercell_regular=sum(not any(oracle_supercell_regularity(m, sgrid, hh)) for m in sets)
+        )
+        expected.update(oracle_transition_audit(sets, sgrid, hh))
+        expected.update(oracle_supercell_speed_audit(sets, sgrid))
+        assert tally == expected
         got = spread_audit(snapshots, sgrid, grid, R=_R)
         assert got == oracle_spread_audit(snapshots, sgrid, grid, _R)
 
 
 def test_synthetic_populations_reach_every_rule_and_lemma(synthetic_audits):
-    # every rule judged both ways, with and without the regularity gate,
-    # every lemma's hypothesis met with its conclusion both holding and
-    # failing, and some maps regular
-    tallies = {(k, gate): [0, 0] for k in "abcde" for gate in (False, True)}
+    # every rule judged both ways, every lemma's hypothesis met with its
+    # conclusion both holding and failing, and some maps regular
+    tally = Counter()
     lemmas = {}
-    regular = speed = 0
+    regular = 0
     for _, sgrid, hh, snapshots, grid, maps, sets in synthetic_audits:
-        for gate in (False, True):
-            audit = oracle_transition_audit(sets, sgrid, hh, gate)
-            for key, tally in audit.tallies.items():
-                tallies[key, gate][0] += tally.agreements
-                tallies[key, gate][1] += tally.violations
+        tally.update(oracle_transition_audit(sets, sgrid, hh))
+        tally.update(oracle_supercell_speed_audit(sets, sgrid))
         audit = oracle_spread_audit(snapshots, sgrid, grid, _R)
         for name in ("white_spread", "red_spread", "red_saturation", "red_upper"):
             lemma = getattr(audit, name)
             met, holds = lemmas.get(name, (0, 0))
             lemmas[name] = (met + lemma.hypothesis_met, holds + lemma.holds)
         regular += sum(not any(oracle_supercell_regularity(m, sgrid, hh)) for m in sets)
-        speed += oracle_supercell_speed_audit(sets, sgrid).total
-    assert all(agreed > 0 and missed > 0 for agreed, missed in tallies.values()), tallies
+    assert all(tally[f"rule_{k}"] > tally[f"rule_{k}_missed"] > 0 for k in "abcde"), tally
     assert all(met > holds > 0 for met, holds in lemmas.values()), lemmas
-    assert regular > 0 and speed > 0
+    assert regular > 0 and tally["supercell_front"] > 0
