@@ -301,11 +301,13 @@ def trace_run(
     With a grid the steps are audited by cells and the rows carry the
     instrument columns, and per-cell states on every step (``"each"``) or
     on the last (``"final"``); with ``supercells`` a cellular walk is also
-    audited by supercells.  Returns the record and the audits' tally."""
+    audited by supercells, and by the spread bounds where the grid allows
+    (see ``instrument.SupercellAudit``).  Returns the record and the
+    audits' tally."""
     tally = Counter(configs=0)  # the steps audited
     cells = instrument.CellAudit(grid, tally) if grid is not None else None
     cellular = supercells and params.mobility.kind == "cellular"
-    ladder = instrument.SupercellAudit(params, tally) if cellular else None
+    ladder = instrument.SupercellAudit(params, tally, grid) if cellular else None
     keys = _dump_keys(grid) if grid is not None and dump_cells != "never" else None
     each = keys if dump_cells == "each" else None
     held: list[dict] = []

@@ -1,5 +1,5 @@
-"""Seeded multi-replica experiment harness: completion-time sweeps, scaling
-fits, and the isolated-agent / sub-threshold experiments.
+"""Seeded multi-replica experiment harness: completion-time sweeps and the
+isolated-agent scan.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 from .epidemic import SimParams, run
 from .errors import ConfigurationError, RedwaveError
 from .geometry import BucketGrid, Region, bucket_side, in_reach
-from .mobility import RngStream, _uniform_in_region
+from .mobility import _uniform_in_region
 
 
 @dataclass(frozen=True)
@@ -139,32 +139,8 @@ def replicate(plan: ExperimentPlan) -> SweepResult:
     return SweepResult(points=summaries)
 
 
-@dataclass(frozen=True)
-class ScalingFit:
-    slope: float
-    intercept: float
-    r_squared: float
-
-
-def scaling_fit(points: list[tuple[float, float]]) -> ScalingFit:
-    """Ordinary least squares of T against x, for the linearity checks.
-
-    Zero-variance data (constant T fit exactly by a constant) gets r^2 = 1.
-    """
-    if len({x for x, _ in points}) < 3:
-        raise ConfigurationError("scaling fit needs at least 3 distinct x values")
-    xs = np.array([x for x, _ in sorted(points)])
-    ys = np.array([y for _, y in sorted(points)])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return ScalingFit(float(slope), float(intercept), r2)
-
-
 # ---------------------------------------------------------------------------
-# isolated agents and the completion threshold
+# isolated agents
 # ---------------------------------------------------------------------------
 
 
@@ -210,36 +186,3 @@ def isolated_count(n: int, R: float, region: Region, gen: np.random.Generator) -
     pos = _uniform_in_region(n, region, gen)
     idx = isolated_indices(pos, R)
     return IsolatedResult(count=len(idx), bound=isolated_bound(n, R), positions=pos)
-
-
-@dataclass
-class ThresholdResult:
-    trials: int = 0
-    isolated_sources_found: int = 0
-    failures: int = 0
-    skipped: int = 0
-
-
-def threshold_experiment(params: SimParams, trials: int = 1) -> ThresholdResult:
-    """Sub-threshold experiment: seed the infection at an isolated agent.
-
-    Per trial: place agents, find the isolated ones at t=0; if none, skip
-    the trial.  Otherwise run 1-flooding from the lowest-index isolated
-    agent on those exact positions and tally non-completions.
-    """
-    out = ThresholdResult()
-    for trial in range(trials):
-        out.trials += 1
-        gen = RngStream(params.seed + trial).generator()
-        pos = _uniform_in_region(params.n, params.region, gen)
-        iso = isolated_indices(pos, params.R)
-        if len(iso) == 0:
-            out.skipped += 1
-            continue
-        out.isolated_sources_found += 1
-        src = int(iso[0])
-        p = replace(params, seed=params.seed + trial, sources=[tuple(pos[src])])
-        rec = run(p, initial_positions=pos)
-        if rec.failed_at is not None:
-            out.failures += 1
-    return out

@@ -1,6 +1,6 @@
 """Runtime checkers for the analytical apparatus: cell/supercell state
-classification, regularity predicates, density audits, wave-front distances,
-and the supercell state-ladder constants.
+classification, regularity predicates, wave-front distances, the supercell
+state-ladder constants and the agent-spread bounds behind the ladder.
 
 The checks are pure functions of a snapshot plus a grid, or of two
 consecutive steps, so ``CellAudit`` and ``SupercellAudit`` run them inline
@@ -34,8 +34,8 @@ class CellState(Enum):
 
 
 # Constants of the supercell state ladder.  The analysis leaves them as
-# unspecified positive constants; these make the density audit pass at mean
-# density 1.
+# unspecified positive constants; at mean density 1 nearly every cell of
+# side l holds between ETA1 l^2 and ETA2 l^2 agents.
 ETA1, ETA2, C0 = 0.5, 2.0, 1.0
 
 
@@ -152,18 +152,6 @@ def wavefront_distances(codes: np.ndarray, grid: CellGrid) -> np.ndarray:
     return grid.distances(codes == _RED)
 
 
-def density_check(snapshot: Snapshot, grid: CellGrid) -> list[tuple[CellIndex, int]]:
-    """Cells whose agent count falls outside [ETA1*l^2, ETA2*l^2].
-
-    A cell's count is the number of agents in c & S: agents in uncovered
-    boundary slivers are left out rather than folded into a covered cell.
-    """
-    own = grid.covers(snapshot.positions)
-    tot = grid.bin(snapshot.positions[own], snapshot.states[own]).sum(axis=0)
-    bad = grid.mask & ((tot < ETA1 * grid.side**2) | (tot > ETA2 * grid.side**2))
-    return [(c, int(tot[c])) for c in cell_list(bad)]
-
-
 # ---------------------------------------------------------------------------
 # supercell-level classification (cellular random-walk analysis)
 # ---------------------------------------------------------------------------
@@ -211,14 +199,15 @@ class SupercellClassifier:
 
 
 def classify_supercells(
-    snapshot: Snapshot, sgrid: CellGrid, classifier: SupercellClassifier
+    counts: np.ndarray, sgrid: CellGrid, classifier: SupercellClassifier
 ) -> np.ndarray:
     """The state marks (see SupercellClassifier.classify) of every supercell
-    of the index box; uncovered supercells are marked in no state."""
-    return classifier.classify(*sgrid.bin(snapshot.positions, snapshot.states)) & sgrid.mask
+    of the index box, from its (3, W, H) agent counts (``sgrid.bin``);
+    uncovered supercells are marked in no state."""
+    return classifier.classify(*counts) & sgrid.mask
 
 
-def _top(states: np.ndarray) -> np.ndarray:
+def top_state(states: np.ndarray) -> np.ndarray:
     """The highest state marked per supercell of a state map, -1 where none is."""
     levels = np.arange(len(states)).reshape(-1, 1, 1)
     return np.where(states, levels, -1).max(axis=0)
@@ -261,13 +250,14 @@ def front_pairs(prev_dist: np.ndarray, codes: np.ndarray, dist: np.ndarray) -> d
     return {"front": int(np.count_nonzero(pairs)), "front_missed": int(np.count_nonzero(missed))}
 
 
-def supercell_front_pairs(prev: np.ndarray, states: np.ndarray, sgrid: CellGrid) -> dict[str, int]:
-    """The supercell wave front's advance over one step of two state maps.
-    Each supercell in the White State alone now, at a finite nonzero
-    distance d from the informed set (a state >= 1) a step before, is a
-    pair; it is missed unless its distance now is at most d - 1."""
-    top = _top(states)
-    prev_dist, dist = sgrid.distances(_top(prev) >= 1), sgrid.distances(top >= 1)
+def supercell_front_pairs(
+    prev_dist: np.ndarray, top: np.ndarray, dist: np.ndarray
+) -> dict[str, int]:
+    """The supercell wave front's advance over one step, from the distance
+    grid to the informed set (a state >= 1) of the step before to a step's
+    ``top_state`` and distance grids.  Each supercell in the White State
+    alone now, at a finite nonzero distance d a step before, is a pair; it
+    is missed unless its distance now is at most d - 1."""
     pairs = (top == 0) & np.isfinite(prev_dist) & (prev_dist != 0)
     missed = pairs & (dist > prev_dist - 1)
     return {
@@ -276,26 +266,25 @@ def supercell_front_pairs(prev: np.ndarray, states: np.ndarray, sgrid: CellGrid)
     }
 
 
-def ladder_pairs(prev: np.ndarray, states: np.ndarray, sgrid: CellGrid) -> dict[str, int]:
-    """Match one step's supercell transitions, state map ``prev`` to
-    ``states``, against the state-ladder rules: each rule's pairs
-    (``rule_a``) and misses (``rule_a_missed``), and the ``skipped``
-    supercells, where C or a neighbour was unclassifiable or C is now.
-    m^t(C) is the max state over N(C).  The intermediate bands nest (a_h R^{2h} falls with h
-    for R below about 65, b_h R^{2h} grows and c_h rho^2 falls), so an
-    intermediate supercell's max reads h_hat - 1, and rule (b) is judged
-    only at m = h_hat - 1.
+def ladder_pairs(prev_top: np.ndarray, states: np.ndarray, sgrid: CellGrid) -> dict[str, int]:
+    """Match one step's supercell transitions, from the ``top_state`` of the
+    step before to the state map ``states``, against the state-ladder rules:
+    each rule's pairs (``rule_a``) and misses (``rule_a_missed``), and the
+    ``skipped`` supercells, where C or a neighbour was unclassifiable or C
+    is now.  m^t(C) is the max state over N(C).  The intermediate bands nest
+    (a_h R^{2h} falls with h for R below about 65, b_h R^{2h} grows and
+    c_h rho^2 falls), so an intermediate supercell's max reads h_hat - 1,
+    and rule (b) is judged only at m = h_hat - 1.
 
     Rules: (a) m=0 keeps C in state 0; (b) an intermediate m pushes C to
     m+1; (c) m = Red with C below Red makes C Red; (d) m = Red with C Red
     makes C Black; (e) m = Black keeps/makes C Black.
     """
-    hh = len(prev) - 2
-    top = _top(prev)
-    m = touching(top)  # uncovered supercells read -1
-    judged = sgrid.mask & ~touching(sgrid.mask & (top < 0)) & states.any(axis=0)
+    hh = len(states) - 2
+    m = touching(prev_top)  # uncovered supercells read -1
+    judged = sgrid.mask & ~touching(sgrid.mask & (prev_top < 0)) & states.any(axis=0)
     # each supercell's rule, (a)..(e) as 0..4, and the state it expects next
-    rule = np.select([m == 0, m < hh, m == hh], [0, 1, np.where(top < hh, 2, 3)], 4)
+    rule = np.select([m == 0, m < hh, m == hh], [0, 1, np.where(prev_top < hh, 2, 3)], 4)
     expected = np.choose(rule, [0, m + 1, hh, hh + 1, hh + 1])
     met = np.take_along_axis(states, expected[None], axis=0)[0]
     tally = np.bincount(2 * rule[judged] + met[judged], minlength=10).reshape(5, 2)
@@ -328,63 +317,21 @@ class CellAudit:
         return codes, report, dist
 
 
-class SupercellAudit:
-    """The supercell audit of one cellular run, called with each step's
-    snapshot: it adds the step's ``supercell_regular`` verdict and its
-    ``supercell_front_pairs`` and ``ladder_pairs`` counts to ``tally``.  A
-    run without a state ladder (``h_hat``) is a ConfigurationError here."""
-
-    def __init__(self, params: SimParams, tally: Counter) -> None:
-        rho = params.mobility.rho
-        self.sgrid = build_supercell_grid(params.region, rho)
-        self.classifier = SupercellClassifier(params.R, rho, params.n)
-        self.tally, self.states = tally, None
-
-    def __call__(self, snap: Snapshot) -> None:
-        states = classify_supercells(snap, self.sgrid, self.classifier)
-        self.tally["supercell_regular"] += supercell_regularity(states, self.sgrid).regular
-        if self.states is not None:
-            self.tally.update(supercell_front_pairs(self.states, states, self.sgrid))
-            self.tally.update(ladder_pairs(self.states, states, self.sgrid))
-        self.states = states
-
-
-# ---------------------------------------------------------------------------
-# appendix spread-lemma audits
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LemmaTally:
-    """How often a lemma's hypothesis held, and its conclusion with it."""
-
-    hypothesis_met: int = 0
-    holds: int = 0
-
-
-@dataclass
-class SpreadAudit:
-    pairs: int = 0
-    white_spread: LemmaTally = field(default_factory=LemmaTally)
-    red_spread: LemmaTally = field(default_factory=LemmaTally)
-    red_saturation: LemmaTally = field(default_factory=LemmaTally)
-    red_upper: LemmaTally = field(default_factory=LemmaTally)
-
-
-def spread_audit(
-    snapshots: list[Snapshot],
+def spread_pairs(
+    prev: np.ndarray,
+    mid: np.ndarray,
+    red: np.ndarray,
     sgrid: CellGrid,
     grid: CellGrid,
-    R: float,
-) -> SpreadAudit:
-    """Audit the one-step agent-spread bounds behind the supercell ladder.
-
-    The bounds speak about the configuration immediately after the move
-    phase, before the transmission phase.  With the move-first phase order
-    that mid-step configuration is reconstructed exactly from consecutive
-    end-of-step snapshots: positions from step t+1, states from step t.
-
-    Per (supercell, step) pair with the stated hypothesis:
+    classifier: SupercellClassifier,
+) -> dict[str, int]:
+    """The one-step agent-spread bounds behind the supercell ladder, from
+    the (3, W, H) supercell counts ``prev`` of the step before, the cell
+    counts ``mid`` of the configuration after this step's move phase and
+    before its transmission phase, and this step's supercell red counts
+    ``red``.  The side of ``grid`` must divide rho.  Per covered supercell
+    C, each bound whose hypothesis holds is a pair (``white_spread``), and
+    it is missed (``white_spread_missed``) unless its conclusion holds:
       - white spread: #W(N(C), t) = lambda rho^2 with lambda >= 720/C0^2
         implies every cell of C holds >= (lambda/36) R^2 whites mid-step.
       - red spread: #R(C, t) = lambda R^2 with lambda >= 1800/C0^2 implies
@@ -395,59 +342,77 @@ def spread_audit(
       - red upper bound: #R(C, t+1) <= 68 ETA2 M R^2 where M is the max
         red count over N(C) at t (hypothesis always applicable).
     """
-    rho = sgrid.side
-    ratio = rho / grid.side
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise ConfigurationError("supercell side must be a multiple of the cell side")
-    ratio = int(round(ratio))
-    if len(snapshots) < 2:
-        raise ConfigurationError("spread audit needs at least two snapshots")
-    classifier = SupercellClassifier(R=R, rho=rho, n=snapshots[0].n)
-    lam_w_min = 720.0 / C0**2
-    lam_r_min = 1800.0 / C0**2
-
-    # each covered cell's supercell, for the covered cells whose supercell
-    # is covered
+    R, rho = classifier.R, sgrid.side
+    # each covered cell of a covered supercell, and that supercell
     cells = np.argwhere(grid.mask)
-    sup = cells // ratio
+    sup = cells // round(rho / grid.side)
     keep = sgrid.in_cover(sup[:, 0], sup[:, 1])
-    cells, sup = cells[keep], sup[keep]
-    cells_per_super = np.zeros(sgrid.mask.shape, dtype=np.int64)
-    np.add.at(cells_per_super, (sup[:, 0], sup[:, 1]), 1)
-
-    audit = SpreadAudit()
-    counts = [sgrid.bin(s.positions, s.states) for s in snapshots]
-    for t in range(len(snapshots) - 1):
-        cur, nxt = snapshots[t], snapshots[t + 1]
-        # mid-step configuration of step t+1: moved positions, pre-transmission states
-        mid = grid.bin(nxt.positions, cur.states)[:, cells[:, 0], cells[:, 1]]
-        fewest_whites = np.full(sgrid.mask.shape, np.inf)
-        np.minimum.at(fewest_whites, (sup[:, 0], sup[:, 1]), mid[WHITE])
-        red_hit = np.zeros(sgrid.mask.shape, dtype=np.int64)
-        np.add.at(red_hit, (sup[:, 0], sup[:, 1]), mid[RED] > 0)
-        # the fewest red-hit cells of a covered supercell over N(C)
-        fewest_hit = -touching(np.where(sgrid.mask, -red_hit, -np.inf))
-        unsaturated = red_hit < cells_per_super  # none where uncovered: 0 < 0
-        # sgrid.bin leaves uncovered supercells empty, so the box windows'
-        # sums and maxima of the counts are those over N(C)
-        w, r, b = counts[t]
-        audit.pairs += len(sgrid.cells)
-        lam_w = touching(w, np.add) / rho**2
-        _lemma(
-            audit.white_spread,
-            sgrid.mask & (lam_w >= lam_w_min),
-            fewest_whites >= (lam_w / 36.0) * R**2,
-        )
-        lam_r = r / R**2
-        need = np.minimum((lam_r / 30.0) * R**2, rho**2 / (2.0 * R**2))
-        _lemma(audit.red_spread, sgrid.mask & (lam_r >= lam_r_min), fewest_hit >= need)
-        red_state = classifier.classify(w, r, b)[-2] & sgrid.mask
-        _lemma(audit.red_saturation, red_state, ~touching(unsaturated))
-        bound = 68.0 * ETA2 * touching(r) * R**2
-        _lemma(audit.red_upper, sgrid.mask, counts[t + 1][RED] <= bound)
-    return audit
+    mid = mid[:, cells[keep, 0], cells[keep, 1]]
+    at = tuple(sup[keep].T)
+    fewest_whites = np.full(sgrid.mask.shape, np.inf)
+    np.minimum.at(fewest_whites, at, mid[WHITE])
+    red_hit = np.zeros(sgrid.mask.shape, dtype=np.int64)
+    np.add.at(red_hit, at, mid[RED] > 0)
+    unhit = np.zeros(sgrid.mask.shape, dtype=np.int64)
+    np.add.at(unhit, at, mid[RED] == 0)
+    # the fewest red-hit cells of a covered supercell over N(C)
+    fewest_hit = -touching(np.where(sgrid.mask, -red_hit, -np.inf))
+    # sgrid.bin leaves uncovered supercells empty, so the box windows' sums
+    # and maxima of the counts are those over N(C)
+    w, r, _ = prev
+    lam_w, lam_r = touching(w, np.add) / rho**2, r / R**2
+    need = np.minimum((lam_r / 30.0) * R**2, rho**2 / (2.0 * R**2))
+    lemmas = {
+        "white_spread": (lam_w >= 720.0 / C0**2, fewest_whites >= (lam_w / 36.0) * R**2),
+        "red_spread": (lam_r >= 1800.0 / C0**2, fewest_hit >= need),
+        "red_saturation": (r >= classifier.red_threshold, ~touching(unhit > 0)),
+        "red_upper": (True, red <= 68.0 * ETA2 * touching(r) * R**2),
+    }
+    out = {}
+    for key, (met, holds) in lemmas.items():
+        met = sgrid.mask & met
+        out[key] = int(np.count_nonzero(met))
+        out[f"{key}_missed"] = int(np.count_nonzero(met & ~holds))
+    return out
 
 
-def _lemma(tally: LemmaTally, met: np.ndarray, holds: np.ndarray) -> None:
-    tally.hypothesis_met += int(np.count_nonzero(met))
-    tally.holds += int(np.count_nonzero(met & holds))
+class SupercellAudit:
+    """The supercell audit of one cellular run, called with each step's
+    snapshot: it adds the step's ``supercell_regular`` verdict and its
+    ``supercell_front_pairs`` and ``ladder_pairs`` counts to ``tally``.
+    With a cell ``grid`` whose side divides rho, under the move-first phase
+    order, it adds the ``spread_pairs`` counts too: only there do this
+    step's positions, binned with the states of the step before, give the
+    configuration between the move and the transmission phases, each cell
+    inside one supercell.  A run without a state ladder (``h_hat``) is a
+    ConfigurationError here."""
+
+    def __init__(self, params: SimParams, tally: Counter, grid: CellGrid | None = None) -> None:
+        rho = params.mobility.rho
+        self.sgrid = build_supercell_grid(params.region, rho)
+        self.classifier = SupercellClassifier(params.R, rho, params.n)
+        nested = grid is not None and abs(rho / grid.side - round(rho / grid.side)) <= 1e-9
+        moved_first = params.phase_order == "move_then_transmit"
+        self.grid = grid if nested and moved_first else None
+        self.tally = tally
+        self.top = self.dist = self.counts = self.agent_states = None
+
+    def __call__(self, snap: Snapshot) -> None:
+        counts = self.sgrid.bin(snap.positions, snap.states)
+        states = classify_supercells(counts, self.sgrid, self.classifier)
+        top = top_state(states)
+        dist = self.sgrid.distances(top >= 1)
+        self.tally["supercell_regular"] += supercell_regularity(states, self.sgrid).regular
+        if self.top is not None:
+            self.tally.update(supercell_front_pairs(self.dist, top, dist))
+            self.tally.update(ladder_pairs(self.top, states, self.sgrid))
+            if self.grid is not None:
+                mid = self.grid.bin(snap.positions, self.agent_states)
+                self.tally.update(
+                    spread_pairs(
+                        self.counts, mid, counts[RED], self.sgrid, self.grid, self.classifier
+                    )
+                )
+        self.top, self.dist, self.counts = top, dist, counts
+        if self.grid is not None:
+            self.agent_states = snap.states.copy()  # the engine updates them in place

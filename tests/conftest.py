@@ -1,14 +1,18 @@
 """Shared helpers for the test suite."""
 
 import ctypes
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from redwave import cli
-from redwave.epidemic import RED, WHITE, Snapshot
+from redwave.epidemic import RED, WHITE, SimParams, Snapshot, run
+from redwave.errors import ConfigurationError
+from redwave.experiments import isolated_indices
 from redwave.geometry import Region, build_cell_grid, in_reach
+from redwave.mobility import RngStream, _uniform_in_region
 
 
 def make_snapshot(positions, states, step=0):
@@ -87,3 +91,61 @@ def isolated_indices_bruteforce(positions: np.ndarray, R: float) -> np.ndarray:
         d2[i] = np.inf
         iso[i] = not in_reach(d2, R).any()
     return np.flatnonzero(iso)
+
+
+@dataclass(frozen=True)
+class ScalingFit:
+    slope: float
+    intercept: float
+    r_squared: float
+
+
+def scaling_fit(points: list[tuple[float, float]]) -> ScalingFit:
+    """Ordinary least squares of T against x, for the linearity checks.
+
+    Zero-variance data (constant T fit exactly by a constant) gets r^2 = 1.
+    """
+    if len({x for x, _ in points}) < 3:
+        raise ConfigurationError("scaling fit needs at least 3 distinct x values")
+    xs = np.array([x for x, _ in sorted(points)])
+    ys = np.array([y for _, y in sorted(points)])
+    slope, intercept = np.polyfit(xs, ys, 1)
+    resid = ys - (slope * xs + intercept)
+    ss_res = float(np.sum(resid**2))
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return ScalingFit(float(slope), float(intercept), r2)
+
+
+@dataclass
+class ThresholdResult:
+    trials: int = 0
+    isolated_sources_found: int = 0
+    failures: int = 0
+    skipped: int = 0
+
+
+def threshold_experiment(params: SimParams, trials: int = 1) -> ThresholdResult:
+    """Sub-threshold experiment: seed the infection at an isolated agent.
+
+    Per trial: place agents as ``redwave isolated`` does, find the isolated
+    ones at t=0; if none, skip the trial.  Otherwise run 1-flooding from the
+    lowest-index isolated agent on those exact positions and tally
+    non-completions.
+    """
+    out = ThresholdResult()
+    for trial in range(trials):
+        out.trials += 1
+        gen = RngStream(params.seed + trial).generator()
+        pos = _uniform_in_region(params.n, params.region, gen)
+        iso = isolated_indices(pos, params.R)
+        if len(iso) == 0:
+            out.skipped += 1
+            continue
+        out.isolated_sources_found += 1
+        src = int(iso[0])
+        p = replace(params, seed=params.seed + trial, sources=[tuple(pos[src])])
+        rec = run(p, initial_positions=pos)
+        if rec.failed_at is not None:
+            out.failures += 1
+    return out

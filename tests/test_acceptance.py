@@ -6,8 +6,11 @@ output of a failure).  The expensive simulation batches are shared across
 criteria through module-scoped fixtures.
 """
 
+import csv
+import io
 import math
 from collections import Counter
+from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,17 +19,15 @@ import pytest
 
 from redwave import cli
 from redwave.cli import emit_trace, instrumentation_options, parse_config, trace_run
-from redwave.experiments import (
-    isolated_bound,
-    isolated_count,
-    isolated_indices,
-    replicate,
+from redwave.experiments import isolated_indices
+from redwave.geometry import Region, build_cell_grid
+from redwave.mobility import RngStream
+from tests.conftest import (
+    distances_from,
+    isolated_indices_bruteforce,
     scaling_fit,
     threshold_experiment,
 )
-from redwave.geometry import Region, build_cell_grid
-from redwave.mobility import RngStream
-from tests.conftest import distances_from, isolated_indices_bruteforce
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -81,9 +82,23 @@ def speedup_batch():
     }
 
 
-@pytest.fixture(scope="module")
-def scaling_batch():
-    return replicate(parse_config(str(CONFIGS / "scaling.ini")))
+def _verb(*argv: str) -> str:
+    """Run a ``redwave`` verb in process; return what it prints."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(list(argv)) == cli.EXIT_OK
+    return out.getvalue()
+
+
+def _sweep(name: str, out: Path) -> list[dict[str, float]]:
+    """The aggregate rows of ``redwave sweep`` on a preset: each sweep
+    point's L, R, median completion time (nan where no replica completed)
+    and completion fraction."""
+    _verb("sweep", "--config", str(CONFIGS / f"{name}.ini"), "--out", str(out))
+    with open(out / "summary.csv", newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["row_kind"] == "aggregate"]
+    keys = ("L", "R", "median_t", "completion_fraction")
+    return [{key: float(row[key] or "nan") for key in keys} for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +130,12 @@ def test_ac2_regularity(regularity_batch):
     )
 
 
-def test_ac3_completion_scales_with_diameter(scaling_batch):
-    points = scaling_batch.points
-    sizes = [p.params.region.size for p in points]
-    fractions = [p.completion_fraction() for p in points]
-    medians = [p.median_completion() for p in points]
-    R = points[0].params.R
+def test_ac3_completion_scales_with_diameter(tmp_path):
+    points = _sweep("scaling", tmp_path)
+    sizes = [p["L"] for p in points]
+    fractions = [p["completion_fraction"] for p in points]
+    medians = [p["median_t"] for p in points]
+    R = points[0]["R"]
     fit = scaling_fit([(L / R, m) for L, m in zip(sizes, medians)])
     normalized = [m * R / L for L, m in zip(sizes, medians)]
     spread = max(normalized) / min(normalized)
@@ -154,12 +169,11 @@ def test_ac4_mobility_speedup(speedup_batch):
     )
 
 
-def test_ac5_multi_source_speedup():
+def test_ac5_multi_source_speedup(tmp_path):
     medians = {}
     for name in ("multisource_1corner", "multisource_4corners"):
-        plan = parse_config(str(CONFIGS / f"{name}.ini"))
-        point = replicate(plan).points[0]
-        medians[name] = point.median_completion()
+        (point,) = _sweep(name, tmp_path / name)
+        medians[name] = point["median_t"]
     ratio = medians["multisource_4corners"] / medians["multisource_1corner"]
     _report(
         "AC-5 multi-source speed-up",
@@ -170,15 +184,12 @@ def test_ac5_multi_source_speedup():
 
 
 def test_ac6_sub_threshold_radius():
-    params = parse_config(str(CONFIGS / "subthreshold.ini"))
-    trials = 200
-    total = 0
-    for t in range(trials):
-        gen = RngStream(params.seed + t).generator()
-        total += isolated_count(params.n, params.R, params.region, gen).count
-    mean = total / trials
-    bound = isolated_bound(params.n, params.R)
+    cfg = str(CONFIGS / "subthreshold.ini")
+    fields = _verb("isolated", "--config", cfg, "--trials", "200").split()
+    printed = dict(field.split("=") for field in fields)
+    mean, bound = float(printed["mean_isolated"]), float(printed["bound"])
     floor = max(1.0, 0.9 * bound)
+    params = parse_config(cfg)
     res = threshold_experiment(params, trials=100)
     ok = mean >= floor and res.isolated_sources_found > 0 and (
         res.failures == res.isolated_sources_found

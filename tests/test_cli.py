@@ -29,7 +29,7 @@ from redwave.errors import ConfigurationError, GeometryError
 from redwave.experiments import ExperimentPlan, replicate
 from redwave.geometry import Region, build_cell_grid
 from redwave.instrument import CellState, SupercellAudit, classify_cells
-from redwave.mobility import MobilityMode
+from redwave.mobility import MobilityMode, build_supercell_grid
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -664,6 +664,32 @@ def test_main_audit_of_a_cellular_walk_prints_the_supercell_tally(tmp_path, caps
     fields = " ".join(f"{k}={v}" for k, v in sorted(tally.items()))
     assert capsys.readouterr().out == f"audit={out / 'audit.ndjson'} {fields}\n"
     assert tally["configs"] == len(rows) and tally["rule_a"] > 0 and tally["supercell_front"] > 0
+
+
+_SPREAD = ("white_spread", "red_spread", "red_saturation", "red_upper")
+
+
+@pytest.mark.parametrize("order", ["move_then_transmit", "transmit_then_move"])
+def test_main_audit_of_a_cellular_walk_checks_the_spread_bounds(tmp_path, capsys, order):
+    # the cellular preset as a single run, with cells nested in its supercells
+    lines = (CONFIGS / "speedup_rho24_cellular.ini").read_text().splitlines(True)
+    text = "".join(line for line in lines if not line.startswith("replicas"))
+    text = _with_value(text, "phase_order", order) + "\n[instrumentation]\ncell_side = 6\n"
+    cfg = write(tmp_path, text)
+    assert main(["audit", "--config", cfg, "--out", str(tmp_path / "a")]) == EXIT_OK
+    fields = capsys.readouterr().out.split()[1:]
+    tally = {key: int(value) for key, value in (field.split("=") for field in fields)}
+    spread = [f"{key}{tail}" for key in _SPREAD for tail in ("", "_missed")]
+    if order == "transmit_then_move":
+        # positions of a step with the states of the step before never occur
+        assert not set(spread) & set(tally)
+        return
+    assert set(spread) <= set(tally)
+    supercells = len(build_supercell_grid(Region.square(96.0), 24.0).cells)
+    assert tally["red_upper"] == (tally["configs"] - 1) * supercells
+    assert tally["red_upper_missed"] == 0
+    # the spread hypotheses need far denser populations than this scale has
+    assert all(tally[key] == 0 for key in spread if not key.startswith("red_upper"))
 
 
 @pytest.mark.parametrize(

@@ -14,12 +14,15 @@ from redwave.experiments import (
     isolated_count,
     isolated_indices,
     replicate,
-    scaling_fit,
-    threshold_experiment,
 )
 from redwave.geometry import Region, bucket_cells, bucket_side, in_reach
 from redwave.mobility import MobilityMode, RngStream, _uniform_in_region
-from tests.conftest import isolated_indices_bruteforce, red_white
+from tests.conftest import (
+    isolated_indices_bruteforce,
+    red_white,
+    scaling_fit,
+    threshold_experiment,
+)
 
 
 def base_params(**kw):

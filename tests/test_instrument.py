@@ -17,20 +17,18 @@ from redwave.instrument import (
     ETA1,
     ETA2,
     CellState,
-    SpreadAudit,
     SupercellAudit,
     SupercellClassifier,
     classify_cells,
     classify_supercells,
-    density_check,
     front_pairs,
     h_hat,
     is_regular,
     ladder_pairs,
-    spread_audit,
     state_constants,
     supercell_front_pairs,
     supercell_regularity,
+    top_state,
     wavefront_distances,
 )
 from redwave.mobility import MobilityMode, RngStream, build_supercell_grid, walk_all
@@ -344,6 +342,18 @@ def test_distances_to_set_on_disconnected_target(grid_4x4):
 # ---------------------------------------------------------------------------
 
 
+def density_check(snapshot, grid):
+    """Cells whose agent count falls outside [ETA1*l^2, ETA2*l^2].
+
+    A cell's count is the number of agents in c & S: agents in uncovered
+    boundary slivers are left out rather than folded into a covered cell.
+    """
+    own = grid.covers(snapshot.positions)
+    tot = grid.bin(snapshot.positions[own], snapshot.states[own]).sum(axis=0)
+    bad = grid.mask & ((tot < ETA1 * grid.side**2) | (tot > ETA2 * grid.side**2))
+    return [(c, int(tot[c])) for c in cell_list(bad)]
+
+
 def test_density_check_concentration(grid_4x4):
     snap = fill_cells(grid_4x4, {(0, 0): [WHITE] * 40})
     bad = density_check(snap, grid_4x4)
@@ -447,6 +457,11 @@ def marked(states):
     return set(np.flatnonzero(states).tolist())
 
 
+def supercell_map(snap, sgrid, classifier):
+    """``classify_supercells`` of a snapshot's supercell counts."""
+    return classify_supercells(sgrid.bin(snap.positions, snap.states), sgrid, classifier)
+
+
 @pytest.fixture(scope="module")
 def classifier():
     return SupercellClassifier(R=6.0, rho=24.0, n=9216)
@@ -488,7 +503,7 @@ def test_supercell_regularity_reports():
         [(c * 24.0 + 1 + 0.01 * i, r * 24.0 + 1) for (c, r) in sgrid.cells for i in range(20)],
         [WHITE] * (20 * len(sgrid.cells)),
     )
-    report = supercell_regularity(classify_supercells(snap, sgrid, cls), sgrid)
+    report = supercell_regularity(supercell_map(snap, sgrid, cls), sgrid)
     assert report.regular
 
     # black supercell (no whites) beside white-state neighbors: violation
@@ -498,7 +513,7 @@ def test_supercell_regularity_reports():
             positions.append((c * 24.0 + 1 + 0.01 * i, r * 24.0 + 1))
             states.append(BLACK if (c, r) == (0, 0) else WHITE)
     snap = make_snapshot(positions, states)
-    report = supercell_regularity(classify_supercells(snap, sgrid, cls), sgrid)
+    report = supercell_regularity(supercell_map(snap, sgrid, cls), sgrid)
     assert not report.regular
     assert report.black_neighbor_violations == [(0, 0)]
 
@@ -509,7 +524,7 @@ def test_supercell_regularity_reports():
             positions.append((c * 24.0 + 1 + 0.01 * i, r * 24.0 + 1))
             states.append(RED if ((c, r) == (0, 0) and i == 0) else WHITE)
     snap = make_snapshot(positions, states)
-    report = supercell_regularity(classify_supercells(snap, sgrid, cls), sgrid)
+    report = supercell_regularity(supercell_map(snap, sgrid, cls), sgrid)
     assert not report.regular
     assert (0, 0) in report.unclassifiable
 
@@ -532,16 +547,17 @@ def test_transition_audit_examples():
     hh = 2
 
     # (a): all-white stays all-white
-    pairs = ladder_pairs(_uniform_map(sgrid, {0}), _uniform_map(sgrid, {0}), sgrid)
+    pairs = ladder_pairs(top_state(_uniform_map(sgrid, {0})), _uniform_map(sgrid, {0}), sgrid)
     assert pairs["rule_a"] == len(sgrid.cells)
     assert pairs["rule_a_missed"] == 0
 
     # (e): all-black stays all-black
-    pairs = ladder_pairs(_uniform_map(sgrid, {hh + 1}), _uniform_map(sgrid, {hh + 1}), sgrid)
+    black = _uniform_map(sgrid, {hh + 1})
+    pairs = ladder_pairs(top_state(black), black, sgrid)
     assert pairs["rule_e"] == len(sgrid.cells)
 
     # (b) violated: a state-1 neighborhood observed dropping to 0
-    pairs = ladder_pairs(_uniform_map(sgrid, {1}), _uniform_map(sgrid, {0}), sgrid)
+    pairs = ladder_pairs(top_state(_uniform_map(sgrid, {1})), _uniform_map(sgrid, {0}), sgrid)
     assert pairs["rule_b"] == pairs["rule_b_missed"] == len(sgrid.cells)
 
 
@@ -550,7 +566,7 @@ def test_transition_audit_skips_unclassifiable():
     sgrid = build_supercell_grid(region, 24.0)
     cur = _uniform_map(sgrid, {0})
     cur[:, 0, 0] = False  # unclassifiable
-    pairs = ladder_pairs(cur, _uniform_map(sgrid, {0}), sgrid)
+    pairs = ladder_pairs(top_state(cur), _uniform_map(sgrid, {0}), sgrid)
     # (0,0) and its neighbors are skipped
     assert pairs["skipped"] == 4
     assert pairs["rule_a"] == len(sgrid.cells) - 4
@@ -603,9 +619,11 @@ def test_supercell_speed_audit_advancing_front():
         out[0] = sgrid.mask & ~behind
         return out
 
+    tops = [top_state(front(k)) for k in range(3)]
+    dists = [sgrid.distances(top >= 1) for top in tops]
     tally = Counter()
     for k in range(2):
-        tally.update(supercell_front_pairs(front(k), front(k + 1), sgrid))
+        tally.update(supercell_front_pairs(dists[k], tops[k + 1], dists[k + 1]))
     assert tally["supercell_front_missed"] == 0
     assert tally["supercell_front"] > 0
 
@@ -633,35 +651,6 @@ def test_high_mobility_red_close_decrease():
             ok += int(np.count_nonzero(held))
             viol += int(np.count_nonzero(~held))
     assert viol / (viol + ok) <= 0.01
-
-
-# ---------------------------------------------------------------------------
-# spread audit
-# ---------------------------------------------------------------------------
-
-
-def test_spread_audit_on_cellular_run():
-    region = Region.square(96.0)
-    sgrid = build_supercell_grid(region, 24.0)
-    grid = build_cell_grid(region, 6.0, gamma=0.3)
-    p = SimParams(
-        region=region, n=9216, R=6.0, k=1,
-        mobility=MobilityMode.cellular(24.0),
-        transmission_scope="same_supercell",
-        phase_order="move_then_transmit",
-        seed=2,
-    )
-    snapshots = []
-    run(p, on_step=lambda s: snapshots.append(s.copy()))
-    audit = spread_audit(snapshots, sgrid, grid, R=6.0)
-    assert audit.pairs == len(sgrid.cells) * (len(snapshots) - 1)
-    # the red upper bound is always applicable and holds throughout
-    assert audit.red_upper.hypothesis_met == audit.pairs
-    assert audit.red_upper.holds == audit.pairs
-    # the spread hypotheses need far denser populations than this scale has
-    assert audit.white_spread.hypothesis_met == 0
-    assert audit.red_spread.hypothesis_met == 0
-    assert audit.red_saturation.hypothesis_met == 0
 
 
 def test_supercell_counts_match_manual():
@@ -782,7 +771,7 @@ def oracle_spread_audit(snapshots, sgrid, grid, R):
     cells_per_super = np.zeros(sgrid.mask.shape, dtype=np.int64)
     np.add.at(cells_per_super, (sup[:, 0], sup[:, 1]), 1)
 
-    audit = SpreadAudit()
+    tally = Counter()
     counts = [oracle_counts(s, sgrid) for s in snapshots]
     for t in range(len(snapshots) - 1):
         cur, nxt = snapshots[t], snapshots[t + 1]
@@ -793,28 +782,23 @@ def oracle_spread_audit(snapshots, sgrid, grid, R):
         np.add.at(red_hit, (sup[:, 0], sup[:, 1]), mid[RED] > 0)
         saturated = red_hit == cells_per_super
         for C in sgrid.cells:
-            audit.pairs += 1
             w_n = sum(counts[t][Cp][0] for Cp in nbhd[C])
             lam_w = w_n / rho**2
             if lam_w >= 720.0 / C0**2:
-                audit.white_spread.hypothesis_met += 1
-                if fewest_whites[C] >= (lam_w / 36.0) * R**2:
-                    audit.white_spread.holds += 1
+                tally["white_spread"] += 1
+                tally["white_spread_missed"] += fewest_whites[C] < (lam_w / 36.0) * R**2
             lam_r = counts[t][C][1] / R**2
             if lam_r >= 1800.0 / C0**2:
-                audit.red_spread.hypothesis_met += 1
+                tally["red_spread"] += 1
                 need = min((lam_r / 30.0) * R**2, rho**2 / (2.0 * R**2))
-                if all(red_hit[Cp] >= need for Cp in nbhd[C]):
-                    audit.red_spread.holds += 1
+                tally["red_spread_missed"] += not all(red_hit[Cp] >= need for Cp in nbhd[C])
             if hh in oracle_classify(classifier, *counts[t][C]):
-                audit.red_saturation.hypothesis_met += 1
-                if all(saturated[Cp] for Cp in nbhd[C]):
-                    audit.red_saturation.holds += 1
+                tally["red_saturation"] += 1
+                tally["red_saturation_missed"] += not all(saturated[Cp] for Cp in nbhd[C])
             m_red = max(counts[t][Cp][1] for Cp in nbhd[C])
-            audit.red_upper.hypothesis_met += 1
-            if counts[t + 1][C][1] <= 68.0 * ETA2 * max(m_red, 0) * R**2:
-                audit.red_upper.holds += 1
-    return audit
+            tally["red_upper"] += 1
+            tally["red_upper_missed"] += counts[t + 1][C][1] > 68.0 * ETA2 * max(m_red, 0) * R**2
+    return tally
 
 
 # a supercell kind: its weight in the population, and its white/red/black mix
@@ -865,7 +849,7 @@ def synthetic_audits():
     for region, seed in _SYNTHETIC:
         snapshots, sgrid, grid = synthetic_run(region, seed)
         cls = SupercellClassifier(R=_R, rho=_RHO, n=snapshots[0].n)
-        maps = [classify_supercells(s, sgrid, cls) for s in snapshots]
+        maps = [supercell_map(s, sgrid, cls) for s in snapshots]
         sets = [
             {c: oracle_classify(cls, *wrb) for c, wrb in oracle_counts(s, sgrid).items()}
             for s in snapshots
@@ -889,9 +873,11 @@ def test_supercell_audits_match_set_oracles(synthetic_audits):
             assert report.regular == (not unclassifiable and not pairs)
         # the per-step audit, summed over the run, against the oracles
         tally = Counter()
-        audit = SupercellAudit(
-            SimParams(region=region, n=40000, R=_R, mobility=MobilityMode.cellular(_RHO)), tally
+        params = SimParams(
+            region=region, n=40000, R=_R, mobility=MobilityMode.cellular(_RHO),
+            phase_order="move_then_transmit",
         )
+        audit = SupercellAudit(params, tally, grid)
         for snap in snapshots:
             audit(snap)
         expected = Counter(
@@ -899,26 +885,21 @@ def test_supercell_audits_match_set_oracles(synthetic_audits):
         )
         expected.update(oracle_transition_audit(sets, sgrid, hh))
         expected.update(oracle_supercell_speed_audit(sets, sgrid))
+        expected.update(oracle_spread_audit(snapshots, sgrid, grid, _R))
         assert tally == expected
-        got = spread_audit(snapshots, sgrid, grid, R=_R)
-        assert got == oracle_spread_audit(snapshots, sgrid, grid, _R)
 
 
 def test_synthetic_populations_reach_every_rule_and_lemma(synthetic_audits):
     # every rule judged both ways, every lemma's hypothesis met with its
     # conclusion both holding and failing, and some maps regular
     tally = Counter()
-    lemmas = {}
     regular = 0
     for _, sgrid, hh, snapshots, grid, maps, sets in synthetic_audits:
         tally.update(oracle_transition_audit(sets, sgrid, hh))
         tally.update(oracle_supercell_speed_audit(sets, sgrid))
-        audit = oracle_spread_audit(snapshots, sgrid, grid, _R)
-        for name in ("white_spread", "red_spread", "red_saturation", "red_upper"):
-            lemma = getattr(audit, name)
-            met, holds = lemmas.get(name, (0, 0))
-            lemmas[name] = (met + lemma.hypothesis_met, holds + lemma.holds)
+        tally.update(oracle_spread_audit(snapshots, sgrid, grid, _R))
         regular += sum(not any(oracle_supercell_regularity(m, sgrid, hh)) for m in sets)
-    assert all(tally[f"rule_{k}"] > tally[f"rule_{k}_missed"] > 0 for k in "abcde"), tally
-    assert all(met > holds > 0 for met, holds in lemmas.values()), lemmas
+    keys = [f"rule_{k}" for k in "abcde"]
+    keys += ["white_spread", "red_spread", "red_saturation", "red_upper"]
+    assert all(tally[key] > tally[f"{key}_missed"] > 0 for key in keys), tally
     assert regular > 0 and tally["supercell_front"] > 0
