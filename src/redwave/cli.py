@@ -258,8 +258,7 @@ def _trace_row(snap: Snapshot, cells=None, dump: tuple | None = None) -> dict:
     row = dict(dict.fromkeys(_TRACE_FIELDS), schema=SCHEMA_VERSION, step=snap.step)
     row.update(white=w, red=r, black=b)
     if cells is not None:
-        states, report, dist = cells(snap)
-        row["regular"] = report.regular
+        states, row["regular"], dist = cells(snap)
         dists = dist[(states == _WHITE_CELL) & np.isfinite(dist)]
         if dists.size:
             row["max_wavefront"] = float(dists.max())

@@ -112,15 +112,6 @@ class Snapshot:
             int(np.count_nonzero(self.states == BLACK)),
         )
 
-    def copy(self) -> "Snapshot":
-        return Snapshot(
-            self.step,
-            self.positions.copy(),
-            self.states.copy(),
-            self.countdown.copy(),
-            self.chain_origin.copy(),
-        )
-
 
 @dataclass
 class StepSeries:

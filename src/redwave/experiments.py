@@ -177,7 +177,6 @@ def isolated_indices(positions: np.ndarray, R: float) -> np.ndarray:
 class IsolatedResult:
     count: int
     bound: float
-    positions: np.ndarray
 
 
 def isolated_count(n: int, R: float, region: Region, gen: np.random.Generator) -> IsolatedResult:
@@ -185,4 +184,4 @@ def isolated_count(n: int, R: float, region: Region, gen: np.random.Generator) -
     expected-count lower bound for the sqrt(n)-square setting."""
     pos = _uniform_in_region(n, region, gen)
     idx = isolated_indices(pos, R)
-    return IsolatedResult(count=len(idx), bound=isolated_bound(n, R), positions=pos)
+    return IsolatedResult(count=len(idx), bound=isolated_bound(n, R))

@@ -366,14 +366,12 @@ def distance_transform(start: np.ndarray, through: np.ndarray, step: float = 1) 
     """The least ``start[y] + step * d(y, x)`` over the cells y of ``through``,
     d being the 8-adjacency path length through ``through`` (+inf outside it
     or where unreachable): the multi-source BFS distance for 0/inf starts and
-    unit step, each 8-connected component's minimum for step 0.  Leading axes
-    are independent problems.
+    unit step.  Leading axes are independent problems.
 
     A frontier BFS over the flat box padded by one blocked cell, so that no
-    offset leaves its problem's box.  When ``step`` is at least the spread of
-    the finite starts, a cell's first value is final (label-setting): its
-    nearest sources beat any farther one.  Otherwise a cell re-enters the
-    frontier whenever its value drops.
+    offset leaves its problem's box.  ``step`` must be at least the spread
+    of the finite starts (a ValueError otherwise), so that a cell's first
+    value is final (label-setting): its nearest sources beat any farther one.
     """
     shape = np.broadcast_shapes(np.shape(start), np.shape(through))
     free = np.zeros(shape[:-2] + (shape[-2] + 2, shape[-1] + 2), dtype=bool)
@@ -382,9 +380,9 @@ def distance_transform(start: np.ndarray, through: np.ndarray, step: float = 1) 
     padded[..., 1:-1, 1:-1] = np.where(through, start, np.inf)
     reached = padded < np.inf
     spread = np.ptp(padded[reached]) if reached.any() else 0.0
-    settle = step >= spread
-    if settle:
-        free &= ~reached
+    if step < spread:
+        raise ValueError(f"step {step} below the spread {spread} of the finite starts")
+    free &= ~reached
     # only sources next to a free cell have anything to offer
     frontier = np.flatnonzero(reached & touching(free))
     val, free, stamp = padded.ravel(), free.ravel(), np.empty(padded.size, dtype=np.intp)
@@ -398,17 +396,13 @@ def distance_transform(start: np.ndarray, through: np.ndarray, step: float = 1) 
             val[near] = val[frontier[0]] + step
         else:
             hit = np.flatnonzero(free[near])
-            near, offer = near[hit], val[frontier[hit // 8]] + step
-            if not settle:
-                drop = offer < val[near]
-                near, offer = near[drop], offer[drop]
-            np.minimum.at(val, near, offer)
+            near = near[hit]
+            np.minimum.at(val, near, val[frontier[hit // 8]] + step)
         # of the entries naming one cell, keep the one whose position stayed
         order = np.arange(len(near))
         stamp[near] = order
         frontier = near[stamp[near] == order]
-        if settle:
-            free[frontier] = False
+        free[frontier] = False
     return padded[..., 1:-1, 1:-1]
 
 

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .epidemic import RED, WHITE, SimParams, Snapshot
 from .errors import ConfigurationError
-from .geometry import CellGrid, CellIndex, cell_list, distance_transform, touching
+from .geometry import CellGrid, distance_transform, touching
 from .mobility import build_supercell_grid
 
 
@@ -107,42 +107,25 @@ def classify_cells(snapshot: Snapshot, grid: CellGrid) -> np.ndarray:
     return codes
 
 
-@dataclass
-class RegularityReport:
-    regular: bool
-    violations: list[tuple[str, CellIndex]] = field(default_factory=list)
-    empty_cells: list[CellIndex] = field(default_factory=list)
+def is_regular(codes: np.ndarray) -> dict[str, int]:
+    """Count the cells of a state grid that break each regularity property:
+    (a) no grey cell (``grey_cells``); (b) every white component is adjacent
+    to a red cell, i.e. every white cell is reached from the red cells
+    through white and red cells (``white_unreached``); (c) no white cell is
+    adjacent to a black cell (``white_by_black``).  The grid is regular when
+    every count is 0.
 
-
-def is_regular(codes: np.ndarray) -> RegularityReport:
-    """Check the three regularity properties of a state grid.
-
-    (a) no grey cell; (b) every white component is adjacent to a red cell,
-    i.e. every white cell is reached from the red cells through white and
-    red cells; (c) no white cell is adjacent to a black cell.  A (b)
-    violation names the lowest cell of its white component.
-
-    Empty cells are reported separately as density violations and are
-    transparent to the adjacency checks: at desk scale a handful of cells
-    are empty in nearly every step, so making them fatal would void the
-    verdict everywhere.
+    Empty cells are transparent to the adjacency checks and break no
+    property: at desk scale a handful of cells are empty in nearly every
+    step, so counting them would void the verdict everywhere.
     """
     white, red = codes == _WHITE, codes == _RED
-    violations = [("a", c) for c in cell_list(codes == _GREY)]
-    violations += [("c", c) for c in cell_list(white & touching(codes == _BLACK))]
-    unreached = white & np.isinf(
-        distance_transform(np.where(red, 0.0, np.inf), white | red)
-    )
-    if unreached.any():
-        index = np.arange(codes.size, dtype=float).reshape(codes.shape)
-        lowest = distance_transform(index, unreached, step=0)
-        roots = unreached & (lowest == index)
-        violations += [("b", c) for c in cell_list(roots)]
-    return RegularityReport(
-        regular=not violations,
-        violations=violations,
-        empty_cells=cell_list(codes == _EMPTY),
-    )
+    unreached = white & np.isinf(distance_transform(np.where(red, 0.0, np.inf), white | red))
+    return {
+        "grey_cells": int(np.count_nonzero(codes == _GREY)),
+        "white_unreached": int(np.count_nonzero(unreached)),
+        "white_by_black": int(np.count_nonzero(white & touching(codes == _BLACK))),
+    }
 
 
 def wavefront_distances(codes: np.ndarray, grid: CellGrid) -> np.ndarray:
@@ -213,26 +196,18 @@ def top_state(states: np.ndarray) -> np.ndarray:
     return np.where(states, levels, -1).max(axis=0)
 
 
-@dataclass
-class SupercellRegularityReport:
-    regular: bool
-    unclassifiable: list[CellIndex] = field(default_factory=list)
-    # Black-State supercells with a neighbour in neither the Red nor the Black State
-    black_neighbor_violations: list[CellIndex] = field(default_factory=list)
-
-
-def supercell_regularity(states: np.ndarray, sgrid: CellGrid) -> SupercellRegularityReport:
-    """Regularity of a supercell state map.  Condition 1: every covered
-    supercell classifiable.  Condition 2: neighbours of a Black-State
-    supercell are in the Red or Black State."""
-    unclassifiable = cell_list(sgrid.mask & ~states.any(axis=0))
+def supercell_regularity(states: np.ndarray, sgrid: CellGrid) -> dict[str, int]:
+    """Count the supercells of a state map that break each regularity
+    condition: (1) every covered supercell is classifiable
+    (``supercell_unclassifiable``); (2) the neighbours of a Black-State
+    supercell are in the Red or Black State (``black_by_open``, the
+    Black-State supercells with a neighbour in neither).  The map is
+    regular when both counts are 0."""
     neither = sgrid.mask & ~(states[-2] | states[-1])
-    violations = cell_list(states[-1] & touching(neither))
-    return SupercellRegularityReport(
-        regular=not unclassifiable and not violations,
-        unclassifiable=unclassifiable,
-        black_neighbor_violations=violations,
-    )
+    return {
+        "supercell_unclassifiable": int(np.count_nonzero(sgrid.mask & ~states.any(axis=0))),
+        "black_by_open": int(np.count_nonzero(states[-1] & touching(neither))),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +263,7 @@ def ladder_pairs(prev_top: np.ndarray, states: np.ndarray, sgrid: CellGrid) -> d
     expected = np.choose(rule, [0, m + 1, hh, hh + 1, hh + 1])
     met = np.take_along_axis(states, expected[None], axis=0)[0]
     tally = np.bincount(2 * rule[judged] + met[judged], minlength=10).reshape(5, 2)
-    out = {"skipped": len(sgrid.cells) - int(np.count_nonzero(judged))}
+    out = {"skipped": int(np.count_nonzero(sgrid.mask & ~judged))}
     for key, (missed, agreed) in zip("abcde", tally.tolist()):
         out[f"rule_{key}"] = missed + agreed
         out[f"rule_{key}_missed"] = missed
@@ -297,24 +272,26 @@ def ladder_pairs(prev_top: np.ndarray, states: np.ndarray, sgrid: CellGrid) -> d
 
 class CellAudit:
     """The cell audit of one run, called with each step's snapshot: it adds
-    the step's regularity, grey-freedom and ``front_pairs`` counts to
-    ``tally``, and returns (and keeps) its state grid, ``RegularityReport``
-    and distance grid."""
+    the step's ``is_regular`` counts, its regularity and grey-freedom, and
+    its ``front_pairs`` counts to ``tally``, and returns (and keeps) its
+    state grid, regularity and distance grid."""
 
     def __init__(self, grid: CellGrid, tally: Counter) -> None:
         self.grid, self.tally = grid, tally
         self.codes = self.dist = None
 
-    def __call__(self, snap: Snapshot) -> tuple[np.ndarray, RegularityReport, np.ndarray]:
+    def __call__(self, snap: Snapshot) -> tuple[np.ndarray, bool, np.ndarray]:
         codes = classify_cells(snap, self.grid)
-        report = is_regular(codes)
+        broken = is_regular(codes)
         dist = wavefront_distances(codes, self.grid)
-        self.tally["regular"] += report.regular
-        self.tally["grey_free"] += not (codes == _GREY).any()
+        regular = not any(broken.values())
+        self.tally.update(broken)
+        self.tally["regular"] += regular
+        self.tally["grey_free"] += broken["grey_cells"] == 0
         if self.dist is not None:
             self.tally.update(front_pairs(self.dist, codes, dist))
         self.codes, self.dist = codes, dist
-        return codes, report, dist
+        return codes, regular, dist
 
 
 def spread_pairs(
@@ -326,12 +303,13 @@ def spread_pairs(
     classifier: SupercellClassifier,
 ) -> dict[str, int]:
     """The one-step agent-spread bounds behind the supercell ladder, from
-    the (3, W, H) supercell counts ``prev`` of the step before, the cell
-    counts ``mid`` of the configuration after this step's move phase and
-    before its transmission phase, and this step's supercell red counts
-    ``red``.  The side of ``grid`` must divide rho.  Per covered supercell
-    C, each bound whose hypothesis holds is a pair (``white_spread``), and
-    it is missed (``white_spread_missed``) unless its conclusion holds:
+    the (3, W, H) supercell counts ``prev`` of the configuration audited a
+    step before, the cell counts ``mid`` of the configuration after the
+    move phase that follows it and before the transmission phase, and the
+    supercell red counts ``red`` of the configuration audited now.  The
+    side of ``grid`` must divide rho.  Per covered supercell C, each bound
+    whose hypothesis holds is a pair (``white_spread``), and it is missed
+    (``white_spread_missed``) unless its conclusion holds:
       - white spread: #W(N(C), t) = lambda rho^2 with lambda >= 720/C0^2
         implies every cell of C holds >= (lambda/36) R^2 whites mid-step.
       - red spread: #R(C, t) = lambda R^2 with lambda >= 1800/C0^2 implies
@@ -378,36 +356,46 @@ def spread_pairs(
 
 class SupercellAudit:
     """The supercell audit of one cellular run, called with each step's
-    snapshot: it adds the step's ``supercell_regular`` verdict and its
-    ``supercell_front_pairs`` and ``ladder_pairs`` counts to ``tally``.
-    With a cell ``grid`` whose side divides rho, under the move-first phase
-    order, it adds the ``spread_pairs`` counts too: only there do this
-    step's positions, binned with the states of the step before, give the
-    configuration between the move and the transmission phases, each cell
-    inside one supercell.  A run without a state ladder (``h_hat``) is a
-    ConfigurationError here."""
+    snapshot: it adds the step's ``supercell_regularity`` counts, its
+    ``supercell_regular`` verdict and its ``supercell_front_pairs`` and
+    ``ladder_pairs`` counts to ``tally``.  It audits the configuration that
+    the step's transmission acted on: the snapshot under the move-first
+    phase order, and under ``transmit_then_move`` the step before's
+    positions with this step's states (at step 0, the snapshot).  The
+    audited positions with the step before's states are then the
+    configuration between a move and a transmission phase, so with a cell
+    ``grid`` whose side divides rho, each cell inside one supercell, it
+    adds the ``spread_pairs`` counts too.  A run without a state ladder
+    (``h_hat``) is a ConfigurationError here."""
 
     def __init__(self, params: SimParams, tally: Counter, grid: CellGrid | None = None) -> None:
         rho = params.mobility.rho
         self.sgrid = build_supercell_grid(params.region, rho)
         self.classifier = SupercellClassifier(params.R, rho, params.n)
         nested = grid is not None and abs(rho / grid.side - round(rho / grid.side)) <= 1e-9
-        moved_first = params.phase_order == "move_then_transmit"
-        self.grid = grid if nested and moved_first else None
+        self.grid = grid if nested else None
+        self.lagged = params.phase_order == "transmit_then_move"
         self.tally = tally
-        self.top = self.dist = self.counts = self.agent_states = None
+        # the engine replaces the positions array each step and never
+        # writes it, so the step before's needs no copy
+        self.top = self.dist = self.counts = self.agent_states = self.positions = None
 
     def __call__(self, snap: Snapshot) -> None:
-        counts = self.sgrid.bin(snap.positions, snap.states)
+        positions = snap.positions if self.positions is None else self.positions
+        if self.lagged:
+            self.positions = snap.positions
+        counts = self.sgrid.bin(positions, snap.states)
         states = classify_supercells(counts, self.sgrid, self.classifier)
         top = top_state(states)
         dist = self.sgrid.distances(top >= 1)
-        self.tally["supercell_regular"] += supercell_regularity(states, self.sgrid).regular
+        broken = supercell_regularity(states, self.sgrid)
+        self.tally.update(broken)
+        self.tally["supercell_regular"] += not any(broken.values())
         if self.top is not None:
             self.tally.update(supercell_front_pairs(self.dist, top, dist))
             self.tally.update(ladder_pairs(self.top, states, self.sgrid))
             if self.grid is not None:
-                mid = self.grid.bin(snap.positions, self.agent_states)
+                mid = self.grid.bin(positions, self.agent_states)
                 self.tally.update(
                     spread_pairs(
                         self.counts, mid, counts[RED], self.sgrid, self.grid, self.classifier

@@ -664,6 +664,9 @@ def test_main_audit_of_a_cellular_walk_prints_the_supercell_tally(tmp_path, caps
     fields = " ".join(f"{k}={v}" for k, v in sorted(tally.items()))
     assert capsys.readouterr().out == f"audit={out / 'audit.ndjson'} {fields}\n"
     assert tally["configs"] == len(rows) and tally["rule_a"] > 0 and tally["supercell_front"] > 0
+    # the irregular state maps are accounted for by the condition counts
+    assert tally["supercell_regular"] < tally["configs"]
+    assert tally["supercell_unclassifiable"] + tally["black_by_open"] > 0
 
 
 _SPREAD = ("white_spread", "red_spread", "red_saturation", "red_upper")
@@ -680,11 +683,10 @@ def test_main_audit_of_a_cellular_walk_checks_the_spread_bounds(tmp_path, capsys
     fields = capsys.readouterr().out.split()[1:]
     tally = {key: int(value) for key, value in (field.split("=") for field in fields)}
     spread = [f"{key}{tail}" for key in _SPREAD for tail in ("", "_missed")]
-    if order == "transmit_then_move":
-        # positions of a step with the states of the step before never occur
-        assert not set(spread) & set(tally)
-        return
+    # under either order the audit reads the configuration the transmission
+    # acted on, so the spread bounds are rebuilt and no rule is missed
     assert set(spread) <= set(tally)
+    assert all(tally[f"rule_{key}_missed"] == 0 for key in "abcde")
     supercells = len(build_supercell_grid(Region.square(96.0), 24.0).cells)
     assert tally["red_upper"] == (tally["configs"] - 1) * supercells
     assert tally["red_upper_missed"] == 0

@@ -252,10 +252,13 @@ def test_move_beside_transmit_matches_the_sequential_step(
         region=region, n=300, R=2.0, mobility=mobility_mode, seed=3, phase_order=phase_order
     )
     sequential, expected = Engine(p), []
+    names = ("positions", "states", "countdown", "chain_origin")
 
     def sequential_step():
         _sequential_step(sequential)
-        expected.append((sequential.snapshot.copy(), sequential.chain_violations))
+        s = sequential.snapshot
+        arrays = {name: getattr(s, name).copy() for name in names}
+        expected.append((s.step, arrays, sequential.chain_violations))
 
     # step until the run completes, and once more on its empty front
     while sequential.snapshot.counts() != (0, 0, p.n):
@@ -265,11 +268,11 @@ def test_move_beside_transmit_matches_the_sequential_step(
 
     threads = _patch_walk(monkeypatch, walk)
     pipelined = Engine(p)
-    for snap, violations in expected:
+    for step, arrays, violations in expected:
         pipelined.step()
-        for name in ("positions", "states", "countdown", "chain_origin"):
-            assert np.array_equal(getattr(pipelined.snapshot, name), getattr(snap, name)), name
-        assert pipelined.snapshot.step == snap.step
+        for name in names:
+            assert np.array_equal(getattr(pipelined.snapshot, name), arrays[name]), name
+        assert pipelined.snapshot.step == step
         assert pipelined.chain_violations == violations
     pipelined._join_ahead()
     # every engine move ran off this thread, and none was started ahead of a

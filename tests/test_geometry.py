@@ -379,16 +379,15 @@ def test_distance_transform_matches_bfs_oracle(seed):
         start = np.where(gen.random(through.shape) < 0.1, 0.0, np.inf)
         got = geometry.distance_transform(start, through)
         assert np.array_equal(got, oracle_transform(start, through, 1))
-        # step 0: the minimum of each 8-connected component
-        start = gen.permutation(through.size).reshape(through.shape).astype(float)
-        got = geometry.distance_transform(start, through, step=0)
-        assert np.array_equal(got, oracle_transform(start, through, 0))
         # step = size: distance * size + the index of the nearest, lowest source
         size = through.size
         index = np.arange(size, dtype=float).reshape(through.shape)
         start = np.where(gen.random(through.shape) < 0.3, index, np.inf)
         got = geometry.distance_transform(start, through, step=size)
         assert np.array_equal(got, oracle_transform(start, through, size))
+    # a step below the spread of the finite starts is refused
+    with pytest.raises(ValueError):
+        geometry.distance_transform(np.array([[0.0, 2.0]]), np.ones((1, 2), dtype=bool), step=1)
 
 
 def test_distance_transform_leading_axis_solves_each_problem():
@@ -400,14 +399,13 @@ def test_distance_transform_leading_axis_solves_each_problem():
             assert np.array_equal(one, oracle_transform(start, through, 1))
 
 
-def _three_step_kinds(gen, shape, density):
-    """(start, step) pairs over a box: unit step from 0 at the sources, step
-    0 over distinct values at the sources, step = size from the sources' flat
-    indices, with sources at a ``density`` share of the cells."""
+def _step_kinds(gen, shape, density):
+    """(start, step) pairs over a box: unit step from 0 at the sources and
+    step = size from the sources' flat indices, with sources at a
+    ``density`` share of the cells."""
     size = math.prod(shape[-2:])
     index = np.arange(size, dtype=float).reshape(shape[-2:])
-    values = gen.permutation(size).reshape(shape[-2:]).astype(float)
-    for value, step in ((0.0, 1), (values, 0), (index, size)):
+    for value, step in ((0.0, 1), (index, size)):
         yield np.where(gen.random(shape) < density, value, np.inf), step
 
 
@@ -427,14 +425,14 @@ def test_distance_transform_beyond_small_boxes(shape):
     # thin boxes hold only one path, so they keep every cell
     through = gen.random(shape) < (0.75 if min(shape) > 1 else 1.0)
     density = 0.02 if min(shape) > 1 else 0.3
-    for start, step in _three_step_kinds(gen, shape, density):
+    for start, step in _step_kinds(gen, shape, density):
         _assert_transform(start, through, step)
 
 
 def test_distance_transform_with_nothing_to_spread():
     gen = np.random.default_rng(3)
     none, every = np.zeros((6, 9), dtype=bool), np.ones((6, 9), dtype=bool)
-    for start, step in _three_step_kinds(gen, (6, 9), 0.5):
+    for start, step in _step_kinds(gen, (6, 9), 0.5):
         # no cell to pass through, then no source to start from
         for s, through in ((start, none), (np.full_like(start, np.inf), every)):
             got = geometry.distance_transform(s, through, step)
@@ -450,21 +448,21 @@ def test_distance_transform_sources_on_the_box_edge(seed):
     edge = np.ones(shape[1:], dtype=bool)
     edge[1:-1, 1:-1] = False
     for through in (np.ones(shape[1:], dtype=bool), gen.random(shape[1:]) < 0.8):
-        for start, step in _three_step_kinds(gen, shape, 0.4):
+        for start, step in _step_kinds(gen, shape, 0.4):
             start[:, ~edge] = np.inf
             start[-1] = np.inf  # the last problem has no source at all
             _assert_transform(start, through, step)
 
 
-@pytest.mark.parametrize("step", [1, 0, 144])
+@pytest.mark.parametrize("step", [1, 144])
 def test_distance_transform_visits_each_cell_once(step):
     # a frontier that kept repeats would hold each cell once per path to it,
     # about 3**11 entries by the far corner of an open 12x12 box
     through = np.ones((12, 12), dtype=bool)
     start = np.full(through.shape, np.inf)
     start[0, 0] = 0.0
-    # a second, higher source: step 0 re-enters cells, step = size takes minima
-    start[5, 5] = {1: np.inf, 0: 1.0, 144: 65.0}[step]
+    # with step = size a second, higher source: the levels take minima
+    start[5, 5] = {1: np.inf, 144: 65.0}[step]
     tracemalloc.start()
     try:
         got = geometry.distance_transform(start, through, step)

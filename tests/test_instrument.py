@@ -58,21 +58,24 @@ def oracle_distances(sources, cover):
 
 
 def oracle_is_regular(cellstates):
-    """(regular, violations, empty cells) by set lookups and a flood-fill of
-    each white component."""
-    violations = [("a", c) for c, s in cellstates.items() if s is CellState.GREY]
+    """The cells breaking properties (a), (b) and (c), counted by set
+    lookups and a flood-fill of each white component."""
     whites = {c for c, s in cellstates.items() if s is CellState.WHITE}
     blacks = {c for c, s in cellstates.items() if s is CellState.BLACK}
     reds = {c for c, s in cellstates.items() if s is CellState.RED}
-    for c in sorted(whites):
-        if any((c[0] + dc, c[1] + dr) in blacks for dc, dr in _ADJ8):
-            violations.append(("c", c))
+    counts = {
+        "grey_cells": sum(s is CellState.GREY for s in cellstates.values()),
+        "white_unreached": 0,
+        "white_by_black": sum(
+            any((c[0] + dc, c[1] + dr) in blacks for dc, dr in _ADJ8) for c in whites
+        ),
+    }
     seen = set()
     for start in sorted(whites):
         if start in seen:
             continue
         seen.add(start)
-        queue = deque([start])
+        queue, component = deque([start]), 1
         touches_red = False
         while queue:
             cur = queue.popleft()
@@ -82,10 +85,10 @@ def oracle_is_regular(cellstates):
                 if nb in whites and nb not in seen:
                     seen.add(nb)
                     queue.append(nb)
+                    component += 1
         if not touches_red:
-            violations.append(("b", start))
-    empties = [c for c, s in cellstates.items() if s is CellState.EMPTY]
-    return not violations, violations, empties
+            counts["white_unreached"] += component
+    return counts
 
 
 def state_grid(cellstates, grid):
@@ -174,18 +177,16 @@ def test_cells_outside_the_index_box_are_not_covered(grid_4x4):
 def test_regular_all_white_with_adjacent_red(grid_4x4):
     contents = {c: [WHITE] for c in grid_4x4.cells}
     contents[(1, 1)] = [RED]
-    report = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4))
-    assert report.regular
-    assert report.violations == []
+    counts = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4))
+    assert counts == {"grey_cells": 0, "white_unreached": 0, "white_by_black": 0}
 
 
 def test_grey_cell_violates_property_a(grid_4x4):
     contents = {c: [WHITE] for c in grid_4x4.cells}
     contents[(1, 1)] = [RED]
     contents[(0, 0)] = [WHITE, BLACK]
-    report = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4))
-    assert not report.regular
-    assert ("a", (0, 0)) in report.violations
+    counts = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4))
+    assert counts == {"grey_cells": 1, "white_unreached": 0, "white_by_black": 0}
 
 
 def test_white_component_needs_adjacent_red(grid_4x4):
@@ -193,25 +194,25 @@ def test_white_component_needs_adjacent_red(grid_4x4):
     contents = {c: [BLACK] for c in grid_4x4.cells}
     contents[(0, 0)] = [RED]
     contents[(3, 3)] = [WHITE]
-    report = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4))
-    assert not report.regular
-    assert ("b", (3, 3)) in report.violations
+    counts = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4))
+    # (3, 3) is unreached, and its black neighbours break (c) too
+    assert counts == {"grey_cells": 0, "white_unreached": 1, "white_by_black": 1}
 
 
 def test_white_adjacent_to_black_violates_property_c(grid_4x4):
     contents = {c: [WHITE] for c in grid_4x4.cells}
     contents[(1, 1)] = [RED]
     contents[(3, 3)] = [BLACK]
-    report = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4))
-    assert not report.regular
-    assert any(v[0] == "c" for v in report.violations)
+    counts = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4))
+    # (2, 2), (2, 3) and (3, 2) touch the black corner
+    assert counts == {"grey_cells": 0, "white_unreached": 0, "white_by_black": 3}
 
 
 def test_empty_cells_reported_not_fatal(grid_4x4):
     contents = {(0, 0): [RED], (0, 1): [WHITE]}
-    report = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4))
-    assert report.regular
-    assert len(report.empty_cells) == 14
+    codes = classify_cells(fill_cells(grid_4x4, contents), grid_4x4)
+    assert np.count_nonzero(codes == CELL_CODE[CellState.EMPTY]) == 14
+    assert not any(is_regular(codes).values())
 
 
 def test_initial_configurations_mostly_regular():
@@ -229,7 +230,7 @@ def test_initial_configurations_mostly_regular():
             SimParams(**{**p.__dict__, "seed": seed, "max_steps": 1}),
             on_step=lambda s: maps.append(classify_cells(s, grid)),
         )
-        if is_regular(maps[0]).regular:
+        if not any(is_regular(maps[0]).values()):
             ok += 1
     assert ok / trials >= 0.99
 
@@ -251,11 +252,7 @@ def test_dense_regularity_and_wavefront_match_oracles(data):
     cellstates = dict(zip(cells, drawn))
     codes = state_grid(cellstates, grid)
 
-    report = is_regular(codes)
-    regular, violations, empties = oracle_is_regular(cellstates)
-    assert report.regular == regular
-    assert sorted(report.violations) == sorted(violations)
-    assert sorted(report.empty_cells) == sorted(empties)
+    assert is_regular(codes) == oracle_is_regular(cellstates)
 
     reds = [c for c, s in cellstates.items() if s is CellState.RED]
     expected = oracle_distances(reds, set(cells))
@@ -503,8 +500,8 @@ def test_supercell_regularity_reports():
         [(c * 24.0 + 1 + 0.01 * i, r * 24.0 + 1) for (c, r) in sgrid.cells for i in range(20)],
         [WHITE] * (20 * len(sgrid.cells)),
     )
-    report = supercell_regularity(supercell_map(snap, sgrid, cls), sgrid)
-    assert report.regular
+    counts = supercell_regularity(supercell_map(snap, sgrid, cls), sgrid)
+    assert counts == {"supercell_unclassifiable": 0, "black_by_open": 0}
 
     # black supercell (no whites) beside white-state neighbors: violation
     positions, states = [], []
@@ -513,9 +510,8 @@ def test_supercell_regularity_reports():
             positions.append((c * 24.0 + 1 + 0.01 * i, r * 24.0 + 1))
             states.append(BLACK if (c, r) == (0, 0) else WHITE)
     snap = make_snapshot(positions, states)
-    report = supercell_regularity(supercell_map(snap, sgrid, cls), sgrid)
-    assert not report.regular
-    assert report.black_neighbor_violations == [(0, 0)]
+    counts = supercell_regularity(supercell_map(snap, sgrid, cls), sgrid)
+    assert counts == {"supercell_unclassifiable": 0, "black_by_open": 1}
 
     # a supercell matching no state: condition-1 violation
     positions, states = [], []
@@ -524,9 +520,8 @@ def test_supercell_regularity_reports():
             positions.append((c * 24.0 + 1 + 0.01 * i, r * 24.0 + 1))
             states.append(RED if ((c, r) == (0, 0) and i == 0) else WHITE)
     snap = make_snapshot(positions, states)
-    report = supercell_regularity(supercell_map(snap, sgrid, cls), sgrid)
-    assert not report.regular
-    assert (0, 0) in report.unclassifiable
+    counts = supercell_regularity(supercell_map(snap, sgrid, cls), sgrid)
+    assert counts == {"supercell_unclassifiable": 1, "black_by_open": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -706,16 +701,16 @@ def oracle_neighborhood(c, sgrid):
 
 
 def oracle_supercell_regularity(states, sgrid, hh):
-    """(unclassifiable supercells, (black supercell, offending neighbour) pairs)."""
-    unclassifiable = [c for c, st in sorted(states.items()) if not st]
-    pairs = [
-        (c, nb)
-        for c, st in sorted(states.items())
-        if hh + 1 in st
-        for nb in sorted(oracle_neighborhood(c, sgrid) - {c})
-        if hh not in states[nb] and hh + 1 not in states[nb]
-    ]
-    return unclassifiable, pairs
+    """The unclassifiable supercells, and the Black-State supercells with a
+    neighbour in neither the Red nor the Black State, counted."""
+    return {
+        "supercell_unclassifiable": sum(not st for st in states.values()),
+        "black_by_open": sum(
+            any(not {hh, hh + 1} & states[nb] for nb in oracle_neighborhood(c, sgrid) - {c})
+            for c, st in states.items()
+            if hh + 1 in st
+        ),
+    }
 
 
 def oracle_transition_audit(state_maps, sgrid, hh):
@@ -866,11 +861,8 @@ def test_supercell_audits_match_set_oracles(synthetic_audits):
             assert states.shape == (hh + 2,) + sgrid.mask.shape
             assert not states[:, ~sgrid.mask].any()
             assert {c: marked(states[:, c[0], c[1]]) for c in sgrid.cells} == expected
-            report = supercell_regularity(states, sgrid)
-            unclassifiable, pairs = oracle_supercell_regularity(expected, sgrid, hh)
-            assert report.unclassifiable == unclassifiable
-            assert report.black_neighbor_violations == sorted({c for c, _ in pairs})
-            assert report.regular == (not unclassifiable and not pairs)
+            counts = supercell_regularity(states, sgrid)
+            assert counts == oracle_supercell_regularity(expected, sgrid, hh)
         # the per-step audit, summed over the run, against the oracles
         tally = Counter()
         params = SimParams(
@@ -880,13 +872,35 @@ def test_supercell_audits_match_set_oracles(synthetic_audits):
         audit = SupercellAudit(params, tally, grid)
         for snap in snapshots:
             audit(snap)
-        expected = Counter(
-            supercell_regular=sum(not any(oracle_supercell_regularity(m, sgrid, hh)) for m in sets)
-        )
+        expected = Counter()
+        for m in sets:
+            counts = oracle_supercell_regularity(m, sgrid, hh)
+            expected.update(counts, supercell_regular=not any(counts.values()))
         expected.update(oracle_transition_audit(sets, sgrid, hh))
         expected.update(oracle_supercell_speed_audit(sets, sgrid))
         expected.update(oracle_spread_audit(snapshots, sgrid, grid, _R))
         assert tally == expected
+
+
+def test_transmit_first_audit_reads_the_step_before_positions(synthetic_audits):
+    # under transmit_then_move a step's states are audited at the step
+    # before's positions: the move-first audit of those configurations
+    for region, sgrid, hh, snapshots, grid, maps, sets in synthetic_audits:
+        lagged = [
+            make_snapshot(before.positions, snap.states, step=snap.step)
+            for before, snap in zip(snapshots[:1] + snapshots, snapshots)
+        ]
+        tallies = []
+        for order, feed in (("transmit_then_move", snapshots), ("move_then_transmit", lagged)):
+            params = SimParams(
+                region=region, n=40000, R=_R, mobility=MobilityMode.cellular(_RHO),
+                phase_order=order,
+            )
+            tallies.append(Counter())
+            audit = SupercellAudit(params, tallies[-1], grid)
+            for snap in feed:
+                audit(snap)
+        assert tallies[0] == tallies[1] and tallies[0]["red_upper"] > 0
 
 
 def test_synthetic_populations_reach_every_rule_and_lemma(synthetic_audits):
@@ -898,7 +912,7 @@ def test_synthetic_populations_reach_every_rule_and_lemma(synthetic_audits):
         tally.update(oracle_transition_audit(sets, sgrid, hh))
         tally.update(oracle_supercell_speed_audit(sets, sgrid))
         tally.update(oracle_spread_audit(snapshots, sgrid, grid, _R))
-        regular += sum(not any(oracle_supercell_regularity(m, sgrid, hh)) for m in sets)
+        regular += sum(not any(oracle_supercell_regularity(m, sgrid, hh).values()) for m in sets)
     keys = [f"rule_{k}" for k in "abcde"]
     keys += ["white_spread", "red_spread", "red_saturation", "red_upper"]
     assert all(tally[key] > tally[f"{key}_missed"] > 0 for key in keys), tally
