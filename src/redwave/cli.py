@@ -301,23 +301,34 @@ def trace_run(
     instrument columns, and per-cell states on every step (``"each"``) or
     on the last (``"final"``); with ``supercells`` a cellular walk is also
     audited by supercells, and by the spread bounds where the grid allows
-    (see ``instrument.SupercellAudit``).  Returns the record and the
-    audits' tally."""
+    (see ``instrument.SupercellAudit``).  Both audits and the cell columns
+    read the configuration that each step's transmission acted on: the
+    snapshot under ``move_then_transmit``, and under ``transmit_then_move``
+    the step before's positions with this step's states (at step 0, the
+    snapshot).  Returns the record and the audits' tally."""
     tally = Counter(configs=0)  # the steps audited
     cells = instrument.CellAudit(grid, tally) if grid is not None else None
     cellular = supercells and params.mobility.kind == "cellular"
     ladder = instrument.SupercellAudit(params, tally, grid) if cellular else None
     keys = _dump_keys(grid) if grid is not None and dump_cells != "never" else None
     each = keys if dump_cells == "each" else None
+    lagged = params.phase_order == "transmit_then_move" and (grid is not None or cellular)
     held: list[dict] = []
+    # the step before's positions, kept where an audit reads them: the
+    # engine replaces the positions array each step and never writes it,
+    # so none is copied
+    before: list[np.ndarray] = []
 
     def on_step(snap: Snapshot) -> None:
         if held:
             write(held.pop())
         tally["configs"] += 1
+        audited = replace(snap, positions=before.pop()) if before else snap
+        if lagged:
+            before.append(snap.positions)
         if ladder is not None:
-            ladder(snap)
-        held.append(_trace_row(snap, cells, each))
+            ladder(audited)
+        held.append(_trace_row(audited, cells, each))
 
     rec = run(params, on_step=on_step)
     if dump_cells == "final" and keys is not None:

@@ -100,10 +100,6 @@ class Snapshot:
     countdown: np.ndarray
     chain_origin: np.ndarray  # (n, 2): start position of the informing chain's source
 
-    @property
-    def n(self) -> int:
-        return len(self.states)
-
     def counts(self) -> tuple[int, int, int]:
         """(white, red, black) agent counts."""
         return (

@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import ConfigurationError, GeometryError
 
-CellIndex = tuple[int, int]
-
 # Sub-sampling resolution for disk cell areas: 32 x 32 = 1024 points per cell.
 _AREA_SAMPLES_PER_SIDE = 32
 
@@ -111,11 +109,6 @@ class CellGrid:
         return self.region.bounds[0]
 
     @cached_property
-    def cells(self) -> list[CellIndex]:
-        """The covered cells in index order (the order of ``array[mask]``)."""
-        return cell_list(self.mask)
-
-    @cached_property
     def owner(self) -> np.ndarray:
         """Flat index of the covered cell owning each box cell.
 
@@ -171,7 +164,7 @@ class CellGrid:
         # time: the cover test of a walk's candidates sets its peak memory
         flat, key = np.zeros(len(points)), np.empty(len(points))
         for i, cells in enumerate(self.mask.shape):
-            # axis i's floor keys as bucket_cells computes them, in place
+            # axis i's cell, floor((x - origin) / side), in place
             np.subtract(points[:, i], self.origin, out=key)
             key /= self.side
             np.floor(key, out=key)
@@ -196,23 +189,11 @@ def point_items(points: np.ndarray) -> np.ndarray:
     return points.view(np.complex128)[:, 0]
 
 
-def cell_list(cells: np.ndarray) -> list[CellIndex]:
-    """The True cells of a boolean array over an index box, in index order."""
-    return list(zip(*(i.tolist() for i in np.nonzero(cells))))
-
-
 # ---------------------------------------------------------------------------
 # the neighbour query
 # ---------------------------------------------------------------------------
 
 _CHUNK_PAIRS = 1 << 14  # most (query, target) pairs yielded at once
-
-
-def bucket_cells(points: np.ndarray, side: float, origin=(0.0, 0.0)) -> np.ndarray:
-    """(n, 2) int indices of the side-``side`` square buckets anchored at
-    ``origin`` holding an (n, 2) position array: pure floor division."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.floor((pts - np.asarray(origin)) / side).astype(np.int64)
 
 
 def bucket_side(positions: np.ndarray, reach: float, region: Region | None = None) -> float:
@@ -252,11 +233,12 @@ def _by_bucket(keys: np.ndarray, agents: np.ndarray, n: int) -> np.ndarray:
 
 
 class BucketGrid:
-    """The neighbour query's binning: agents in square buckets (see
-    :func:`bucket_cells`), binned once and queried at any block up to
-    ``margin``.  Bucket keys are ``column * height + row`` over a box of
-    buckets plus a margin of ``margin`` empty buckets on every side, and
-    bucket k holds the targets ``order[start[k] : start[k + 1]]``.
+    """The neighbour query's binning: agents in the side-``side`` square
+    buckets anchored at ``origin`` (floor division), binned once and
+    queried at any block up to ``margin``.  Bucket keys are
+    ``column * height + row`` over a box of buckets plus a margin of
+    ``margin`` empty buckets on every side, and bucket k holds the targets
+    ``order[start[k] : start[k + 1]]``.
 
     The box is the agents' own buckets, or with ``bounds``, an
     ``(xmin, ymin, xmax, ymax)`` box that holds every agent, the buckets
@@ -267,7 +249,7 @@ class BucketGrid:
         pos = self.pos = np.asarray(positions, dtype=float)
         if bounds is not None:
             origin = bounds[:2]
-        # bucket column and row as bucket_cells computes them, the column
+        # bucket column and row, floor((x - origin) / side), the column
         # becoming the key
         keys, row = (np.floor((pos[:, i] - origin[i]) / side).astype(np.int64) for i in (0, 1))
         if bounds is None:

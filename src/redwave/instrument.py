@@ -271,10 +271,11 @@ def ladder_pairs(prev_top: np.ndarray, states: np.ndarray, sgrid: CellGrid) -> d
 
 
 class CellAudit:
-    """The cell audit of one run, called with each step's snapshot: it adds
-    the step's ``is_regular`` counts, its regularity and grey-freedom, and
-    its ``front_pairs`` counts to ``tally``, and returns (and keeps) its
-    state grid, regularity and distance grid."""
+    """The cell audit of one run, called with the configuration that each
+    step's transmission acted on (see ``cli.trace_run``): it adds the
+    step's ``is_regular`` counts, its regularity and grey-freedom, and its
+    ``front_pairs`` counts to ``tally``, and returns (and keeps) its state
+    grid, regularity and distance grid."""
 
     def __init__(self, grid: CellGrid, tally: Counter) -> None:
         self.grid, self.tally = grid, tally
@@ -355,18 +356,16 @@ def spread_pairs(
 
 
 class SupercellAudit:
-    """The supercell audit of one cellular run, called with each step's
-    snapshot: it adds the step's ``supercell_regularity`` counts, its
-    ``supercell_regular`` verdict and its ``supercell_front_pairs`` and
-    ``ladder_pairs`` counts to ``tally``.  It audits the configuration that
-    the step's transmission acted on: the snapshot under the move-first
-    phase order, and under ``transmit_then_move`` the step before's
-    positions with this step's states (at step 0, the snapshot).  The
-    audited positions with the step before's states are then the
-    configuration between a move and a transmission phase, so with a cell
-    ``grid`` whose side divides rho, each cell inside one supercell, it
-    adds the ``spread_pairs`` counts too.  A run without a state ladder
-    (``h_hat``) is a ConfigurationError here."""
+    """The supercell audit of one cellular run, called with the
+    configuration that each step's transmission acted on (see
+    ``cli.trace_run``): it adds the step's ``supercell_regularity`` counts,
+    its ``supercell_regular`` verdict and its ``supercell_front_pairs`` and
+    ``ladder_pairs`` counts to ``tally``.  The positions it is given with
+    the step before's states are then the configuration between a move and
+    a transmission phase, so with a cell ``grid`` whose side divides rho,
+    each cell inside one supercell, it adds the ``spread_pairs`` counts
+    too.  A run without a state ladder (``h_hat``) is a ConfigurationError
+    here."""
 
     def __init__(self, params: SimParams, tally: Counter, grid: CellGrid | None = None) -> None:
         rho = params.mobility.rho
@@ -374,17 +373,11 @@ class SupercellAudit:
         self.classifier = SupercellClassifier(params.R, rho, params.n)
         nested = grid is not None and abs(rho / grid.side - round(rho / grid.side)) <= 1e-9
         self.grid = grid if nested else None
-        self.lagged = params.phase_order == "transmit_then_move"
         self.tally = tally
-        # the engine replaces the positions array each step and never
-        # writes it, so the step before's needs no copy
-        self.top = self.dist = self.counts = self.agent_states = self.positions = None
+        self.top = self.dist = self.counts = self.agent_states = None
 
     def __call__(self, snap: Snapshot) -> None:
-        positions = snap.positions if self.positions is None else self.positions
-        if self.lagged:
-            self.positions = snap.positions
-        counts = self.sgrid.bin(positions, snap.states)
+        counts = self.sgrid.bin(snap.positions, snap.states)
         states = classify_supercells(counts, self.sgrid, self.classifier)
         top = top_state(states)
         dist = self.sgrid.distances(top >= 1)
@@ -395,7 +388,7 @@ class SupercellAudit:
             self.tally.update(supercell_front_pairs(self.dist, top, dist))
             self.tally.update(ladder_pairs(self.top, states, self.sgrid))
             if self.grid is not None:
-                mid = self.grid.bin(positions, self.agent_states)
+                mid = self.grid.bin(snap.positions, self.agent_states)
                 self.tally.update(
                     spread_pairs(
                         self.counts, mid, counts[RED], self.sgrid, self.grid, self.classifier

@@ -105,7 +105,7 @@ def _in_disk(centres: np.ndarray, rho: float, gen: np.random.Generator) -> np.nd
 
 def _block_corners(points: np.ndarray, sgrid: CellGrid) -> np.ndarray:
     """Lower-left corner of the 3x3 supercell block around each point's
-    supercell: ``origin + (bucket_cells(points, side, origin) - 1) * side``,
+    supercell: ``origin + (floor((points - origin) / side) - 1) * side``,
     in place in one float array (whole numbers convert exactly)."""
     corners = points - sgrid.origin
     corners /= sgrid.side

@@ -61,6 +61,25 @@ def disk_grid():
     return build_cell_grid(Region.disk(10.0), 3.0, gamma=1.0)
 
 
+def bucket_cells(points, side, origin=(0.0, 0.0)):
+    """(n, 2) int indices of the side-``side`` square buckets anchored at
+    ``origin`` holding an (n, 2) position array: pure floor division, the
+    oracle of every cell and bucket key the program computes."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return np.floor((pts - np.asarray(origin)) / side).astype(np.int64)
+
+
+def cell_list(cells):
+    """The True cells of a boolean array over an index box, as (c, r)
+    tuples in index order."""
+    return list(zip(*(i.tolist() for i in np.nonzero(cells))))
+
+
+def covered_cells(grid):
+    """The covered cells of a grid in index order (the order of ``array[mask]``)."""
+    return cell_list(grid.mask)
+
+
 def distances_from(a, grid):
     """Shortest cell-path lengths from covered cell ``a`` over the index box
     (+inf off the cover and where unreachable): one transform."""
@@ -76,7 +95,7 @@ def cell_distance(a, b, grid):
 
 def cell_diameter(grid):
     """Max pairwise cell-distance over the cover: one transform per cell."""
-    return max(int(distances_from(a, grid)[grid.mask].max()) for a in grid.cells)
+    return max(int(distances_from(a, grid)[grid.mask].max()) for a in covered_cells(grid))
 
 
 def isolated_indices_bruteforce(positions: np.ndarray, R: float) -> np.ndarray:

@@ -30,6 +30,7 @@ from redwave.experiments import ExperimentPlan, replicate
 from redwave.geometry import Region, build_cell_grid
 from redwave.instrument import CellState, SupercellAudit, classify_cells
 from redwave.mobility import MobilityMode, build_supercell_grid
+from tests.conftest import covered_cells, make_snapshot
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -214,12 +215,17 @@ def test_trace_cells_dump_matches_cell_maps():
     region = Region.square(13.0)
     grid = build_cell_grid(region, 2.0, gamma=0.6)
     p = SimParams(region=region, n=150, R=2.0, mobility=MobilityMode.standard(1.0), seed=5)
+    assert p.phase_order == "transmit_then_move"
     names = [s.value for s in CellState]
-    maps = []
+    maps, before = [], []
 
     def dump(snap):
-        codes = classify_cells(snap, grid)
-        maps.append({f"{c},{r}": names[codes[c, r]] for c, r in grid.cells})
+        # the configuration the transmission acted on: this step's states at
+        # the step before's positions (at step 0, the snapshot's)
+        positions = before[-1] if before else snap.positions
+        before.append(snap.positions.copy())
+        codes = classify_cells(make_snapshot(positions, snap.states), grid)
+        maps.append({f"{c},{r}": names[codes[c, r]] for c, r in covered_cells(grid)})
 
     run(p, on_step=dump)
     assert [json.loads(row["cells"]) for row in _trace_rows(p, grid, "each")] == maps
@@ -233,7 +239,7 @@ def test_trace_cells_dump_encodes_as_sorted_json(tmp_path, fmt):
     region = Region.square(12.0)
     grid = build_cell_grid(region, 1.0, gamma=0.5)
     p = SimParams(region=region, n=150, R=2.0, mobility=MobilityMode.standard(1.0), seed=2)
-    keys = [f"{c},{r}" for c, r in grid.cells]
+    keys = [f"{c},{r}" for c, r in covered_cells(grid)]
     assert keys != sorted(keys)
     rows = _trace_rows(p, grid, "each")
     path = tmp_path / f"t.{fmt}"
@@ -259,7 +265,7 @@ def test_trace_cells_dump_encodes_as_sorted_json(tmp_path, fmt):
 def test_dump_keys_match_sorted_keys(region, side, gamma):
     # the oracle sorts the "c,r" key strings of the covered cells
     grid = build_cell_grid(region, side, gamma)
-    keys = sorted((f"{c},{r}", c * grid.mask.shape[1] + r) for c, r in grid.cells)
+    keys = sorted((f"{c},{r}", c * grid.mask.shape[1] + r) for c, r in covered_cells(grid))
     pieces, flat = cli._dump_keys(grid)
     assert pieces == [p for k, _ in keys for p in (',"', k, None)]
     assert flat.tolist() == [i for _, i in keys]
@@ -687,7 +693,7 @@ def test_main_audit_of_a_cellular_walk_checks_the_spread_bounds(tmp_path, capsys
     # acted on, so the spread bounds are rebuilt and no rule is missed
     assert set(spread) <= set(tally)
     assert all(tally[f"rule_{key}_missed"] == 0 for key in "abcde")
-    supercells = len(build_supercell_grid(Region.square(96.0), 24.0).cells)
+    supercells = len(covered_cells(build_supercell_grid(Region.square(96.0), 24.0)))
     assert tally["red_upper"] == (tally["configs"] - 1) * supercells
     assert tally["red_upper_missed"] == 0
     # the spread hypotheses need far denser populations than this scale has
@@ -806,8 +812,8 @@ def test_main_without_mallopt_gives_the_same_outputs(tmp_path, monkeypatch, verb
 # ---------------------------------------------------------------------------
 
 _PINNED_TRACES = {
-    "ndjson": "dd612b8344d5ee9dcca3ef6bd56799d296e03428efcb09f44b253bbc9755dc09",
-    "csv": "76ed90ae831baf4eee0bbc745440b4f74095b919b20b5f59f12d77419a214182",
+    "ndjson": "1acd8d7a445d7aab209f9aaa47fb7f5b6f257cc0c15d9342611615c8ffeddd95",
+    "csv": "8be06bc248743d2ecff597b59ba2475c31466a4eee58636efb99efac21c932ae",
 }
 
 _PINNED_SWEEP = "76afa107724d95de87250dd132e7b20eca85223e816e0374f122217141961cc5"
@@ -815,8 +821,8 @@ _PINNED_SWEEP = "76afa107724d95de87250dd132e7b20eca85223e816e0374f122217141961cc
 # the audit of CI's disk config: rim cells short of gamma, empty cells, and
 # uncovered cells in the index box
 _PINNED_DISK_AUDIT = {
-    "ndjson": "45b83de0f9ca016c98b52fe7348d89aaccb2e222ad1933f7358ac9b6873843ce",
-    "csv": "74c8bfaf86e623e477cbf0d5f4b5d5a34268183c9bfbe1e24b3ba145f73cb311",
+    "ndjson": "cc1c2b56098d76c2761120cded2fe35e8cd5f894409a7734d775570d8c67c9d1",
+    "csv": "58a71161be70e2c3b6c61590eb02d17f32f7aa1599ccf68b221613b612e9985a",
 }
 
 DISK_AUDIT = """\

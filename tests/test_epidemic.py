@@ -27,9 +27,9 @@ from redwave.epidemic import (
 )
 from redwave.errors import ConfigurationError, GeometryError, MobilityError, RedwaveError
 from redwave.experiments import isolated_indices
-from redwave.geometry import Region, bucket_cells, bucket_side
+from redwave.geometry import Region, bucket_side
 from redwave.mobility import MobilityMode, RngStream, build_supercell_grid
-from tests.conftest import isolated_indices_bruteforce, make_snapshot, red_white
+from tests.conftest import bucket_cells, isolated_indices_bruteforce, make_snapshot, red_white
 
 
 def params(region_side=10.0, n=2, R=3.0, rho=0.0, k=1, **kw):

@@ -15,9 +15,10 @@ from redwave.experiments import (
     isolated_indices,
     replicate,
 )
-from redwave.geometry import Region, bucket_cells, bucket_side, in_reach
+from redwave.geometry import Region, bucket_side, in_reach
 from redwave.mobility import MobilityMode, RngStream, _uniform_in_region
 from tests.conftest import (
+    bucket_cells,
     isolated_indices_bruteforce,
     red_white,
     scaling_fit,

@@ -15,10 +15,9 @@ from redwave.geometry import (
     BucketGrid,
     CellGrid,
     Region,
-    bucket_cells,
     build_cell_grid,
 )
-from tests.conftest import cell_diameter, cell_distance
+from tests.conftest import bucket_cells, cell_diameter, cell_distance, cell_list, covered_cells
 
 # 8-adjacency offsets (side or corner contact)
 _ADJ8 = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
@@ -134,23 +133,22 @@ def test_bounding_box_is_a_square_with_equal_corner_coordinates(kind, size):
 
 
 def test_square_cover_exact_tiling(grid_4x4):
-    assert set(grid_4x4.cells) == {(i, j) for i in range(4) for j in range(4)}
+    assert set(covered_cells(grid_4x4)) == {(i, j) for i in range(4) for j in range(4)}
 
 
 def test_disk_cover_excludes_corners(disk_grid):
     # corner-most cells of the 7x7 bounding box cannot meet gamma=1
-    assert (0, 0) not in disk_grid.cells
-    assert (6, 6) not in disk_grid.cells
+    assert (0, 0) not in covered_cells(disk_grid)
+    assert (6, 6) not in covered_cells(disk_grid)
     # center cell is fully inside
-    assert (3, 3) in disk_grid.cells
+    assert (3, 3) in covered_cells(disk_grid)
 
 
 def test_disk_cover_matches_subsampling_oracle(disk_grid):
     expected = oracle_cover(Region.disk(10.0), 3.0, 1.0)
-    disagree = expected.symmetric_difference(disk_grid.cells)
+    disagree = expected.symmetric_difference(covered_cells(disk_grid))
     assert not disagree
-    # the cover is its mask, read-only; cells lists it in index order
-    assert disk_grid.cells == sorted(disk_grid.cells)
+    # the cover is its mask, read-only
     assert not disk_grid.mask.flags.writeable
 
 
@@ -180,18 +178,19 @@ def _disk_cover_loop(radius, side, gamma):
 @pytest.mark.parametrize("gamma", [0.3, 0.6, 1.0])
 def test_disk_cover_matches_per_cell_loop(radius, side, gamma):
     grid = build_cell_grid(Region.disk(radius), side, gamma)
-    assert set(grid.cells) == _disk_cover_loop(radius, side, gamma)
+    assert set(covered_cells(grid)) == _disk_cover_loop(radius, side, gamma)
 
 
 def test_indivisible_side_partial_cells():
     # 12/5: boundary strips are 2 wide, so gamma=1 keeps only the 2x2 core
     grid = build_cell_grid(Region.square(12.0), 5.0, gamma=1.0)
-    assert set(grid.cells) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert set(covered_cells(grid)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     # a permissive gamma keeps the partial cells (area fraction 2*5/25 = 0.4)
     # a permissive gamma keeps the edge strips (area fraction 10/25 = 0.4)
     # but still drops the 2x2 corner cell (4/25 = 0.16)
     grid = build_cell_grid(Region.square(12.0), 5.0, gamma=0.4)
-    assert set(grid.cells) == {(i, j) for i in range(3) for j in range(3) if (i, j) != (2, 2)}
+    expected = {(i, j) for i in range(3) for j in range(3) if (i, j) != (2, 2)}
+    assert set(covered_cells(grid)) == expected
 
 
 def test_degenerate_side_rejected():
@@ -243,7 +242,7 @@ def test_square_cover_matches_per_cell_loop(L, side, gamma):
             build_cell_grid(Region.square(L), side, gamma)
         return
     grid = build_cell_grid(Region.square(L), side, gamma)
-    assert set(grid.cells) == expected
+    assert set(covered_cells(grid)) == expected
     mask = np.zeros(grid.mask.shape, dtype=bool)
     mask[tuple(np.array(sorted(expected)).T)] = True
     assert np.array_equal(grid.mask, mask)
@@ -274,7 +273,7 @@ def test_owner_is_nearest_covered_cell_lowest_index_first(region, side, gamma):
     for c in range(W):
         for r in range(H):
             # cells in index order: the first minimum is the lowest index
-            best = min(grid.cells, key=lambda k: max(abs(k[0] - c), abs(k[1] - r)))
+            best = min(covered_cells(grid), key=lambda k: max(abs(k[0] - c), abs(k[1] - r)))
             assert np.unravel_index(grid.owner[c, r], (W, H)) == best
 
 
@@ -329,7 +328,7 @@ def _neighborhood(c, grid):
     """N(c) as the audits take it: the 3x3 window around c, over the cover."""
     one = np.zeros(grid.mask.shape, dtype=bool)
     one[c] = True
-    return set(geometry.cell_list(geometry.touching(one) & grid.mask))
+    return set(cell_list(geometry.touching(one) & grid.mask))
 
 
 def test_neighborhood_sizes(grid_4x4):
@@ -505,7 +504,7 @@ def test_cell_distance_basic(grid_15x15):
 
 def test_cell_distance_equals_chebyshev_on_full_grid(grid_15x15):
     for a in [(0, 0), (5, 9), (14, 14)]:
-        dist = oracle_bfs(a, set(grid_15x15.cells))
+        dist = oracle_bfs(a, set(covered_cells(grid_15x15)))
         for b, d in dist.items():
             assert d == max(abs(a[0] - b[0]), abs(a[1] - b[1]))
             assert cell_distance(a, b, grid_15x15) == d
@@ -523,8 +522,8 @@ def test_cell_diameter_single_cell():
 
 def test_cell_diameter_disk_matches_allpairs_bfs(disk_grid):
     best = 0
-    for a in disk_grid.cells:
-        best = max(best, max(oracle_bfs(a, set(disk_grid.cells)).values()))
+    for a in covered_cells(disk_grid):
+        best = max(best, max(oracle_bfs(a, set(covered_cells(disk_grid))).values()))
     assert cell_diameter(disk_grid) == best
 
 
@@ -534,7 +533,7 @@ def test_cell_diameter_disk_matches_allpairs_bfs(disk_grid):
 
 
 _METRIC_GRID = build_cell_grid(Region.disk(10.0), 3.0, gamma=1.0)
-_METRIC_CELLS = _METRIC_GRID.cells
+_METRIC_CELLS = covered_cells(_METRIC_GRID)
 
 
 @settings(max_examples=50, deadline=None)
@@ -585,11 +584,11 @@ def test_cell_diameter_brackets_region_diameter(kind, size, side):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_neighborhood_contains_self_and_bounded(data, disk_grid):
-    c = data.draw(st.sampled_from(disk_grid.cells))
+    c = data.draw(st.sampled_from(covered_cells(disk_grid)))
     nb = _neighborhood(c, disk_grid)
     assert c in nb
     assert 1 <= len(nb) <= 9
-    assert nb <= set(disk_grid.cells)
+    assert nb <= set(covered_cells(disk_grid))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Cell/supercell classification, regularity, distances, and audits."""
 
+import json
 import math
 from collections import Counter, deque
 
@@ -8,14 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from redwave.cli import trace_run
 from redwave.epidemic import BLACK, RED, WHITE, SimParams, run
 from redwave.errors import ConfigurationError
-from redwave.geometry import Region, bucket_cells, build_cell_grid, cell_list, touching
+from redwave.geometry import Region, build_cell_grid, touching
 from redwave.instrument import (
     C0,
     CELL_CODE,
     ETA1,
     ETA2,
+    CellAudit,
     CellState,
     SupercellAudit,
     SupercellClassifier,
@@ -32,7 +35,7 @@ from redwave.instrument import (
     wavefront_distances,
 )
 from redwave.mobility import MobilityMode, RngStream, build_supercell_grid, walk_all
-from tests.conftest import make_snapshot
+from tests.conftest import bucket_cells, cell_list, covered_cells, make_snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +178,14 @@ def test_cells_outside_the_index_box_are_not_covered(grid_4x4):
 
 
 def test_regular_all_white_with_adjacent_red(grid_4x4):
-    contents = {c: [WHITE] for c in grid_4x4.cells}
+    contents = {c: [WHITE] for c in covered_cells(grid_4x4)}
     contents[(1, 1)] = [RED]
     counts = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4))
     assert counts == {"grey_cells": 0, "white_unreached": 0, "white_by_black": 0}
 
 
 def test_grey_cell_violates_property_a(grid_4x4):
-    contents = {c: [WHITE] for c in grid_4x4.cells}
+    contents = {c: [WHITE] for c in covered_cells(grid_4x4)}
     contents[(1, 1)] = [RED]
     contents[(0, 0)] = [WHITE, BLACK]
     counts = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4))
@@ -191,7 +194,7 @@ def test_grey_cell_violates_property_a(grid_4x4):
 
 def test_white_component_needs_adjacent_red(grid_4x4):
     # reds exist but the far white corner is separated by black cells
-    contents = {c: [BLACK] for c in grid_4x4.cells}
+    contents = {c: [BLACK] for c in covered_cells(grid_4x4)}
     contents[(0, 0)] = [RED]
     contents[(3, 3)] = [WHITE]
     counts = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4))
@@ -200,7 +203,7 @@ def test_white_component_needs_adjacent_red(grid_4x4):
 
 
 def test_white_adjacent_to_black_violates_property_c(grid_4x4):
-    contents = {c: [WHITE] for c in grid_4x4.cells}
+    contents = {c: [WHITE] for c in covered_cells(grid_4x4)}
     contents[(1, 1)] = [RED]
     contents[(3, 3)] = [BLACK]
     counts = is_regular(classify_cells(fill_cells(grid_4x4, contents), grid_4x4))
@@ -247,7 +250,7 @@ _ORACLE_GRIDS = [
 def test_dense_regularity_and_wavefront_match_oracles(data):
     grid = data.draw(st.sampled_from(_ORACLE_GRIDS))
     palette = sorted(data.draw(st.sets(st.sampled_from(CellState), min_size=1)), key=str)
-    cells = grid.cells
+    cells = covered_cells(grid)
     drawn = data.draw(st.lists(st.sampled_from(palette), min_size=len(cells), max_size=len(cells)))
     cellstates = dict(zip(cells, drawn))
     codes = state_grid(cellstates, grid)
@@ -276,7 +279,7 @@ def red_close_cells(cellstates, grid):
 
 
 def test_red_close_cells(grid_4x4):
-    all_white = {c: [WHITE] for c in grid_4x4.cells}
+    all_white = {c: [WHITE] for c in covered_cells(grid_4x4)}
     no_red = classify_cells(fill_cells(grid_4x4, all_white), grid_4x4)
     assert red_close_cells(no_red, grid_4x4) == set()
 
@@ -299,7 +302,7 @@ def test_red_close_cells(grid_4x4):
 
 
 def test_wavefront_distances_basics(grid_4x4):
-    contents = {c: [WHITE] for c in grid_4x4.cells}
+    contents = {c: [WHITE] for c in covered_cells(grid_4x4)}
     contents[(1, 1)] = [RED]
     states = classify_cells(fill_cells(grid_4x4, contents), grid_4x4)
     d = wavefront_distances(states, grid_4x4)
@@ -309,17 +312,17 @@ def test_wavefront_distances_basics(grid_4x4):
 
 
 def test_wavefront_corner_red_is_chebyshev(grid_15x15):
-    contents = {c: [WHITE] for c in grid_15x15.cells}
+    contents = {c: [WHITE] for c in covered_cells(grid_15x15)}
     contents[(0, 0)] = [RED]
     states = classify_cells(fill_cells(grid_15x15, contents), grid_15x15)
     d = wavefront_distances(states, grid_15x15)
-    for c, r in grid_15x15.cells:
+    for c, r in covered_cells(grid_15x15):
         assert d[c, r] == max(c, r)
 
 
 def test_wavefront_no_reds_is_infinite(grid_4x4):
     states = classify_cells(
-        fill_cells(grid_4x4, {c: [WHITE] for c in grid_4x4.cells}), grid_4x4
+        fill_cells(grid_4x4, {c: [WHITE] for c in covered_cells(grid_4x4)}), grid_4x4
     )
     assert np.isinf(wavefront_distances(states, grid_4x4)).all()
 
@@ -361,7 +364,7 @@ def test_density_check_concentration(grid_4x4):
 def test_density_check_no_agents(grid_4x4):
     snap = make_snapshot(np.empty((0, 2)), np.empty(0, dtype=np.int8))
     bad = density_check(snap, grid_4x4)
-    assert len(bad) == len(grid_4x4.cells)
+    assert len(bad) == len(covered_cells(grid_4x4))
 
 
 def test_density_audit_uniform_population():
@@ -377,7 +380,7 @@ def test_density_audit_uniform_population():
         pos = walk_all(pos, 2.0, region, gen)
         snap = make_snapshot(pos, np.zeros(len(pos), dtype=np.int8))
         violations += len(density_check(snap, grid))
-        pairs += len(grid.cells)
+        pairs += len(covered_cells(grid))
     assert violations / pairs < 1e-3
 
 
@@ -496,16 +499,17 @@ def test_supercell_regularity_reports():
     sgrid = build_supercell_grid(region, 24.0)
     cls = SupercellClassifier(R=6.0, rho=24.0, n=9216)
 
+    cover = covered_cells(sgrid)
     snap = make_snapshot(
-        [(c * 24.0 + 1 + 0.01 * i, r * 24.0 + 1) for (c, r) in sgrid.cells for i in range(20)],
-        [WHITE] * (20 * len(sgrid.cells)),
+        [(c * 24.0 + 1 + 0.01 * i, r * 24.0 + 1) for (c, r) in cover for i in range(20)],
+        [WHITE] * (20 * len(cover)),
     )
     counts = supercell_regularity(supercell_map(snap, sgrid, cls), sgrid)
     assert counts == {"supercell_unclassifiable": 0, "black_by_open": 0}
 
     # black supercell (no whites) beside white-state neighbors: violation
     positions, states = [], []
-    for (c, r) in sgrid.cells:
+    for (c, r) in covered_cells(sgrid):
         for i in range(20):
             positions.append((c * 24.0 + 1 + 0.01 * i, r * 24.0 + 1))
             states.append(BLACK if (c, r) == (0, 0) else WHITE)
@@ -515,7 +519,7 @@ def test_supercell_regularity_reports():
 
     # a supercell matching no state: condition-1 violation
     positions, states = [], []
-    for (c, r) in sgrid.cells:
+    for (c, r) in covered_cells(sgrid):
         for i in range(20):
             positions.append((c * 24.0 + 1 + 0.01 * i, r * 24.0 + 1))
             states.append(RED if ((c, r) == (0, 0) and i == 0) else WHITE)
@@ -543,17 +547,17 @@ def test_transition_audit_examples():
 
     # (a): all-white stays all-white
     pairs = ladder_pairs(top_state(_uniform_map(sgrid, {0})), _uniform_map(sgrid, {0}), sgrid)
-    assert pairs["rule_a"] == len(sgrid.cells)
+    assert pairs["rule_a"] == len(covered_cells(sgrid))
     assert pairs["rule_a_missed"] == 0
 
     # (e): all-black stays all-black
     black = _uniform_map(sgrid, {hh + 1})
     pairs = ladder_pairs(top_state(black), black, sgrid)
-    assert pairs["rule_e"] == len(sgrid.cells)
+    assert pairs["rule_e"] == len(covered_cells(sgrid))
 
     # (b) violated: a state-1 neighborhood observed dropping to 0
     pairs = ladder_pairs(top_state(_uniform_map(sgrid, {1})), _uniform_map(sgrid, {0}), sgrid)
-    assert pairs["rule_b"] == pairs["rule_b_missed"] == len(sgrid.cells)
+    assert pairs["rule_b"] == pairs["rule_b_missed"] == len(covered_cells(sgrid))
 
 
 def test_transition_audit_skips_unclassifiable():
@@ -564,7 +568,7 @@ def test_transition_audit_skips_unclassifiable():
     pairs = ladder_pairs(top_state(cur), _uniform_map(sgrid, {0}), sgrid)
     # (0,0) and its neighbors are skipped
     assert pairs["skipped"] == 4
-    assert pairs["rule_a"] == len(sgrid.cells) - 4
+    assert pairs["rule_a"] == len(covered_cells(sgrid)) - 4
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +588,9 @@ def _front_run(codes, grid):
 def test_wavefront_speed_audit_expanding_wave(grid_15x15):
     # red square growing by one ring per step: distances drop by exactly 1
     def ring_map(k):
+        cover = covered_cells(grid_15x15)
         return state_grid(
-            {c: CellState.RED if max(c) <= k else CellState.WHITE for c in grid_15x15.cells},
-            grid_15x15,
+            {c: CellState.RED if max(c) <= k else CellState.WHITE for c in cover}, grid_15x15
         )
 
     tally = _front_run([ring_map(k) for k in range(4)], grid_15x15)
@@ -596,11 +600,11 @@ def test_wavefront_speed_audit_expanding_wave(grid_15x15):
 
 def test_wavefront_speed_audit_stalled_wave(grid_15x15):
     fixed = state_grid(
-        {c: CellState.RED if c == (0, 0) else CellState.WHITE for c in grid_15x15.cells},
+        {c: CellState.RED if c == (0, 0) else CellState.WHITE for c in covered_cells(grid_15x15)},
         grid_15x15,
     )
     tally = _front_run([fixed, fixed], grid_15x15)
-    assert tally["front"] == tally["front_missed"] == len(grid_15x15.cells) - 1
+    assert tally["front"] == tally["front_missed"] == len(covered_cells(grid_15x15)) - 1
 
 
 def test_supercell_speed_audit_advancing_front():
@@ -657,7 +661,7 @@ def test_supercell_counts_match_manual():
     snap = make_snapshot(pos, states)
     counts = sgrid.bin(snap.positions, snap.states)
     cells = bucket_cells(pos, sgrid.side, sgrid.origin)
-    for C in sgrid.cells:
+    for C in covered_cells(sgrid):
         w, r, b = counts[:, C[0], C[1]]
         sel = (cells[:, 0] == C[0]) & (cells[:, 1] == C[1])
         assert w == int(np.count_nonzero(states[sel] == WHITE))
@@ -691,12 +695,12 @@ def oracle_classify(classifier, n_white, n_red, n_black):
 
 def oracle_counts(snapshot, sgrid):
     counts = sgrid.bin(snapshot.positions, snapshot.states)
-    return {c: tuple(counts[:, c[0], c[1]].tolist()) for c in sgrid.cells}
+    return {c: tuple(counts[:, c[0], c[1]].tolist()) for c in covered_cells(sgrid)}
 
 
 def oracle_neighborhood(c, sgrid):
     """N(c): c and its covered side/corner neighbours."""
-    cover = set(sgrid.cells)
+    cover = set(covered_cells(sgrid))
     return {c} | {(c[0] + dc, c[1] + dr) for dc, dr in _ADJ8} & cover
 
 
@@ -715,7 +719,7 @@ def oracle_supercell_regularity(states, sgrid, hh):
 
 def oracle_transition_audit(state_maps, sgrid, hh):
     tally = Counter()
-    neighborhoods = {c: oracle_neighborhood(c, sgrid) for c in sgrid.cells}
+    neighborhoods = {c: oracle_neighborhood(c, sgrid) for c in covered_cells(sgrid)}
     for cur, nxt in zip(state_maps[:-1], state_maps[1:]):
         for c, nbs in neighborhoods.items():
             if any(not cur[nb] for nb in nbs) or not nxt[c]:
@@ -740,7 +744,7 @@ def oracle_transition_audit(state_maps, sgrid, hh):
 
 def oracle_supercell_speed_audit(state_maps, sgrid):
     tally = Counter()
-    cover = set(sgrid.cells)
+    cover = set(covered_cells(sgrid))
     dists = [
         oracle_distances([c for c, st in m.items() if st and max(st) >= 1], cover)
         for m in state_maps
@@ -756,9 +760,9 @@ def oracle_supercell_speed_audit(state_maps, sgrid):
 def oracle_spread_audit(snapshots, sgrid, grid, R):
     rho = sgrid.side
     ratio = int(round(rho / grid.side))
-    classifier = SupercellClassifier(R=R, rho=rho, n=snapshots[0].n)
+    classifier = SupercellClassifier(R=R, rho=rho, n=len(snapshots[0].states))
     hh = classifier.h_hat
-    nbhd = {C: oracle_neighborhood(C, sgrid) for C in sgrid.cells}
+    nbhd = {C: oracle_neighborhood(C, sgrid) for C in covered_cells(sgrid)}
     cells = np.argwhere(grid.mask)
     sup = cells // ratio
     keep = sgrid.in_cover(sup[:, 0], sup[:, 1])
@@ -776,7 +780,7 @@ def oracle_spread_audit(snapshots, sgrid, grid, R):
         red_hit = np.zeros(sgrid.mask.shape, dtype=np.int64)
         np.add.at(red_hit, (sup[:, 0], sup[:, 1]), mid[RED] > 0)
         saturated = red_hit == cells_per_super
-        for C in sgrid.cells:
+        for C in covered_cells(sgrid):
             w_n = sum(counts[t][Cp][0] for Cp in nbhd[C])
             lam_w = w_n / rho**2
             if lam_w >= 720.0 / C0**2:
@@ -816,7 +820,7 @@ def synthetic_run(region, seed, steps=8, n=40000):
     half of them swapped for a random kind, each weight scaled by 0.5 to 2."""
     sgrid = build_supercell_grid(region, _RHO)
     gen = np.random.default_rng(seed)
-    cells = np.array(sgrid.cells)
+    cells = np.array(covered_cells(sgrid))
     weights, mixes = (np.array(x) for x in zip(*_KINDS))
     snapshots = []
     for t in range(steps):
@@ -843,7 +847,7 @@ def synthetic_audits():
     out = []
     for region, seed in _SYNTHETIC:
         snapshots, sgrid, grid = synthetic_run(region, seed)
-        cls = SupercellClassifier(R=_R, rho=_RHO, n=snapshots[0].n)
+        cls = SupercellClassifier(R=_R, rho=_RHO, n=len(snapshots[0].states))
         maps = [supercell_map(s, sgrid, cls) for s in snapshots]
         sets = [
             {c: oracle_classify(cls, *wrb) for c, wrb in oracle_counts(s, sgrid).items()}
@@ -860,15 +864,12 @@ def test_supercell_audits_match_set_oracles(synthetic_audits):
         for states, expected in zip(maps, sets):
             assert states.shape == (hh + 2,) + sgrid.mask.shape
             assert not states[:, ~sgrid.mask].any()
-            assert {c: marked(states[:, c[0], c[1]]) for c in sgrid.cells} == expected
+            assert {c: marked(states[:, c[0], c[1]]) for c in covered_cells(sgrid)} == expected
             counts = supercell_regularity(states, sgrid)
             assert counts == oracle_supercell_regularity(expected, sgrid, hh)
         # the per-step audit, summed over the run, against the oracles
         tally = Counter()
-        params = SimParams(
-            region=region, n=40000, R=_R, mobility=MobilityMode.cellular(_RHO),
-            phase_order="move_then_transmit",
-        )
+        params = SimParams(region=region, n=40000, R=_R, mobility=MobilityMode.cellular(_RHO))
         audit = SupercellAudit(params, tally, grid)
         for snap in snapshots:
             audit(snap)
@@ -882,25 +883,37 @@ def test_supercell_audits_match_set_oracles(synthetic_audits):
         assert tally == expected
 
 
-def test_transmit_first_audit_reads_the_step_before_positions(synthetic_audits):
-    # under transmit_then_move a step's states are audited at the step
-    # before's positions: the move-first audit of those configurations
-    for region, sgrid, hh, snapshots, grid, maps, sets in synthetic_audits:
-        lagged = [
-            make_snapshot(before.positions, snap.states, step=snap.step)
-            for before, snap in zip(snapshots[:1] + snapshots, snapshots)
-        ]
-        tallies = []
-        for order, feed in (("transmit_then_move", snapshots), ("move_then_transmit", lagged)):
-            params = SimParams(
-                region=region, n=40000, R=_R, mobility=MobilityMode.cellular(_RHO),
-                phase_order=order,
-            )
-            tallies.append(Counter())
-            audit = SupercellAudit(params, tallies[-1], grid)
-            for snap in feed:
-                audit(snap)
-        assert tallies[0] == tallies[1] and tallies[0]["red_upper"] > 0
+def test_transmit_first_audit_reads_the_step_before_positions():
+    # under transmit_then_move the hook audits each step's states at the
+    # step before's positions (at step 0, the snapshot's): the audits fed
+    # those configurations by hand give its tally and its rows' cell columns
+    region = Region.square(48.0)
+    params = SimParams(
+        region=region, n=2304, R=3.0, mobility=MobilityMode.cellular(12.0),
+        phase_order="transmit_then_move", seed=5,
+    )
+    grid = build_cell_grid(region, 3.0, gamma=1.0)  # nested in the supercells
+    rows = []
+    _, tally = trace_run(params, grid, "each", rows.append, supercells=True)
+    steps = []
+    run(params, on_step=lambda snap: steps.append((snap.positions.copy(), snap.states.copy())))
+
+    expected = Counter(configs=len(steps))
+    cells, ladder = CellAudit(grid, expected), SupercellAudit(params, expected, grid)
+    names = [s.value for s in CellState]
+    for row, (positions, _), (_, states) in zip(rows, steps[:1] + steps[:-1], steps, strict=True):
+        lagged = make_snapshot(positions, states)
+        ladder(lagged)
+        codes, regular, dist = cells(lagged)
+        front = dist[(codes == CELL_CODE[CellState.WHITE]) & np.isfinite(dist)]
+        assert row["regular"] == regular
+        assert row["max_wavefront"] == (float(front.max()) if front.size else None)
+        assert row["mean_wavefront"] == (float(front.mean()) if front.size else None)
+        assert json.loads(row["cells"]) == {
+            f"{c},{r}": names[codes[c, r]] for c, r in covered_cells(grid)
+        }
+    assert tally == expected
+    assert tally["front"] > 0 and tally["red_upper"] > 0 and tally["rule_a"] > 0
 
 
 def test_synthetic_populations_reach_every_rule_and_lemma(synthetic_audits):

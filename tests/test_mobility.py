@@ -13,7 +13,7 @@ from redwave import mobility
 from redwave.cli import _check_regime
 from redwave.epidemic import SimParams
 from redwave.errors import ConfigurationError, MobilityError
-from redwave.geometry import Region, bucket_cells
+from redwave.geometry import Region
 from redwave.mobility import (
     MobilityMode,
     RngStream,
@@ -24,6 +24,7 @@ from redwave.mobility import (
     rejection_sample,
     walk_all,
 )
+from tests.conftest import bucket_cells
 
 
 def test_rng_stream_determinism():
