@@ -2,8 +2,8 @@
 
 Config files are INI-style with sections [region], [agents], [protocol],
 [mobility], [instrumentation] and optionally [experiment].  Unknown keys and
-duplicate keys are hard errors.  All randomness flows from the config seed;
-the REDWAVE_SEED environment variable is the only environment override.
+duplicate keys are hard errors.  All randomness flows from the config seed,
+which ``--seed`` overrides.
 
 CLI verbs: ``run`` (single run), ``sweep`` (experiment plan), ``audit``
 (per-step instrument checks and per-cell dumps), ``isolated`` (isolated-agent
@@ -30,7 +30,8 @@ import numpy as np
 from . import instrument
 from .epidemic import RunRecord, SimParams, Snapshot, run
 from .errors import ConfigurationError, RedwaveError
-from .experiments import ExperimentPlan, SweepResult, density_one_n, isolated_count, replicate
+from .experiments import ExperimentPlan, SweepResult, density_one_n, replicate
+from .experiments import isolated_bound, isolated_count
 from .geometry import Region, build_cell_grid
 from .mobility import MobilityMode, RngStream
 
@@ -146,7 +147,7 @@ def parse_config(path: str):
     """Parse and validate a config file.
 
     Returns a SimParams, or an ExperimentPlan when an [experiment] section is
-    present.  The REDWAVE_SEED environment variable overrides the seed.
+    present.
     """
     cp, opts = _read_config(path)
 
@@ -172,11 +173,6 @@ def parse_config(path: str):
                 pts.append((float(x), float(y)))
             sources = pts
 
-        seed = cp.getint("experiment", "seed", fallback=SimParams.seed)
-        env_seed = os.environ.get("REDWAVE_SEED")
-        if env_seed is not None:
-            seed = int(env_seed)
-
         params = SimParams(
             region=region,
             n=n,
@@ -188,7 +184,7 @@ def parse_config(path: str):
                 "protocol", "transmission_scope", fallback=SimParams.transmission_scope
             ),
             sources=sources,
-            seed=seed,
+            seed=cp.getint("experiment", "seed", fallback=SimParams.seed),
             max_steps=cp.getint("protocol", "max_steps", fallback=SimParams.max_steps),
         )
 
@@ -563,14 +559,11 @@ def main(argv: list[str] | None = None) -> int:
             if args.trials < 1:
                 raise ConfigurationError(f"--trials must be at least 1, got {args.trials}")
             total = 0
-            bound = 0.0
             for trial in range(args.trials):
                 gen = RngStream(parsed.seed + trial).generator()
-                res = isolated_count(parsed.n, parsed.R, parsed.region, gen)
-                total += res.count
-                bound = res.bound
-            mean = total / args.trials
-            print(f"mean_isolated={_fmt(mean)} bound={_fmt(bound)}")
+                total += isolated_count(parsed.n, parsed.R, parsed.region, gen)
+            bound = isolated_bound(parsed.n, parsed.R)
+            print(f"mean_isolated={_fmt(total / args.trials)} bound={_fmt(bound)}")
     except RedwaveError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

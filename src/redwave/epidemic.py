@@ -177,11 +177,11 @@ def _inform_euclidean(
     reach is a candidate, and keeps those in reach.  When ``s`` is widened
     that far, ``b`` is 1 and stage 1 is the whole query.
     """
-    side = bucket_side(positions, R / 3, region)
+    side = bucket_side(len(positions), R / 3, region.bounds)
     # the quotient's rounding must not add a block when b * s is R * (1 + 1e-9);
     # a side over 1e12 R would make it 0
     block = max(1, math.ceil(R * (1 + 1e-9) / side - 1e-12))
-    grid = BucketGrid(positions, reds, side, margin=block, bounds=region.bounds)
+    grid = BucketGrid(positions, reds, side, region.bounds, margin=block)
     w, best, nearest = _nearest_reds(grid.query(whites, 1))
     informed, informers = [], []
     if block > 1:

@@ -156,30 +156,37 @@ class CellGrid:
         return np.pad(self.mask, 1).ravel()
 
     def flat_keys(self, points: np.ndarray, pad: int) -> np.ndarray:
-        """Flat keys of the cells of an (n, 2) position array in the index
-        box widened by ``pad`` cells on every side, each axis clipped to the
-        widened box.  With ``pad`` 1, no two cells of points in the bounding
-        box, its far edge included, share a key."""
-        # whole numbers far below 2**53 in floats, with two arrays alive at a
-        # time: the cover test of a walk's candidates sets its peak memory
-        flat, key = np.zeros(len(points)), np.empty(len(points))
-        for i, cells in enumerate(self.mask.shape):
-            # axis i's cell, floor((x - origin) / side), in place
-            np.subtract(points[:, i], self.origin, out=key)
-            key /= self.side
-            np.floor(key, out=key)
-            np.clip(key, -pad, cells - 1 + pad, out=key)
-            key += pad
-            flat *= cells + 2 * pad
-            flat += key
-        del key
-        return flat.astype(np.intp)
+        """:func:`flat_keys` over the index box.  With ``pad`` 1, no two cells
+        of points in the bounding box, its far edge included, share a key."""
+        return flat_keys(points, self.region.bounds, self.side, self.mask.shape, pad)
 
     def bin(self, positions: np.ndarray, states: np.ndarray) -> np.ndarray:
         """(3, W, H) agent counts per state and owning cell over the index box."""
         size = self.mask.size
         flat = np.asarray(states, dtype=np.intp) * size + self.owners_of(positions)
         return np.bincount(flat, minlength=3 * size).reshape((3,) + self.mask.shape)
+
+
+def flat_keys(points: np.ndarray, bounds, side: float, box, pad: int) -> np.ndarray:
+    """Flat keys of the side-``side`` square cells, anchored at the corner
+    ``bounds[:2]``, of an (n, 2) position array: ``column * height + row``
+    over the ``box`` of cells widened by ``pad`` cells on every side, each
+    axis clipped to the widened box.  The one binning of points into cells,
+    for cell grids and bucket grids alike."""
+    # whole numbers far below 2**53 in floats, with two arrays alive at a
+    # time: the cover test of a walk's candidates sets its peak memory
+    flat, key = np.zeros(len(points)), np.empty(len(points))
+    for i, cells in enumerate(box):
+        # axis i's cell, floor((x - corner) / side), in place
+        np.subtract(points[:, i], bounds[i], out=key)
+        key /= side
+        np.floor(key, out=key)
+        np.clip(key, -pad, cells - 1 + pad, out=key)
+        key += pad
+        flat *= cells + 2 * pad
+        flat += key
+    del key
+    return flat.astype(np.intp)
 
 
 def point_items(points: np.ndarray) -> np.ndarray:
@@ -196,23 +203,18 @@ def point_items(points: np.ndarray) -> np.ndarray:
 _CHUNK_PAIRS = 1 << 14  # most (query, target) pairs yielded at once
 
 
-def bucket_side(positions: np.ndarray, reach: float, region: Region | None = None) -> float:
-    """Bucket side for a reach query with the 3x3 block: ``reach``, widened to
-    the widest extent of the frame over sqrt(n), so that the bucket grid over
-    the frame has at most about n cells whatever the reach.  The frame is
-    ``region``'s bounding box when given, which holds every agent, else the
-    agents' own bounding box.
+def bucket_side(n: int, reach: float, bounds) -> float:
+    """Bucket side for a reach query with the 3x3 block over the
+    ``(xmin, ymin, xmax, ymax)`` frame of n agents: ``reach``, widened to the
+    frame's widest extent over sqrt(n), so that the bucket grid over the
+    frame has at most about n cells whatever the reach.
 
     The 1e-9 relative margin keeps a pair in reach (see :func:`in_reach`)
     within adjacent buckets although floor division rounds: at side exactly
     0.2, x = 1.4 and x = 1.6 fall in buckets 6 and 8.
     """
-    if region is None:
-        extent = max(np.ptp(positions[:, 0]), np.ptp(positions[:, 1]))
-    else:
-        xmin, ymin, xmax, ymax = region.bounds
-        extent = max(xmax - xmin, ymax - ymin)
-    return max(reach * (1 + 1e-9), extent / math.sqrt(len(positions)))
+    extent = max(bounds[2] - bounds[0], bounds[3] - bounds[1])
+    return max(reach * (1 + 1e-9), extent / math.sqrt(n))
 
 
 def in_reach(d2: np.ndarray, reach: float) -> np.ndarray:
@@ -234,37 +236,22 @@ def _by_bucket(keys: np.ndarray, agents: np.ndarray, n: int) -> np.ndarray:
 
 class BucketGrid:
     """The neighbour query's binning: agents in the side-``side`` square
-    buckets anchored at ``origin`` (floor division), binned once and
-    queried at any block up to ``margin``.  Bucket keys are
-    ``column * height + row`` over a box of buckets plus a margin of
-    ``margin`` empty buckets on every side, and bucket k holds the targets
-    ``order[start[k] : start[k + 1]]``.
+    buckets of the ``(xmin, ymin, xmax, ymax)`` frame ``bounds``, which holds
+    every agent, binned once by :func:`flat_keys` and queried at any block up
+    to ``margin``.  The box spans the buckets from the frame's corner to its
+    far corner's, plus a margin of ``margin`` empty buckets on every side,
+    and bucket k holds the targets ``order[start[k] : start[k + 1]]``."""
 
-    The box is the agents' own buckets, or with ``bounds``, an
-    ``(xmin, ymin, xmax, ymax)`` box that holds every agent, the buckets
-    from its corner, which is then the origin: no pass over the agents
-    finds it."""
-
-    def __init__(self, positions, targets, side, origin=(0.0, 0.0), margin=1, bounds=None):
+    def __init__(self, positions, targets, side, bounds, margin=1):
         pos = self.pos = np.asarray(positions, dtype=float)
-        if bounds is not None:
-            origin = bounds[:2]
-        # bucket column and row, floor((x - origin) / side), the column
-        # becoming the key
-        keys, row = (np.floor((pos[:, i] - origin[i]) / side).astype(np.int64) for i in (0, 1))
-        if bounds is None:
-            lo, hi = (keys.min(), row.min()), (keys.max(), row.max())
-        else:  # x <= xmax floors to at most xmax's bucket: rounding is monotone
-            lo, hi = (0, 0), [math.floor((bounds[2 + i] - origin[i]) / side) for i in (0, 1)]
-        keys -= lo[0] - margin
-        row -= lo[1] - margin
-        self.margin, self.height = margin, hi[1] - lo[1] + 2 * margin + 1
-        width = hi[0] - lo[0] + 2 * margin + 1
-        keys *= self.height
-        keys += row
-        self.keys = keys
-        self.start = np.zeros(width * self.height + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys[targets], minlength=width * self.height), out=self.start[1:])
+        # floor, not ceil: an agent at xmax, where the extent is a whole
+        # number of sides, owns a bucket of its own past the last full one
+        box = [math.floor((bounds[2 + i] - bounds[i]) / side) + 1 for i in (0, 1)]
+        keys = self.keys = flat_keys(pos, bounds, side, box, margin)
+        self.margin, self.height = margin, box[1] + 2 * margin
+        size = (box[0] + 2 * margin) * self.height
+        self.start = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys[targets], minlength=size), out=self.start[1:])
         self.order = _by_bucket(keys[targets], targets, len(pos))
 
     def query(self, queries, block=1):

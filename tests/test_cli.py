@@ -141,12 +141,6 @@ def test_regime_guards(tmp_path):
         parse_config(write(tmp_path, text))
 
 
-def test_redwave_seed_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("REDWAVE_SEED", "777")
-    params = parse_config(write(tmp_path, MINIMAL))
-    assert params.seed == 777
-
-
 # ---------------------------------------------------------------------------
 # traces
 # ---------------------------------------------------------------------------
@@ -566,17 +560,14 @@ def test_main_non_finite_cell_side_under_sec5(tmp_path, capsys):
     assert "cell_side must be finite" in capsys.readouterr().err
 
 
-def test_main_negative_seed(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("REDWAVE_SEED", raising=False)
+def test_main_negative_seed(tmp_path, capsys):
     cfg = write(tmp_path, MINIMAL)
     out = str(tmp_path / "out")
     assert main(["run", "--config", cfg, "--seed", "-1", "--out", out]) == EXIT_CONFIG
     plan = write(tmp_path, MINIMAL + "\n[experiment]\nreplicas = 2\nseed = -2\n", "plan.ini")
     assert main(["sweep", "--config", plan, "--out", out]) == EXIT_CONFIG
-    monkeypatch.setenv("REDWAVE_SEED", "-3")
-    assert main(["sweep", "--config", str(CONFIGS / "scaling.ini"), "--out", out]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.count("seed must be non-negative") == 3
+    assert err.count("seed must be non-negative") == 2
     assert not (tmp_path / "out" / "trace.ndjson").exists()
     assert not (tmp_path / "out" / "summary.csv").exists()
 
@@ -872,8 +863,7 @@ def _sha256(path) -> str:
 
 
 @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
-def test_run_trace_bytes_are_pinned(tmp_path, fmt, monkeypatch):
-    monkeypatch.delenv("REDWAVE_SEED", raising=False)
+def test_run_trace_bytes_are_pinned(tmp_path, fmt):
     cfg = str(CONFIGS / "regularity.ini")
     out = tmp_path / "o"
     args = ["run", "--config", cfg, "--seed", "3", "--dump-cells", "each"]
@@ -882,8 +872,7 @@ def test_run_trace_bytes_are_pinned(tmp_path, fmt, monkeypatch):
 
 
 @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
-def test_disk_audit_bytes_are_pinned(tmp_path, fmt, monkeypatch):
-    monkeypatch.delenv("REDWAVE_SEED", raising=False)
+def test_disk_audit_bytes_are_pinned(tmp_path, fmt):
     cfg = write(tmp_path, DISK_AUDIT)
     out = tmp_path / "o"
     args = ["audit", "--config", cfg, "--seed", "3"]
@@ -891,8 +880,7 @@ def test_disk_audit_bytes_are_pinned(tmp_path, fmt, monkeypatch):
     assert _sha256(out / f"audit.{fmt}") == _PINNED_DISK_AUDIT[fmt]
 
 
-def test_sweep_summary_bytes_are_pinned(tmp_path, monkeypatch):
-    monkeypatch.delenv("REDWAVE_SEED", raising=False)
+def test_sweep_summary_bytes_are_pinned(tmp_path):
     cfg = write(tmp_path, SAME_SUPERCELL_SWEEP)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == EXIT_OK
     assert _sha256(tmp_path / "s" / "summary.csv") == _PINNED_SWEEP

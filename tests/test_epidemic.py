@@ -769,7 +769,7 @@ def test_euclidean_stages_match_oracle(monkeypatch, cap):
     # 1200 agents on [0, L]^2: the side is R / 3 (with its margin), not
     # widened, so stage 2 takes block 3
     pos = gen.random((1200, 2)) * _L
-    assert bucket_side(pos, _R / 3, Region.square(_L)) == _R / 3 * (1 + 1e-9)
+    assert bucket_side(len(pos), _R / 3, Region.square(_L).bounds) == _R / 3 * (1 + 1e-9)
     # dense reds settle most whites in stage 1; from sparse reds most fall through
     for p, settle in (([0.5, 0.4, 0.1], True), ([0.97, 0.01, 0.02], False)):
         states = gen.choice([WHITE, RED, BLACK], size=len(pos), p=p).astype(np.int8)
@@ -808,7 +808,7 @@ def test_euclidean_settles_below_the_side_only(monkeypatch):
     pos = np.vstack([gen.random((1200, 2)) * _L, special])
     states = np.full(len(pos), BLACK, dtype=np.int8)
     states[-7:] = [RED, RED, WHITE, RED, WHITE, RED, WHITE]
-    assert bucket_side(pos, _R / 3, Region.square(_L)) == s
+    assert bucket_side(len(pos), _R / 3, Region.square(_L).bounds) == s
     got = _inform_euclidean(pos, *red_white(states), _R, Region.square(_L))
     assert_same_inform(got, euclidean_oracle(pos, *red_white(states), _R))
     w = len(pos) - 5
@@ -827,7 +827,7 @@ def test_euclidean_single_stage_when_the_side_is_widened(monkeypatch):
         pos = np.vstack([gen.random((28, 2)) * _L, [(10.0, 10.0), (10.0 + R, 10.0)]])
         states = gen.choice([WHITE, RED, BLACK], size=len(pos)).astype(np.int8)
         states[-2:] = [RED, WHITE]
-        assert bucket_side(pos, R / 3, Region.square(_L)) >= R * (1 + 1e-9)
+        assert bucket_side(len(pos), R / 3, Region.square(_L).bounds) >= R * (1 + 1e-9)
         got = _inform_euclidean(pos, *red_white(states), R, Region.square(_L))
         assert_same_inform(got, euclidean_oracle(pos, *red_white(states), R))
         assert got[1][got[0] == len(pos) - 1].tolist() == [len(pos) - 2]

@@ -231,6 +231,16 @@ def _two_pass_cases(gen):
     return [(lone, 0.5), (lone, 0.9), (twins, 0.5)] + pairs
 
 
+def _frame(pos):
+    """The agents' own (xmin, ymin, xmax, ymax) frame, which the isolation
+    scan bins them in."""
+    return (*pos.min(axis=0), *pos.max(axis=0))
+
+
+def _side(pos, R):
+    return bucket_side(len(pos), R, _frame(pos))
+
+
 def test_isolated_hash_matches_bruteforce():
     gen = RngStream(31).generator()
     cases = []
@@ -254,12 +264,12 @@ def test_isolated_hash_matches_bruteforce():
     dups = [(lattice, R) for lattice in lattices for R in radii]
     single = [(np.array([[3.0, 4.0]]), 1.0)]
     # the side is R up to its rounding margin when R buckets are not too many
-    assert all(R < bucket_side(pos, R) <= R * (1 + 1e-8) for pos, R in sparse)
+    assert all(R < _side(pos, R) <= R * (1 + 1e-8) for pos, R in sparse)
     # a dense cluster widens it: at most ceil(sqrt(n)) + 1 buckets across the
     # agents, plus the query's margin of one empty bucket on either side
     for pos, R in dense:
-        across = np.ptp(bucket_cells(pos, bucket_side(pos, R)), axis=0) + 3
-        assert bucket_side(pos, R) > R and across.prod() < (math.sqrt(len(pos)) + 4) ** 2
+        across = np.ptp(bucket_cells(pos, _side(pos, R), _frame(pos)[:2]), axis=0) + 3
+        assert _side(pos, R) > R and across.prod() < (math.sqrt(len(pos)) + 4) ** 2
     for pos, R in cases + sparse + dense + disk + dups + single + _two_pass_cases(gen):
         got = isolated_indices(pos, R)
         exp = isolated_indices_bruteforce(pos, R)
@@ -283,7 +293,7 @@ def test_isolation_scan_settles_crowded_agents_first(monkeypatch):
     for pos, R in _two_pass_cases(gen) + [uniform]:
         calls.clear()
         got = isolated_indices(pos, R)
-        cells = bucket_cells(pos, bucket_side(pos, R))
+        cells = bucket_cells(pos, _side(pos, R), _frame(pos)[:2])
         _, own, per = np.unique(cells, axis=0, return_inverse=True, return_counts=True)
         own = own.ravel()
         crowded = per[own] > 1
@@ -315,9 +325,10 @@ def test_isolation_uses_the_kernels_closed_ball():
 
 def test_isolated_count_reports_bound():
     region = Region.square(64.0)
-    res = isolated_count(4096, 0.8, region, RngStream(5).generator())
-    assert res.bound == pytest.approx(isolated_bound(4096, 0.8))
-    assert 0 <= res.count <= 4096
+    count = isolated_count(4096, 0.8, region, RngStream(5).generator())
+    pos = _uniform_in_region(4096, region, RngStream(5).generator())
+    assert count == len(isolated_indices(pos, 0.8))
+    assert 0 < count < 4096 and isolated_bound(4096, 0.8) == pytest.approx(count, rel=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -615,9 +615,9 @@ def test_neighbour_blocks_matches_bucket_oracle(monkeypatch, cap, block):
     positions = np.r_[gen.random((150, 2)) * 40 - 20, gen.random((40, 2)) * 0.5 + 3.0]
     queries = np.sort(gen.choice(190, 120, replace=False))
     targets = np.sort(gen.choice(190, 100, replace=False))
-    side, origin = 2.5, (-1.0, 0.5)
-    expected = oracle_candidates(positions, queries, targets, side, origin, block)
-    chunks = list(BucketGrid(positions, targets, side, origin, block).query(queries, block))
+    side, frame = 2.5, (-21.0, -22.0, 20.0, 20.0)
+    expected = oracle_candidates(positions, queries, targets, side, frame[:2], block)
+    chunks = list(BucketGrid(positions, targets, side, frame, block).query(queries, block))
     got = {}
     for q, counts, t, d2 in chunks:
         assert np.all(counts > 0) and len(t) == len(d2) == counts.sum()
@@ -647,8 +647,8 @@ def test_bucket_grid_serves_every_block_up_to_its_margin(monkeypatch, cap):
     positions = np.r_[gen.random((150, 2)) * 40 - 20, gen.random((40, 2)) * 0.5 + 3.0]
     queries = np.sort(gen.choice(190, 120, replace=False))
     targets = np.sort(gen.choice(190, 100, replace=False))
-    side, origin, margin = 2.5, (-1.0, 0.5), 3
-    grid = BucketGrid(positions, targets, side, origin, margin)
+    side, frame, margin = 2.5, (-21.0, -22.0, 20.0, 20.0), 3
+    grid = BucketGrid(positions, targets, side, frame, margin)
     for block in range(margin + 1):
         got = {}
         for q, counts, t, d2 in grid.query(queries, block):
@@ -661,7 +661,7 @@ def test_bucket_grid_serves_every_block_up_to_its_margin(monkeypatch, cap):
                 assert np.array_equal(dd, dx * dx + dy * dy)
                 assert int(query) not in got and len(set(seg.tolist())) == len(seg)
                 got[int(query)] = set(seg.tolist())
-        assert got == oracle_candidates(positions, queries, targets, side, origin, block)
+        assert got == oracle_candidates(positions, queries, targets, side, frame[:2], block)
     with pytest.raises(ValueError):
         next(grid.query(queries, margin + 1))
 
@@ -669,6 +669,36 @@ def test_bucket_grid_serves_every_block_up_to_its_margin(monkeypatch, cap):
 def test_neighbour_blocks_empty_sets():
     positions = np.random.default_rng(0).random((10, 2))
     none, every = np.empty(0, dtype=np.int64), np.arange(10)
-    assert list(BucketGrid(positions, every, 0.3).query(none)) == []
-    assert list(BucketGrid(positions, none, 0.3).query(every)) == []
-    assert list(BucketGrid(positions, none, 0.3, margin=0).query(none, block=0)) == []
+    assert list(BucketGrid(positions, every, 0.3, (0, 0, 1, 1)).query(none)) == []
+    assert list(BucketGrid(positions, none, 0.3, (0, 0, 1, 1)).query(every)) == []
+    assert list(BucketGrid(positions, none, 0.3, (0, 0, 1, 1), margin=0).query(none, block=0)) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    corner=st.tuples(st.integers(-80, 80), st.integers(-80, 80)),
+    across=st.integers(2, 16),
+    side=st.sampled_from([0.25, 0.5, 1.0, 2.5, 3.0]),
+    margin=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bucket_grid_keys_are_the_floor_buckets_of_its_frame(corner, across, side, margin, seed):
+    # a dense cluster of across**2 agents spanning its frame, whose extent is
+    # exactly ``across`` sides (quarter-integer corners and sides are exact
+    # in floats), as the isolation scan's side makes it for a square n: an
+    # agent on the far edge floors to bucket ``across``, one past the last
+    # full bucket, and the box must hold it
+    gen = np.random.default_rng(seed)
+    lo, extent = np.array(corner) / 4, across * side
+    positions = lo + gen.random((across**2, 2)) * extent
+    positions[:4] = [lo, lo + extent, (lo[0] + extent, lo[1]), (lo[0], lo[1] + extent)]
+    bounds = (*lo, *(lo + extent))
+    assert (bounds[2] - bounds[0]) / side == across
+    targets = np.flatnonzero(gen.random(len(positions)) < 0.5)
+    grid = BucketGrid(positions, targets, side, bounds, margin)
+    # the oracle's buckets from the frame's corner, the box up to its far corner's
+    box = bucket_cells(bounds[2:], side, bounds[:2])[0] + 1 + 2 * margin
+    keys = np.ravel_multi_index((bucket_cells(positions, side, bounds[:2]) + margin).T, box)
+    assert np.array_equal(grid.keys, keys)
+    assert np.array_equal(grid.start, np.r_[0, np.cumsum(np.bincount(keys[targets], minlength=box.prod()))])
+    assert np.array_equal(grid.order, targets[np.argsort(keys[targets], kind="stable")])
