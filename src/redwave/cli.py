@@ -72,14 +72,6 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _StrictParser(configparser.ConfigParser):
-    def __init__(self) -> None:
-        super().__init__(strict=True, interpolation=None)
-
-    def optionxform(self, optionstr: str) -> str:
-        return optionstr.lower()
-
-
 def _validate_keys(cp: configparser.ConfigParser) -> None:
     for section in cp.sections():
         if section not in _SCHEMA:
@@ -121,7 +113,8 @@ def _check_regime(regime: str, params: SimParams, cell_side: float | None) -> No
 def _read_config(path: str) -> tuple[configparser.ConfigParser, dict[str, float]]:
     """Read and key-check a config file; also return its [instrumentation]
     section as floats.  Every failure is a ConfigurationError."""
-    cp = _StrictParser()
+    # option names are read lower-cased: ``R = 6`` sets ``r``
+    cp = configparser.ConfigParser(strict=True, interpolation=None)
     try:
         with open(path) as fh:
             cp.read_file(fh)
@@ -188,32 +181,31 @@ def parse_config(path: str):
             max_steps=cp.getint("protocol", "max_steps", fallback=SimParams.max_steps),
         )
 
-        regime = cp.get("protocol", "regime", fallback=None)
-        if regime is not None:
-            _check_regime(regime, params, opts.get("cell_side"))
-
+        parsed, runs = params, [params]
         is_plan = cp.has_section("experiment") and any(
             cp.has_option("experiment", key)
             for key in ("sweep_axis", "sweep_values", "replicas")
         )
-        if not is_plan:
-            return params
+        if is_plan:
+            axis = cp.get("experiment", "sweep_axis", fallback=None)
+            values: tuple = ()
+            if cp.has_option("experiment", "sweep_values"):
+                values = tuple(float(v) for v in cp.get("experiment", "sweep_values").split(","))
+            parsed = ExperimentPlan(
+                base=params,
+                sweep_axis=axis,
+                sweep_values=values,
+                replicas=cp.getint("experiment", "replicas", fallback=ExperimentPlan.replicas),
+                density_one=density_one,
+            )
+            # a sweep runs its points, never its base
+            runs = parsed.points()
 
-        axis = cp.get("experiment", "sweep_axis", fallback=None)
-        values: tuple = ()
-        if cp.has_option("experiment", "sweep_values"):
-            values = tuple(float(v) for v in cp.get("experiment", "sweep_values").split(","))
-        plan = ExperimentPlan(
-            base=params,
-            sweep_axis=axis,
-            sweep_values=values,
-            replicas=cp.getint("experiment", "replicas", fallback=ExperimentPlan.replicas),
-            density_one=density_one,
-        )
+        regime = cp.get("protocol", "regime", fallback=None)
         if regime is not None:
-            for point in plan.points():
+            for point in runs:
                 _check_regime(regime, point, opts.get("cell_side"))
-        return plan
+        return parsed
     except (configparser.Error, ValueError) as exc:
         raise ConfigurationError(f"invalid config value: {exc}") from exc
 
@@ -336,9 +328,12 @@ def trace_run(
 @contextmanager
 def _replacing(path: str, what: str):
     """Yield a text file that replaces ``path`` only if the block ends
-    without an error, so a failed write leaves an earlier file untouched."""
+    without an error, so a failed write leaves an earlier file untouched.
+    Makes the file's directory first, so that a call that writes no file
+    makes none."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
+        os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
         with open(tmp, "w", newline="") as fh:
             yield fh
         os.replace(tmp, path)
@@ -520,7 +515,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     try:
-        os.makedirs(args.out, exist_ok=True)
         if args.verb in ("run", "audit"):
             if isinstance(parsed, ExperimentPlan):
                 print(f"config error: {args.verb} verb needs a single-run config", file=sys.stderr)

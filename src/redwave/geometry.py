@@ -101,6 +101,8 @@ class CellGrid:
         box = (_cells_across(xmax - xmin, self.side),) * 2
         if self.mask.dtype != bool or self.mask.shape != box:
             raise GeometryError(f"cover mask is not a boolean array over the {box} index box")
+        if not self.mask.any():
+            raise GeometryError("empty cell cover: gamma too large for this side length")
         self.mask.flags.writeable = False
 
     @property
@@ -114,20 +116,25 @@ class CellGrid:
 
         Covered cells own themselves; an uncovered boundary cell belongs to
         its nearest covered cell by chessboard distance, ties going to the
-        lowest index.  The transform carries ``distance * size + index``, so
-        its minimum orders candidates by distance first, then by index.
+        lowest index.  Round k of a window-minimum dilation labels the cells
+        at distance k from the cover: every covered cell at distance k from
+        such a cell x is at distance k - 1 from a neighbour of x that lies
+        at distance k - 1, so the least label around x is the right one.
+        An empty cover would never finish; ``__post_init__`` rejects it.
         """
         size = self.mask.size
-        start = np.where(self.mask, np.arange(size).reshape(self.mask.shape), np.inf)
-        best = distance_transform(start, np.ones_like(self.mask), step=size)
-        owner = (best % size).astype(np.intp)
+        owner = np.where(self.mask, np.arange(size).reshape(self.mask.shape), size)
+        unlabelled = ~self.mask
+        while unlabelled.any():
+            np.copyto(owner, touching(owner, np.minimum), where=unlabelled)
+            unlabelled = owner == size
         owner.flags.writeable = False
         return owner
 
     def distances(self, targets: np.ndarray) -> np.ndarray:
         """Cell-distance through the cover to the True cells of ``targets``
         (+inf where unreachable, and outside the cover)."""
-        return distance_transform(np.where(targets, 0.0, np.inf), self.mask)
+        return distance_transform(targets, self.mask)
 
     def in_cover(self, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Vectorized cover membership for parallel column/row index arrays."""
@@ -321,7 +328,7 @@ def touching(a: np.ndarray, op=np.maximum) -> np.ndarray:
     """The 3x3 window reduction by the ufunc ``op`` in the last two axes of
     ``a``, cells beyond the box left out, by sliced in-place ops over the
     box.  For a boolean array, the cells in, or 8-adjacent to, a True cell;
-    with ``np.add``, the window sum; a window minimum is ``-touching(-a)``."""
+    with ``np.add``, the window sum; with ``np.minimum``, the window minimum."""
     m = a.copy()
     op(m[..., 1:, :], a[..., :-1, :], out=m[..., 1:, :])
     op(m[..., :-1, :], a[..., 1:, :], out=m[..., :-1, :])
@@ -331,48 +338,37 @@ def touching(a: np.ndarray, op=np.maximum) -> np.ndarray:
     return out
 
 
-def distance_transform(start: np.ndarray, through: np.ndarray, step: float = 1) -> np.ndarray:
-    """The least ``start[y] + step * d(y, x)`` over the cells y of ``through``,
-    d being the 8-adjacency path length through ``through`` (+inf outside it
-    or where unreachable): the multi-source BFS distance for 0/inf starts and
-    unit step.  Leading axes are independent problems.
+def distance_transform(sources: np.ndarray, through: np.ndarray) -> np.ndarray:
+    """The multi-source BFS distance under 8-adjacency from the True cells of
+    the 2-D boolean mask ``sources`` through the True cells of ``through``
+    (+inf outside ``through`` or where unreachable).
 
     A frontier BFS over the flat box padded by one blocked cell, so that no
-    offset leaves its problem's box.  ``step`` must be at least the spread
-    of the finite starts (a ValueError otherwise), so that a cell's first
-    value is final (label-setting): its nearest sources beat any farther one.
+    offset leaves its row.  Level d gives the cells it reaches the value d.
     """
-    shape = np.broadcast_shapes(np.shape(start), np.shape(through))
-    free = np.zeros(shape[:-2] + (shape[-2] + 2, shape[-1] + 2), dtype=bool)
-    free[..., 1:-1, 1:-1] = through
-    padded = np.full(free.shape, np.inf)
-    padded[..., 1:-1, 1:-1] = np.where(through, start, np.inf)
-    reached = padded < np.inf
-    spread = np.ptp(padded[reached]) if reached.any() else 0.0
-    if step < spread:
-        raise ValueError(f"step {step} below the spread {spread} of the finite starts")
+    free = np.zeros((through.shape[0] + 2, through.shape[1] + 2), dtype=bool)
+    free[1:-1, 1:-1] = through
+    reached = np.zeros_like(free)
+    reached[1:-1, 1:-1] = sources & through
+    padded = np.where(reached, 0.0, np.inf)
     free &= ~reached
     # only sources next to a free cell have anything to offer
     frontier = np.flatnonzero(reached & touching(free))
     val, free, stamp = padded.ravel(), free.ravel(), np.empty(padded.size, dtype=np.intp)
-    h = shape[-1] + 2
+    h = padded.shape[1]
     around = np.array([-h - 1, -h, -h + 1, -1, 1, h - 1, h, h + 1])
+    d = 0
     while len(frontier):
+        d += 1
         near = (frontier[:, None] + around).ravel()
-        if spread == 0:
-            # every frontier cell holds the same value: no minimum to take
-            near = near[free[near]]
-            val[near] = val[frontier[0]] + step
-        else:
-            hit = np.flatnonzero(free[near])
-            near = near[hit]
-            np.minimum.at(val, near, val[frontier[hit // 8]] + step)
+        near = near[free[near]]
+        val[near] = d
         # of the entries naming one cell, keep the one whose position stayed
         order = np.arange(len(near))
         stamp[near] = order
         frontier = near[stamp[near] == order]
         free[frontier] = False
-    return padded[..., 1:-1, 1:-1]
+    return padded[1:-1, 1:-1]
 
 
 def build_cell_grid(region: Region, side: float, gamma: float) -> CellGrid:
@@ -420,8 +416,6 @@ def build_cell_grid(region: Region, side: float, gamma: float) -> CellGrid:
             count[at : at + len(base)] = np.count_nonzero(hit.reshape(len(base), -1), axis=1)
         mask[tuple(rim.T)] = count / (m * m) * side**2 >= threshold * (1 - 1e-9)
 
-    if not mask.any():
-        raise GeometryError("empty cell cover: gamma too large for this side length")
     grid = CellGrid(region, side, mask)
     first = np.zeros(mask.shape, dtype=bool)
     first.flat[np.flatnonzero(mask)[0]] = True

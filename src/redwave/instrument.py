@@ -120,7 +120,7 @@ def is_regular(codes: np.ndarray) -> dict[str, int]:
     step, so counting them would void the verdict everywhere.
     """
     white, red = codes == _WHITE, codes == _RED
-    unreached = white & np.isinf(distance_transform(np.where(red, 0.0, np.inf), white | red))
+    unreached = white & np.isinf(distance_transform(red, white | red))
     return {
         "grey_cells": int(np.count_nonzero(codes == _GREY)),
         "white_unreached": int(np.count_nonzero(unreached)),
@@ -335,7 +335,7 @@ def spread_pairs(
     unhit = np.zeros(sgrid.mask.shape, dtype=np.int64)
     np.add.at(unhit, at, mid[RED] == 0)
     # the fewest red-hit cells of a covered supercell over N(C)
-    fewest_hit = -touching(np.where(sgrid.mask, -red_hit, -np.inf))
+    fewest_hit = touching(np.where(sgrid.mask, red_hit, np.inf), np.minimum)
     # sgrid.bin leaves uncovered supercells empty, so the box windows' sums
     # and maxima of the counts are those over N(C)
     w, r, _ = prev

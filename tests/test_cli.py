@@ -120,6 +120,15 @@ def test_unknown_key_rejected(tmp_path):
 def test_duplicate_key_rejected(tmp_path):
     with pytest.raises(ConfigurationError):
         parse_config(write(tmp_path, MINIMAL + "r = 5.0\n"))
+    # names are matched lower-cased, so R and r are one key
+    with pytest.raises(ConfigurationError):
+        parse_config(write(tmp_path, MINIMAL + "R = 5.0\n"))
+
+
+def test_mixed_case_keys_parse(tmp_path):
+    text = MINIMAL.replace("r = 4.0", "R = 6.0").replace("n = 40", "N = 50")
+    params = parse_config(write(tmp_path, text + "Max_Steps = 7\n"))
+    assert (params.R, params.n, params.max_steps) == (6.0, 50, 7)
 
 
 def test_missing_file_rejected(tmp_path):
@@ -510,6 +519,11 @@ def test_main_sweep_checks_the_regime_on_every_point(tmp_path, capsys):
     assert not (tmp_path / "s" / "summary.csv").exists()
     cfg = write(tmp_path, text + "\n[experiment]\nsweep_axis = rho\nsweep_values = 1, 2\n")
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == EXIT_OK
+    # a base rho beyond the bound runs nowhere, so it is not checked
+    base = text.replace("rho = 1\n", "rho = 12\n")
+    cfg = write(tmp_path, base + "\n[experiment]\nsweep_axis = rho\nsweep_values = 1, 2\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "b")]) == EXIT_OK
+    assert len((tmp_path / "b" / "summary.csv").read_text().splitlines()) == 5
     # an L sweep under sec3, each point's n taken from its area
     assert parse_config(str(CONFIGS / "scaling.ini")).sweep_values == (32, 48, 64, 96)
 
@@ -575,10 +589,22 @@ def test_main_negative_seed(tmp_path, capsys):
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_main_isolated_needs_a_trial(tmp_path, capsys, trials):
     cfg = write(tmp_path, MINIMAL)
-    assert main(["isolated", "--config", cfg, "--trials", trials]) == EXIT_CONFIG
+    out = tmp_path / "out"
+    assert main(["isolated", "--config", cfg, "--trials", trials, "--out", str(out)]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert "--trials must be at least 1" in captured.err
     assert "mean_isolated" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "audit"])
+def test_main_single_run_verbs_reject_a_plan(tmp_path, capsys, verb):
+    text = MINIMAL + "\n[instrumentation]\ncell_side = 1.5\n"
+    cfg = write(tmp_path, text + "\n[experiment]\nreplicas = 2\n")
+    out = tmp_path / "out"
+    assert main([verb, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"{verb} verb needs a single-run config" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_expect_completion_failure(tmp_path):
@@ -765,7 +791,7 @@ def _main_outputs(tmp_path, verb, name):
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main(args + (["--trials", "2"] if verb == "isolated" else []))
-    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    files = {p.name: p.read_bytes() for p in out.glob("*")}
     return code, stdout.getvalue().replace(str(out), "<out>"), files
 
 

@@ -6,7 +6,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from redwave import geometry
@@ -277,6 +277,29 @@ def test_owner_is_nearest_covered_cell_lowest_index_first(region, side, gamma):
             assert np.unravel_index(grid.owner[c, r], (W, H)) == best
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.integers(min_value=1, max_value=12),
+    picks=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), min_size=1, max_size=40),
+)
+# one corner cell: the far corner takes 11 rounds; two opposite corners: the
+# anti-diagonal ties; two cells in one row: the cells between tie
+@example(width=12, picks=[(0, 0)])
+@example(width=9, picks=[(0, 0), (8, 8)])
+@example(width=10, picks=[(2, 5), (7, 5)])
+def test_owner_matches_chessboard_argmin_on_random_masks(width, picks):
+    cover = {(c % width, r % width) for c, r in picks}
+    mask = np.zeros((width, width), dtype=bool)
+    mask[tuple(np.array(sorted(cover)).T)] = True
+    grid = CellGrid(Region.square(float(width)), 1.0, mask)
+    assert np.array_equal(grid.owner, _owner_oracle(cover, mask.shape))
+
+
+def test_cell_grid_rejects_an_empty_cover():
+    with pytest.raises(GeometryError, match="empty cell cover"):
+        CellGrid(Region.square(12.0), 3.0, np.zeros((4, 4), dtype=bool))
+
+
 def test_cell_of_uncovered_sliver_goes_to_nearest_covered_cell():
     grid = build_cell_grid(Region.square(12.0), 5.0, gamma=1.0)  # 2x2 core in a 3x3 box
     cells = _owning_cells(grid, [(11.0, 11.0), (12.0, 0.0), (11.0, 7.0)])
@@ -351,15 +374,15 @@ def test_cell_grid_mask_must_span_the_index_box(shape, dtype):
 # ---------------------------------------------------------------------------
 
 
-def oracle_transform(start, through, step):
-    """min over every cell y of ``through`` of start[y] + step * d(y, x), with
-    d the BFS distance through ``through`` (+inf outside it or unreachable)."""
+def oracle_transform(sources, through):
+    """The least BFS distance through ``through`` from a True cell of
+    ``sources`` in ``through`` (+inf outside it or unreachable)."""
     cells = set(zip(*np.nonzero(through)))
-    out = np.full(start.shape, np.inf)
+    out = np.full(through.shape, np.inf)
     for y in cells:
-        if np.isfinite(start[y]):
+        if sources[y]:
             for x, d in oracle_bfs(y, cells).items():
-                out[x] = min(out[x], start[y] + step * d)
+                out[x] = min(out[x], d)
     return out
 
 
@@ -374,48 +397,18 @@ def _random_masks(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_distance_transform_matches_bfs_oracle(seed):
     for gen, through in _random_masks(seed):
-        # unit step from 0 at the sources, some of them blocked
-        start = np.where(gen.random(through.shape) < 0.1, 0.0, np.inf)
-        got = geometry.distance_transform(start, through)
-        assert np.array_equal(got, oracle_transform(start, through, 1))
-        # step = size: distance * size + the index of the nearest, lowest source
-        size = through.size
-        index = np.arange(size, dtype=float).reshape(through.shape)
-        start = np.where(gen.random(through.shape) < 0.3, index, np.inf)
-        got = geometry.distance_transform(start, through, step=size)
-        assert np.array_equal(got, oracle_transform(start, through, size))
-    # a step below the spread of the finite starts is refused
-    with pytest.raises(ValueError):
-        geometry.distance_transform(np.array([[0.0, 2.0]]), np.ones((1, 2), dtype=bool), step=1)
+        # some sources on blocked cells
+        sources = gen.random(through.shape) < 0.1
+        got = geometry.distance_transform(sources, through)
+        assert np.array_equal(got, oracle_transform(sources, through))
 
 
-def test_distance_transform_leading_axis_solves_each_problem():
-    for gen, through in _random_masks(9):
-        starts = np.where(gen.random((3,) + through.shape) < 0.15, 0.0, np.inf)
-        got = geometry.distance_transform(starts, through)
-        assert got.shape == starts.shape
-        for start, one in zip(starts, got):
-            assert np.array_equal(one, oracle_transform(start, through, 1))
-
-
-def _step_kinds(gen, shape, density):
-    """(start, step) pairs over a box: unit step from 0 at the sources and
-    step = size from the sources' flat indices, with sources at a
-    ``density`` share of the cells."""
-    size = math.prod(shape[-2:])
-    index = np.arange(size, dtype=float).reshape(shape[-2:])
-    for value, step in ((0.0, 1), (index, size)):
-        yield np.where(gen.random(shape) < density, value, np.inf), step
-
-
-def _assert_transform(start, through, step):
-    before = start.copy()
-    got = geometry.distance_transform(start, through, step)
-    assert np.array_equal(start, before)
-    assert got.shape == start.shape
-    box = (-1,) + start.shape[-2:]
-    for one, problem in zip(got.reshape(box), start.reshape(box)):
-        assert np.array_equal(one, oracle_transform(problem, through, step))
+def _assert_transform(sources, through):
+    before = sources.copy(), through.copy()
+    got = geometry.distance_transform(sources, through)
+    assert np.array_equal(sources, before[0]) and np.array_equal(through, before[1])
+    assert got.shape == sources.shape
+    assert np.array_equal(got, oracle_transform(sources, through))
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (1, 23), (23, 1), (40, 70)])
@@ -424,52 +417,44 @@ def test_distance_transform_beyond_small_boxes(shape):
     # thin boxes hold only one path, so they keep every cell
     through = gen.random(shape) < (0.75 if min(shape) > 1 else 1.0)
     density = 0.02 if min(shape) > 1 else 0.3
-    for start, step in _step_kinds(gen, shape, density):
-        _assert_transform(start, through, step)
+    _assert_transform(gen.random(shape) < density, through)
 
 
 def test_distance_transform_with_nothing_to_spread():
     gen = np.random.default_rng(3)
     none, every = np.zeros((6, 9), dtype=bool), np.ones((6, 9), dtype=bool)
-    for start, step in _step_kinds(gen, (6, 9), 0.5):
-        # no cell to pass through, then no source to start from
-        for s, through in ((start, none), (np.full_like(start, np.inf), every)):
-            got = geometry.distance_transform(s, through, step)
-            assert got.shape == (6, 9) and np.isinf(got).all()
+    # no cell to pass through, then no source to start from
+    for sources, through in ((gen.random((6, 9)) < 0.5, none), (none, every)):
+        got = geometry.distance_transform(sources, through)
+        assert got.shape == (6, 9) and np.isinf(got).all()
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_distance_transform_sources_on_the_box_edge(seed):
     # without a blocked pad, a flat offset from the last column reaches the
-    # next row's first, and one from the last row the next problem's first
+    # next row's first, and one from the first or last row wraps to the far end
     gen = np.random.default_rng(seed)
-    shape = (3, 7, 11)
-    edge = np.ones(shape[1:], dtype=bool)
+    shape = (7, 11)
+    edge = np.ones(shape, dtype=bool)
     edge[1:-1, 1:-1] = False
-    for through in (np.ones(shape[1:], dtype=bool), gen.random(shape[1:]) < 0.8):
-        for start, step in _step_kinds(gen, shape, 0.4):
-            start[:, ~edge] = np.inf
-            start[-1] = np.inf  # the last problem has no source at all
-            _assert_transform(start, through, step)
+    for through in (np.ones(shape, dtype=bool), gen.random(shape) < 0.8):
+        _assert_transform(edge & (gen.random(shape) < 0.4), through)
 
 
-@pytest.mark.parametrize("step", [1, 144])
-def test_distance_transform_visits_each_cell_once(step):
+def test_distance_transform_visits_each_cell_once():
     # a frontier that kept repeats would hold each cell once per path to it,
     # about 3**11 entries by the far corner of an open 12x12 box
     through = np.ones((12, 12), dtype=bool)
-    start = np.full(through.shape, np.inf)
-    start[0, 0] = 0.0
-    # with step = size a second, higher source: the levels take minima
-    start[5, 5] = {1: np.inf, 144: 65.0}[step]
+    sources = np.zeros(through.shape, dtype=bool)
+    sources[0, 0] = True
     tracemalloc.start()
     try:
-        got = geometry.distance_transform(start, through, step)
+        got = geometry.distance_transform(sources, through)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-    assert np.array_equal(got, oracle_transform(start, through, step))
+    assert np.array_equal(got, oracle_transform(sources, through))
 
 
 def test_touching_marks_cells_in_or_next_to_a_true_cell():
@@ -479,10 +464,10 @@ def test_touching_marks_cells_in_or_next_to_a_true_cell():
         for c, r in zip(*np.nonzero(cells)):
             expected[max(c - 1, 0) : c + 2, max(r - 1, 0) : r + 2] = True
         assert np.array_equal(geometry.touching(cells), expected)
-        # integer inputs: the window maximum and the window sum, against a
+        # integer inputs: the window maximum, minimum and sum, against a
         # brute-force 3x3 window that skips the cells beyond the box
         values = gen.integers(-50, 50, size=cells.shape)
-        for op, reduce in ((np.maximum, np.max), (np.add, np.sum)):
+        for op, reduce in ((np.maximum, np.max), (np.minimum, np.min), (np.add, np.sum)):
             expected = np.empty_like(values)
             for c, r in np.ndindex(values.shape):
                 expected[c, r] = reduce(values[max(c - 1, 0) : c + 2, max(r - 1, 0) : r + 2])
