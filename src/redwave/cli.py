@@ -202,9 +202,10 @@ def parse_config(path: str):
             runs = parsed.points()
 
         regime = cp.get("protocol", "regime", fallback=None)
-        if regime is not None:
-            for point in runs:
+        for point in runs:
+            if regime is not None:
                 _check_regime(regime, point, opts.get("cell_side"))
+            point.sgrid  # a supercell cover that cannot be formed is a config error
         return parsed
     except (configparser.Error, ValueError) as exc:
         raise ConfigurationError(f"invalid config value: {exc}") from exc
@@ -528,6 +529,8 @@ def main(argv: list[str] | None = None) -> int:
                 need = "audit" if by_cells else f"--dump-cells {dump}"
                 print(f"config error: {need} needs [instrumentation] cell_side", file=sys.stderr)
                 return EXIT_CONFIG
+            if audit and not by_cells:  # the state ladder exists before --out is made
+                instrument.h_hat(parsed.R, parsed.mobility.rho, parsed.n)
             out = os.path.join(args.out, f"{'audit' if audit else 'trace'}.{args.format}")
             with trace_writer(args.format, out) as write:
                 rec, tally = trace_run(parsed, grid, dump, write, supercells=audit)

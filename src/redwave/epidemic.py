@@ -19,11 +19,12 @@ import os
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError, GeometryError
-from .geometry import BucketGrid, Region, bucket_side, in_reach, point_items
+from .geometry import BucketGrid, CellGrid, Region, bucket_side, in_reach, point_items
 from .mobility import (
     MobilityMode,
     RngStream,
@@ -86,6 +87,14 @@ class SimParams:
             raise ConfigurationError(f"{len(pts)} explicit sources but only {self.n} agents")
         if not np.all(self.region.contains(pts, tol=1e-9)):
             raise GeometryError("source points must lie inside the region")
+
+    @cached_property
+    def sgrid(self) -> CellGrid | None:
+        """The run's supercell grid, formed on first read; None for the
+        standard walk."""
+        if self.mobility.kind != "cellular":
+            return None
+        return build_supercell_grid(self.region, self.mobility.rho)
 
 
 @dataclass
@@ -223,7 +232,7 @@ def _inform_same_supercell(
 # ---------------------------------------------------------------------------
 
 
-def transmit(s: Snapshot, params: SimParams, sgrid, t: int) -> int:
+def transmit(s: Snapshot, params: SimParams, t: int) -> int:
     """Transmission phase of step t, in place on ``s``.
 
     Returns the number of newly informed agents farther from their chain's
@@ -233,7 +242,7 @@ def transmit(s: Snapshot, params: SimParams, sgrid, t: int) -> int:
     reds = np.flatnonzero(s.states == RED)
     whites = np.flatnonzero(s.states == WHITE)
     if params.transmission_scope == "same_supercell":
-        newly, informers = _inform_same_supercell(s.positions, reds, whites, sgrid)
+        newly, informers = _inform_same_supercell(s.positions, reds, whites, params.sgrid)
         speed = 3 * math.sqrt(2) * params.mobility.rho
     else:
         newly, informers = _inform_euclidean(s.positions, reds, whites, params.R, params.region)
@@ -251,13 +260,11 @@ def transmit(s: Snapshot, params: SimParams, sgrid, t: int) -> int:
     return int(np.count_nonzero(np.hypot(d.real, d.imag) > t * speed * (1 + 1e-9)))
 
 
-def move(
-    positions: np.ndarray, params: SimParams, sgrid, gen: np.random.Generator
-) -> np.ndarray:
+def move(positions: np.ndarray, params: SimParams, gen: np.random.Generator) -> np.ndarray:
     """Move phase: every agent steps independently from ``positions``, which
     it only reads.  Returns the new positions."""
     if params.mobility.kind == "cellular":
-        return cellular_walk_all(positions, sgrid, params.region, gen)
+        return cellular_walk_all(positions, params.sgrid, params.region, gen)
     return walk_all(positions, params.mobility.rho, params.region, gen)
 
 
@@ -281,9 +288,7 @@ class Engine:
     def __init__(self, params: SimParams, initial_positions: np.ndarray | None = None):
         self.params = params
         self.gen = RngStream(params.seed, MOVES).generator()
-        self.sgrid = None
-        if params.mobility.kind == "cellular":
-            self.sgrid = build_supercell_grid(params.region, params.mobility.rho)
+        sgrid = params.sgrid  # formed before any move thread reads it
         if initial_positions is not None:
             pos = np.array(initial_positions, dtype=float)
             if pos.shape != (params.n, 2):
@@ -292,7 +297,7 @@ class Engine:
                 raise ConfigurationError("initial positions must lie inside the region")
         else:
             placement = RngStream(params.seed, PLACEMENT).generator()
-            pos = init_positions(params.n, params.region, params.mobility, placement, self.sgrid)
+            pos = init_positions(params.n, params.region, params.mobility, placement, sgrid)
         pos.flags.writeable = False
         n = params.n
         self.snapshot = Snapshot(
@@ -324,7 +329,7 @@ class Engine:
         return tuple(chosen)
 
     def _move(self, positions: np.ndarray) -> np.ndarray:
-        return move(positions, self.params, self.sgrid, self.gen)
+        return move(positions, self.params, self.gen)
 
     def _move_ahead(self) -> None:
         """Start the move of the snapshot's positions on a thread of its own,
@@ -384,7 +389,7 @@ class Engine:
             self._move_ahead()
         try:
             if not moved_first:
-                self.chain_violations += transmit(s, p, self.sgrid, t)
+                self.chain_violations += transmit(s, p, t)
             moved = self._join_ahead()
             if isinstance(moved, BaseException):
                 raise moved
@@ -392,7 +397,7 @@ class Engine:
             if goes_on:
                 self._move_ahead()
             if moved_first:
-                self.chain_violations += transmit(s, p, self.sgrid, t)
+                self.chain_violations += transmit(s, p, t)
         except BaseException:
             self._join_ahead()
             raise

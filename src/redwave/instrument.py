@@ -22,7 +22,6 @@ import numpy as np
 from .epidemic import RED, WHITE, SimParams, Snapshot
 from .errors import ConfigurationError
 from .geometry import CellGrid, distance_transform, touching
-from .mobility import build_supercell_grid
 
 
 class CellState(Enum):
@@ -179,15 +178,6 @@ class SupercellClassifier:
         out[hh] = r >= self.red_threshold
         out[hh + 1] = w == 0
         return out
-
-
-def classify_supercells(
-    counts: np.ndarray, sgrid: CellGrid, classifier: SupercellClassifier
-) -> np.ndarray:
-    """The state marks (see SupercellClassifier.classify) of every supercell
-    of the index box, from its (3, W, H) agent counts (``sgrid.bin``);
-    uncovered supercells are marked in no state."""
-    return classifier.classify(*counts) & sgrid.mask
 
 
 def top_state(states: np.ndarray) -> np.ndarray:
@@ -369,7 +359,7 @@ class SupercellAudit:
 
     def __init__(self, params: SimParams, tally: Counter, grid: CellGrid | None = None) -> None:
         rho = params.mobility.rho
-        self.sgrid = build_supercell_grid(params.region, rho)
+        self.sgrid = params.sgrid
         self.classifier = SupercellClassifier(params.R, rho, params.n)
         nested = grid is not None and abs(rho / grid.side - round(rho / grid.side)) <= 1e-9
         self.grid = grid if nested else None
@@ -378,7 +368,7 @@ class SupercellAudit:
 
     def __call__(self, snap: Snapshot) -> None:
         counts = self.sgrid.bin(snap.positions, snap.states)
-        states = classify_supercells(counts, self.sgrid, self.classifier)
+        states = self.classifier.classify(*counts) & self.sgrid.mask  # uncovered: no state
         top = top_state(states)
         dist = self.sgrid.distances(top >= 1)
         broken = supercell_regularity(states, self.sgrid)

@@ -168,7 +168,7 @@ def init_positions(
     region: Region,
     mobility: MobilityMode,
     gen: np.random.Generator,
-    sgrid: CellGrid | None = None,
+    sgrid: CellGrid | None,
 ) -> np.ndarray:
     """n independent draws from the walk's stationary distribution.  Both
     walks have a symmetric kernel, so the stationary density at x is
@@ -176,12 +176,12 @@ def init_positions(
     |union(N(C(x))) & S| for the cellular walk.  x uniform on S is kept iff
     it is in the walk's support and one step proposed from x is accepted,
     which happens with a probability proportional to that area: the
-    proposal's square or 3x3 block has the same size from every x."""
+    proposal's square or 3x3 block has the same size from every x.
+    ``sgrid`` is the run's supercell grid (``SimParams.sgrid``), None for
+    the standard walk."""
     if n < 1:
         raise ConfigurationError("need at least one agent")
     cellular = mobility.kind == "cellular"
-    if cellular and sgrid is None:
-        sgrid = build_supercell_grid(region, mobility.rho)
 
     def accept(x):
         if cellular:

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from redwave import cli
+from redwave import cli, epidemic, mobility
 from redwave.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -484,6 +484,8 @@ def test_main_sweep_rejects_bad_experiment_values(tmp_path, capsys, experiment):
 
 
 _CELLULAR_RHO_0 = MINIMAL + "\n[mobility]\nmode = cellular\nrho = 0\n"
+# rho >= D: the supercell cover cannot be formed
+_CELLULAR_RHO_40 = _CELLULAR_RHO_0.replace("size = 12", "size = 24").replace("rho = 0", "rho = 40")
 
 
 @pytest.mark.parametrize(
@@ -498,15 +500,35 @@ _CELLULAR_RHO_0 = MINIMAL + "\n[mobility]\nmode = cellular\nrho = 0\n"
         ),
         ("run", _CELLULAR_RHO_0, "cellular mobility requires rho > 0"),
         ("sweep", _CELLULAR_RHO_0 + "\n[experiment]\nreplicas = 2\n", "requires rho > 0"),
+        ("run", _CELLULAR_RHO_40, "degenerate grid"),
+        ("audit", _CELLULAR_RHO_40, "degenerate grid"),
+        ("sweep", _CELLULAR_RHO_40 + "\n[experiment]\nreplicas = 2\n", "degenerate grid"),
+        # the base's cover forms, the L = 8 point's does not
+        (
+            "sweep",
+            _CELLULAR_RHO_40.replace("rho = 40", "rho = 12")
+            + "\n[experiment]\nsweep_axis = L\nsweep_values = 24, 8\n",
+            "degenerate grid",
+        ),
     ],
-    ids=["run-k", "sweep-k", "run-cellular-rho0", "sweep-cellular-rho0"],
+    ids=[
+        "run-k",
+        "sweep-k",
+        "run-cellular-rho0",
+        "sweep-cellular-rho0",
+        "run-cellular-rho-over-d",
+        "audit-cellular-rho-over-d",
+        "sweep-cellular-rho-over-d",
+        "sweep-point-cellular-rho-over-d",
+    ],
 )
 def test_main_rejects_a_config_that_fails_only_inside_a_run(tmp_path, capsys, verb, text, message):
-    # rejected before any run: no trace, and no summary of failed replicas
+    # rejected before any run: no trace, no summary of failed replicas, and
+    # no --out directory
     cfg = write(tmp_path, text)
     assert main([verb, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
-    assert list((tmp_path / "out").glob("*")) == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_sweep_checks_the_regime_on_every_point(tmp_path, capsys):
@@ -721,7 +743,8 @@ def test_main_audit_of_a_cellular_walk_checks_the_spread_bounds(tmp_path, capsys
     "r, n", [(1.0, 200), (6.0, 1)], ids=["r_at_most_one", "one_agent"]
 )
 def test_main_audit_of_a_cellular_walk_needs_a_state_ladder(tmp_path, capsys, monkeypatch, r, n):
-    # h_hat needs R > 1 and ln n > 0: a config error before placement
+    # h_hat needs R > 1 and ln n > 0: a config error before placement and
+    # before --out is made
     text = f"[region]\nkind = square\nsize = 48\n\n[agents]\nn = {n}\n\n[protocol]\nr = {r}\n"
     cfg = write(tmp_path, text + "\n[mobility]\nmode = cellular\nrho = 12\n")
     placed = []
@@ -729,7 +752,25 @@ def test_main_audit_of_a_cellular_walk_needs_a_state_ladder(tmp_path, capsys, mo
     out = tmp_path / "a"
     assert main(["audit", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert "config error: h_hat" in capsys.readouterr().err
-    assert placed == [] and list(out.iterdir()) == []
+    assert placed == [] and not out.exists()
+
+
+def test_main_cellular_audit_forms_one_supercell_grid(tmp_path, monkeypatch):
+    # the walk, the same-supercell kernel, placement and the supercell
+    # audit all read the grid that parsing formed, through the epidemic
+    # module's binding; every supercell grid is a side-rho cell grid
+    text = (CONFIGS / "speedup_rho24_cellular.ini").read_text()
+    lines = text.splitlines(True)
+    cfg = write(tmp_path, "".join(line for line in lines if not line.startswith("replicas")))
+    formed, cells = [], []
+    for owner, name, calls in (
+        (epidemic, "build_supercell_grid", formed),
+        (mobility, "build_cell_grid", cells),
+    ):
+        build = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, b=build, c=calls: c.append(a) or b(*a))
+    assert main(["audit", "--config", cfg, "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert len(formed) == len(cells) == 1
 
 
 @pytest.mark.parametrize(

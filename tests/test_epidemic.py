@@ -86,7 +86,7 @@ def test_explicit_sources_are_checked_with_the_params(sources, message):
 
 def test_transmission_no_reds_is_inert():
     snap = make_snapshot([(1.0, 1.0), (2.0, 2.0)], [WHITE, BLACK])
-    assert transmit(snap, params(), None, 1) == 0
+    assert transmit(snap, params(), 1) == 0
     assert list(snap.states) == [WHITE, BLACK]
 
 
@@ -94,20 +94,19 @@ def test_transmission_closed_ball_boundary():
     # white exactly at distance R: the closed-ball decision informs it
     R = 3.0
     snap = make_snapshot([(0.0, 0.0), (R, 0.0)], [RED, WHITE])
-    transmit(snap, params(R=R), None, 1)
+    transmit(snap, params(R=R), 1)
     assert snap.states[1] == RED
     assert np.array_equal(snap.chain_origin[1], snap.chain_origin[0])
 
 
 def test_transmission_beyond_radius():
     snap = make_snapshot([(0.0, 0.0), (3.1, 0.0)], [RED, WHITE])
-    transmit(snap, params(R=3.0), None, 1)
+    transmit(snap, params(R=3.0), 1)
     assert snap.states[1] == WHITE
 
 
 def test_transmission_same_supercell_scope():
     region = Region.square(48.0)
-    sgrid = build_supercell_grid(region, 12.0)
     p = SimParams(
         region=region,
         n=2,
@@ -117,11 +116,11 @@ def test_transmission_same_supercell_scope():
     )
     # distance 0.1 R, but on opposite sides of the x=12 supercell border
     snap = make_snapshot([(11.8, 6.0), (12.4, 6.0)], [RED, WHITE])
-    transmit(snap, p, sgrid, 1)
+    transmit(snap, p, 1)
     assert snap.states[1] == WHITE
     # same supercell, any in-cell distance: informed
     snap = make_snapshot([(12.5, 6.0), (23.0, 11.0)], [RED, WHITE])
-    transmit(snap, p, sgrid, 1)
+    transmit(snap, p, 1)
     assert snap.states[1] == RED
 
 
@@ -135,7 +134,6 @@ def test_transmission_same_supercell_scope():
 )
 def test_transmit_counts_chain_speed_violations(scope, mobility, t, speed):
     region = Region.square(48.0)
-    sgrid = build_supercell_grid(region, mobility.rho) if scope == "same_supercell" else None
     p = SimParams(region=region, n=2, R=6.0, mobility=mobility, transmission_scope=scope)
     # the white at x = 44 is 3 from the red, in reach and in its side-8
     # supercell; the red's chain started t * speed from the white, or just
@@ -143,7 +141,7 @@ def test_transmit_counts_chain_speed_violations(scope, mobility, t, speed):
     for stretch, violations in ((1.0, 0), (1 + 2e-9, 1)):
         snap = make_snapshot([(41.0, 1.0), (44.0, 1.0)], [RED, WHITE])
         snap.chain_origin[0] = (44.0 - t * speed * stretch, 1.0)
-        assert transmit(snap, p, sgrid, t) == violations
+        assert transmit(snap, p, t) == violations
         assert snap.states[1] == RED
         assert np.array_equal(snap.chain_origin[1], snap.chain_origin[0])
 
@@ -152,21 +150,31 @@ def test_newly_informed_do_not_relay_within_a_step():
     # chain A(red) - B - C with |AB| <= R, |BC| <= R, |AC| > R:
     # B is informed during the step, C must wait for the next one
     snap = make_snapshot([(0.0, 0.0), (2.5, 0.0), (5.0, 0.0)], [RED, WHITE, WHITE])
-    transmit(snap, params(n=3, R=3.0), None, 1)
+    transmit(snap, params(n=3, R=3.0), 1)
     assert snap.states[1] == RED
     assert snap.states[2] == WHITE
 
 
 def test_red_countdown_expiry():
     snap = make_snapshot([(0.0, 0.0)], [RED])
-    transmit(snap, params(n=1, k=1), None, 1)
+    transmit(snap, params(n=1, k=1), 1)
     assert snap.states[0] == BLACK
     # with k=2, the red survives its first active step
     snap2 = make_snapshot([(0.0, 0.0)], [RED])
     snap2.countdown[0] = 2
-    transmit(snap2, params(n=1, k=2), None, 1)
+    transmit(snap2, params(n=1, k=2), 1)
     assert snap2.states[0] == RED
     assert snap2.countdown[0] == 1
+
+
+def test_params_form_their_supercell_grid_once():
+    assert params().sgrid is None
+    p = SimParams(region=Region.square(48.0), n=2, R=6.0, mobility=MobilityMode.cellular(12.0))
+    sgrid = p.sgrid
+    assert p.sgrid is sgrid and sgrid.side == 12.0 and sgrid.mask.shape == (4, 4)
+    # params made by replace form their own grid, equal to the first
+    again = replace(p, seed=1).sgrid
+    assert again is not sgrid and np.array_equal(again.mask, sgrid.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +185,13 @@ def test_red_countdown_expiry():
 def test_move_phase_rho_zero_keeps_positions():
     snap = make_snapshot([(1.0, 1.0), (2.0, 2.0)], [RED, WHITE])
     before = snap.positions.copy()
-    snap.positions = move(snap.positions, params(rho=0.0), None, RngStream(0).generator())
+    snap.positions = move(snap.positions, params(rho=0.0), RngStream(0).generator())
     assert np.array_equal(snap.positions, before)
 
 
 def test_move_phase_keeps_states_and_bounds_displacement():
     snap = make_snapshot([(5.0, 5.0)] * 100, [BLACK] * 100)
-    snap.positions = move(snap.positions, params(n=100, rho=1.0), None, RngStream(1).generator())
+    snap.positions = move(snap.positions, params(n=100, rho=1.0), RngStream(1).generator())
     assert np.all(snap.states == BLACK)
     disp = np.hypot(snap.positions[:, 0] - 5.0, snap.positions[:, 1] - 5.0)
     assert disp.max() <= 1.0 + 1e-12
@@ -194,10 +202,10 @@ def _sequential_step(eng):
     this thread, in the engine's phase order."""
     s, t = eng.snapshot, eng.snapshot.step + 1
     if eng.params.phase_order == "move_then_transmit":
-        s.positions = move(s.positions, eng.params, eng.sgrid, eng.gen)
-    eng.chain_violations += transmit(s, eng.params, eng.sgrid, t)
+        s.positions = move(s.positions, eng.params, eng.gen)
+    eng.chain_violations += transmit(s, eng.params, t)
     if eng.params.phase_order == "transmit_then_move":
-        s.positions = move(s.positions, eng.params, eng.sgrid, eng.gen)
+        s.positions = move(s.positions, eng.params, eng.gen)
     s.step = t
 
 
@@ -513,7 +521,7 @@ def test_two_agents_within_range_complete_at_step_two():
     p = params(n=2, R=3.0, rho=0.0, sources=[(1.0, 1.0)])
     rec = None
     for seed in range(50):
-        cand = run(SimParams(**{**p.__dict__, "seed": seed}))
+        cand = run(replace(p, seed=seed))
         d = math.dist(cand.final.positions[0], cand.final.positions[1])
         if d < 3.0:
             rec = cand
@@ -537,7 +545,7 @@ def test_all_sources_complete_at_step_one():
     p = params(n=5, rho=1.0)
     probe = run(p)  # learn the realized start positions
     pts = [tuple(map(float, xy)) for xy in probe.final.chain_origin[:5]]
-    rec = run(SimParams(**{**p.__dict__, "sources": pts}))
+    rec = run(replace(p, sources=pts))
     assert rec.completion_time == 1
 
 

@@ -1,6 +1,7 @@
 """Sweep harness, scaling fits, and the isolated-agent experiments."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -340,7 +341,7 @@ def test_multi_source_all_agents_complete_immediately():
     p = base_params(n=6, region=Region.square(10.0))
     probe = run(p)
     pts = [tuple(map(float, xy)) for xy in probe.final.chain_origin[:6]]
-    rec = run(SimParams(**{**p.__dict__, "sources": pts}))
+    rec = run(replace(p, sources=pts))
     assert rec.completion_time == 1
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 from collections import Counter, deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from redwave.instrument import (
     SupercellAudit,
     SupercellClassifier,
     classify_cells,
-    classify_supercells,
     front_pairs,
     h_hat,
     is_regular,
@@ -230,7 +230,7 @@ def test_initial_configurations_mostly_regular():
     for seed in range(trials):
         maps = []
         run(
-            SimParams(**{**p.__dict__, "seed": seed, "max_steps": 1}),
+            replace(p, seed=seed, max_steps=1),
             on_step=lambda s: maps.append(classify_cells(s, grid)),
         )
         if not any(is_regular(maps[0]).values()):
@@ -458,8 +458,8 @@ def marked(states):
 
 
 def supercell_map(snap, sgrid, classifier):
-    """``classify_supercells`` of a snapshot's supercell counts."""
-    return classify_supercells(sgrid.bin(snap.positions, snap.states), sgrid, classifier)
+    """The state marks of a snapshot's supercell counts, none off the cover."""
+    return classifier.classify(*sgrid.bin(snap.positions, snap.states)) & sgrid.mask
 
 
 @pytest.fixture(scope="module")

@@ -194,23 +194,24 @@ def test_cellular_single_agent_step():
 
 def test_init_positions_single_uniform_point():
     region = Region.square(6.0)
-    pos = init_positions(1, region, MobilityMode.standard(0.0), RngStream(4).generator())
+    pos = init_positions(1, region, MobilityMode.standard(0.0), RngStream(4).generator(), None)
     assert pos.shape == (1, 2)
     assert region.contains(pos[0])
-    again = init_positions(1, region, MobilityMode.standard(0.0), RngStream(4).generator())
+    again = init_positions(1, region, MobilityMode.standard(0.0), RngStream(4).generator(), None)
     assert np.array_equal(pos, again)
 
 
 def test_init_positions_needs_agents():
+    mode = MobilityMode.standard(1.0)
     with pytest.raises(ConfigurationError):
-        init_positions(0, Region.square(4.0), MobilityMode.standard(1.0), RngStream(0).generator())
+        init_positions(0, Region.square(4.0), mode, RngStream(0).generator(), None)
 
 
 def test_init_positions_cellular_burn_in_spreads_over_supercells():
     region = Region.square(48.0)
     n = 9000
-    pos = init_positions(n, region, MobilityMode.cellular(12.0), RngStream(21).generator())
     sgrid = build_supercell_grid(region, 12.0)
+    pos = init_positions(n, region, MobilityMode.cellular(12.0), RngStream(21).generator(), sgrid)
     cells = bucket_cells(pos, sgrid.side, sgrid.origin)
     counts = np.bincount(cells[:, 0] * 4 + cells[:, 1], minlength=16)
     # all 16 supercells populated, none wildly off the n/16 mean
@@ -224,7 +225,7 @@ def test_trajectory_determinism():
 
     def trajectory():
         gen = RngStream(33).generator()
-        pos = init_positions(50, region, mode, gen)
+        pos = init_positions(50, region, mode, gen, None)
         for _ in range(10):
             pos = walk_all(pos, mode.rho, region, gen)
         return pos
@@ -400,7 +401,8 @@ def test_stationary_start_draws_are_pinned():
     )
     for region, rho in ((Region.square(48.0), 8.0), (Region.disk(24.0), 7.5)):
         for mode in (MobilityMode.standard(4.0), MobilityMode.cellular(rho)):
-            pos = init_positions(2000, region, mode, RngStream(6).generator())
+            sgrid = build_supercell_grid(region, rho) if mode.kind == "cellular" else None
+            pos = init_positions(2000, region, mode, RngStream(6).generator(), sgrid)
             assert _sha256(pos) == next(digests), (region, mode)
 
 
@@ -420,7 +422,7 @@ def test_cellular_start_is_stationary_on_full_tiling():
     mask = np.pad(sgrid.mask, 1)
     neighbours = sum(mask[1 + i : 9 + i, 1 + j : 9 + j] for i in (-1, 0, 1) for j in (-1, 0, 1))
     weights = neighbours[sgrid.mask] / neighbours[sgrid.mask].sum()
-    pos = init_positions(n, region, MobilityMode.cellular(rho), RngStream(1).generator())
+    pos = init_positions(n, region, MobilityMode.cellular(rho), RngStream(1).generator(), sgrid)
     _, p = stats.chisquare(_supercell_counts(pos, sgrid), weights * n)
     assert p > 0.01
 
@@ -432,7 +434,7 @@ def test_cellular_start_on_a_disk_matches_a_long_walk():
     region, rho, n = Region.disk(30.0), 7.5, 20000
     sgrid = build_supercell_grid(region, rho)
     assert not sgrid.mask.all()
-    exact = init_positions(n, region, MobilityMode.cellular(rho), RngStream(1).generator())
+    exact = init_positions(n, region, MobilityMode.cellular(rho), RngStream(1).generator(), sgrid)
     gen = RngStream(2).generator()
     walked = _uniform_in_region(n, region, gen)
     for _ in range(50):
@@ -456,7 +458,7 @@ def test_standard_start_matches_a_long_walk(region):
             d = region.size - np.hypot(pos[:, 0], pos[:, 1])
         return np.histogram(d, np.r_[np.linspace(0.0, rho, 8), np.inf])[0] / n
 
-    exact = init_positions(n, region, MobilityMode.standard(rho), RngStream(1).generator())
+    exact = init_positions(n, region, MobilityMode.standard(rho), RngStream(1).generator(), None)
     gen = RngStream(2).generator()
     walked = _uniform_in_region(n, region, gen)
     for _ in range(400):
