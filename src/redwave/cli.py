@@ -136,8 +136,8 @@ def _read_config(path: str) -> tuple[configparser.ConfigParser, dict[str, float]
     return cp, opts
 
 
-def parse_config(path: str):
-    """Parse and validate a config file.
+def parse_config(path: str, seed: int | None = None):
+    """Parse and validate a config file; a ``seed`` replaces the config's.
 
     Returns a SimParams, or an ExperimentPlan when an [experiment] section is
     present.
@@ -180,6 +180,8 @@ def parse_config(path: str):
             seed=cp.getint("experiment", "seed", fallback=SimParams.seed),
             max_steps=cp.getint("protocol", "max_steps", fallback=SimParams.max_steps),
         )
+        if seed is not None:  # before any supercell grid forms
+            params = replace(params, seed=seed)
 
         parsed, runs = params, [params]
         is_plan = cp.has_section("experiment") and any(
@@ -240,14 +242,14 @@ _CELL_SLOTS = np.array(['":' + _json(s.value) for s in instrument.CellState], dt
 _WHITE_CELL = instrument.CELL_CODE[instrument.CellState.WHITE]
 
 
-def _trace_row(snap: Snapshot, cells=None, dump: tuple | None = None) -> dict:
-    """One trace row: the agent counts of ``snap`` and, with a cell audit,
-    its instrument columns; with ``dump`` also its cell dump."""
+def _trace_row(snap: Snapshot, audit: tuple | None, dump: tuple | None) -> dict:
+    """One trace row: the agent counts of ``snap``, the instrument columns
+    of its cell ``audit``'s result, if any, and with ``dump`` its cell dump."""
     w, r, b = snap.counts()
     row = dict(dict.fromkeys(_TRACE_FIELDS), schema=SCHEMA_VERSION, step=snap.step)
     row.update(white=w, red=r, black=b)
-    if cells is not None:
-        states, row["regular"], dist = cells(snap)
+    if audit is not None:
+        states, row["regular"], dist = audit
         dists = dist[(states == _WHITE_CELL) & np.isfinite(dist)]
         if dists.size:
             row["max_wavefront"] = float(dists.max())
@@ -284,46 +286,42 @@ def _dump_keys(grid) -> tuple[list, np.ndarray]:
 def trace_run(
     params: SimParams, grid, dump_cells: str, write, supercells: bool = False
 ) -> tuple[RunRecord, Counter]:
-    """Run once; each step's trace row goes to ``write`` when the next step
-    ends, the last when the run ends so that it can take the final dump.
-    With a grid the steps are audited by cells and the rows carry the
-    instrument columns, and per-cell states on every step (``"each"``) or
-    on the last (``"final"``); with ``supercells`` a cellular walk is also
-    audited by supercells, and by the spread bounds where the grid allows
-    (see ``instrument.SupercellAudit``).  Both audits and the cell columns
-    read the configuration that each step's transmission acted on: the
-    snapshot under ``move_then_transmit``, and under ``transmit_then_move``
-    the step before's positions with this step's states (at step 0, the
-    snapshot).  Returns the record and the audits' tally."""
+    """Run once; each step's trace row goes to ``write`` from the step's
+    hook.  With a grid the steps are audited by cells and the rows carry
+    the instrument columns, and per-cell states on every step (``"each"``)
+    or on the last (``"final"``); with ``supercells`` a cellular walk is
+    also audited by supercells, and by the spread bounds where the grid
+    allows (see ``instrument.SupercellAudit``).  Both audits and the cell
+    columns read the configuration that each step's transmission acted on:
+    the snapshot under ``move_then_transmit``, and under
+    ``transmit_then_move`` the step before's positions with this step's
+    states (at step 0, the snapshot).  They judge a step against the step
+    before where a move and a transmission lie between the two, from step
+    1 (step 2 under ``transmit_then_move``).  Returns the record and tally."""
     tally = Counter(configs=0)  # the steps audited
     cells = instrument.CellAudit(grid, tally) if grid is not None else None
     cellular = supercells and params.mobility.kind == "cellular"
     ladder = instrument.SupercellAudit(params, tally, grid) if cellular else None
     keys = _dump_keys(grid) if grid is not None and dump_cells != "never" else None
-    each = keys if dump_cells == "each" else None
     lagged = params.phase_order == "transmit_then_move" and (grid is not None or cellular)
-    held: list[dict] = []
     # the step before's positions, kept where an audit reads them: the
     # engine replaces the positions array each step and never writes it,
     # so none is copied
     before: list[np.ndarray] = []
 
-    def on_step(snap: Snapshot) -> None:
-        if held:
-            write(held.pop())
+    def on_step(snap: Snapshot, last: bool) -> None:
         tally["configs"] += 1
         audited = replace(snap, positions=before.pop()) if before else snap
         if lagged:
             before.append(snap.positions)
+        # a pair spans a move; under transmit_then_move steps 0 and 1 share positions
+        paired = snap.step >= (2 if lagged else 1)
         if ladder is not None:
-            ladder(audited)
-        held.append(_trace_row(audited, cells, each))
+            ladder(audited, paired)
+        audit = cells(audited, paired) if cells is not None else None
+        write(_trace_row(audited, audit, keys if last or dump_cells == "each" else None))
 
-    rec = run(params, on_step=on_step)
-    if dump_cells == "final" and keys is not None:
-        held[0]["cells"] = _cells_text(cells.codes, keys)
-    write(held[0])
-    return rec, tally
+    return run(params, on_step=on_step), tally
 
 
 @contextmanager
@@ -504,13 +502,8 @@ def main(argv: list[str] | None = None) -> int:
     _keep_freed_memory()
     args = _build_parser().parse_args(argv)
     try:
-        parsed = parse_config(args.config)
+        parsed = parse_config(args.config, args.seed)
         opts = instrumentation_options(args.config)
-        if args.seed is not None:
-            if isinstance(parsed, ExperimentPlan):
-                parsed = replace(parsed, base=replace(parsed.base, seed=args.seed))
-            else:
-                parsed = replace(parsed, seed=args.seed)
     except RedwaveError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

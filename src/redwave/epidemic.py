@@ -408,12 +408,14 @@ class Engine:
 def run(
     params: SimParams,
     initial_positions: np.ndarray | None = None,
-    on_step: Callable[[Snapshot], None] | None = None,
+    on_step: Callable[[Snapshot, bool], None] | None = None,
 ) -> RunRecord:
     """Run the process to completion, failure, or max_steps exhaustion.
 
-    ``on_step`` is called with the engine's live snapshot once after
-    placement (step 0) and once after each step; it must copy whatever it
+    ``on_step(snap, last)`` is called with the engine's live snapshot once
+    after placement (step 0) and once after each step, with ``last`` True
+    on the final call only: the step that completes the flood, the step
+    it dies out at, or step ``max_steps``.  It must copy whatever it
     keeps, since the engine updates that snapshot in place, and must not
     write the positions, which the next move may be reading.
     """
@@ -427,20 +429,21 @@ def run(
             rec.series.white.append(w)
             rec.series.red.append(r)
             rec.series.black.append(b)
+            ended = r == 0 and snap.step > 0  # completed or died out
+            last = ended or snap.step == params.max_steps
             if on_step is not None:
-                on_step(snap)
-            if r == 0 and snap.step > 0:
-                if w == 0:
-                    rec.completion_time = snap.step
-                else:
-                    rec.failed_at = snap.step
-                break
-            if snap.step == params.max_steps:
-                rec.exhausted = True
+                on_step(snap, last)
+            if last:
                 break
             snap = eng.step()
     finally:
         eng._join_ahead()  # a move started ahead of a step that never ran
+    if not ended:
+        rec.exhausted = True
+    elif w == 0:
+        rec.completion_time = snap.step
+    else:
+        rec.failed_at = snap.step
     rec.final = eng.snapshot  # the engine is dropped on return
     rec.chain_violations = eng.chain_violations
     return rec

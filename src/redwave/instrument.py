@@ -263,15 +263,15 @@ def ladder_pairs(prev_top: np.ndarray, states: np.ndarray, sgrid: CellGrid) -> d
 class CellAudit:
     """The cell audit of one run, called with the configuration that each
     step's transmission acted on (see ``cli.trace_run``): it adds the
-    step's ``is_regular`` counts, its regularity and grey-freedom, and its
-    ``front_pairs`` counts to ``tally``, and returns (and keeps) its state
-    grid, regularity and distance grid."""
+    step's ``is_regular`` counts, its regularity and grey-freedom, and if
+    ``paired`` (the caller's verdict on the call before and this one) the
+    pair's ``front_pairs`` counts to ``tally``, and returns its state grid,
+    regularity and distance grid."""
 
     def __init__(self, grid: CellGrid, tally: Counter) -> None:
         self.grid, self.tally = grid, tally
-        self.codes = self.dist = None
 
-    def __call__(self, snap: Snapshot) -> tuple[np.ndarray, bool, np.ndarray]:
+    def __call__(self, snap: Snapshot, paired: bool) -> tuple[np.ndarray, bool, np.ndarray]:
         codes = classify_cells(snap, self.grid)
         broken = is_regular(codes)
         dist = wavefront_distances(codes, self.grid)
@@ -279,9 +279,9 @@ class CellAudit:
         self.tally.update(broken)
         self.tally["regular"] += regular
         self.tally["grey_free"] += broken["grey_cells"] == 0
-        if self.dist is not None:
+        if paired:
             self.tally.update(front_pairs(self.dist, codes, dist))
-        self.codes, self.dist = codes, dist
+        self.dist = dist
         return codes, regular, dist
 
 
@@ -349,13 +349,13 @@ class SupercellAudit:
     """The supercell audit of one cellular run, called with the
     configuration that each step's transmission acted on (see
     ``cli.trace_run``): it adds the step's ``supercell_regularity`` counts,
-    its ``supercell_regular`` verdict and its ``supercell_front_pairs`` and
-    ``ladder_pairs`` counts to ``tally``.  The positions it is given with
-    the step before's states are then the configuration between a move and
-    a transmission phase, so with a cell ``grid`` whose side divides rho,
-    each cell inside one supercell, it adds the ``spread_pairs`` counts
-    too.  A run without a state ladder (``h_hat``) is a ConfigurationError
-    here."""
+    its ``supercell_regular`` verdict and, if ``paired``, the pair's
+    ``supercell_front_pairs`` and ``ladder_pairs`` counts to ``tally``.  The
+    positions of a pair's second call with the first call's states are the
+    configuration between its move and transmission, so with a cell
+    ``grid`` whose side divides rho, each cell inside one supercell, it adds
+    the ``spread_pairs`` counts too.  A run without a state ladder
+    (``h_hat``) is a ConfigurationError here."""
 
     def __init__(self, params: SimParams, tally: Counter, grid: CellGrid | None = None) -> None:
         rho = params.mobility.rho
@@ -364,9 +364,8 @@ class SupercellAudit:
         nested = grid is not None and abs(rho / grid.side - round(rho / grid.side)) <= 1e-9
         self.grid = grid if nested else None
         self.tally = tally
-        self.top = self.dist = self.counts = self.agent_states = None
 
-    def __call__(self, snap: Snapshot) -> None:
+    def __call__(self, snap: Snapshot, paired: bool) -> None:
         counts = self.sgrid.bin(snap.positions, snap.states)
         states = self.classifier.classify(*counts) & self.sgrid.mask  # uncovered: no state
         top = top_state(states)
@@ -374,7 +373,7 @@ class SupercellAudit:
         broken = supercell_regularity(states, self.sgrid)
         self.tally.update(broken)
         self.tally["supercell_regular"] += not any(broken.values())
-        if self.top is not None:
+        if paired:
             self.tally.update(supercell_front_pairs(self.dist, top, dist))
             self.tally.update(ladder_pairs(self.top, states, self.sgrid))
             if self.grid is not None:

@@ -222,7 +222,7 @@ def test_trace_cells_dump_matches_cell_maps():
     names = [s.value for s in CellState]
     maps, before = [], []
 
-    def dump(snap):
+    def dump(snap, last):
         # the configuration the transmission acted on: this step's states at
         # the step before's positions (at step 0, the snapshot's)
         positions = before[-1] if before else snap.positions
@@ -281,13 +281,12 @@ def test_trace_unknown_format(tiny_rows, tmp_path):
 
 
 def test_trace_rows_stream_to_the_writer(monkeypatch):
-    # row t reaches the writer once step t + 1 has ended (the last row once
-    # the run has)
+    # row t reaches the writer during step t's hook, before step t + 1 runs
     ended = []
     real_run = cli.run
 
     def counting_run(params, on_step):
-        return real_run(params, on_step=lambda s: (ended.append(s.step), on_step(s)))
+        return real_run(params, on_step=lambda s, last: (ended.append(s.step), on_step(s, last)))
 
     monkeypatch.setattr(cli, "run", counting_run)
     p = SimParams(
@@ -297,7 +296,7 @@ def test_trace_rows_stream_to_the_writer(monkeypatch):
     written = []
     rec, tally = trace_run(p, None, "never", lambda row: written.append((row["step"], len(ended))))
     last = rec.steps_run()
-    assert written == [(t, t + 2) for t in range(last)] + [(last, last + 1)]
+    assert written == [(t, t + 1) for t in range(last + 1)]
     assert tally == {"configs": last + 1}  # no grid and no supercells: nothing audited
 
 
@@ -332,8 +331,8 @@ def test_failed_run_keeps_the_earlier_trace(tmp_path, verb, monkeypatch):
     real_run = cli.run
 
     def failing_run(params, on_step):
-        def step(s):
-            on_step(s)
+        def step(s, last):
+            on_step(s, last)
             if s.step == 2:
                 raise GeometryError("agent left the region")
 
@@ -701,9 +700,9 @@ def test_main_audit_of_a_cellular_walk_prints_the_supercell_tally(tmp_path, caps
     tally = Counter(configs=0)
     audit = SupercellAudit(params, tally)
 
-    def step(snap):
+    def step(snap, last):  # the preset moves first: the snapshot is audited
         tally["configs"] += 1
-        audit(snap)
+        audit(snap, snap.step >= 1)
 
     run(params, on_step=step)
     fields = " ".join(f"{k}={v}" for k, v in sorted(tally.items()))
@@ -733,8 +732,19 @@ def test_main_audit_of_a_cellular_walk_checks_the_spread_bounds(tmp_path, capsys
     assert set(spread) <= set(tally)
     assert all(tally[f"rule_{key}_missed"] == 0 for key in "abcde")
     supercells = len(covered_cells(build_supercell_grid(Region.square(96.0), 24.0)))
-    assert tally["red_upper"] == (tally["configs"] - 1) * supercells
+    # a pair spans a move, and under transmit_then_move steps 0 and 1 are
+    # audited at the same (placement) positions
+    first_pair = 2 if order == "transmit_then_move" else 1
+    assert tally["red_upper"] == (tally["configs"] - first_pair) * supercells
     assert tally["red_upper_missed"] == 0
+    # the preset's seed 400: the cell front (a low-mobility claim) misses
+    # cells on the cellular walk under move_then_transmit, and none under
+    # transmit_then_move
+    pinned = {
+        "move_then_transmit": dict(front=352, front_missed=74, red_upper=64, rule_a=17, skipped=6),
+        "transmit_then_move": dict(front=224, front_missed=0, red_upper=64, rule_a=14, skipped=0),
+    }
+    assert {key: tally[key] for key in pinned[order]} == pinned[order]
     # the spread hypotheses need far denser populations than this scale has
     assert all(tally[key] == 0 for key in spread if not key.startswith("red_upper"))
 
@@ -758,7 +768,8 @@ def test_main_audit_of_a_cellular_walk_needs_a_state_ladder(tmp_path, capsys, mo
 def test_main_cellular_audit_forms_one_supercell_grid(tmp_path, monkeypatch):
     # the walk, the same-supercell kernel, placement and the supercell
     # audit all read the grid that parsing formed, through the epidemic
-    # module's binding; every supercell grid is a side-rho cell grid
+    # module's binding; every supercell grid is a side-rho cell grid.
+    # Parsing applies --seed before it forms the grid.
     text = (CONFIGS / "speedup_rho24_cellular.ini").read_text()
     lines = text.splitlines(True)
     cfg = write(tmp_path, "".join(line for line in lines if not line.startswith("replicas")))
@@ -769,8 +780,10 @@ def test_main_cellular_audit_forms_one_supercell_grid(tmp_path, monkeypatch):
     ):
         build = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, b=build, c=calls: c.append(a) or b(*a))
-    assert main(["audit", "--config", cfg, "--out", str(tmp_path / "a")]) == EXIT_OK
-    assert len(formed) == len(cells) == 1
+    for seed in ([], ["--seed", "7"]):
+        formed.clear(), cells.clear()
+        assert main(["audit", "--config", cfg, "--out", str(tmp_path / "a"), *seed]) == EXIT_OK
+        assert len(formed) == len(cells) == 1
 
 
 @pytest.mark.parametrize(

@@ -328,7 +328,7 @@ def test_a_dropped_move_never_raises(monkeypatch, phase_order):
 
 @pytest.mark.parametrize("phase_order", ORDERS)
 def test_a_raising_hook_leaves_run_with_its_type_and_no_thread(monkeypatch, phase_order):
-    def hook(snap):
+    def hook(snap, last):
         if snap.step == 2:
             raise OSError("trace file gone")
 
@@ -451,7 +451,7 @@ def test_published_positions_are_read_only(phase_order):
         with pytest.raises(ValueError, match="read-only"):
             positions[0, 0] = 0.0
 
-    def write(snap):  # a hook writing into positions a pending move reads
+    def write(snap, last):  # a hook writing into positions a pending move reads
         snap.positions[:, 0] += 0.0
 
     before = threading.active_count()
@@ -898,7 +898,7 @@ def test_state_monotonicity_and_conservation(seed, k, order):
     )
     prev = []  # the states of the previous step
 
-    def check(snap):
+    def check(snap, last):
         w, r, b = snap.counts()
         assert w + r + b == p.n
         if prev:
@@ -914,8 +914,8 @@ def test_state_monotonicity_and_conservation(seed, k, order):
 def test_determinism_same_seed_same_record():
     p = params(n=80, region_side=16.0, R=4.0, rho=2.0, seed=17)
     seen = [], []
-    a = run(p, on_step=lambda s: seen[0].append((s.positions.copy(), s.states.copy())))
-    b = run(p, on_step=lambda s: seen[1].append((s.positions.copy(), s.states.copy())))
+    a = run(p, on_step=lambda s, last: seen[0].append((s.positions.copy(), s.states.copy())))
+    b = run(p, on_step=lambda s, last: seen[1].append((s.positions.copy(), s.states.copy())))
     assert a.completion_time == b.completion_time
     assert a.series.white == b.series.white
     assert len(seen[0]) == len(seen[1])
@@ -946,24 +946,33 @@ def test_layers_draw_from_independent_streams():
 
 def test_on_step_sees_every_step_once():
     # called once after placement and once after each step, with the live
-    # snapshot whose counts the record keeps
-    p = params(n=80, region_side=16.0, R=4.0, rho=2.0, seed=17)
-    steps, counts, states = [], [], []
+    # snapshot whose counts the record keeps, and told on the final call
+    # alone that the run ends there: at completion, at max_steps (the run
+    # is exhausted) or where the flood dies out, under either phase order
+    steps, lasts, counts, states = [], [], [], []
 
-    def observe(snap):
+    def observe(snap, last):
         steps.append(snap.step)
+        lasts.append(last)
         counts.append(snap.counts())
         states[:] = [snap.states.copy()]
 
-    rec = run(p, on_step=observe)
-    assert rec.completion_time is not None
-    assert steps == list(range(rec.steps_run() + 1))
-    assert counts == list(zip(rec.series.white, rec.series.red, rec.series.black))
-    assert np.array_equal(states[0], rec.final.states)
-    # an exhausted run stops calling after max_steps steps
-    steps.clear()
-    assert run(replace(p, max_steps=2), on_step=observe).exhausted
-    assert steps == [0, 1, 2]
+    for order in ORDERS:
+        p = params(n=80, region_side=16.0, R=4.0, rho=2.0, seed=17, phase_order=order)
+        for other, ended in (
+            (p, "completion_time"),
+            (replace(p, max_steps=2), "exhausted"),
+            (replace(p, R=0.01), "failed_at"),
+        ):
+            steps.clear(), lasts.clear(), counts.clear()
+            rec = run(other, on_step=observe)
+            assert getattr(rec, ended)
+            at = rec.steps_run()
+            assert steps == list(range(at + 1))
+            assert lasts == [False] * at + [True]
+            assert counts == list(zip(rec.series.white, rec.series.red, rec.series.black))
+            assert np.array_equal(states[0], rec.final.states)
+        assert at == 1  # the die-out: the lone source turns black at step 1
 
 
 def test_completion_time_respects_speed_lower_bound():

@@ -231,7 +231,7 @@ def test_initial_configurations_mostly_regular():
         maps = []
         run(
             replace(p, seed=seed, max_steps=1),
-            on_step=lambda s: maps.append(classify_cells(s, grid)),
+            on_step=lambda s, last: maps.append(classify_cells(s, grid)),
         )
         if not any(is_regular(maps[0]).values()):
             ok += 1
@@ -642,7 +642,7 @@ def test_high_mobility_red_close_decrease():
             mobility=MobilityMode.standard(rho), seed=seed,
         )
         maps = []
-        run(p, on_step=lambda s: maps.append(classify_cells(s, grid)))
+        run(p, on_step=lambda s, last: maps.append(classify_cells(s, grid)))
         dists = [grid.distances(red_close(c)) for c in maps]
         for cur_d, nxt_d, nxt in zip(dists, dists[1:], maps[1:]):
             sel = (nxt == CELL_CODE[CellState.WHITE]) & np.isfinite(cur_d)
@@ -871,8 +871,8 @@ def test_supercell_audits_match_set_oracles(synthetic_audits):
         tally = Counter()
         params = SimParams(region=region, n=40000, R=_R, mobility=MobilityMode.cellular(_RHO))
         audit = SupercellAudit(params, tally, grid)
-        for snap in snapshots:
-            audit(snap)
+        for t, snap in enumerate(snapshots):
+            audit(snap, t >= 1)
         expected = Counter()
         for m in sets:
             counts = oracle_supercell_regularity(m, sgrid, hh)
@@ -883,28 +883,33 @@ def test_supercell_audits_match_set_oracles(synthetic_audits):
         assert tally == expected
 
 
-def test_transmit_first_audit_reads_the_step_before_positions():
-    # under transmit_then_move the hook audits each step's states at the
-    # step before's positions (at step 0, the snapshot's): the audits fed
-    # those configurations by hand give its tally and its rows' cell columns
+def _check_audit_against_hand_fed(order):
+    """``trace_run``'s tally and rows' cell columns on a cellular run against
+    audits fed by hand: each step's states at the positions the step's
+    transmission acted on, those of the step before under
+    transmit_then_move (at step 0, the snapshot's), and a pair wherever a
+    move lies between two such configurations.  Returns the tally."""
     region = Region.square(48.0)
     params = SimParams(
         region=region, n=2304, R=3.0, mobility=MobilityMode.cellular(12.0),
-        phase_order="transmit_then_move", seed=5,
+        phase_order=order, seed=5,
     )
     grid = build_cell_grid(region, 3.0, gamma=1.0)  # nested in the supercells
     rows = []
     _, tally = trace_run(params, grid, "each", rows.append, supercells=True)
     steps = []
-    run(params, on_step=lambda snap: steps.append((snap.positions.copy(), snap.states.copy())))
+    run(params, on_step=lambda snap, last: steps.append((snap.positions.copy(), snap.states.copy())))
 
     expected = Counter(configs=len(steps))
     cells, ladder = CellAudit(grid, expected), SupercellAudit(params, expected, grid)
     names = [s.value for s in CellState]
-    for row, (positions, _), (_, states) in zip(rows, steps[:1] + steps[:-1], steps, strict=True):
-        lagged = make_snapshot(positions, states)
-        ladder(lagged)
-        codes, regular, dist = cells(lagged)
+    lag = order == "transmit_then_move"
+    read_at = [max(t - lag, 0) for t in range(len(steps))]  # the step whose positions are read
+    for t, (row, (_, states)) in enumerate(zip(rows, steps, strict=True)):
+        config = make_snapshot(steps[read_at[t]][0], states)
+        paired = t > 0 and read_at[t] != read_at[t - 1]
+        ladder(config, paired)
+        codes, regular, dist = cells(config, paired)
         front = dist[(codes == CELL_CODE[CellState.WHITE]) & np.isfinite(dist)]
         assert row["regular"] == regular
         assert row["max_wavefront"] == (float(front.max()) if front.size else None)
@@ -914,6 +919,24 @@ def test_transmit_first_audit_reads_the_step_before_positions():
         }
     assert tally == expected
     assert tally["front"] > 0 and tally["red_upper"] > 0 and tally["rule_a"] > 0
+    return tally
+
+
+def test_transmit_first_audit_reads_the_step_before_positions():
+    # under transmit_then_move the hook audits each step's states at the
+    # step before's positions, and steps 0 and 1 share the placement
+    # positions, so the first pair is step 1 -> step 2
+    tally = _check_audit_against_hand_fed("transmit_then_move")
+    covered = int(np.count_nonzero(build_supercell_grid(Region.square(48.0), 12.0).mask))
+    assert tally["red_upper"] == (tally["configs"] - 2) * covered
+
+
+def test_move_first_audit_reads_the_snapshot_from_the_first_pair():
+    # under move_then_transmit the hook audits the snapshot, and every step
+    # from step 1 closes a pair
+    tally = _check_audit_against_hand_fed("move_then_transmit")
+    covered = int(np.count_nonzero(build_supercell_grid(Region.square(48.0), 12.0).mask))
+    assert tally["red_upper"] == (tally["configs"] - 1) * covered
 
 
 def test_synthetic_populations_reach_every_rule_and_lemma(synthetic_audits):
