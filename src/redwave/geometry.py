@@ -19,6 +19,11 @@ from .errors import ConfigurationError, GeometryError
 # Sub-sampling resolution for disk cell areas: 32 x 32 = 1024 points per cell.
 _AREA_SAMPLES_PER_SIDE = 32
 
+# Most cells in a grid's index box, a 4096 x 4096 square: far above the
+# largest box in use (246 x 246 at L = 512), far below a box whose dense
+# arrays would not fit in memory.
+_MAX_BOX_CELLS = 1 << 24
+
 
 @dataclass(frozen=True)
 class Region:
@@ -343,39 +348,58 @@ def distance_transform(sources: np.ndarray, through: np.ndarray) -> np.ndarray:
     the 2-D boolean mask ``sources`` through the True cells of ``through``
     (+inf outside ``through`` or where unreachable).
 
-    A frontier BFS over the flat box padded by one blocked cell, so that no
-    offset leaves its row.  Level d gives the cells it reaches the value d.
+    A level-synchronous dilation of a boolean frontier mask over the flat
+    box padded by one blocked cell: level d ORs the frontier 3 wide along
+    the flat box, then 3 tall across its rows, and keeps the cells still
+    free as the next frontier.  A flat neighbour past a row's end is a pad
+    cell, which is never free, so no level leaks into the next row.  A cell
+    that level d reaches was free at the start of levels 1 to d, so its
+    distance is the count of those levels.
     """
-    free = np.zeros((through.shape[0] + 2, through.shape[1] + 2), dtype=bool)
+    shape = (through.shape[0] + 2, through.shape[1] + 2)
+    free = np.zeros(shape, dtype=bool)
     free[1:-1, 1:-1] = through
-    reached = np.zeros_like(free)
-    reached[1:-1, 1:-1] = sources & through
-    padded = np.where(reached, 0.0, np.inf)
-    free &= ~reached
-    # only sources next to a free cell have anything to offer
-    frontier = np.flatnonzero(reached & touching(free))
-    val, free, stamp = padded.ravel(), free.ravel(), np.empty(padded.size, dtype=np.intp)
-    h = padded.shape[1]
-    around = np.array([-h - 1, -h, -h + 1, -1, 1, h - 1, h, h + 1])
+    front = np.zeros_like(free)
+    np.logical_and(sources, through, out=front[1:-1, 1:-1])
+    free ^= front
+    h = shape[1]
+    free, front = free.ravel(), front.ravel()
+    # the buffers' ends are never written: the row pass leaves the first and
+    # last cell of ``wide`` False, and ``near &= free`` clears the pad rows
+    wide, near = np.zeros_like(free), np.empty_like(free)
+    # the count runs in bytes, several times cheaper to add to than floats
+    # (or to write a level into by mask), carried before a byte can overflow
+    levels, count = np.zeros(free.size), np.zeros(free.size, dtype=np.uint8)
     d = 0
-    while len(frontier):
+    while True:
         d += 1
-        near = (frontier[:, None] + around).ravel()
-        near = near[free[near]]
-        val[near] = d
-        # of the entries naming one cell, keep the one whose position stayed
-        order = np.arange(len(near))
-        stamp[near] = order
-        frontier = near[stamp[near] == order]
-        free[frontier] = False
-    return padded[1:-1, 1:-1]
+        count += free.view(np.uint8)
+        if d % 255 == 0:
+            levels += count
+            count[:] = 0
+        np.logical_or(front[:-2], front[2:], out=wide[1:-1])
+        wide[1:-1] |= front[1:-1]
+        np.logical_or(wide[: -2 * h], wide[2 * h :], out=near[h:-h])
+        near[h:-h] |= wide[h:-h]
+        near &= free
+        if not near.any():
+            break
+        free ^= near
+        front, near = near, front
+    levels += count
+    val = levels.reshape(shape)[1:-1, 1:-1]
+    # blocked cells were never free; the ones still free were never reached
+    val[~through | free.reshape(shape)[1:-1, 1:-1]] = np.inf
+    return val
 
 
 def build_cell_grid(region: Region, side: float, gamma: float) -> CellGrid:
     """Build the cell cover: cells with ``area(c & S) >= gamma * side**2``.
 
     Square regions get analytic intersection areas; disks are sub-sampled
-    with a deterministic 1024-point lattice per cell.
+    with a deterministic 1024-point lattice per cell.  An index box of more
+    than _MAX_BOX_CELLS cells is a ConfigurationError, raised before any
+    array is allocated.
     """
     if not (math.isfinite(side) and side > 0):
         raise ConfigurationError("cell side must be finite and positive")
@@ -388,6 +412,11 @@ def build_cell_grid(region: Region, side: float, gamma: float) -> CellGrid:
 
     xmin, _, xmax, _ = region.bounds
     ncols = _cells_across(xmax - xmin, side)
+    if ncols * ncols > _MAX_BOX_CELLS:
+        raise ConfigurationError(
+            f"cell side {side} cuts the region into a {ncols} x {ncols} index box, "
+            f"above the {_MAX_BOX_CELLS} cells a grid may hold"
+        )
     threshold = gamma * side**2
 
     if region.kind == "square":

@@ -628,6 +628,28 @@ def test_main_single_run_verbs_reject_a_plan(tmp_path, capsys, verb):
     assert not out.exists()
 
 
+_HUGE_GRIDS = {
+    "cells": "[instrumentation]\ncell_side = 6",
+    "supercells": "[mobility]\nmode = cellular\nrho = 8",
+}
+
+
+@pytest.mark.parametrize(
+    "verb, grid",
+    [("run", "cells"), ("audit", "cells")]
+    + [(verb, "supercells") for verb in ("run", "audit", "sweep", "isolated")],
+)
+def test_main_rejects_a_grid_too_large_to_allocate(tmp_path, capsys, verb, grid):
+    # a cell grid or a supercell grid over a region of side 1e9: an index box
+    # of about 1e16 cells, rejected before any array over it is allocated
+    text = MINIMAL.replace("size = 12", "size = 1e9") + f"\n{_HUGE_GRIDS[grid]}\n"
+    cfg = write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([verb, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "index box" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_expect_completion_failure(tmp_path):
     # two stationary agents, microscopic radius: the flood dies at step 1
     text = """\

@@ -198,6 +198,29 @@ def test_degenerate_side_rejected():
         build_cell_grid(Region.square(4.0), 6.0, gamma=0.5)
 
 
+@pytest.mark.parametrize(
+    "region, side",
+    [(Region.square(1e9), 6.0), (Region.disk(1e9), 8.0), (Region.square(4097.0), 1.0)],
+)
+def test_huge_index_box_rejected_before_allocating(region, side):
+    # the first two would ask for about a gigabyte per box-sized float array
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match="index box"):
+            build_cell_grid(region, side, gamma=0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_index_box_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(geometry, "_MAX_BOX_CELLS", 16)
+    assert build_cell_grid(Region.square(12.0), 3.0, gamma=0.3).mask.shape == (4, 4)
+    with pytest.raises(ConfigurationError, match="index box"):
+        build_cell_grid(Region.square(12.0), 2.9, gamma=0.3)
+
+
 def test_gamma_validation():
     with pytest.raises(ConfigurationError):
         build_cell_grid(Region.square(12.0), 3.0, gamma=0.0)
@@ -455,6 +478,38 @@ def test_distance_transform_visits_each_cell_once():
         tracemalloc.stop()
     assert peak < 64 * 1024
     assert np.array_equal(got, oracle_transform(sources, through))
+
+
+def test_distance_transform_through_a_serpentine_corridor():
+    # walls across every other line of a 31 x 31 box, each with one gap at
+    # alternating row ends: the one path turns next to the padding at every
+    # wall, and its length, past 255 levels, far exceeds the chessboard
+    # distance of at most 30
+    through = np.ones((31, 31), dtype=bool)
+    for wall in range(1, 31, 2):
+        through[wall] = False
+        through[wall, -1 if wall % 4 == 1 else 0] = True
+    corner = np.zeros(through.shape, dtype=bool)
+    corner[0, 0] = True
+    both = corner.copy()
+    both[16, 15] = True
+    for sources in (corner, both):
+        got = geometry.distance_transform(sources, through)
+        assert np.array_equal(got, oracle_transform(sources, through))
+    assert geometry.distance_transform(corner, through)[30, 30] > 255
+
+
+def test_distance_transform_over_the_full_audit_box():
+    # with every cell free, the BFS distance is the chessboard distance to
+    # the nearest source
+    shape = (92, 92)
+    c, r = np.indices(shape)
+    sources = np.abs(np.hypot(c - 45.5, r - 45.5) - 30) < 0.5
+    cells = np.column_stack([c.ravel(), r.ravel()])
+    apart = np.abs(cells[:, None, :] - np.argwhere(sources)[None, :, :]).max(axis=2)
+    expected = apart.min(axis=1).reshape(shape).astype(float)
+    got = geometry.distance_transform(sources, np.ones(shape, dtype=bool))
+    assert np.array_equal(got, expected)
 
 
 def test_touching_marks_cells_in_or_next_to_a_true_cell():
