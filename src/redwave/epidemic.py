@@ -38,6 +38,9 @@ WHITE, RED, BLACK = 0, 1, 2
 _NONE = np.empty(0, dtype=np.int64)
 # independent RngStream streams of a run's seed, one per layer
 PLACEMENT, SOURCES, MOVES = 0, 1, 2
+# Most agents in a run: far above the largest n in use (262144), far below
+# a population whose per-agent arrays would not fit in memory.
+_MAX_AGENTS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,10 @@ class SimParams:
             raise ConfigurationError("transmission radius R must be finite and positive")
         if self.n < 1:
             raise ConfigurationError("need at least one agent")
+        if self.n > _MAX_AGENTS:  # before any per-agent array is allocated
+            raise ConfigurationError(
+                f"{self.n} agents, above the {_MAX_AGENTS} agents a run may hold"
+            )
         if not 1 <= self.k <= np.iinfo(np.int32).max:  # the countdown is int32
             raise ConfigurationError(f"k must be an integer in [1, 2**31 - 1], got {self.k}")
         if self.max_steps < 1:
@@ -175,35 +182,44 @@ def _inform_euclidean(
     distance ties go to the lowest red index.  A chain advances at most
     R + rho a step: one move plus one hop.
 
-    Two stages over one bucket grid of the reds, of side ``s`` = R / 3,
-    widened as :func:`bucket_side` widens a reach over ``region``, which
-    holds every agent and frames the grid.  Stage 1 queries the
-    whites in the 3x3 block of buckets and settles a white whose best
-    squared distance is below ``s**2``, less a 1e-9 relative margin against
-    floor rounding: every red outside its block is farther than ``s``, and
-    ``s`` < R keeps it in reach.  Stage 2 queries the other whites at the
-    least block ``b`` with ``b * s >= R * (1 + 1e-9)``, so that every red in
-    reach is a candidate, and keeps those in reach.  When ``s`` is widened
-    that far, ``b`` is 1 and stage 1 is the whole query.
+    Two stages over one bucket grid of side ``s`` = R / 3, widened as
+    :func:`bucket_side` widens a reach over ``region``, which holds every
+    agent and frames the grid.  The grid keys the reds and the whites
+    alone, gathered as :func:`point_items` into one array, reds first:
+    no other agent's position is read.  The whites are filtered once, to
+    the front: those with a red in the block of ``b`` buckets around
+    their own, where ``b`` is the least block with
+    ``b * s >= R * (1 + 1e-9)``, so that every red in reach is in it.
+    Stage 1 queries the front in the 3x3 block and settles a white whose
+    best squared distance is below ``s**2``, less a 1e-9 relative margin
+    against floor rounding: every red outside its block is farther than
+    ``s``, and ``s`` < R keeps it in reach.  Stage 2 queries the rest of
+    the front at block ``b`` and keeps those in reach.  When ``s`` is
+    widened that far, ``b`` is 1 and stage 1 is the whole query.
     """
     side = bucket_side(len(positions), R / 3, region.bounds)
     # the quotient's rounding must not add a block when b * s is R * (1 + 1e-9);
     # a side over 1e12 R would make it 0
     block = max(1, math.ceil(R * (1 + 1e-9) / side - 1e-12))
-    grid = BucketGrid(positions, reds, side, region.bounds, margin=block)
-    w, best, nearest = _nearest_reds(grid.query(whites, 1))
+    items = point_items(np.ascontiguousarray(positions, dtype=float))
+    # rows 0 .. m - 1 are the reds, in index order, and the rest the whites
+    picked = items[np.concatenate((reds, whites))]
+    m = len(reds)
+    grid = BucketGrid(picked.view(float).reshape(-1, 2), np.arange(m), side, region.bounds, block)
+    front = grid.near(block, first=m)
+    w, best, nearest = _nearest_reds(grid.query(front, 1))
     informed, informers = [], []
     if block > 1:
         hit = best < side * side * (1 - 1e-9)
         informed.append(w[hit])
         informers.append(nearest[hit])
-        settled = np.zeros(len(positions), dtype=bool)
+        settled = np.zeros(len(picked), dtype=bool)
         settled[w[hit]] = True
-        w, best, nearest = _nearest_reds(grid.query(whites[~settled[whites]], block))
+        w, best, nearest = _nearest_reds(grid.query(front[~settled[front]], block))
     hit = in_reach(best, R)
     informed.append(w[hit])
     informers.append(nearest[hit])
-    return np.concatenate(informed), np.concatenate(informers)
+    return whites[np.concatenate(informed) - m], reds[np.concatenate(informers)]
 
 
 def _inform_same_supercell(

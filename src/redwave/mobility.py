@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, MobilityError
-from .geometry import CellGrid, Region, build_cell_grid, point_items
+from .geometry import CellGrid, Region, build_cell_grid, point_items, squared_norms
 
 _MAX_REJECTIONS = 10**6
 
@@ -80,8 +80,10 @@ def rejection_sample(sources, propose, accept, gen: np.random.Generator) -> np.n
             break
         cand = propose(np.take(sources, pending, axis=0), gen)
         ok = accept(cand)
-        kept[pending[ok]] = point_items(cand)[ok]
-        pending = pending[~ok]
+        # by index: numpy gathers through a boolean mask 2-4x slower
+        took, left = np.flatnonzero(ok), np.flatnonzero(~ok)
+        kept[pending[took]] = point_items(cand)[took]
+        pending = pending[left]
     if pending.size:
         raise MobilityError(
             f"rejection sampling left {pending.size} of {len(sources)} rows unplaced"
@@ -93,13 +95,15 @@ def _in_disk(centres: np.ndarray, rho: float, gen: np.random.Generator) -> np.nd
     """One candidate per centre c, uniform on the square [c - rho, c + rho]^2;
     a candidate outside the closed disk B(c, rho) gets a NaN x, which no
     region contains.  The candidates a region keeps are uniform on its part
-    of B(c, rho), and a round keeps a share |B(c, rho) & S| / (4 rho^2)."""
+    of B(c, rho), and a round keeps a share |B(c, rho) & S| / (4 rho^2).
+    The disk test is :func:`squared_norms` of the offsets, x*x + y*y."""
     out = gen.random((len(centres), 2))
     out *= 2 * rho
     out -= rho
-    outside = np.einsum("ij,ij->i", out, out) > rho * rho
+    outside = squared_norms(out) > rho * rho
     out += centres
-    out[:, 0][outside] = np.nan
+    # by index, as in rejection_sample
+    out[:, 0][np.flatnonzero(outside)] = np.nan
     return out
 
 

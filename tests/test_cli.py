@@ -650,6 +650,18 @@ def test_main_rejects_a_grid_too_large_to_allocate(tmp_path, capsys, verb, grid)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "sweep", "isolated"])
+def test_main_rejects_a_population_too_large_to_allocate(tmp_path, capsys, verb):
+    # density one over a region of side 1e9 asks for about 1e18 agents,
+    # rejected with the params, before --out is made
+    text = MINIMAL.replace("size = 12", "size = 1e9").replace("n = 40", "density_one = true")
+    cfg = write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([verb, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert str(epidemic._MAX_AGENTS) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_expect_completion_failure(tmp_path):
     # two stationary agents, microscopic radius: the flood dies at step 1
     text = """\
@@ -909,6 +921,10 @@ _PINNED_TRACES = {
     "csv": "8be06bc248743d2ecff597b59ba2475c31466a4eee58636efb99efac21c932ae",
 }
 
+# a single run of the rho = 12 speed-up preset at k = 2: a wide front, so
+# that the euclidean kernel's second stage and its distance ties are used
+_PINNED_WIDE_FRONT = "e1e62a6169471030ccbcdc2df938a5d09fe9cf33113eff1a048763db82e88137"
+
 _PINNED_SWEEP = "76afa107724d95de87250dd132e7b20eca85223e816e0374f122217141961cc5"
 
 # the audit of CI's disk config: rim cells short of gamma, empty cells, and
@@ -971,6 +987,15 @@ def test_run_trace_bytes_are_pinned(tmp_path, fmt):
     args = ["run", "--config", cfg, "--seed", "3", "--dump-cells", "each"]
     assert main(args + ["--format", fmt, "--out", str(out)]) == EXIT_OK
     assert _sha256(out / f"trace.{fmt}") == _PINNED_TRACES[fmt]
+
+
+def test_wide_front_trace_bytes_are_pinned(tmp_path):
+    text = (CONFIGS / "speedup_rho12.ini").read_text()
+    assert text.count("replicas = 30\n") == text.count("k = 1\n") == 1
+    cfg = write(tmp_path, text.replace("replicas = 30\n", "").replace("k = 1\n", "k = 2\n"))
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--seed", "3", "--out", str(out)]) == EXIT_OK
+    assert _sha256(out / "trace.ndjson") == _PINNED_WIDE_FRONT
 
 
 @pytest.mark.parametrize("fmt", ["ndjson", "csv"])

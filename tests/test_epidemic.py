@@ -64,6 +64,13 @@ def test_params_validation():
         params(transmission_scope="same_supercell")
 
 
+def test_agent_limit_is_inclusive():
+    # params hold no per-agent array: the limit itself costs nothing to accept
+    assert params(n=epidemic._MAX_AGENTS).n == epidemic._MAX_AGENTS
+    with pytest.raises(ConfigurationError, match=str(epidemic._MAX_AGENTS)):
+        params(n=epidemic._MAX_AGENTS + 1)
+
+
 @pytest.mark.parametrize(
     "sources, message",
     [
@@ -769,6 +776,15 @@ def _spy_grid_queries(monkeypatch):
     return calls
 
 
+def _front(pos, states, side, block):
+    """The number of whites with a red at most ``block`` buckets of side
+    ``side`` away in both axes, from the floor-division oracle."""
+    reds, whites = red_white(states)
+    cells = bucket_cells(pos, side, (0.0, 0.0))
+    gap = np.abs(cells[whites, None, :] - cells[None, reds, :]).max(axis=2)
+    return int(np.count_nonzero((gap <= block).any(axis=1)))
+
+
 @pytest.mark.parametrize("cap", [7, 1 << 14])
 def test_euclidean_stages_match_oracle(monkeypatch, cap):
     monkeypatch.setattr(geometry, "_CHUNK_PAIRS", cap)
@@ -784,11 +800,11 @@ def test_euclidean_stages_match_oracle(monkeypatch, cap):
         calls.clear()
         got = _inform_euclidean(pos, *red_white(states), _R, Region.square(_L))
         assert_same_inform(got, euclidean_oracle(pos, *red_white(states), _R))
-        whites = np.count_nonzero(states == WHITE)
+        front = _front(pos, states, _R / 3 * (1 + 1e-9), 3)
         (one, first), (three, fell) = calls
-        assert (one, three, first) == (1, 3, whites) and (fell < whites / 2) == settle
+        assert (one, three, first) == (1, 3, front) and (fell < front / 2) == settle
         # stage 2 informs whites in both, and leaves some uninformed in the sparse one
-        assert 0 < fell and whites - fell < len(got[0]) <= whites - (not settle)
+        assert 0 < fell and front - fell < len(got[0]) <= front - (not settle)
 
 
 def test_euclidean_settles_below_the_side_only(monkeypatch):
@@ -839,7 +855,103 @@ def test_euclidean_single_stage_when_the_side_is_widened(monkeypatch):
         got = _inform_euclidean(pos, *red_white(states), R, Region.square(_L))
         assert_same_inform(got, euclidean_oracle(pos, *red_white(states), R))
         assert got[1][got[0] == len(pos) - 1].tolist() == [len(pos) - 2]
-        assert calls == [(1, np.count_nonzero(states == WHITE))]
+        side = bucket_side(len(pos), R / 3, Region.square(_L).bounds)
+        assert calls == [(1, _front(pos, states, side, 1))]
+
+
+# the kernel's side at _R = 6 among 1200 or more agents on [0, _L]^2: R / 3
+# with its margin, so that the widest block is 3 buckets
+_S = _R / 3 * (1 + 1e-9)
+
+
+def _edge(bucket, top):
+    """The highest (``top``) or the lowest coordinate in ``bucket`` of side _S."""
+    x, step = ((bucket + 1) * _S, -np.inf) if top else (bucket * _S, np.inf)
+    while math.floor(x / _S) != bucket:
+        x = np.nextafter(x, step)
+    return x
+
+
+def _black_crowd(gen, special, states):
+    """1200 uniform black agents, which keep the side at _S without taking
+    part, then the ``special`` agents with their ``states``."""
+    pos = np.vstack([gen.random((1200, 2)) * _L, special])
+    assert bucket_side(len(pos), _R / 3, Region.square(_L).bounds) == _S
+    return pos, np.r_[np.full(1200, BLACK), states].astype(np.int8)
+
+
+def _kernel_matches_oracle(pos, states):
+    """The kernel's informed whites and informers, checked against the
+    all-pairs oracle, as a dict."""
+    got = _inform_euclidean(pos, *red_white(states), _R, Region.square(_L))
+    assert_same_inform(got, euclidean_oracle(pos, *red_white(states), _R))
+    return dict(zip(got[0].tolist(), got[1].tolist()))
+
+
+@pytest.mark.parametrize("cap", [7, 1 << 14])
+def test_euclidean_reaches_the_corner_buckets_of_the_widest_block(monkeypatch, cap):
+    # four whites, each at the corner of its bucket, and four reds in the
+    # corner buckets (+-3, +-3) away, each just under R from its white; no
+    # other red is in reach of a white
+    monkeypatch.setattr(geometry, "_CHUNK_PAIRS", cap)
+    special, states = [], []
+    for sx, sy, cx, cy in ((1, 1, 4, 4), (-1, 1, 18, 4), (1, -1, 4, 18), (-1, -1, 18, 18)):
+        white = (_edge(cx, sx > 0), _edge(cy, sy > 0))
+        rx = _edge(cx + 3 * sx, sx < 0)
+        dy = math.sqrt(_R * _R - (rx - white[0]) ** 2) * (1 - 1e-6)
+        special += [white, (rx, white[1] + sy * dy)]
+        states += [WHITE, RED]
+    pos, states = _black_crowd(RngStream(13).generator(), special, states)
+    cells = bucket_cells(pos[1200:], _S, (0.0, 0.0))
+    assert np.array_equal(np.abs(cells[1::2] - cells[::2]), np.full((4, 2), 3))
+    d = np.hypot(*(pos[1201::2] - pos[1200::2]).T)
+    assert np.all((d < _R) & (d > _R * (1 - 1e-5)))
+    assert _kernel_matches_oracle(pos, states) == {w: w + 1 for w in range(1200, 1208, 2)}
+
+
+@pytest.mark.parametrize("cap", [7, 1 << 14])
+def test_euclidean_leaves_a_white_whose_reds_lie_past_the_widest_block(monkeypatch, cap):
+    # a white at the top of bucket 5 and its nearest red at the bottom of
+    # bucket 9, four buckets away: just over 3 sides, so out of reach
+    monkeypatch.setattr(geometry, "_CHUNK_PAIRS", cap)
+    xw, xr = _edge(5, True), _edge(9, False)
+    assert _R < xr - xw < _R * (1 + 1e-6)
+    pos, states = _black_crowd(RngStream(14).generator(), [(xw, 30.0), (xr, 30.0)], [WHITE, RED])
+    assert _kernel_matches_oracle(pos, states) == {}
+
+
+@pytest.mark.parametrize("cap", [7, 1 << 14])
+@pytest.mark.parametrize("lower", ["inside", "outside"])
+def test_euclidean_tie_across_the_stage_one_block_goes_to_the_lower_index(monkeypatch, cap, lower):
+    # a white at the top of bucket 5 and two reds at the same distance t,
+    # just over a side: one two buckets away in x, outside the stage-1
+    # block, one in the white's column in the next bucket up; t > s sends
+    # the white to stage 2, where the lower index wins whichever red it is
+    monkeypatch.setattr(geometry, "_CHUNK_PAIRS", cap)
+    xw, xb = _edge(5, True), _edge(7, False)
+    t = xb - xw
+    assert _S < t < 2 * _S
+    inside, outside = (xw, t), (xb, 0.0)
+    reds = [inside, outside] if lower == "inside" else [outside, inside]
+    pos, states = _black_crowd(RngStream(15).generator(), reds + [(xw, 0.0)], [RED, RED, WHITE])
+    d = pos[1200:1202] - pos[1202]
+    assert d[0] @ d[0] == d[1] @ d[1]
+    assert _kernel_matches_oracle(pos, states) == {1202: 1200}
+
+
+@pytest.mark.parametrize("cap", [7, 1 << 14])
+def test_euclidean_kernel_reads_no_black_position(monkeypatch, cap):
+    # black agents at NaN positions: a kernel that keyed or measured them
+    # would raise on the cast of a NaN key (warnings are errors here) or
+    # inform through them
+    monkeypatch.setattr(geometry, "_CHUNK_PAIRS", cap)
+    gen = RngStream(16).generator()
+    pos = gen.random((1500, 2)) * _L
+    states = gen.choice([WHITE, RED, BLACK], size=len(pos), p=[0.5, 0.1, 0.4]).astype(np.int8)
+    expected = _kernel_matches_oracle(pos, states)
+    pos[states == BLACK] = np.nan
+    assert _kernel_matches_oracle(pos, states) == expected
+    assert len(expected) > 0
 
 
 def test_euclidean_kernel_on_the_regions_frame():

@@ -706,6 +706,42 @@ def test_bucket_grid_serves_every_block_up_to_its_margin(monkeypatch, cap):
         next(grid.query(queries, margin + 1))
 
 
+def _candidates(chunks):
+    """Each query's candidate targets, from a query's chunks."""
+    got = {}
+    for q, counts, t, _ in chunks:
+        for query, seg in zip(q, np.split(t, np.cumsum(counts)[:-1])):
+            got[int(query)] = set(seg.tolist())
+    return got
+
+
+@pytest.mark.parametrize("first", [0, 60])
+def test_bucket_grid_front_is_the_bucket_oracle(first):
+    # block_counts and near(block, first) against the bucket oracle at every
+    # block; the query that follows near() at its block reads the counts
+    # near() kept, even with a query at another block in between
+    gen = np.random.default_rng(13 + first)
+    positions = np.r_[gen.random((150, 2)) * 40 - 20, gen.random((40, 2)) * 0.5 + 3.0]
+    targets = np.sort(gen.choice(190, 30, replace=False))
+    side, frame, margin = 2.5, (-21.0, -22.0, 20.0, 20.0), 3
+    grid = BucketGrid(positions, targets, side, frame, margin)
+    rows = np.arange(first, len(positions))
+    for block in range(margin + 1):
+        expected = oracle_candidates(positions, rows, targets, side, frame[:2], block)
+        counts = grid.block_counts(block)[grid.keys[rows]]
+        assert {int(r): int(c) for r, c in zip(rows, counts) if c} == {
+            q: len(t) for q, t in expected.items()
+        }
+        assert grid.near(block, first).tolist() == sorted(expected)
+        other = (block + 1) % (margin + 1)
+        assert _candidates(grid.query(rows, other)) == oracle_candidates(
+            positions, rows, targets, side, frame[:2], other
+        )
+        assert _candidates(grid.query(rows, block)) == expected
+    with pytest.raises(ValueError):
+        grid.near(margin + 1)
+
+
 def test_neighbour_blocks_empty_sets():
     positions = np.random.default_rng(0).random((10, 2))
     none, every = np.empty(0, dtype=np.int64), np.arange(10)

@@ -63,6 +63,26 @@ def test_walk_step_stays_within_rho_and_region():
     assert np.all(region.contains(out))
 
 
+class _Draws:
+    """A generator stub whose ``random`` hands out fixed draws."""
+
+    def __init__(self, draws):
+        self.draws = np.array(draws, dtype=float)
+
+    def random(self, shape):
+        assert shape == self.draws.shape
+        return self.draws.copy()
+
+
+def test_disk_proposal_keeps_the_closed_disk():
+    # offsets u * 2 rho - rho, exact in floats: (0, -rho) lies on the circle
+    # and is kept; (-rho, -2**-20) lies 2**-40 beyond it in squared radius
+    centres = np.array([[5.0, 5.0], [5.0, 5.0]])
+    out = mobility._in_disk(centres, 1.0, _Draws([[0.5, 0.0], [0.0, 0.5 - 2.0**-21]]))
+    assert out[0].tolist() == [5.0, 4.0]
+    assert np.isnan(out[1, 0]) and out[1, 1] == 5.0 - 2.0**-20
+
+
 def test_walk_step_from_corner():
     region = Region.square(10.0)
     gen = RngStream(11).generator()
