@@ -8,8 +8,9 @@ transmitting at step t+1.
 
 The engine stores the population in flat numpy arrays for speed and runs
 the two phases, :func:`transmit` in place on them and :func:`move` into a
-new positions array, which it runs one step ahead on a thread of its own
-(inline on one CPU).
+new positions array.  Each step runs its transmission beside the move of
+the positions that transmission reads, on a thread of its own joined
+before the step returns (after the transmission, on one CPU).
 """
 
 from __future__ import annotations
@@ -293,12 +294,13 @@ def _cpus() -> int:
 
 class Engine:
     """Deterministic single-run engine.  Placement, random source choice and
-    moves draw from their own streams of the seed.  The move runs one step
-    ahead on a thread of its own (see :meth:`step`), and every positions
-    array the engine publishes is read-only, so that a write into positions
-    a move is reading raises ``ValueError`` instead of racing.  When the
-    process may run on one CPU only, the move ahead runs at once on the
-    calling thread instead: a second thread there only shares that CPU and
+    moves draw from their own streams of the seed.  A step's move runs beside
+    its transmission on a thread of its own, which the step joins before it
+    returns (see :meth:`step`), and every positions array the engine
+    publishes is read-only, so that a write into positions a move is
+    reading raises ``ValueError`` instead of racing.  When the process may
+    run on one CPU only, the move runs on the calling thread after the
+    transmission instead: a second thread there only shares that CPU and
     gets its own malloc arena."""
 
     def __init__(self, params: SimParams, initial_positions: np.ndarray | None = None):
@@ -327,7 +329,7 @@ class Engine:
         src, s = list(self.source_indices), self.snapshot
         s.states[src], s.countdown[src] = RED, params.k
         self.chain_violations = 0
-        self._ahead = None  # the move started ahead: its thread (None inline) and its outcome
+        self._held = None  # under move_then_transmit, the next step's move outcome
         self._inline = _cpus() == 1
 
     def _pick_sources(self) -> tuple[int, ...]:
@@ -347,76 +349,73 @@ class Engine:
     def _move(self, positions: np.ndarray) -> np.ndarray:
         return move(positions, self.params, self.gen)
 
-    def _move_ahead(self) -> None:
-        """Start the move of the snapshot's positions on a thread of its own,
-        or run it at once on one CPU."""
-        start, moved = self.snapshot.positions, []  # the new positions, or the move's error
-        # a thread carries every error to the step; inline, an interrupt or
-        # an exit leaves at once, even from a move that no step would use
+    def _beside_move(self, positions: np.ndarray, phase=lambda: None):
+        """Run ``phase()`` beside the move of ``positions`` and return the
+        move's outcome: the new, read-only positions or the move's error.
+        The move runs on a thread of its own, joined before this returns
+        however the phase ends, or after the phase on one CPU."""
+        moved = []
+        # a thread carries every error to the caller; inline, an interrupt
+        # or an exit leaves at once, even from a move that no step would use
         caught = Exception if self._inline else BaseException
 
-        def move_ahead():
+        def move_positions():
             try:
-                new = self._move(start)
+                new = self._move(positions)
                 new.flags.writeable = False
                 moved.append(new)
-            except caught as err:  # raised by the step that uses the move
+            except caught as err:
                 moved.append(err)
 
         if self._inline:
-            move_ahead()
-            self._ahead = None, moved
+            phase()
+            move_positions()
         else:
-            self._ahead = threading.Thread(target=move_ahead), moved
-            self._ahead[0].start()
-
-    def _join_ahead(self) -> np.ndarray | BaseException | None:
-        """Join the move started ahead and return its outcome, the new
-        positions or the move's error; None if no move is pending.  A caller
-        that drops the outcome drops the error with it."""
-        ahead, self._ahead = self._ahead, None
-        if ahead is None:
-            return None
-        if ahead[0] is not None:
-            ahead[0].join()
-        return ahead[1][0]
+            mover = threading.Thread(target=move_positions)
+            mover.start()
+            try:
+                phase()
+            finally:
+                mover.join()
+        return moved[0]
 
     def step(self) -> Snapshot:
         """Advance one time step and return the end-of-step snapshot.
 
-        The step collects the move started ahead (the first step may start
-        it), and raises that move's error; the phase order only decides
-        whether ``transmit`` reads the positions before or after.  Then it
-        starts the move of the new positions, unless this step is certainly
-        the last: at ``max_steps``, or when, at the step's start, no white
-        is left and no red has more than one active step.  A run that dies
-        out with whites left drops that move.  The move runs (on one CPU,
-        has run) beside the rest of the step, the run loop's counts and
-        ``on_step`` hook, and the next step up to its collection.  The step
-        equals the two phases run one after the other: moves read only
-        positions that nothing writes, and only they draw from the move
-        stream, one at a time.  An error inside the step drops the pending
-        move first.
+        The step runs ``transmit`` beside the move of the positions it
+        reads, and joins that move before it returns: no move outlives its
+        step.  Under ``transmit_then_move`` the moved positions are this
+        step's, and the step raises the move's error.  Under
+        ``move_then_transmit`` they are the next step's, and the engine
+        holds them, or the move's error, until the next step takes them;
+        step 1 first moves the placement alone.  That move is not started
+        when this step is certainly the last: at ``max_steps``, or when, at
+        the step's start, no white is left and no red has more than one
+        active step.  A run that dies out with whites left drops the held
+        move and its error.  The step equals the two phases run one after
+        the other: moves read only positions that nothing writes, and only
+        they draw from the move stream, one at a time.
         """
         s, p, t = self.snapshot, self.params, self.snapshot.step + 1
-        goes_on = t < p.max_steps and (np.any(s.states == WHITE) or np.any(s.countdown > 1))
+
+        def transmission():
+            self.chain_violations += transmit(s, p, t)
+
         moved_first = p.phase_order == "move_then_transmit"
-        if self._ahead is None:
-            self._move_ahead()
-        try:
-            if not moved_first:
-                self.chain_violations += transmit(s, p, t)
-            moved = self._join_ahead()
-            if isinstance(moved, BaseException):
-                raise moved
-            s.positions = moved
-            if goes_on:
-                self._move_ahead()
-            if moved_first:
-                self.chain_violations += transmit(s, p, t)
-        except BaseException:
-            self._join_ahead()
-            raise
+        if moved_first:
+            moved, self._held = self._held, None
+            if moved is None:  # step 1: the placement moves alone
+                moved = self._beside_move(s.positions)
+        else:
+            moved = self._beside_move(s.positions, transmission)
+        if isinstance(moved, BaseException):
+            raise moved
+        s.positions = moved
+        if moved_first:
+            if t < p.max_steps and (np.any(s.states == WHITE) or np.any(s.countdown > 1)):
+                self._held = self._beside_move(s.positions, transmission)
+            else:
+                transmission()
         s.step = t
         return s
 
@@ -432,28 +431,24 @@ def run(
     after placement (step 0) and once after each step, with ``last`` True
     on the final call only: the step that completes the flood, the step
     it dies out at, or step ``max_steps``.  It must copy whatever it
-    keeps, since the engine updates that snapshot in place, and must not
-    write the positions, which the next move may be reading.
+    keeps, since the engine updates that snapshot in place, and cannot
+    write the positions, which are read-only.
     """
     eng = Engine(params, initial_positions=initial_positions)
     rec = RunRecord(params=params, source_indices=eng.source_indices)
     snap = eng.snapshot
-    try:
-        eng._move_ahead()  # step 1 always runs
-        while True:
-            w, r, b = snap.counts()
-            rec.series.white.append(w)
-            rec.series.red.append(r)
-            rec.series.black.append(b)
-            ended = r == 0 and snap.step > 0  # completed or died out
-            last = ended or snap.step == params.max_steps
-            if on_step is not None:
-                on_step(snap, last)
-            if last:
-                break
-            snap = eng.step()
-    finally:
-        eng._join_ahead()  # a move started ahead of a step that never ran
+    while True:
+        w, r, b = snap.counts()
+        rec.series.white.append(w)
+        rec.series.red.append(r)
+        rec.series.black.append(b)
+        ended = r == 0 and snap.step > 0  # completed or died out
+        last = ended or snap.step == params.max_steps
+        if on_step is not None:
+            on_step(snap, last)
+        if last:
+            break
+        snap = eng.step()
     if not ended:
         rec.exhausted = True
     elif w == 0:

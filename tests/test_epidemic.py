@@ -289,8 +289,7 @@ def test_move_beside_transmit_matches_the_sequential_step(
             assert np.array_equal(getattr(pipelined.snapshot, name), arrays[name]), name
         assert pipelined.snapshot.step == step
         assert pipelined.chain_violations == violations
-    pipelined._join_ahead()
-    # every engine move ran off this thread, and none was started ahead of a
+    # every engine move ran off this thread, and none was started for a
     # step after the empty one, which no run would take
     assert len(threads) == len(expected)
     assert threading.main_thread() not in threads
@@ -300,7 +299,7 @@ def test_move_beside_transmit_matches_the_sequential_step(
 @pytest.mark.parametrize("k, max_steps", [(1, 10_000), (2, 10_000), (1, 3)])
 def test_a_run_moves_once_a_step(monkeypatch, phase_order, k, max_steps):
     # as often as the sequential engine: no move of a completed or exhausted
-    # run is started ahead and dropped
+    # run is started and dropped
     p = params(
         n=80, region_side=16.0, R=4.0, rho=2.0, k=k, seed=17,
         phase_order=phase_order, max_steps=max_steps,
@@ -313,8 +312,9 @@ def test_a_run_moves_once_a_step(monkeypatch, phase_order, k, max_steps):
 
 @pytest.mark.parametrize("phase_order", ORDERS)
 def test_a_dropped_move_never_raises(monkeypatch, phase_order):
-    # a run that dies out with whites left starts one move that no step
-    # uses; its error is dropped with it
+    # under move_then_transmit a run that dies out with whites left starts
+    # one move that no step uses; its error is dropped with it.  Under
+    # transmit_then_move each step's move is its own, and none is dropped
     p = SimParams(
         region=Region.square(16.0), n=40, R=1.5, mobility=MobilityMode.standard(1.0),
         seed=0, phase_order=phase_order,
@@ -324,7 +324,7 @@ def test_a_dropped_move_never_raises(monkeypatch, phase_order):
     before = threading.active_count()
     calls = _patch_walk(monkeypatch, fail_after=expected.failed_at)
     rec = run(p)
-    assert len(calls) == expected.failed_at + 1
+    assert len(calls) == expected.failed_at + (phase_order == "move_then_transmit")
     assert threading.active_count() == before
     assert rec.failed_at == expected.failed_at
     assert rec.series == expected.series
@@ -339,21 +339,21 @@ def test_a_raising_hook_leaves_run_with_its_type_and_no_thread(monkeypatch, phas
         if snap.step == 2:
             raise OSError("trace file gone")
 
-    # a move is still running when the hook raises, unless joined
     movers = _patch_walk(monkeypatch, delay=0.05)
     before = threading.active_count()
     with pytest.raises(OSError, match="trace file gone") as err:
         run(params(n=80, region_side=16.0, R=4.0, rho=2.0, seed=17, phase_order=phase_order), on_step=hook)
     assert type(err.value) is OSError
-    assert len(movers) == 3  # the third move was started ahead of step 3
+    # under move_then_transmit step 2 moved the positions of step 3
+    assert len(movers) == (3 if phase_order == "move_then_transmit" else 2)
     assert not any(t.is_alive() for t in movers)
     assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("phase_order", ORDERS)
 def test_a_failing_step_joins_the_move_started_ahead(monkeypatch, phase_order):
-    # Engine.step itself joins the pending move: under move_then_transmit
-    # the next step's move is already running when the transmission fails
+    # Engine.step itself joins the move beside the failing transmission:
+    # under move_then_transmit the next step's move, after the placement's
     def failing_transmit(*args):
         raise GeometryError("no transmission")
 
@@ -377,6 +377,36 @@ def _spy_thread_starts(monkeypatch):
 
     monkeypatch.setattr(epidemic.threading, "Thread", Spy)
     return started
+
+
+@pytest.mark.parametrize("phase_order", ORDERS)
+def test_no_move_thread_outlives_its_step(monkeypatch, phase_order):
+    # a slow walk keeps alive, for the checks below, any move thread that
+    # outlives the step that started it
+    _patch_walk(monkeypatch, delay=0.02)
+    started = _spy_thread_starts(monkeypatch)
+
+    def running():
+        return [t for t in started if t.is_alive()]
+
+    p = params(n=80, region_side=16.0, R=4.0, rho=2.0, seed=17, phase_order=phase_order)
+    seen = []
+    rec = run(p, on_step=lambda snap, last: seen.append(running()))
+    assert len(started) == rec.steps_run() > 1
+    assert seen == [[]] * (rec.steps_run() + 1)
+    eng = Engine(p)
+    for _ in range(2):
+        eng.step()
+        assert running() == []
+
+    def failing_transmit(*args):
+        raise GeometryError("no transmission")
+
+    monkeypatch.setattr(epidemic, "transmit", failing_transmit)
+    before = len(started)
+    with pytest.raises(GeometryError, match="no transmission"):
+        eng.step()
+    assert len(started) > before and running() == []
 
 
 @pytest.mark.parametrize("phase_order", ORDERS)
@@ -421,7 +451,9 @@ def test_one_cpu_drops_a_failed_move_no_step_uses(monkeypatch, phase_order):
             Engine(p).step()
     calls = _patch_walk(monkeypatch, fail_after=expected.failed_at)
     rec = run(p)
-    assert started == [] and len(calls) == expected.failed_at + 1
+    # only move_then_transmit starts a move that no step uses
+    moved = expected.failed_at + (phase_order == "move_then_transmit")
+    assert started == [] and len(calls) == moved
     assert rec.failed_at == expected.failed_at and rec.series == expected.series
     # an interrupt is no error of the move: it leaves the run at once, also
     # from the move that no step uses
@@ -429,14 +461,14 @@ def test_one_cpu_drops_a_failed_move_no_step_uses(monkeypatch, phase_order):
 
     def interrupted(*args):
         moves.append(args)
-        if len(moves) > expected.failed_at:
+        if len(moves) == moved:
             raise KeyboardInterrupt
         return mobility.walk_all(*args)
 
     monkeypatch.setattr(epidemic, "walk_all", interrupted)
     with pytest.raises(KeyboardInterrupt):
         run(p)
-    assert len(moves) == expected.failed_at + 1
+    assert len(moves) == moved
 
 
 def test_cpu_count_stands_in_for_a_missing_affinity(monkeypatch):
@@ -453,12 +485,11 @@ def test_published_positions_are_read_only(phase_order):
     eng = Engine(p, initial_positions=given)
     given[0] = 1.0  # the engine keeps a copy; the caller's array stays writable
     published = [Engine(p).snapshot.positions, eng.snapshot.positions, eng.step().positions]
-    eng._join_ahead()
     for positions in published:
         with pytest.raises(ValueError, match="read-only"):
             positions[0, 0] = 0.0
 
-    def write(snap, last):  # a hook writing into positions a pending move reads
+    def write(snap, last):  # a hook writing into published positions
         snap.positions[:, 0] += 0.0
 
     before = threading.active_count()
